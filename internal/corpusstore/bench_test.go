@@ -10,9 +10,15 @@ import (
 // benchCorpus is sized so per-op cost dominates setup: 8 countries of 5000
 // rows is ~40k sites, large enough that block framing, interning, and CRC
 // work are the measured quantities.
-func benchCorpus(b *testing.B) *dataset.Corpus {
-	b.Helper()
+func benchCorpus(tb testing.TB) *dataset.Corpus {
+	tb.Helper()
 	return testCorpus(99, []string{"AU", "BR", "DE", "IN", "JP", "TH", "US", "ZA"}, 5000)
+}
+
+// reportRows adds throughput in rows per second. (b.SetBytes would print
+// the row count as MB/s.)
+func reportRows(b *testing.B, rowsPerOp int) {
+	b.ReportMetric(float64(rowsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 func benchOpts() *Options {
@@ -34,7 +40,7 @@ func BenchmarkStoreSave(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(c.TotalSites()))
+	reportRows(b, c.TotalSites())
 }
 
 // BenchmarkShardStream measures the decode path alone: one country's shard
@@ -60,7 +66,7 @@ func BenchmarkShardStream(b *testing.B) {
 			b.Fatalf("streamed %d rows", rows)
 		}
 	}
-	b.SetBytes(5000)
+	reportRows(b, 5000)
 }
 
 // BenchmarkStoreScore measures streamed scoring of a stored corpus — the
@@ -82,7 +88,7 @@ func BenchmarkStoreScore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(c.TotalSites()))
+	reportRows(b, c.TotalSites())
 }
 
 // BenchmarkInMemoryScore is BenchmarkStoreScore's resident baseline: the
@@ -98,5 +104,5 @@ func BenchmarkInMemoryScore(b *testing.B) {
 			b.Fatalf("scored %d countries", got)
 		}
 	}
-	b.SetBytes(int64(c.TotalSites()))
+	reportRows(b, c.TotalSites())
 }

@@ -39,9 +39,19 @@
 // Ingestion (Writer) and scoring (Store.Score) never materialize a corpus:
 // worldgen can emit shards country by country, a checkpoint journal can be
 // converted record by record (IngestJournal), and scoring streams each
-// shard through the same row-level extraction the in-memory scoring index
-// uses, producing bit-identical scores (dataset.CountryTally /
-// dataset.BuildScoreSet).
+// shard into the tallies the in-memory scoring index merges, producing
+// bit-identical scores (dataset.CountryTally / dataset.BuildScoreSet).
+//
+// # Views
+//
+// One parser reads a block (columns.go declares the layout it walks), and
+// a view decides what it keeps. The row view materialises every column as
+// dataset.Website rows (StreamShard, ReadList, Load). The symbol view hands
+// out only the provider columns, as shard-local symbol IDs next to the
+// shard's name table (StreamSymbols): the shard's symbol table already is
+// the interning a tally would otherwise redo, so Score and
+// depgraph.FromStore count IDs and resolve names once per shard, and build
+// no string per row. Both views validate every column of every block.
 package corpusstore
 
 import (
@@ -194,13 +204,34 @@ type manifestEnd struct {
 	Shards int `json:"shards"`
 }
 
-// frame wraps a payload in the length+CRC32 framing as one byte slice.
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
+// writeFrame writes one framed section to w — u32le length, u32le CRC32,
+// then the type byte and the payload parts — and returns the bytes written.
+// The checksum runs over the parts in place, so a payload is never copied
+// into a frame of its own.
+func writeFrame(w io.Writer, typ byte, parts ...[]byte) (int, error) {
+	size := 1
+	sum := crc32.Update(0, crc32.IEEETable, []byte{typ})
+	for _, p := range parts {
+		size += len(p)
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+	}
+	if size > maxSectionBytes {
+		return 0, fmt.Errorf("section of %d bytes exceeds maximum %d", size, maxSectionBytes)
+	}
+	var hdr [9]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(size))
+	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	hdr[8] = typ
+	written, err := w.Write(hdr[:])
+	for _, p := range parts {
+		if err != nil {
+			break
+		}
+		var n int
+		n, err = w.Write(p)
+		written += n
+	}
+	return written, err
 }
 
 // sectionReader iterates a store file's framed sections, tracking the byte
@@ -306,6 +337,20 @@ func (r *byteReader) str() (string, error) {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// skipStr steps over one length-prefixed string, with str's bounds checks
+// and without its allocation, and returns the string's length.
+func (r *byteReader) skipStr() (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(r.b)-r.i) {
+		return 0, errShortPayload
+	}
+	r.i += int(n)
+	return int(n), nil
 }
 
 func (r *byteReader) remaining() int { return len(r.b) - r.i }

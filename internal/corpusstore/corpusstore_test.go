@@ -2,6 +2,7 @@ package corpusstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -122,25 +123,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamedScoresMatchInMemory is the scoring-fidelity invariant: the
-// store's streamed ScoreSet must be bit-identical to the in-memory corpus's
-// scoring surface on every metric the analyses read.
-func TestStreamedScoresMatchInMemory(t *testing.T) {
-	dir := t.TempDir()
-	c := testCorpus(2, []string{"US", "DE", "JP", "TH"}, 217)
-	if err := Save(dir, c, testOpts(11)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, testOpts(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := st.Score()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := c.ScoreSet()
-
+// equalScoreSets requires two scoring surfaces to be bit-identical on every
+// metric the analyses read.
+func equalScoreSets(t *testing.T, streamed, mem *dataset.ScoreSet) {
+	t.Helper()
 	if !reflect.DeepEqual(streamed.Countries(), mem.Countries()) {
 		t.Fatal("country sets differ")
 	}
@@ -165,6 +151,133 @@ func TestStreamedScoresMatchInMemory(t *testing.T) {
 				t.Errorf("%v %s: distribution score %v, want %v", layer, cc, g, w)
 			}
 		}
+	}
+}
+
+// savedScore saves a corpus and scores it from disk.
+func savedScore(t *testing.T, c *dataset.Corpus, blockRows int) *dataset.ScoreSet {
+	t.Helper()
+	dir := t.TempDir()
+	if err := Save(dir, c, testOpts(blockRows)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, testOpts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := st.Score()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return streamed
+}
+
+// TestStreamedScoresMatchInMemory is the scoring-fidelity invariant: the
+// store's streamed ScoreSet must be bit-identical to the in-memory corpus's
+// scoring surface on every metric the analyses read.
+func TestStreamedScoresMatchInMemory(t *testing.T) {
+	c := testCorpus(2, []string{"US", "DE", "JP", "TH"}, 217)
+	equalScoreSets(t, savedScore(t, c, 11), c.ScoreSet())
+}
+
+// TestStreamedScoresMatchOnHostileCorpora holds the two representations of
+// the tally's skip rules equal where they are easiest to get wrong. Score
+// counts symbol IDs and Corpus.ScoreSet reads strings, so the corpora are
+// drawn to make IDs collide with the rules: unmeasured providers, measured
+// providers with no country, an empty TLD, and providers, TLDs and
+// languages named exactly like a country code — so the symbol a shard's
+// own country gets turns up in provider columns, and is first seen in a
+// column that is not a country at all. Blocks of one row make every symbol
+// arrive in a different block from the last. (A site country of "" cannot
+// be stored; dataset's TestObserveBlockMatchesObserve covers it.)
+func TestStreamedScoresMatchOnHostileCorpora(t *testing.T) {
+	names := []string{"", "", "US", "DE", "JP", "Cloudflare", "Hetzner", "us"}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func() string { return names[rng.Intn(len(names))] }
+		c := dataset.NewCorpus("2023-05")
+		for _, cc := range []string{"DE", "JP", "US"} {
+			list := &dataset.CountryList{Country: cc, Epoch: c.Epoch}
+			for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+				list.Sites = append(list.Sites, dataset.Website{
+					Domain: fmt.Sprintf("s%d.test", i), Country: cc, Rank: i + 1,
+					HostProvider: pick(), HostProviderCountry: pick(),
+					DNSProvider: pick(), DNSProviderCountry: pick(),
+					CAOwner: pick(), CAOwnerCountry: pick(),
+					TLD: pick(), Language: pick(), HostIPContinent: pick(),
+				})
+			}
+			c.Add(list)
+		}
+		equalScoreSets(t, savedScore(t, c, []int{1, 6, 4096}[seed%3]), c.ScoreSet())
+		if t.Failed() {
+			t.Fatalf("seed %d", seed)
+		}
+	}
+}
+
+// TestAppendMatchesAppendList pins the writer's two entry points to the same
+// bytes: rows appended one at a time through the block buffer, and a list
+// encoded in place, at block sizes of one row, a few, and more than the
+// default — with a list longer than one block of each.
+func TestAppendMatchesAppendList(t *testing.T) {
+	list := testCorpus(7, []string{"US"}, 4100).Get("US")
+	for _, blockRows := range []int{1, 6, 4096} {
+		write := func(fill func(*Writer) error) [sha256.Size]byte {
+			dir := t.TempDir()
+			w, err := Create(dir, list.Epoch, testOpts(blockRows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fill(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			shard, err := os.ReadFile(filepath.Join(dir, "US.shard"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sha256.Sum256(shard)
+		}
+		byRow := write(func(w *Writer) error {
+			for i := range list.Sites {
+				if err := w.Append(&list.Sites[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		byList := write(func(w *Writer) error { return w.AppendList(list) })
+		if byRow != byList {
+			t.Errorf("blockRows=%d: Append wrote %x, AppendList %x", blockRows, byRow, byList)
+		}
+	}
+}
+
+// TestScoreAllocsPerRow is the allocation gate on streamed scoring: the
+// symbol view allocates per shard and per symbol, never per row. A return
+// to a string or a Website per row costs three allocations a row and fails
+// here, not in a later benchmark read.
+func TestScoreAllocsPerRow(t *testing.T) {
+	c := benchCorpus(t)
+	dir := t.TempDir()
+	if err := Save(dir, c, benchOpts()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, benchOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := st.Score(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := allocs / float64(c.TotalSites()); perRow > 0.5 {
+		t.Errorf("Score allocates %.2f times per row (%.0f for %d rows), want at most 0.5",
+			perRow, allocs, c.TotalSites())
 	}
 }
 

@@ -1,6 +1,7 @@
 package corpusstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -26,17 +27,123 @@ func writeTestStore(t *testing.T) (dir, shardPath string) {
 	return dir, filepath.Join(dir, "US.shard")
 }
 
-func streamAll(dir string) error {
-	st, err := Open(dir, &Options{Obs: obs.NewRegistry()})
+// streamView streams every shard of the store at dir through one view, on
+// a registry of its own, and returns the first error with the number of
+// corruptions the store counted.
+func streamView(dir string, symbols bool) (error, int64) {
+	reg := obs.NewRegistry()
+	corruptions := reg.Counter("store.corruptions")
+	st, err := Open(dir, &Options{Obs: reg})
 	if err != nil {
-		return err
+		return err, corruptions.Value()
 	}
 	for _, cc := range st.Countries() {
-		if err := st.StreamShard(cc, func(*dataset.Website) error { return nil }); err != nil {
-			return err
+		if symbols {
+			err = st.StreamSymbols(cc, func(*dataset.SymbolBlock) error { return nil })
+		} else {
+			err = st.StreamShard(cc, func(*dataset.Website) error { return nil })
+		}
+		if err != nil {
+			break
 		}
 	}
-	return nil
+	return err, corruptions.Value()
+}
+
+// streamAll streams the store through the row view and the symbol view and
+// requires the two to agree on the outcome: for a damaged store, the same
+// *CorruptError — path, offset and reason — and the same number of counted
+// corruptions. Every test below asserts on the error it returns, so each
+// damage case is a parity case too.
+func streamAll(t *testing.T, dir string) error {
+	t.Helper()
+	rowErr, rowCount := streamView(dir, false)
+	symErr, symCount := streamView(dir, true)
+	if (rowErr == nil) != (symErr == nil) {
+		t.Fatalf("views disagree: rows %v, symbols %v", rowErr, symErr)
+	}
+	var rowCE, symCE *CorruptError
+	if errors.As(rowErr, &rowCE) != errors.As(symErr, &symCE) {
+		t.Fatalf("views disagree on corruption: rows %v, symbols %v", rowErr, symErr)
+	}
+	if rowCE != nil && *rowCE != *symCE {
+		t.Fatalf("views report different corruption:\n rows    %v\n symbols %v", rowCE, symCE)
+	}
+	if rowCount != symCount {
+		t.Fatalf("store.corruptions: rows counted %d, symbols %d", rowCount, symCount)
+	}
+	return rowErr
+}
+
+// frame returns one framed section as bytes.
+func frame(tb testing.TB, typ byte, payload []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := writeFrame(&buf, typ, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sections returns the byte offset of every framed section of a store file,
+// then the file's length.
+func sections(t *testing.T, whole []byte) []int {
+	t.Helper()
+	var offs []int
+	off := len(shardMagic)
+	for off < len(whole) {
+		offs = append(offs, off)
+		off += 8 + int(binary.LittleEndian.Uint32(whole[off:]))
+	}
+	if off != len(whole) {
+		t.Fatalf("sections end at %d of %d bytes", off, len(whole))
+	}
+	return append(offs, off)
+}
+
+// rewriteSection re-frames the first section of the given type with a
+// mutated payload, keeping every CRC valid so that only a semantic check
+// can reject the file. It returns the section's offset.
+func rewriteSection(t *testing.T, path string, typ byte, mutate func(payload []byte) []byte) int {
+	t.Helper()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := sections(t, whole)
+	for i, off := range offs[:len(offs)-1] {
+		if whole[off+8] != typ {
+			continue
+		}
+		payload := append([]byte(nil), whole[off+9:offs[i+1]]...)
+		out := append([]byte(nil), whole[:off]...)
+		out = append(out, frame(t, typ, mutate(payload))...)
+		out = append(out, whole[offs[i+1]:]...)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return off
+	}
+	t.Fatalf("%s has no %q section", path, typ)
+	return 0
+}
+
+// rewriteJSON is rewriteSection for the JSON sections: decode, mutate,
+// encode.
+func rewriteJSON[T any](t *testing.T, path string, typ byte, mutate func(*T)) int {
+	t.Helper()
+	return rewriteSection(t, path, typ, func(payload []byte) []byte {
+		var v T
+		if err := json.Unmarshal(payload, &v); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&v)
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
 }
 
 func wantCorrupt(t *testing.T, err error, offsetAtLeast int64, reasonFragment string) {
@@ -62,14 +169,19 @@ func TestTruncatedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{len(whole) - 1, len(whole) - 9, len(whole) / 2, 10, 4} {
+	cuts := []int{len(whole) - 1, len(whole) - 9, len(whole) / 2, 10, 4}
+	offs := sections(t, whole)
+	for _, off := range offs[:len(offs)-1] {
+		// Just short of each section, exactly at it, and inside its frame.
+		cuts = append(cuts, off-1, off, off+5)
+	}
+	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			if err := os.WriteFile(shard, whole[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			err := streamAll(dir)
 			var ce *CorruptError
-			if !errors.As(err, &ce) {
+			if err := streamAll(t, dir); !errors.As(err, &ce) {
 				t.Fatalf("truncation at %d not detected: %v", cut, err)
 			}
 		})
@@ -77,7 +189,7 @@ func TestTruncatedShard(t *testing.T) {
 	if err := os.WriteFile(shard, whole, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := streamAll(dir); err != nil {
+	if err := streamAll(t, dir); err != nil {
 		t.Fatalf("restored shard should stream clean: %v", err)
 	}
 }
@@ -96,7 +208,7 @@ func TestCorruptShardMidFile(t *testing.T) {
 	if err := os.WriteFile(shard, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = streamAll(dir)
+	err = streamAll(t, dir)
 	wantCorrupt(t, err, int64(len(shardMagic)), "")
 	var ce *CorruptError
 	errors.As(err, &ce)
@@ -118,7 +230,7 @@ func TestCorruptTrailingGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	wantCorrupt(t, streamAll(dir), 0, "")
+	wantCorrupt(t, streamAll(t, dir), 0, "")
 }
 
 func TestBadMagic(t *testing.T) {
@@ -128,37 +240,7 @@ func TestBadMagic(t *testing.T) {
 	if err := os.WriteFile(shard, whole, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wantCorrupt(t, streamAll(dir), 0, "bad magic")
-}
-
-// rewriteShardHeader re-frames a shard with a mutated header, keeping CRCs
-// valid so only the semantic check can reject it.
-func rewriteShardHeader(t *testing.T, shard string, mutate func(*shardHeader)) {
-	t.Helper()
-	whole, err := os.ReadFile(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdrLen := binary.LittleEndian.Uint32(whole[8:12])
-	payload := whole[16 : 16+hdrLen]
-	if payload[0] != secHeader {
-		t.Fatalf("expected header section, found %q", payload[0])
-	}
-	var hdr shardHeader
-	if err := json.Unmarshal(payload[1:], &hdr); err != nil {
-		t.Fatal(err)
-	}
-	mutate(&hdr)
-	buf, err := json.Marshal(hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append([]byte(nil), whole[:8]...)
-	out = append(out, frame(append([]byte{secHeader}, buf...))...)
-	out = append(out, whole[16+hdrLen:]...)
-	if err := os.WriteFile(shard, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	wantCorrupt(t, streamAll(t, dir), 0, "bad magic")
 }
 
 // TestForeignShardRefused pins the refusal semantics: a shard from another
@@ -177,66 +259,98 @@ func TestForeignShardRefused(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, shard := writeTestStore(t)
-			rewriteShardHeader(t, shard, tc.mutate)
-			wantCorrupt(t, streamAll(dir), int64(len(shardMagic)), tc.reason)
+			rewriteJSON(t, shard, secHeader, tc.mutate)
+			wantCorrupt(t, streamAll(t, dir), int64(len(shardMagic)), tc.reason)
 		})
 	}
 }
 
 func TestManifestVersionRefused(t *testing.T) {
 	dir, _ := writeTestStore(t)
-	path := filepath.Join(dir, ManifestName)
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdrLen := binary.LittleEndian.Uint32(whole[8:12])
-	var man manifest
-	if err := json.Unmarshal(whole[17:16+hdrLen], &man); err != nil {
-		t.Fatal(err)
-	}
-	man.Version = 2
-	buf, _ := json.Marshal(man)
-	out := append([]byte(nil), whole[:8]...)
-	out = append(out, frame(append([]byte{secHeader}, buf...))...)
-	out = append(out, whole[16+hdrLen:]...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(dir, nil)
+	rewriteJSON(t, filepath.Join(dir, ManifestName), secHeader, func(m *manifest) { m.Version = 2 })
+	_, err := Open(dir, nil)
 	if err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("foreign manifest version not refused: %v", err)
 	}
 }
 
-// TestEndMarkerMismatch rewrites the shard's end marker with wrong totals;
-// the decoded counts must win and flag the inconsistency.
-func TestEndMarkerMismatch(t *testing.T) {
+// TestManifestRowMismatch: a shard that is whole and self-consistent but
+// holds a different number of rows than the manifest records is refused
+// after the last byte, by both views.
+func TestManifestRowMismatch(t *testing.T) {
 	dir, shard := writeTestStore(t)
+	rewriteJSON(t, filepath.Join(dir, ManifestName), secHeader, func(m *manifest) { m.Shards[0].Rows++ })
 	whole, err := os.ReadFile(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk to the last section ('E') and re-frame it with inflated totals.
-	off := len(shardMagic)
-	lastOff := -1
-	for off < len(whole) {
-		length := int(binary.LittleEndian.Uint32(whole[off:]))
-		if whole[off+8] == secEnd {
-			lastOff = off
+	wantCorrupt(t, streamAll(t, dir), int64(len(whole)), "manifest records 41")
+}
+
+// TestEndMarkerMismatch rewrites the shard's end marker with wrong totals;
+// the decoded counts must win and flag the inconsistency.
+func TestEndMarkerMismatch(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*shardEnd)
+		reason string
+	}{
+		{"rows", func(e *shardEnd) { e.Rows = 9999 }, "end marker declares 9999 rows"},
+		{"symbols", func(e *shardEnd) { e.Symbols++ }, "symbols, shard decoded"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, shard := writeTestStore(t)
+			off := rewriteJSON(t, shard, secEnd, tc.mutate)
+			wantCorrupt(t, streamAll(t, dir), int64(off), tc.reason)
+		})
+	}
+}
+
+// TestCorruptBlockContents damages what is inside a checksum-clean block.
+// These are the checks the symbol view could most easily lose, because it
+// keeps nothing of the columns they guard: a symbol out of range in a
+// column it skips, bytes after the last column, and a row with no domain.
+func TestCorruptBlockContents(t *testing.T) {
+	t.Run("symbol out of range in a skipped column", func(t *testing.T) {
+		dir, shard := writeTestStore(t)
+		// The last byte of a block is the last row's Language symbol.
+		off := rewriteSection(t, shard, secBlock, func(p []byte) []byte {
+			p[len(p)-1] = 0x7f
+			return p
+		})
+		wantCorrupt(t, streamAll(t, dir), int64(off), "symbol 127 out of range")
+	})
+	t.Run("trailing bytes", func(t *testing.T) {
+		dir, shard := writeTestStore(t)
+		off := rewriteSection(t, shard, secBlock, func(p []byte) []byte { return append(p, 0) })
+		wantCorrupt(t, streamAll(t, dir), int64(off), "1 trailing bytes")
+	})
+	t.Run("empty domain", func(t *testing.T) {
+		// No writer entry point lets such a row through, so encode the
+		// block directly.
+		dir := t.TempDir()
+		w, err := Create(dir, "2023-05", testOpts(8))
+		if err != nil {
+			t.Fatal(err)
 		}
-		off += 8 + length
-	}
-	if lastOff < 0 {
-		t.Fatal("no end marker found")
-	}
-	buf, _ := json.Marshal(shardEnd{Rows: 9999, Symbols: 1})
-	out := append([]byte(nil), whole[:lastOff]...)
-	out = append(out, frame(append([]byte{secEnd}, buf...))...)
-	if err := os.WriteFile(shard, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wantCorrupt(t, streamAll(dir), int64(lastOff), "end marker declares")
+		sw, err := w.Shard("US")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []dataset.Website{
+			{Domain: "a.com", Country: "US", Rank: 1},
+			{Country: "US", Rank: 2},
+			{Domain: "c.com", Country: "US", Rank: 3},
+		}
+		if err := sw.writeBlock(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantCorrupt(t, streamAll(t, dir), int64(len(shardMagic)), "block row 1 has empty domain")
+	})
 }
 
 // TestCorruptionCounted checks detection feeds the store.corruptions

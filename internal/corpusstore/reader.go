@@ -154,6 +154,20 @@ func (s *Store) Coverage() map[string]*dataset.Coverage { return s.man.Coverage 
 // epoch, country), its end-marker totals against the rows actually decoded,
 // and any mismatch, truncation, or checksum failure is a *CorruptError.
 func (s *Store) StreamShard(cc string, fn func(*dataset.Website) error) error {
+	return s.stream(cc, &shardBlockDecoder{onRow: fn})
+}
+
+// StreamSymbols decodes one country's shard block by block in interned
+// form: the seven provider columns as shard-local symbol IDs plus the
+// shard's name table, with no Website and no per-row string built. It runs
+// the same parser and makes every check StreamShard makes, on every column.
+// The block passed to fn is reused across calls.
+func (s *Store) StreamSymbols(cc string, fn func(*dataset.SymbolBlock) error) error {
+	return s.stream(cc, &shardBlockDecoder{onBlock: fn})
+}
+
+// stream opens one country's shard and drives it through dec.
+func (s *Store) stream(cc string, dec *shardBlockDecoder) error {
 	ms, ok := s.byCC[cc]
 	if !ok {
 		return fmt.Errorf("corpusstore: store has no shard for country %s", cc)
@@ -166,7 +180,7 @@ func (s *Store) StreamShard(cc string, fn func(*dataset.Website) error) error {
 	}
 	defer f.Close()
 	want := shardHeader{Version: Version, Epoch: s.man.Epoch, Country: cc}
-	rows, bytes, err := decodeShard(bufio.NewReaderSize(f, 1<<16), path, &want, fn)
+	rows, bytes, err := decodeShard(bufio.NewReaderSize(f, 1<<16), path, &want, dec)
 	if err != nil {
 		return s.noteCorrupt(err)
 	}
@@ -221,18 +235,18 @@ func (s *Store) Load() (*dataset.Corpus, error) {
 	return c, nil
 }
 
-// Score streams every shard through the row-level scoring extraction and
-// merges the per-country tallies into a ScoreSet — the same frozen surface
-// an in-memory Corpus exposes, with bit-identical numbers, while holding
-// only one decoded block per concurrent shard plus the tallies themselves.
+// Score streams every shard's symbol columns into per-country tallies and
+// merges them into a ScoreSet — the same frozen surface an in-memory Corpus
+// exposes, with bit-identical numbers, while holding only one decoded
+// block per concurrent shard plus the tallies themselves.
 func (s *Store) Score() (*dataset.ScoreSet, error) {
 	sp := obs.StartSpan(s.m.scoreMS)
 	ccs := s.Countries()
 	tallies, err := parallel.Map(context.Background(), s.workers, len(ccs),
 		func(_ context.Context, i int) (*dataset.CountryTally, error) {
 			t := dataset.NewCountryTally(ccs[i])
-			if err := s.StreamShard(ccs[i], func(w *dataset.Website) error {
-				t.Observe(w)
+			if err := s.StreamSymbols(ccs[i], func(b *dataset.SymbolBlock) error {
+				t.ObserveBlock(b)
 				return nil
 			}); err != nil {
 				return nil, err
@@ -250,14 +264,14 @@ func (s *Store) Score() (*dataset.ScoreSet, error) {
 	return ss, nil
 }
 
-// decodeShard drives one shard stream: magic, header (validated against
-// want when non-nil), row blocks through fn, end marker, clean EOF. It
+// decodeShard drives one shard stream through dec: magic, header (validated
+// against want when non-nil), row blocks, end marker, clean EOF. It
 // returns the decoded row count and the byte length consumed. Every
 // deviation from the format is a *CorruptError carrying the offset of the
 // failing section; the decoder never panics and never allocates more than
 // a constant factor of the (already CRC-validated) section it is decoding,
 // which is what makes it safe to point at arbitrary bytes (FuzzShardDecode).
-func decodeShard(r io.Reader, path string, want *shardHeader, fn func(*dataset.Website) error) (rows, bytes int64, err error) {
+func decodeShard(r io.Reader, path string, want *shardHeader, dec *shardBlockDecoder) (rows, bytes int64, err error) {
 	if err := readMagic(r, path, shardMagic); err != nil {
 		return 0, 0, err
 	}
@@ -289,7 +303,7 @@ func decodeShard(r io.Reader, path string, want *shardHeader, fn func(*dataset.W
 		}
 	}
 
-	dec := shardBlockDecoder{country: hdr.Country}
+	dec.country = hdr.Country
 	for {
 		typ, payload, off, err = sr.next()
 		if err != nil {
@@ -305,7 +319,7 @@ func decodeShard(r io.Reader, path string, want *shardHeader, fn func(*dataset.W
 			return rows, sr.off, &CorruptError{Path: path, Offset: off,
 				Reason: fmt.Sprintf("unexpected section type %q", typ)}
 		}
-		n, err := dec.block(payload, fn)
+		n, err := dec.block(payload)
 		if err != nil {
 			if _, ok := err.(*CorruptError); !ok {
 				err = &CorruptError{Path: path, Offset: off, Reason: err.Error()}
@@ -336,20 +350,32 @@ func decodeShard(r io.Reader, path string, want *shardHeader, fn func(*dataset.W
 	return rows, sr.off, nil
 }
 
-// shardBlockDecoder decodes 'B' sections, carrying the append-only symbol
-// table and a reused row buffer across the shard's blocks. Memory is one
-// decoded block plus the symbol table — never the shard.
+// shardBlockDecoder decodes 'B' sections under one view, carrying the
+// append-only symbol table and the view's reused block buffer across the
+// shard's blocks. Memory is one decoded block plus the symbol table — never
+// the shard. Exactly one of onRow and onBlock is set, and selects the view.
 type shardBlockDecoder struct {
 	country string
 	syms    []string
-	rows    []dataset.Website
+
+	// The row view: every column materialised into rows, delivered one by one.
+	onRow func(*dataset.Website) error
+	rows  []dataset.Website
+
+	// The symbol view: the provider columns collected into ids, delivered whole.
+	onBlock func(*dataset.SymbolBlock) error
+	ids     dataset.SymbolBlock
+
+	scratch []uint32 // IDs of the symbol column being materialised or skipped
 }
 
-// block decodes one columnar block and hands each row to fn. Row structs
-// are reused across blocks; fn must copy to retain. Errors that are not
-// already *CorruptError are format violations the caller wraps with the
-// block's offset.
-func (d *shardBlockDecoder) block(payload []byte, fn func(*dataset.Website) error) (int64, error) {
+// block parses one columnar block — the block's new symbols, its row
+// count, then the columns in format order, each under its view action —
+// and, once the whole block has validated, delivers it: row by row to
+// onRow, or as one SymbolBlock to onBlock. Delivered values are reused
+// across blocks. Errors that are not already *CorruptError are format
+// violations the caller wraps with the block's offset.
+func (d *shardBlockDecoder) block(payload []byte) (int64, error) {
 	br := &byteReader{b: payload}
 
 	nSyms, err := br.uvarint()
@@ -360,6 +386,10 @@ func (d *shardBlockDecoder) block(payload []byte, fn func(*dataset.Website) erro
 	// so a count beyond the payload is garbage, not a big table.
 	if nSyms > uint64(br.remaining()) {
 		return 0, fmt.Errorf("block declares %d new symbols in a %d-byte payload", nSyms, len(payload))
+	}
+	// IDs are uint32 everywhere they are kept; dataset.NoSymbol is not one.
+	if uint64(len(d.syms))+nSyms > dataset.NoSymbol {
+		return 0, fmt.Errorf("block grows the symbol table past %d entries", uint32(dataset.NoSymbol))
 	}
 	for i := uint64(0); i < nSyms; i++ {
 		s, err := br.str()
@@ -379,112 +409,120 @@ func (d *shardBlockDecoder) block(payload []byte, fn func(*dataset.Website) erro
 	if nRows > maxBlockRows {
 		return 0, fmt.Errorf("block declares %d rows, maximum is %d", nRows, maxBlockRows)
 	}
-	// The rank column spends at least one byte per row, bounding the row
-	// buffer by the payload size before anything is allocated.
+	// The rank column spends at least one byte per row, bounding every
+	// per-row buffer by the payload size before anything is allocated.
 	if nRows > uint64(br.remaining()) {
 		return 0, fmt.Errorf("block declares %d rows in a %d-byte payload", nRows, len(payload))
 	}
 	n := int(nRows)
-	d.rows = d.rows[:0]
-	for i := 0; i < n; i++ {
-		rank, err := br.uvarint()
-		if err != nil {
-			return 0, err
+	view := &symbolView
+	if d.onRow != nil {
+		view = &rowView
+		if cap(d.rows) < n {
+			d.rows = make([]dataset.Website, n)
 		}
-		d.rows = append(d.rows, dataset.Website{Country: d.country, Rank: int(rank)})
+		d.rows = d.rows[:n]
 	}
-	if err := d.strCol(br, func(w *dataset.Website, s string) { w.Domain = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.HostProvider = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.HostProviderCountry = s }); err != nil {
-		return 0, err
-	}
-	if err := d.strCol(br, func(w *dataset.Website, s string) { w.HostIP = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.HostIPContinent = s }); err != nil {
-		return 0, err
-	}
-	if err := d.boolCol(br, func(w *dataset.Website, v bool) { w.HostAnycast = v }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.DNSProvider = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.DNSProviderCountry = s }); err != nil {
-		return 0, err
-	}
-	if err := d.strCol(br, func(w *dataset.Website, s string) { w.NSIP = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.NSIPContinent = s }); err != nil {
-		return 0, err
-	}
-	if err := d.boolCol(br, func(w *dataset.Website, v bool) { w.NSAnycast = v }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.CAOwner = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.CAOwnerCountry = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.TLD = s }); err != nil {
-		return 0, err
-	}
-	if err := d.symCol(br, func(w *dataset.Website, s string) { w.Language = s }); err != nil {
-		return 0, err
+
+	emptyRow := -1 // first row whose required string is empty
+	for c := range shardColumns {
+		col, act := &shardColumns[c], view[c]
+		switch col.kind {
+		case kindRank:
+			for i := 0; i < n; i++ {
+				rank, err := br.uvarint()
+				if err != nil {
+					return 0, err
+				}
+				if act == actMaterialise {
+					d.rows[i] = dataset.Website{Country: d.country, Rank: int(rank)}
+				}
+			}
+		case kindStr:
+			for i := 0; i < n; i++ {
+				var empty bool
+				if act == actMaterialise {
+					s, err := br.str()
+					if err != nil {
+						return 0, err
+					}
+					*col.str(&d.rows[i]) = s
+					empty = s == ""
+				} else {
+					size, err := br.skipStr()
+					if err != nil {
+						return 0, err
+					}
+					empty = size == 0
+				}
+				if empty && col.required && emptyRow < 0 {
+					emptyRow = i
+				}
+			}
+		case kindSym:
+			ids := &d.scratch
+			if act == actCollect {
+				ids = &d.ids.Cols[col.sym]
+			}
+			if err := d.symbolIDs(br, n, ids); err != nil {
+				return 0, err
+			}
+			if act == actMaterialise {
+				for i, id := range *ids {
+					*col.str(&d.rows[i]) = d.syms[id]
+				}
+			}
+		case kindBool:
+			bits, err := br.take((n + 7) / 8)
+			if err != nil {
+				return 0, err
+			}
+			if act == actMaterialise {
+				for i := range d.rows {
+					*col.flag(&d.rows[i]) = bits[i/8]&(1<<(i%8)) != 0
+				}
+			}
+		}
 	}
 	if br.remaining() != 0 {
 		return 0, fmt.Errorf("block has %d trailing bytes", br.remaining())
 	}
+	if emptyRow >= 0 {
+		return 0, fmt.Errorf("block row %d has empty domain", emptyRow)
+	}
 
+	if d.onRow == nil {
+		d.ids.Names = d.syms
+		return int64(n), d.onBlock(&d.ids)
+	}
 	for i := range d.rows {
-		if d.rows[i].Domain == "" {
-			return 0, fmt.Errorf("block row %d has empty domain", i)
-		}
-		if err := fn(&d.rows[i]); err != nil {
+		if err := d.onRow(&d.rows[i]); err != nil {
 			return 0, err
 		}
 	}
 	return int64(n), nil
 }
 
-func (d *shardBlockDecoder) strCol(br *byteReader, set func(*dataset.Website, string)) error {
-	for i := range d.rows {
-		s, err := br.str()
-		if err != nil {
-			return err
-		}
-		set(&d.rows[i], s)
+// symbolIDs decodes one symbol column of n rows into *dst, reusing its
+// backing array, and checks every ID against the symbol table — the one
+// decode every symbol column goes through, whatever its action.
+func (d *shardBlockDecoder) symbolIDs(br *byteReader, n int, dst *[]uint32) error {
+	ids := *dst
+	if cap(ids) < n {
+		ids = make([]uint32, n)
 	}
-	return nil
-}
-
-func (d *shardBlockDecoder) symCol(br *byteReader, set func(*dataset.Website, string)) error {
-	for i := range d.rows {
+	ids = ids[:n]
+	*dst = ids
+	limit := uint64(len(d.syms))
+	for i := range ids {
 		v, err := br.uvarint()
 		if err != nil {
 			return err
 		}
-		if v >= uint64(len(d.syms)) {
+		if v >= limit {
 			return fmt.Errorf("symbol %d out of range (table holds %d)", v, len(d.syms))
 		}
-		set(&d.rows[i], d.syms[v])
-	}
-	return nil
-}
-
-func (d *shardBlockDecoder) boolCol(br *byteReader, set func(*dataset.Website, bool)) error {
-	bits, err := br.take((len(d.rows) + 7) / 8)
-	if err != nil {
-		return err
-	}
-	for i := range d.rows {
-		set(&d.rows[i], bits[i/8]&(1<<(i%8)) != 0)
+		ids[i] = uint32(v)
 	}
 	return nil
 }

@@ -118,17 +118,24 @@ func (w *Writer) Append(site *dataset.Website) error {
 	return sw.Append(site)
 }
 
-// AppendList writes one country's list as a complete shard.
+// AppendList writes one country's list as a complete shard, encoding the
+// blocks straight from list.Sites: no row is copied on the way to disk.
 func (w *Writer) AppendList(list *dataset.CountryList) error {
 	sw, err := w.Shard(list.Country)
 	if err != nil {
 		return err
 	}
 	for i := range list.Sites {
-		if err := sw.Append(&list.Sites[i]); err != nil {
-			sw.abort()
+		if err := sw.check(&list.Sites[i]); err != nil {
 			return err
 		}
+	}
+	for rest := list.Sites; len(rest) > 0; {
+		n := min(len(rest), w.blockRows)
+		if err := sw.writeBlock(rest[:n]); err != nil {
+			return err
+		}
+		rest = rest[n:]
 	}
 	return sw.Close()
 }
@@ -190,10 +197,10 @@ func (w *Writer) Close() error {
 		if _, err := out.Write(manifestMagic); err != nil {
 			return err
 		}
-		if _, err := out.Write(frame(append([]byte{secHeader}, hdr...))); err != nil {
-			return err
+		if _, err := writeFrame(out, secHeader, hdr); err != nil {
+			return fmt.Errorf("corpusstore: manifest: %w", err)
 		}
-		_, err := out.Write(frame(append([]byte{secEnd}, end...)))
+		_, err := writeFrame(out, secEnd, end)
 		return err
 	})
 	if err != nil {
@@ -212,10 +219,10 @@ func sortedKeys(m map[string]manifestShard) []string {
 	return out
 }
 
-// ShardWriter encodes one country's rows into a shard file. Rows are
-// buffered one block at a time (BlockRows sites), so memory is bounded by
-// the block size, not the country's toplist length. Not safe for
-// concurrent use.
+// ShardWriter encodes one country's rows into a shard file. Rows appended
+// one at a time are buffered one block at a time (BlockRows sites), so
+// memory is bounded by the block size, not the country's toplist length.
+// Not safe for concurrent use.
 type ShardWriter struct {
 	w       *Writer
 	country string
@@ -230,10 +237,11 @@ type ShardWriter struct {
 	nsyms   uint32
 	newSyms []string // symbols first seen in the pending block
 
-	rows    []dataset.Website // pending block, copied values
+	rows    []dataset.Website // Append's pending block, copied values; nil until first Append
 	total   int64
-	written int64 // bytes written through the framer
-	scratch []byte
+	written int64  // bytes written through the framer
+	head    []byte // reused: a block's new-symbol list
+	cols    []byte // reused: a block's encoded columns
 	err     error
 	closed  bool
 }
@@ -248,7 +256,6 @@ func newShardWriter(w *Writer, country, path, file string) (*ShardWriter, error)
 		f: f, bw: bufio.NewWriter(f),
 		sp:   obs.StartSpan(w.m.shardWriteMS),
 		syms: map[string]uint32{},
-		rows: make([]dataset.Website, 0, w.blockRows),
 	}
 	if err := sw.writeRaw(shardMagic); err != nil {
 		sw.abort()
@@ -273,6 +280,21 @@ func (sw *ShardWriter) Country() string { return sw.country }
 // belong to the shard's country and carry a non-empty domain — the two
 // structural invariants every reader of the format relies on.
 func (sw *ShardWriter) Append(site *dataset.Website) error {
+	if err := sw.check(site); err != nil {
+		return err
+	}
+	if sw.rows == nil {
+		sw.rows = make([]dataset.Website, 0, sw.w.blockRows)
+	}
+	sw.rows = append(sw.rows, *site)
+	if len(sw.rows) >= sw.w.blockRows {
+		return sw.flushBlock()
+	}
+	return nil
+}
+
+// check refuses a row the shard cannot take, failing the shard.
+func (sw *ShardWriter) check(site *dataset.Website) error {
 	if sw.err != nil {
 		return sw.err
 	}
@@ -284,10 +306,6 @@ func (sw *ShardWriter) Append(site *dataset.Website) error {
 	}
 	if site.Domain == "" {
 		return sw.fail(fmt.Errorf("corpusstore: shard %s: row with empty domain", sw.country))
-	}
-	sw.rows = append(sw.rows, *site)
-	if len(sw.rows) >= sw.w.blockRows {
-		return sw.flushBlock()
 	}
 	return nil
 }
@@ -379,12 +397,14 @@ func (sw *ShardWriter) writeRaw(b []byte) error {
 	return nil
 }
 
-func (sw *ShardWriter) writeSection(typ byte, payload []byte) error {
-	if len(payload)+1 > maxSectionBytes {
-		return sw.fail(fmt.Errorf("corpusstore: shard %s: section of %d bytes exceeds maximum %d",
-			sw.country, len(payload)+1, maxSectionBytes))
+// writeSection frames one section into the buffered shard file.
+func (sw *ShardWriter) writeSection(typ byte, parts ...[]byte) error {
+	n, err := writeFrame(sw.bw, typ, parts...)
+	sw.written += int64(n)
+	if err != nil {
+		return sw.fail(fmt.Errorf("corpusstore: shard %s: %w", sw.country, err))
 	}
-	return sw.writeRaw(frame(append([]byte{typ}, payload...)))
+	return nil
 }
 
 // intern returns the symbol for s, scheduling it for emission in the
@@ -400,84 +420,71 @@ func (sw *ShardWriter) intern(s string) uint32 {
 	return id
 }
 
-// flushBlock encodes the pending rows as one columnar 'B' section. Column
-// order is fixed by the format: rank, domain, then the hosting, DNS, CA,
-// TLD, and language columns in Website field order; symbols are interned
-// in that same scan order, so equal inputs always produce equal bytes.
+// encodedRowHint sizes a shard's column buffer before its first block: a
+// measured row encodes to about 68 bytes, and a low guess only costs the
+// append growth the hint is there to avoid.
+const encodedRowHint = 80
+
+// flushBlock writes Append's pending rows as one block.
 func (sw *ShardWriter) flushBlock() error {
-	rows := sw.rows
-	b := sw.scratch[:0]
+	err := sw.writeBlock(sw.rows)
+	sw.rows = sw.rows[:0]
+	return err
+}
 
-	// Interning pass doubles as the column encoding pass; symbols are
-	// assigned during column writes below, so the new-symbol list must be
-	// emitted first — encode the columns into a second buffer, then splice.
+// writeBlock encodes rows as one columnar 'B' section: the symbols first
+// seen in the block, the row count, then the columns of shardColumns in
+// order. Symbols are interned in that same scan order, so equal inputs
+// always produce equal bytes. The rows are only read.
+func (sw *ShardWriter) writeBlock(rows []dataset.Website) error {
+	// Symbols are assigned while the columns are encoded but are written
+	// before them, so the two halves are built apart and framed together.
 	sw.newSyms = sw.newSyms[:0]
-	var cols []byte
-	if c := cap(sw.scratch); c > 0 {
-		cols = make([]byte, 0, c)
+	if sw.cols == nil {
+		sw.cols = make([]byte, 0, len(rows)*encodedRowHint)
 	}
-	cols = binary.AppendUvarint(cols, uint64(len(rows)))
-	for i := range rows {
-		cols = binary.AppendUvarint(cols, uint64(rows[i].Rank))
+	cols := binary.AppendUvarint(sw.cols[:0], uint64(len(rows)))
+	for c := range shardColumns {
+		col := &shardColumns[c]
+		switch col.kind {
+		case kindRank:
+			for i := range rows {
+				cols = binary.AppendUvarint(cols, uint64(rows[i].Rank))
+			}
+		case kindStr:
+			for i := range rows {
+				s := *col.str(&rows[i])
+				cols = binary.AppendUvarint(cols, uint64(len(s)))
+				cols = append(cols, s...)
+			}
+		case kindSym:
+			for i := range rows {
+				cols = binary.AppendUvarint(cols, uint64(sw.intern(*col.str(&rows[i]))))
+			}
+		case kindBool:
+			start := len(cols)
+			cols = append(cols, make([]byte, (len(rows)+7)/8)...)
+			for i := range rows {
+				if *col.flag(&rows[i]) {
+					cols[start+i/8] |= 1 << (i % 8)
+				}
+			}
+		}
 	}
-	cols = appendStrColumn(cols, rows, func(w *dataset.Website) string { return w.Domain })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.HostProvider })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.HostProviderCountry })
-	cols = appendStrColumn(cols, rows, func(w *dataset.Website) string { return w.HostIP })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.HostIPContinent })
-	cols = appendBoolColumn(cols, rows, func(w *dataset.Website) bool { return w.HostAnycast })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.DNSProvider })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.DNSProviderCountry })
-	cols = appendStrColumn(cols, rows, func(w *dataset.Website) string { return w.NSIP })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.NSIPContinent })
-	cols = appendBoolColumn(cols, rows, func(w *dataset.Website) bool { return w.NSAnycast })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.CAOwner })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.CAOwnerCountry })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.TLD })
-	cols = sw.appendSymColumn(cols, rows, func(w *dataset.Website) string { return w.Language })
+	sw.cols = cols
 
-	b = binary.AppendUvarint(b, uint64(len(sw.newSyms)))
+	head := binary.AppendUvarint(sw.head[:0], uint64(len(sw.newSyms)))
 	for _, s := range sw.newSyms {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
+		head = binary.AppendUvarint(head, uint64(len(s)))
+		head = append(head, s...)
 	}
-	b = append(b, cols...)
-	sw.scratch = b[:0]
+	sw.head = head
 
-	if err := sw.writeSection(secBlock, b); err != nil {
+	if err := sw.writeSection(secBlock, head, cols); err != nil {
 		return err
 	}
 	sw.total += int64(len(rows))
-	sw.rows = sw.rows[:0]
 	return nil
-}
-
-func (sw *ShardWriter) appendSymColumn(b []byte, rows []dataset.Website, get func(*dataset.Website) string) []byte {
-	for i := range rows {
-		b = binary.AppendUvarint(b, uint64(sw.intern(get(&rows[i]))))
-	}
-	return b
-}
-
-func appendStrColumn(b []byte, rows []dataset.Website, get func(*dataset.Website) string) []byte {
-	for i := range rows {
-		s := get(&rows[i])
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	return b
-}
-
-func appendBoolColumn(b []byte, rows []dataset.Website, get func(*dataset.Website) bool) []byte {
-	n := (len(rows) + 7) / 8
-	start := len(b)
-	b = append(b, make([]byte, n)...)
-	for i := range rows {
-		if get(&rows[i]) {
-			b[start+i/8] |= 1 << (i % 8)
-		}
-	}
-	return b
 }
 
 // Save writes an in-memory corpus as a store at dir: one shard per country

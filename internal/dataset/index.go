@@ -241,8 +241,10 @@ func initRaws(out *[numLayers]rawLayer) {
 }
 
 // observeSite folds one website row into a country's per-layer tallies —
-// the row-level unit the corpus extraction and the streaming tally share,
-// so a streamed shard scores bit-identically to the in-memory rows.
+// the row-level unit of the corpus extraction and of CountryTally.Observe.
+// CountryTally.ObserveBlock applies the same rules to symbol IDs, which is
+// how a stored shard is scored; a rule changed here changes there too, and
+// TestObserveBlockMatchesObserve fails until it does.
 func observeSite(out *[numLayers]rawLayer, country string, w *Website) {
 	for _, layer := range countries.Layers {
 		p, pc := w.ProviderOf(layer)

@@ -9,12 +9,14 @@ import (
 )
 
 // This file is the streaming face of the columnar scoring index: a caller
-// that cannot (or will not) materialize Website rows — the on-disk corpus
-// store scoring a million-site world shard by shard — feeds rows one at a
-// time into per-country CountryTally accumulators and merges them into a
-// ScoreSet, the same frozen scoring surface a Corpus exposes. Both paths
-// run the identical extraction and merge code, so the streamed scores are
-// bit-identical to scoring the rows in memory.
+// that cannot (or will not) materialize a corpus feeds per-country
+// CountryTally accumulators — one Website at a time (Observe), or, when it
+// already holds the rows interned, as the on-disk corpus store does in its
+// per-shard symbol tables, a block of symbol IDs at a time (ObserveBlock,
+// symbolblock.go) — and merges them into a ScoreSet, the same frozen
+// scoring surface a Corpus exposes. The merge is the code the in-memory
+// index runs, so streamed scores are bit-identical to scoring the rows in
+// memory.
 
 // CountryTally accumulates one country's per-layer provider tallies row by
 // row. It is the streaming equivalent of the index's per-country extraction
@@ -25,6 +27,7 @@ import (
 type CountryTally struct {
 	country string
 	raws    [numLayers]rawLayer
+	ids     *idTally // rows observed as symbol IDs, not yet folded into raws
 }
 
 // NewCountryTally returns an empty tally for the country.
@@ -64,7 +67,8 @@ func (c *Corpus) ScoreSet() *ScoreSet { return &ScoreSet{idx: c.index()} }
 // the result — including the interned symbol table — is identical to
 // building a Corpus from the same rows and reading its index. Duplicate
 // countries are an error: two tallies for one country means the caller
-// split a country across shards without merging them.
+// split a country across shards without merging them. Tallies that observed
+// symbol blocks are folded to names here, so they must be done observing.
 func BuildScoreSet(tallies []*CountryTally) (*ScoreSet, error) {
 	ordered := append([]*CountryTally(nil), tallies...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].country < ordered[j].country })
@@ -74,6 +78,7 @@ func BuildScoreSet(tallies []*CountryTally) (*ScoreSet, error) {
 		if i > 0 && ccs[i-1] == t.country {
 			return nil, fmt.Errorf("dataset: duplicate tally for country %s", t.country)
 		}
+		t.fold()
 		ccs[i] = t.country
 		raws[i] = t.raws
 	}

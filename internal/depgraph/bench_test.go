@@ -21,7 +21,7 @@ var benchWorld struct {
 	err    error
 }
 
-func benchCorpus(b *testing.B) *dataset.Corpus {
+func benchCorpus(b testing.TB) *dataset.Corpus {
 	b.Helper()
 	benchWorld.once.Do(func() {
 		w, err := worldgen.Build(worldgen.Config{

@@ -34,14 +34,16 @@ type pair struct{ from, to string }
 
 // Tally accumulates one country's graph evidence: per-layer provider
 // site counts, provider co-occurrence counts, and provider-country
-// observations. Observe is the row-level unit shared by the in-memory
-// and store-streamed build paths; a Tally is not safe for concurrent use.
+// observations. Observe is the row-level unit of the in-memory build,
+// ObserveBlock the symbol-ID unit of the store-streamed one; a Tally is
+// not safe for concurrent use.
 type Tally struct {
 	country string
 	rows    int64
 	counts  [numGraphLayers]map[string]int64
 	pairs   [numPairKinds]map[pair]int64
 	homes   map[pair]int64 // {provider, observed country} -> observations
+	ids     *idTally       // rows observed as symbol IDs, not yet folded into the maps
 }
 
 // NewTally returns an empty tally for one country.
@@ -95,6 +97,109 @@ func (t *Tally) Observe(w *dataset.Website) {
 	}
 }
 
+// graphSymbols maps each graph layer to its provider and provider-country
+// columns in a dataset.SymbolBlock.
+var graphSymbols = [numGraphLayers]struct{ provider, country dataset.SymbolColumn }{
+	{dataset.SymHostProvider, dataset.SymHostProviderCountry},
+	{dataset.SymDNSProvider, dataset.SymDNSProviderCountry},
+	{dataset.SymCAOwner, dataset.SymCAOwnerCountry},
+}
+
+// pairLayers names the two graph layers each co-occurrence kind joins.
+var pairLayers = [numPairKinds]struct{ from, to int }{
+	pairHostDNS: {0, 1},
+	pairHostCA:  {0, 2},
+	pairDNSCA:   {1, 2},
+}
+
+// idTally is a Tally's accumulator for rows observed as symbol IDs: site
+// counts in dense per-symbol slices, co-occurrences and homes keyed by the
+// two IDs packed into a uint64 (first<<32 | second), all folded into the
+// name-keyed maps once the stream is done.
+type idTally struct {
+	names   []string // the stream's table as of the last block
+	scanned int      // names already checked for empty
+	empty   uint32   // ID of "", the unmeasured provider or country
+	counts  [numGraphLayers][]int64
+	pairs   [numPairKinds]map[uint64]int64
+	homes   map[uint64]int64
+}
+
+func pack(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
+
+// ObserveBlock folds a block of interned rows into the tally. It applies
+// Observe's rules — an empty provider is not counted, a home needs a
+// provider and a country, a pair needs both ends — on IDs instead of
+// strings; TestObserveBlockMatchesObserve holds the two equal. Every block
+// given to one tally must come from the same stream.
+func (t *Tally) ObserveBlock(b *dataset.SymbolBlock) {
+	if t.ids == nil {
+		t.ids = &idTally{empty: dataset.NoSymbol, homes: make(map[uint64]int64)}
+		for k := range t.ids.pairs {
+			t.ids.pairs[k] = make(map[uint64]int64)
+		}
+	}
+	ids := t.ids
+	ids.names = b.Names
+	for ; ids.scanned < len(b.Names); ids.scanned++ {
+		if b.Names[ids.scanned] == "" {
+			ids.empty = uint32(ids.scanned)
+		}
+	}
+	t.rows += int64(b.Rows())
+	for l := range ids.counts {
+		counts := ids.counts[l]
+		if len(counts) < len(b.Names) {
+			counts = append(counts, make([]int64, len(b.Names)-len(counts))...)
+			ids.counts[l] = counts
+		}
+		homes := b.Cols[graphSymbols[l].country]
+		for i, p := range b.Cols[graphSymbols[l].provider] {
+			if p == ids.empty {
+				continue
+			}
+			counts[p]++
+			if homes[i] != ids.empty {
+				ids.homes[pack(p, homes[i])]++
+			}
+		}
+	}
+	for k, kind := range pairLayers {
+		pairs, to := ids.pairs[k], b.Cols[graphSymbols[kind.to].provider]
+		for i, from := range b.Cols[graphSymbols[kind.from].provider] {
+			if from != ids.empty && to[i] != ids.empty {
+				pairs[pack(from, to[i])]++
+			}
+		}
+	}
+}
+
+// fold moves the ID-keyed evidence into the name-keyed maps Observe
+// writes, after which the tally no longer depends on the stream's table.
+func (t *Tally) fold() {
+	ids := t.ids
+	if ids == nil {
+		return
+	}
+	t.ids = nil
+	name := func(key uint64) pair { return pair{ids.names[key>>32], ids.names[uint32(key)]} }
+	for l := range ids.counts {
+		for id, n := range ids.counts[l] {
+			if n > 0 {
+				t.counts[l][ids.names[id]] += n
+			}
+		}
+	}
+	for k := range ids.pairs {
+		for key, n := range ids.pairs[k] {
+			t.pairs[k][name(key)] += n
+		}
+	}
+	for key, n := range ids.homes {
+		t.homes[name(key)] += n
+	}
+}
+
 // FromCorpus returns the corpus's dependency graph, building it on first
 // use and caching it on the corpus's scoring-index snapshot: Add,
 // SetCoverage, and InvalidateScoringIndex drop the cached graph exactly
@@ -141,9 +246,9 @@ func Build(c *dataset.Corpus, opts *Options) *Graph {
 }
 
 // FromStore constructs the graph by streaming every shard of an on-disk
-// corpus store — the tallies and the graph itself are the only resident
-// state, never the corpus. The result is bit-identical to Build over the
-// materialized rows.
+// corpus store in symbol-ID form — the tallies and the graph itself are
+// the only resident state, never the corpus or a row of it. The result is
+// bit-identical to Build over the materialized rows.
 func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
@@ -152,8 +257,8 @@ func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
 	tallies, err := parallel.Map(context.Background(), opts.Workers, len(ccs),
 		func(_ context.Context, i int) (*Tally, error) {
 			t := NewTally(ccs[i])
-			if err := st.StreamShard(ccs[i], func(w *dataset.Website) error {
-				t.Observe(w)
+			if err := st.StreamSymbols(ccs[i], func(b *dataset.SymbolBlock) error {
+				t.ObserveBlock(b)
 				return nil
 			}); err != nil {
 				return nil, err
@@ -174,6 +279,8 @@ func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
 // FromTallies merges independently accumulated per-country tallies into
 // a graph — the entry point for callers that already stream rows
 // themselves. Tallies may arrive in any order; countries must be unique.
+// Tallies that observed symbol blocks are folded to names here, so they
+// must be done observing.
 func FromTallies(tallies []*Tally, opts *Options) (*Graph, error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
@@ -209,10 +316,11 @@ func (b *best) offer(name string, n int64) {
 func merge(tallies []*Tally, m *metrics) (*Graph, error) {
 	ts := append([]*Tally(nil), tallies...)
 	sort.Slice(ts, func(i, j int) bool { return ts[i].country < ts[j].country })
-	for i := 1; i < len(ts); i++ {
-		if ts[i].country == ts[i-1].country {
-			return nil, fmt.Errorf("depgraph: duplicate tally for country %q", ts[i].country)
+	for i, t := range ts {
+		if i > 0 && t.country == ts[i-1].country {
+			return nil, fmt.Errorf("depgraph: duplicate tally for country %q", t.country)
 		}
+		t.fold()
 	}
 
 	g := &Graph{

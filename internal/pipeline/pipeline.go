@@ -72,19 +72,17 @@ func FromWorld(w *worldgen.World) *Pipeline {
 // Sites whose host IP cannot be attributed keep empty provider fields,
 // matching how failed measurements surface in the paper's data.
 func (p *Pipeline) EnrichCountry(cc, epoch string, raw []worldgen.RawSite) *dataset.CountryList {
-	list := &dataset.CountryList{Country: cc, Epoch: epoch}
-	for _, site := range raw {
-		w := dataset.Website{
-			Domain:   site.Domain,
-			Country:  cc,
-			Rank:     site.Rank,
-			TLD:      tldinfo.Extract(site.Domain),
-			Language: site.Language,
-		}
-		p.annotateHost(&w, site.HostIP)
-		p.annotateNS(&w, site.NSIP)
-		p.annotateCA(&w, site.IssuerOrg)
-		list.Sites = append(list.Sites, w)
+	list := &dataset.CountryList{Country: cc, Epoch: epoch, Sites: make([]dataset.Website, len(raw))}
+	for i := range raw {
+		site, w := &raw[i], &list.Sites[i]
+		w.Domain = site.Domain
+		w.Country = cc
+		w.Rank = site.Rank
+		w.TLD = tldinfo.Extract(site.Domain)
+		w.Language = site.Language
+		p.annotateHost(w, site.HostIP)
+		p.annotateNS(w, site.NSIP)
+		p.annotateCA(w, site.IssuerOrg)
 	}
 	return list
 }
