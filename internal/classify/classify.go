@@ -66,6 +66,11 @@ type Result struct {
 	// Clusters is the number of affinity-propagation clusters found among
 	// the clustered (non-tail) providers.
 	Clusters int
+	// Iterations and Converged are the affinity-propagation run's own
+	// report (cluster.Result): how many message-passing rounds it took and
+	// whether the exemplar set settled before Options.Cluster.MaxIterations.
+	Iterations int
+	Converged  bool
 }
 
 // ClassOf returns a provider's class (Unclassifiable if absent).
@@ -157,6 +162,7 @@ func classifyFeatures(features []ProviderFeatures, numCountries int, opts Option
 			return nil, err
 		}
 		res.Clusters = cres.NumClusters()
+		res.Iterations, res.Converged = cres.Iterations, cres.Converged
 		for i := 0; i < clustered; i++ {
 			features[i].Cluster = cres.Assignment[i]
 		}

@@ -142,81 +142,7 @@ func AffinityPropagation(sim [][]float64, opts Options) (*Result, error) {
 		}
 	}
 
-	resp := newMatrix(n)
-	avail := newMatrix(n)
-	lam := opts.Damping
-
-	var prevExemplars []int
-	stable := 0
-	result := &Result{}
-
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		result.Iterations = iter
-
-		// Responsibilities: r(i,k) ← s(i,k) − max_{k'≠k}[a(i,k') + s(i,k')].
-		for i := 0; i < n; i++ {
-			max1, max2 := math.Inf(-1), math.Inf(-1)
-			arg1 := -1
-			for k := 0; k < n; k++ {
-				v := avail[i][k] + sim[i][k]
-				if v > max1 {
-					max2 = max1
-					max1, arg1 = v, k
-				} else if v > max2 {
-					max2 = v
-				}
-			}
-			for k := 0; k < n; k++ {
-				sub := max1
-				if k == arg1 {
-					sub = max2
-				}
-				resp[i][k] = lam*resp[i][k] + (1-lam)*(sim[i][k]-sub)
-			}
-		}
-
-		// Availabilities:
-		// a(i,k) ← min(0, r(k,k) + Σ_{i'∉{i,k}} max(0, r(i',k))) for i≠k;
-		// a(k,k) ← Σ_{i'≠k} max(0, r(i',k)).
-		for k := 0; k < n; k++ {
-			var sumPos float64
-			for i := 0; i < n; i++ {
-				if i != k && resp[i][k] > 0 {
-					sumPos += resp[i][k]
-				}
-			}
-			for i := 0; i < n; i++ {
-				var newA float64
-				if i == k {
-					newA = sumPos
-				} else {
-					v := resp[k][k] + sumPos
-					if resp[i][k] > 0 {
-						v -= resp[i][k]
-					}
-					if v > 0 {
-						v = 0
-					}
-					newA = v
-				}
-				avail[i][k] = lam*avail[i][k] + (1-lam)*newA
-			}
-		}
-
-		exemplars := currentExemplars(resp, avail)
-		if equalInts(exemplars, prevExemplars) {
-			stable++
-			if stable >= opts.ConvergenceIterations && len(exemplars) > 0 {
-				result.Converged = true
-				break
-			}
-		} else {
-			stable = 0
-			prevExemplars = exemplars
-		}
-	}
-
-	exemplars := currentExemplars(resp, avail)
+	exemplars, iterations, converged := propagate(sim, newMatrix(n), newMatrix(n), opts)
 	if len(exemplars) == 0 {
 		// Degenerate run (e.g. extremely negative preference): fall back to
 		// a single cluster around the point with the greatest summed
@@ -255,9 +181,140 @@ func AffinityPropagation(sim [][]float64, opts Options) (*Result, error) {
 		assign[i] = best
 	}
 
-	result.Exemplars = exemplars
-	result.Assignment = assign
-	return result, nil
+	return &Result{Exemplars: exemplars, Assignment: assign, Converged: converged, Iterations: iterations}, nil
+}
+
+// propagate is the message-passing loop: it exchanges responsibilities and
+// availabilities over the prepared similarity matrix until the exemplar set
+// has been stable for opts.ConvergenceIterations rounds or
+// opts.MaxIterations is reached, and returns the last round's exemplars.
+// resp and avail are the caller's zeroed message matrices.
+//
+// One round is a responsibility sweep
+//
+//	r(i,k) ← s(i,k) − max_{k'≠k}[a(i,k') + s(i,k')]
+//
+// followed by an availability sweep
+//
+//	a(i,k) ← min(0, r(k,k) + Σ_{i'∉{i,k}} max(0, r(i',k)))   for i≠k
+//	a(k,k) ← Σ_{i'≠k} max(0, r(i',k))
+//
+// each damped against the previous message. The availabilities of row i
+// need, of the whole responsibility matrix, only row i itself plus two
+// per-column scalars: the diagonal r(k,k) and Σ⁺(k) = Σ_{i'≠k} max(0,
+// r(i',k)). So the loop keeps those two as vectors and makes one row-major
+// pass per round: for row i it finishes this round's availabilities, notes
+// whether i is an exemplar, and runs ahead to the next round's
+// responsibilities for the row (which read only row i of avail and sim),
+// adding them into the next round's Σ⁺ and diagonal. Every matrix row is
+// touched once per round, while it is in cache, and nothing is read down a
+// column.
+//
+// Invariant: rows are visited in ascending i, so each Σ⁺(k) is accumulated
+// in the order a column walk would use and every message is the same bit
+// pattern as in the textbook two-sweep form (affinityReference in the
+// tests). The classification goldens depend on that.
+func propagate(sim, resp, avail [][]float64, opts Options) (exemplars []int, iterations int, converged bool) {
+	n := len(sim)
+	lam, mix := opts.Damping, 1-opts.Damping
+
+	// diag and sumPos describe the responsibilities the availability half
+	// is about to read; the responsibility half fills the next pair.
+	diag, nextDiag := make([]float64, n), make([]float64, n)
+	sumPos, nextSumPos := make([]float64, n), make([]float64, n)
+
+	// responsibilities runs row i's responsibility update and folds the
+	// row into nextDiag and nextSumPos.
+	responsibilities := func(i int) {
+		s, a, r := sim[i][:n], avail[i][:n], resp[i][:n]
+		max1, max2 := math.Inf(-1), math.Inf(-1)
+		arg1 := -1
+		for k, ak := range a {
+			v := ak + s[k]
+			if v > max1 {
+				max2 = max1
+				max1, arg1 = v, k
+			} else if v > max2 {
+				max2 = v
+			}
+		}
+		// Σ⁺(i) excludes row i's own term: the loop below adds it like any
+		// other column and the saved value puts it back.
+		own := nextSumPos[i]
+		next := nextSumPos[:n]
+		for k, rk := range r {
+			sub := max1
+			if k == arg1 {
+				sub = max2
+			}
+			rk = lam*rk + mix*(s[k]-sub)
+			r[k] = rk
+			if rk > 0 {
+				next[k] += rk
+			}
+		}
+		nextSumPos[i] = own
+		nextDiag[i] = r[i]
+	}
+	advance := func() {
+		diag, nextDiag = nextDiag, diag
+		sumPos, nextSumPos = nextSumPos, sumPos
+		for k := range nextSumPos {
+			nextSumPos[k] = 0
+		}
+	}
+
+	// Round 1's responsibilities, from all-zero availabilities.
+	for i := 0; i < n; i++ {
+		responsibilities(i)
+	}
+	advance()
+
+	var prevExemplars []int
+	stable := 0
+	for iter := 1; iter <= opts.MaxIterations; iter++ {
+		iterations = iter
+		exemplars = nil
+		last := iter == opts.MaxIterations
+		for i := 0; i < n; i++ {
+			a, r := avail[i][:n], resp[i][:n]
+			d, sp := diag[:n], sumPos[:n]
+			// The off-diagonal rule is applied to the whole row; the
+			// diagonal is then redone from its saved previous value.
+			own := a[i]
+			for k, ak := range a {
+				v := d[k] + sp[k]
+				if rk := r[k]; rk > 0 {
+					v -= rk
+				}
+				if v > 0 {
+					v = 0
+				}
+				a[k] = lam*ak + mix*v
+			}
+			a[i] = lam*own + mix*sp[i]
+
+			if d[i]+a[i] > 0 {
+				exemplars = append(exemplars, i)
+			}
+			// The capped last round has no successor to run ahead for.
+			if !last {
+				responsibilities(i)
+			}
+		}
+		advance()
+
+		if equalInts(exemplars, prevExemplars) {
+			stable++
+			if stable >= opts.ConvergenceIterations && len(exemplars) > 0 {
+				return exemplars, iterations, true
+			}
+		} else {
+			stable = 0
+			prevExemplars = exemplars
+		}
+	}
+	return exemplars, iterations, false
 }
 
 // Points is a convenience wrapper: cluster feature vectors directly using
@@ -267,16 +324,6 @@ func Points(points [][]float64, opts Options) (*Result, error) {
 		return nil, ErrEmptyInput
 	}
 	return AffinityPropagation(NegSquaredEuclidean(points), opts)
-}
-
-func currentExemplars(resp, avail [][]float64) []int {
-	var out []int
-	for k := range resp {
-		if resp[k][k]+avail[k][k] > 0 {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 func newMatrix(n int) [][]float64 {

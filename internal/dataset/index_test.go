@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/parallel"
 )
@@ -219,5 +220,29 @@ func TestScoringExtractionCannotFail(t *testing.T) {
 		})
 	if err == nil {
 		t.Fatal("fallible Map swallowed its error")
+	}
+}
+
+// TestUsageCurvesMatchUsageMatrix holds the two usage surfaces together:
+// UsageCurves fills its slices from the index columns without going through
+// UsageMatrix's nested maps, and must still be, bit for bit, the curve of
+// each matrix row over the full country list — zeros for countries that
+// never saw the provider and for a country with no measured sites at all.
+func TestUsageCurvesMatchUsageMatrix(t *testing.T) {
+	corpus := syntheticCorpus(11, []string{"TH", "IR", "US", "CZ", "DE"}, 200)
+	corpus.Add(&CountryList{Country: "JP", Epoch: corpus.Epoch})
+	ccs := corpus.Countries()
+	for _, layer := range countries.Layers {
+		want := make(map[string]core.UsageCurve)
+		for provider, byCountry := range corpus.UsageMatrix(layer) {
+			vals := make([]float64, len(ccs))
+			for i, cc := range ccs {
+				vals[i] = byCountry[cc]
+			}
+			want[provider] = core.NewUsageCurve(vals)
+		}
+		if got := corpus.UsageCurves(layer); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: UsageCurves differ from the curves of UsageMatrix (%d vs %d providers)", layer, len(got), len(want))
+		}
 	}
 }

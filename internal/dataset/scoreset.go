@@ -155,15 +155,32 @@ func (idx *scoringIndex) usageMatrix(layer countries.Layer) map[string]map[strin
 	return matrix
 }
 
+// usageCurves fills each provider's per-country percentages (usageMatrix's
+// values, zero where a country never saw the provider) straight from the
+// columnar count vectors, one slice per symbol the layer uses, with no
+// nested maps in between.
 func (idx *scoringIndex) usageCurves(layer countries.Layer) map[string]core.UsageCurve {
-	matrix := idx.usageMatrix(layer)
-	out := make(map[string]core.UsageCurve, len(matrix))
-	for provider, byCountry := range matrix {
-		vals := make([]float64, len(idx.countries))
-		for i, cc := range idx.countries {
-			vals[i] = byCountry[cc]
+	ly := &idx.layers[layer]
+	bySym := make([][]float64, len(idx.providers.names))
+	providers := 0
+	for i := range idx.countries {
+		col := &ly.cols[i]
+		if col.total == 0 {
+			continue
 		}
-		out[provider] = core.NewUsageCurve(vals)
+		for k, sym := range col.syms {
+			if bySym[sym] == nil {
+				bySym[sym] = make([]float64, len(idx.countries))
+				providers++
+			}
+			bySym[sym][i] = 100 * col.counts[k] / col.total
+		}
+	}
+	out := make(map[string]core.UsageCurve, providers)
+	for sym, vals := range bySym {
+		if vals != nil {
+			out[idx.providers.name(uint32(sym))] = core.NewUsageCurve(vals)
+		}
 	}
 	return out
 }

@@ -195,3 +195,29 @@ func TestGoldenCorpusDeterministic(t *testing.T) {
 		t.Fatal("two measurements of the frozen world disagree")
 	}
 }
+
+// TestGoldenClassifyRuns pins how each layer's affinity-propagation run
+// ends on the frozen world — clusters, rounds, converged or capped — at the
+// values the two-sweep reference kernel (internal/cluster's
+// affinityReference) produced when the one-pass kernel replaced it. The
+// class assignments above could survive a kernel change that these do not.
+func TestGoldenClassifyRuns(t *testing.T) {
+	want := map[countries.Layer]classify.Result{
+		countries.Hosting: {Clusters: 37, Iterations: 101, Converged: true},
+		countries.DNS:     {Clusters: 51, Iterations: 300, Converged: false},
+		countries.CA:      {Clusters: 4, Iterations: 40, Converged: true},
+		countries.TLD:     {Clusters: 3, Iterations: 40, Converged: true},
+	}
+	corpus := goldenCorpus(t, 0)
+	for _, layer := range countries.Layers {
+		res, err := classify.Layer(corpus, layer, classify.DefaultOptions())
+		if err != nil {
+			t.Fatalf("classify %v: %v", layer, err)
+		}
+		w := want[layer]
+		if res.Clusters != w.Clusters || res.Iterations != w.Iterations || res.Converged != w.Converged {
+			t.Errorf("%v: %d clusters after %d rounds (converged=%v), want %d after %d (converged=%v)",
+				layer, res.Clusters, res.Iterations, res.Converged, w.Clusters, w.Iterations, w.Converged)
+		}
+	}
+}

@@ -1,6 +1,11 @@
 package webdepd
 
 import (
+	"fmt"
+	"log"
+	"net/http"
+	"runtime/debug"
+	"strconv"
 	"sync"
 )
 
@@ -15,6 +20,9 @@ import (
 // block on the entry's ready channel and reuse its bytes. Build errors
 // propagate to every waiter and the entry is deleted, so a transient
 // failure is retried by the next request instead of being served forever.
+// A render that panics is a build error like any other (a 500): the ready
+// channel is closed on every way out of the build, so a bug in one
+// renderer costs the requests that met it, never the key.
 type respCache struct {
 	mu      sync.Mutex // guards entry creation only; lookups are lock-free
 	entries sync.Map   // Query.Key() → *cacheEntry
@@ -23,7 +31,11 @@ type respCache struct {
 type cacheEntry struct {
 	ready chan struct{} // closed once body/err are set
 	body  []byte
-	err   *QueryError
+	// contentLength is body's Content-Length header value, built once at
+	// render time so the hit path assigns it without allocating. Without
+	// the header net/http sends any body over 2 KB chunked.
+	contentLength []string
+	err           *QueryError
 }
 
 // cacheOutcome classifies one get() for the daemon's counters.
@@ -33,20 +45,23 @@ const (
 	outcomeHit cacheOutcome = iota
 	outcomeMiss
 	outcomeCoalesced
+	outcomePanicked // a miss whose render panicked
 )
 
 // testHookBuild, when set, runs inside the building goroutine after the
 // entry is published but before render is called. Tests use it to hold the
-// build open while concurrent requests pile onto the entry.
+// build open while concurrent requests pile onto the entry, and to panic in
+// render's place.
 var testHookBuild func(key string)
 
 func newRespCache() *respCache {
 	return &respCache{}
 }
 
-// get returns the cached body for q, rendering it against g at most once
-// per key no matter how many requests race on a cold cache.
-func (c *respCache) get(g *generation, q Query) ([]byte, *QueryError, cacheOutcome) {
+// get returns the cache entry for q, rendering it against g at most once
+// per key no matter how many requests race on a cold cache. The returned
+// entry is complete: body and contentLength, or err, are set.
+func (c *respCache) get(g *generation, q Query) (*cacheEntry, cacheOutcome) {
 	key := q.Key()
 	if v, ok := c.entries.Load(key); ok {
 		return c.wait(v.(*cacheEntry), outcomeHit)
@@ -61,32 +76,46 @@ func (c *respCache) get(g *generation, q Query) ([]byte, *QueryError, cacheOutco
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries.Store(key, e)
 	c.mu.Unlock()
+	return e, c.build(g, q, key, e)
+}
 
+// build renders q into the published entry e and releases the requests
+// parked on it. An error — a panic included, which is logged with its stack
+// as net/http would have — is published to those requests, and the entry is
+// dropped so the error is never served from cache.
+func (c *respCache) build(g *generation, q Query, key string, e *cacheEntry) (outcome cacheOutcome) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("webdepd: rendering %s panicked: %v\n%s", key, p, debug.Stack())
+			e.err = &QueryError{Status: http.StatusInternalServerError,
+				Msg: fmt.Sprintf("rendering %s panicked: %v", key, p)}
+			outcome = outcomePanicked
+		}
+		if e.err != nil {
+			c.entries.Delete(key)
+		}
+		close(e.ready)
+	}()
 	if testHookBuild != nil {
 		testHookBuild(key)
 	}
 	e.body, e.err = g.render(q)
-	if e.err != nil {
-		// Publish the error to the waiters already parked on this entry,
-		// then drop it so the error is never served from cache.
-		c.entries.Delete(key)
-	}
-	close(e.ready)
-	return e.body, e.err, outcomeMiss
+	e.contentLength = []string{strconv.Itoa(len(e.body))}
+	return outcomeMiss
 }
 
 // wait blocks until the entry's build completes. A closed ready channel is
 // the common case and returns without scheduling; hit is downgraded to
 // coalesced when the caller actually had to park.
-func (c *respCache) wait(e *cacheEntry, outcome cacheOutcome) ([]byte, *QueryError, cacheOutcome) {
+func (c *respCache) wait(e *cacheEntry, outcome cacheOutcome) (*cacheEntry, cacheOutcome) {
 	select {
 	case <-e.ready:
-		return e.body, e.err, outcome
+		return e, outcome
 	default:
 	}
 	if outcome == outcomeHit {
 		outcome = outcomeCoalesced
 	}
 	<-e.ready
-	return e.body, e.err, outcome
+	return e, outcome
 }

@@ -1,6 +1,8 @@
 package loadtest
 
 import (
+	"io"
+	"net/http"
 	"os"
 	"runtime"
 	"strconv"
@@ -87,6 +89,41 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	if bound := float64(envInt("WEBDEP_LOAD_P99_MS", 25)); res.P99 > bound {
 		t.Errorf("p99 %.3fms above the bound %.0fms", res.P99, bound)
+	}
+}
+
+// TestLoadWireLargeBody drives a cached body larger than net/http's 2 KB
+// write buffer over the wire. Such a body goes out chunked unless the
+// handler sets Content-Length itself, and readResponse only frames by
+// Content-Length — before webdepd set the header, every one of these
+// responses was counted as an error and the harness measured nothing.
+func TestLoadWireLargeBody(t *testing.T) {
+	d := startDaemon(t)
+	const path = "/api/spof?n=50"
+
+	resp, err := http.Get("http://" + d.Addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("%s is %d bytes; the test needs a body over 2 KB", path, len(body))
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Errorf("Content-Length %d on a %d-byte body (transfer encoding %v)", resp.ContentLength, len(body), resp.TransferEncoding)
+	}
+
+	res, err := Run(Config{Addr: d.Addr, Path: path, Conns: 2, Duration: 200 * time.Millisecond, Warmup: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("load: %s", res)
+	if res.Requests == 0 || res.Errors != 0 {
+		t.Fatalf("%d requests, %d errors on a %d-byte body; want traffic and zero errors", res.Requests, res.Errors, len(body))
 	}
 }
 

@@ -84,6 +84,7 @@ type metrics struct {
 	coalesced *obs.Counter // webdepd.coalesced — waited on another request's render
 	errors4xx *obs.Counter // webdepd.errors_4xx — rejected queries
 	errors5xx *obs.Counter // webdepd.errors_5xx — render failures
+	panics    *obs.Counter // webdepd.render_panics — renders that panicked (each also a miss and a 5xx)
 	reloads   *obs.Counter // webdepd.reloads — successful generation swaps
 	reloadErr *obs.Counter // webdepd.reload_errors — refused or failed reloads
 	inflight  *obs.Gauge   // webdepd.inflight — /api requests being served now
@@ -99,6 +100,7 @@ func newMetrics(r *obs.Registry) *metrics {
 		coalesced: r.Counter("webdepd.coalesced"),
 		errors4xx: r.Counter("webdepd.errors_4xx"),
 		errors5xx: r.Counter("webdepd.errors_5xx"),
+		panics:    r.Counter("webdepd.render_panics"),
 		reloads:   r.Counter("webdepd.reloads"),
 		reloadErr: r.Counter("webdepd.reload_errors"),
 		inflight:  r.Gauge("webdepd.inflight"),
@@ -241,7 +243,7 @@ func (d *Daemon) loadGeneration(id int64) (*generation, error) {
 // If a test mutates the served corpus in place, the stale-keyed cache is
 // bypassed and responses re-key through Corpus.Derived on the corpus's
 // *current* snapshot, so mutation can delay but never corrupt an answer.
-func (d *Daemon) respond(g *generation, q Query) ([]byte, *QueryError, cacheOutcome) {
+func (d *Daemon) respond(g *generation, q Query) (*cacheEntry, cacheOutcome) {
 	if g.corpus.SnapshotKey() == g.snap {
 		return g.cache.get(g, q)
 	}
@@ -251,9 +253,10 @@ func (d *Daemon) respond(g *generation, q Query) ([]byte, *QueryError, cacheOutc
 
 // handleAPI is the query hot path. On a cache hit it does: one counter
 // increment, a gauge add/sub, query parse (allocation-free for clean
-// input), one key build, one sync.Map load, and a verbatim byte write —
-// no scoring, no JSON encoding, no locks. BenchmarkCachedHit pins the
-// allocation count.
+// input), one key build, one sync.Map load, two header assignments (the
+// Content-Length value is the entry's, built at render time) and a verbatim
+// byte write — no scoring, no JSON encoding, no locks. BenchmarkCachedHit
+// pins the allocation count.
 func (d *Daemon) handleAPI(w http.ResponseWriter, r *http.Request) {
 	d.m.requests.Inc()
 	if r.Method != http.MethodGet {
@@ -271,7 +274,7 @@ func (d *Daemon) handleAPI(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := obs.StartSpan(d.m.endpoint[q.Endpoint])
-	body, qerr, outcome := d.respond(d.gen.Load(), q)
+	e, outcome := d.respond(d.gen.Load(), q)
 	sp.End()
 	switch outcome {
 	case outcomeHit:
@@ -280,19 +283,23 @@ func (d *Daemon) handleAPI(w http.ResponseWriter, r *http.Request) {
 		d.m.misses.Inc()
 	case outcomeCoalesced:
 		d.m.coalesced.Inc()
+	case outcomePanicked:
+		d.m.misses.Inc()
+		d.m.panics.Inc()
 	}
-	if qerr != nil {
-		if qerr.Status >= 500 {
+	if e.err != nil {
+		if e.err.Status >= 500 {
 			d.m.errors5xx.Inc()
 		} else {
 			d.m.errors4xx.Inc()
 		}
-		writeError(w, qerr)
+		writeError(w, e.err)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	w.Write(body)
+	h["Content-Length"] = e.contentLength
+	w.Write(e.body)
 }
 
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {

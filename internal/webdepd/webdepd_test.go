@@ -242,6 +242,68 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestRenderPanicDoesNotPoisonKey pins the failure containment of the
+// singleflight build: a render that panics under K parked waiters answers
+// all K+1 requests with a 500, leaves no entry behind, is counted, and the
+// next request for the key renders and is cached normally.
+func TestRenderPanicDoesNotPoisonKey(t *testing.T) {
+	const K = 8
+	const path = "/api/scores?layer=hosting"
+	corpus := worldCorpus(t, 5, 100, []string{"US", "DE"})
+	d := startDaemon(t, Config{Corpus: corpus})
+
+	var builds atomic.Int64
+	release := make(chan struct{})
+	testHookBuild = func(string) {
+		if builds.Add(1) == 1 {
+			<-release
+			panic("injected render bug")
+		}
+	}
+	defer func() { testHookBuild = nil }()
+
+	var wg sync.WaitGroup
+	for i := 0; i <= K; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			status, body := get(t, d, path)
+			var er ErrorResponse
+			if err := json.Unmarshal(body, &er); status != http.StatusInternalServerError || err != nil || er.Status != status {
+				t.Errorf("request %d during the panicking build: status %d body %s", i, status, body)
+			}
+		}(i)
+	}
+	// Panic only once the builder and all K waiters are in flight.
+	for d.m.inflight.Value() <= K {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	if p, m, c, e := d.m.panics.Value(), d.m.misses.Value(), d.m.coalesced.Value(), d.m.errors5xx.Value(); p != 1 || m != 1 || c != K || e != K+1 {
+		t.Errorf("render_panics/misses/coalesced/errors_5xx = %d/%d/%d/%d, want 1/1/%d/%d", p, m, c, e, K, K+1)
+	}
+	entries := 0
+	d.gen.Load().cache.entries.Range(func(_, _ any) bool { entries++; return true })
+	if entries != 0 {
+		t.Errorf("the panicked build left %d cache entries", entries)
+	}
+
+	// The key is not wedged: it renders, then hits.
+	for pass := 0; pass < 2; pass++ {
+		if status, body := get(t, d, path); status != http.StatusOK || !json.Valid(body) {
+			t.Fatalf("pass %d after the panic: status %d body %.100s", pass, status, body)
+		}
+	}
+	if builds.Load() != 2 || d.m.hits.Value() != 1 {
+		t.Errorf("after the panic: %d builds, %d hits, want 2 and 1", builds.Load(), d.m.hits.Value())
+	}
+	if d.m.inflight.Value() != 0 {
+		t.Errorf("inflight gauge did not return to zero: %d", d.m.inflight.Value())
+	}
+}
+
 // TestReloadHotSwap drives the epoch swap end to end over a store
 // generation root: the daemon starts on gen-0001, a new generation lands,
 // POST /reload swaps it in, and both the epoch report and the scores
