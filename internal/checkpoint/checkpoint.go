@@ -6,9 +6,8 @@
 // # Journal format
 //
 // A journal file starts with an 8-byte magic ("WDEPCKP1") followed by
-// length-prefixed, CRC32-checksummed records:
-//
-//	u32le payload length | u32le CRC32(payload) | payload
+// records, each one frame of internal/framing (u32le payload length,
+// u32le CRC32, payload).
 //
 // The first record is a versioned JSON header carrying the crawl's epoch
 // and country set; every later record is one completed site keyed by
@@ -37,10 +36,9 @@
 package checkpoint
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -48,6 +46,7 @@ import (
 	"sync/atomic"
 
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/framing"
 	"github.com/webdep/webdep/internal/obs"
 )
 
@@ -59,9 +58,9 @@ const Version = 1
 // ever changes incompatibly.
 var magic = []byte("WDEPCKP1")
 
-// maxRecordBytes bounds a single record's payload. Appends never approach
-// it (a site record is a few hundred bytes); recovery uses it to tell a
-// garbage length prefix from a legitimate frame.
+// maxRecordBytes bounds a single record's payload, written or read. Appends
+// never approach it (a site record is a few hundred bytes); recovery uses
+// it to tell a garbage length prefix from a legitimate frame.
 const maxRecordBytes = 1 << 26
 
 // WriteSyncer is the journal's underlying write target: an *os.File in
@@ -144,15 +143,7 @@ type Stats struct {
 // CorruptError reports unrecoverable journal corruption: a record that
 // fails its checksum (or cannot decode) with good records after it, where
 // truncating would silently discard completed work.
-type CorruptError struct {
-	Path   string
-	Offset int64
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("checkpoint: %s: corrupt journal at byte offset %d: %s", e.Path, e.Offset, e.Reason)
-}
+type CorruptError = framing.CorruptError
 
 // ShardInfo identifies one federated worker's partial journal: which
 // vantage wrote it, its place in the federation, and the dispatch
@@ -366,46 +357,46 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open journal for resume: %w", err)
 	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: read journal: %w", err)
-	}
-	sc, err := scan(data, path)
+	var hdr *JournalInfo // nil when the header itself was torn or absent
+	dupes := false
+	info, err := walkFile(f,
+		func(h JournalInfo) error {
+			hdr = &h
+			return nil
+		},
+		func(country string, site dataset.Website, outcome dataset.SiteOutcome) error {
+			k := Key{Country: country, Domain: site.Domain}
+			if _, ok := j.replay[k]; ok {
+				dupes = true
+			}
+			j.replay[k] = Entry{Site: site, Outcome: outcome}
+			return nil
+		})
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if sc.hdr != nil {
-		if sc.hdr.Shard != nil {
+	if hdr != nil {
+		if hdr.Shard != nil {
 			// A federated shard journal holds one vantage's slice of the
 			// crawl; resuming it as if it were the whole campaign would
 			// silently skip every other worker's sites. Merge it instead.
 			f.Close()
 			return nil, fmt.Errorf("checkpoint: %s is a federated shard journal (%s); merge it with its sibling shards instead of resuming it",
-				path, sc.hdr.Shard)
+				path, hdr.Shard)
 		}
-		if err := matches(sc.hdr.Epoch, sc.hdr.Countries, epoch, countries); err != nil {
+		if err := matches(hdr.Epoch, hdr.Countries, epoch, countries); err != nil {
 			f.Close()
 			return nil, err
 		}
-		if sc.hdr.Version != Version {
+		if hdr.Version != Version {
 			f.Close()
-			return nil, fmt.Errorf("checkpoint: journal version %d, this build reads version %d", sc.hdr.Version, Version)
+			return nil, fmt.Errorf("checkpoint: journal version %d, this build reads version %d", hdr.Version, Version)
 		}
 	}
-
-	dupes := false
-	for _, r := range sc.entries {
-		k := Key{Country: r.Country, Domain: r.Site.Domain}
-		if _, ok := j.replay[k]; ok {
-			dupes = true
-		}
-		j.replay[k] = Entry{Site: r.Site, Outcome: r.Outcome}
-	}
-	j.stats.recordsReplayed.Add(int64(len(sc.entries)))
-	j.m.recordsReplayed.Add(int64(len(sc.entries)))
-	if sc.truncated {
+	j.stats.recordsReplayed.Add(info.Sites)
+	j.m.recordsReplayed.Add(info.Sites)
+	if info.Truncated {
 		j.stats.truncations.Add(1)
 		j.m.truncations.Inc()
 	}
@@ -419,7 +410,7 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 		}
 	}()
 	switch {
-	case sc.hdr == nil:
+	case hdr == nil:
 		// Nothing durable survived (empty file or a tear inside the
 		// magic/header): start the journal over in place.
 		if err := f.Truncate(0); err != nil {
@@ -432,7 +423,7 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 		}
 		j.attach(f)
 		j.writeHeaderLocked()
-	case sc.truncated || dupes:
+	case info.Truncated || dupes:
 		// Drop the torn tail and superseded duplicates by atomically
 		// rewriting the journal: write-temp → fsync → rename. In-place
 		// truncation would also work for the tail, but the rewrite handles
@@ -453,8 +444,7 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 		}
 		j.attach(nf)
 	default:
-		// Clean journal: append after the last record (ReadAll left the
-		// cursor at EOF, but be explicit).
+		// Clean journal: append after the last record.
 		if _, err := f.Seek(0, io.SeekEnd); err != nil {
 			f.Close()
 			return nil, err
@@ -532,14 +522,17 @@ func (j *Journal) Reuse(country, domain string) (dataset.Website, dataset.SiteOu
 // the final record. Failures never surface to the crawl: the journal
 // disarms, drops later appends, and reports through Err.
 func (j *Journal) Append(country string, site dataset.Website, outcome dataset.SiteOutcome) {
-	payload, err := json.Marshal(siteRecord{Country: country, Site: site, Outcome: outcome})
+	rec, err := json.Marshal(siteRecord{Country: country, Site: site, Outcome: outcome})
+	if err == nil {
+		rec, err = record(rec)
+	}
 	if err != nil {
-		// A Website is plain data; this cannot fail absent a programming
-		// error, and the journal's contract is to never fail the crawl.
+		// A Website is plain data far below the record bound; this cannot
+		// fail absent a programming error, and the journal's contract is to
+		// never fail the crawl.
 		j.disarm(fmt.Errorf("checkpoint: encoding record: %w", err))
 		return
 	}
-	rec := frame(payload)
 
 	j.mu.Lock()
 	if !j.armed {
@@ -730,11 +723,14 @@ func (j *Journal) writeHeaderLocked() {
 		return
 	}
 	payload, err := json.Marshal(j.headerRecord())
+	if err == nil {
+		payload, err = record(payload)
+	}
 	if err != nil {
 		j.failLocked(err)
 		return
 	}
-	if _, err := j.w.Write(frame(payload)); err != nil {
+	if _, err := j.w.Write(payload); err != nil {
 		j.failLocked(fmt.Errorf("checkpoint: writing header: %w", err))
 		return
 	}
@@ -764,7 +760,7 @@ func writeJournalFile(path string, hdr header, entries map[Key]Entry) error {
 		if err != nil {
 			return err
 		}
-		if _, err := w.Write(frame(payload)); err != nil {
+		if _, err := framing.Write(w, maxRecordBytes, payload); err != nil {
 			return err
 		}
 		for _, k := range keys {
@@ -773,7 +769,7 @@ func writeJournalFile(path string, hdr header, entries map[Key]Entry) error {
 			if err != nil {
 				return err
 			}
-			if _, err := w.Write(frame(payload)); err != nil {
+			if _, err := framing.Write(w, maxRecordBytes, payload); err != nil {
 				return err
 			}
 		}
@@ -781,104 +777,15 @@ func writeJournalFile(path string, hdr header, entries map[Key]Entry) error {
 	})
 }
 
-// frame wraps a payload in the length+CRC32 framing as one byte slice, so
-// the append path can issue it as a single Write.
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
-}
-
-// scanResult is what recovery found in a journal file.
-type scanResult struct {
-	hdr       *header      // nil when the header itself was torn or absent
-	entries   []siteRecord // site records in file order
-	truncated bool         // a torn tail was dropped
-}
-
-// scan walks the framed records, applying the recovery semantics: any
-// well-formed prefix is kept, a torn or corrupt FINAL record marks a
-// truncation, and corruption before the last record is a *CorruptError
-// carrying the byte offset.
-func scan(data []byte, path string) (*scanResult, error) {
-	sc := &scanResult{}
-	// Magic: a short prefix of it is a torn first write; any mismatch
-	// means this is not a journal at all.
-	if len(data) < len(magic) {
-		if !equalPrefix(data, magic) {
-			return nil, &CorruptError{Path: path, Offset: 0, Reason: "not a checkpoint journal (bad magic)"}
-		}
-		sc.truncated = len(data) > 0
-		return sc, nil
+// record frames one payload as a single byte slice, so the append path can
+// issue it as one Write.
+func record(payload []byte) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(framing.HeaderSize + len(payload))
+	if _, err := framing.Write(&buf, maxRecordBytes, payload); err != nil {
+		return nil, err
 	}
-	if !equalPrefix(data[:len(magic)], magic) {
-		return nil, &CorruptError{Path: path, Offset: 0, Reason: "not a checkpoint journal (bad magic)"}
-	}
-
-	off := len(magic)
-	idx := 0
-	for off < len(data) {
-		if len(data)-off < 8 {
-			sc.truncated = true
-			break
-		}
-		length := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		end := off + 8 + length
-		if length > maxRecordBytes {
-			if end > len(data) {
-				// A garbage length from a torn frame header almost always
-				// points past EOF; recover it as the tail it is.
-				sc.truncated = true
-				break
-			}
-			return nil, &CorruptError{Path: path, Offset: int64(off),
-				Reason: fmt.Sprintf("record length %d exceeds maximum %d", length, maxRecordBytes)}
-		}
-		if end > len(data) {
-			sc.truncated = true
-			break
-		}
-		payload := data[off+8 : end]
-		if crc32.ChecksumIEEE(payload) != sum {
-			if end == len(data) {
-				// Corrupt FINAL record: the torn residue of a crash
-				// mid-append. Drop it.
-				sc.truncated = true
-				break
-			}
-			return nil, &CorruptError{Path: path, Offset: int64(off), Reason: "record checksum mismatch"}
-		}
-		if idx == 0 {
-			var h header
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, &CorruptError{Path: path, Offset: int64(off),
-					Reason: fmt.Sprintf("undecodable header: %v", err)}
-			}
-			sc.hdr = &h
-		} else {
-			var r siteRecord
-			if err := json.Unmarshal(payload, &r); err != nil {
-				return nil, &CorruptError{Path: path, Offset: int64(off),
-					Reason: fmt.Sprintf("undecodable record: %v", err)}
-			}
-			sc.entries = append(sc.entries, r)
-		}
-		off = end
-		idx++
-	}
-	return sc, nil
-}
-
-func equalPrefix(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return buf.Bytes(), nil
 }
 
 func sortedCopy(s []string) []string {

@@ -545,7 +545,10 @@ func (c *countingWriter) Sync() error { return c.w.Sync() }
 
 func TestBinaryFrameLayout(t *testing.T) {
 	// Freeze the wire framing: little-endian length then CRC32(payload).
-	f := frame([]byte("abc"))
+	f, err := record([]byte("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := binary.LittleEndian.Uint32(f[0:]); got != 3 {
 		t.Errorf("length prefix = %d, want 3", got)
 	}

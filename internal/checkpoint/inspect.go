@@ -1,34 +1,24 @@
 package checkpoint
 
-// InspectBytes runs the journal recovery scanner over an in-memory byte
-// slice — the verification hook for journals that arrive over a transport
-// rather than from disk. A remote vantage ships its finished shard journal
-// home inside a signed artifact; the coordinator must validate the framing
-// (magic, length prefixes, CRC32 checksums, decodable header and records)
-// BEFORE admitting the bytes to the merge directory, without writing a
-// temp file just to scan it.
+import (
+	"bytes"
+
+	"github.com/webdep/webdep/internal/framing"
+)
+
+// InspectBytes runs the journal walker over an in-memory byte slice — the
+// verification hook for journals that arrive over a transport rather than
+// from disk. A remote vantage ships its finished shard journal home inside
+// a signed artifact; the coordinator must validate the framing (magic,
+// length prefixes, CRC32 checksums, decodable header and records) BEFORE
+// admitting the bytes to the merge directory, without writing a temp file
+// just to scan it.
 //
-// Recovery semantics are identical to Resume and StreamSites: a torn or
-// corrupt FINAL record is tolerated and flagged Truncated (the expected
-// residue of a worker killed mid-append), corruption before the last
-// record is a *CorruptError carrying the byte offset, and bytes torn
-// before the header survived yield an info with no header and no sites.
+// Recovery semantics are the journal's (see walk): a torn FINAL record is
+// tolerated and flagged Truncated, damage before it is a *CorruptError.
 // name appears as the Path of any *CorruptError, since the bytes have no
 // path of their own yet.
 func InspectBytes(data []byte, name string) (*JournalInfo, error) {
-	sc, err := scan(data, name)
-	if err != nil {
-		return nil, err
-	}
-	info := &JournalInfo{Truncated: sc.truncated, Sites: int64(len(sc.entries))}
-	if sc.hdr != nil {
-		info.Version = sc.hdr.Version
-		info.Epoch = sc.hdr.Epoch
-		info.Countries = sortedCopy(sc.hdr.Countries)
-		if sc.hdr.Shard != nil {
-			sh := *sc.hdr.Shard
-			info.Shard = &sh
-		}
-	}
-	return info, nil
+	fr := framing.NewReader(bytes.NewReader(data), int64(len(data)), name, maxRecordBytes, framing.TolerateTornTail)
+	return walk(fr, nil, nil)
 }

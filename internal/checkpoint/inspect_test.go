@@ -12,7 +12,7 @@ import (
 
 // inspectJournalBytes builds a real shard journal on disk and returns its
 // bytes, so InspectBytes is exercised against the production writer.
-func inspectJournalBytes(t *testing.T, sites int) []byte {
+func inspectJournalBytes(t testing.TB, sites int) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "w0-g1.journal")
 	sh := &ShardInfo{Worker: "w0", Index: 0, Total: 2, Gen: 1}

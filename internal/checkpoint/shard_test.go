@@ -14,11 +14,17 @@ import (
 // than through Create, so the test pins the old wire format itself.
 func TestPreShardJournalResumesCleanly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "preshard.journal")
-	var buf []byte
-	buf = append(buf, magic...)
-	buf = append(buf, frame([]byte(`{"version":1,"epoch":"2023-05","countries":["CZ","TH"]}`))...)
-	rec := []byte(`{"country":"TH","site":{"Domain":"a.th","Country":"TH","Rank":1},"outcome":{"Host":1,"NS":1,"CA":1,"Language":1}}`)
-	buf = append(buf, frame(rec)...)
+	buf := append([]byte(nil), magic...)
+	for _, payload := range []string{
+		`{"version":1,"epoch":"2023-05","countries":["CZ","TH"]}`,
+		`{"country":"TH","site":{"Domain":"a.th","Country":"TH","Rank":1},"outcome":{"Host":1,"NS":1,"CA":1,"Language":1}}`,
+	} {
+		rec, err := record([]byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, rec...)
+	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}

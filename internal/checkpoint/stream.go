@@ -1,18 +1,16 @@
 package checkpoint
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/framing"
 )
 
-// JournalInfo describes a journal as StreamSites found it.
+// JournalInfo describes a journal as the walker found it.
 type JournalInfo struct {
 	// Version, Epoch, and Countries come from the journal header. They are
 	// zero when no header survived (empty or header-torn journal).
@@ -23,25 +21,22 @@ type JournalInfo struct {
 	// whole-crawl journal (including every pre-shard journal).
 	Shard *ShardInfo
 	// Truncated reports that a torn tail (the residue of a crash
-	// mid-append) was dropped. The skipped bytes stay on disk — unlike
-	// Resume, streaming never rewrites the journal.
+	// mid-append) was dropped. The skipped bytes stay on disk — only Resume
+	// rewrites the journal.
 	Truncated bool
 	// Sites counts the records delivered, including superseded duplicates.
 	Sites int64
 }
 
 // StreamSites reads a journal's site records in file order without loading
-// the journal into memory — the streaming counterpart of Resume's replay,
-// for consumers (the on-disk corpus store's IngestJournal) that fold each
-// record away instead of keeping a map of them.
+// the journal into memory — for consumers (the on-disk corpus store's
+// IngestJournal, the federated Merger) that fold each record away instead
+// of keeping a map of them.
 //
-// Recovery semantics are identical to Resume/scan: a torn or corrupt FINAL
-// record is dropped and flagged Truncated, corruption before the last
-// record is a *CorruptError with the byte offset, and a journal torn
-// before its header survived yields an info with no header and no sites.
-// Records are delivered as they are read, so onSite may run before a torn
-// tail is discovered; a consumer building durable output should create it
-// only after StreamSites returns.
+// Recovery semantics are the journal's (see walk). Records are delivered as
+// they are read, so onSite may run before a torn tail is discovered; a
+// consumer building durable output should create it only after StreamSites
+// returns.
 //
 // onHeader (optional) sees the decoded header before any site; onSite sees
 // every site record in file order. An error from either callback aborts
@@ -55,107 +50,72 @@ func StreamSites(path string,
 		return nil, fmt.Errorf("checkpoint: open journal for streaming: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	return walkFile(f, onHeader, onSite)
+}
+
+// walkFile walks an open journal file from its current position.
+func walkFile(f *os.File,
+	onHeader func(JournalInfo) error,
+	onSite func(country string, site dataset.Website, outcome dataset.SiteOutcome) error,
+) (*JournalInfo, error) {
+	fr, err := framing.NewFileReader(f, maxRecordBytes, framing.TolerateTornTail)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: stat journal: %w", err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	size := st.Size()
-	r := bufio.NewReaderSize(f, 1<<16)
+	return walk(fr, onHeader, onSite)
+}
+
+// walk is the journal walker every reader goes through — Resume,
+// InspectBytes, StreamSites and, over that, the Merger: the magic, the
+// header record, then site records, from a tail-tolerant framing.Reader.
+//
+// Any well-formed prefix is delivered; a torn or checksum-corrupt FINAL
+// record is dropped and flagged Truncated; damage before the last record,
+// or a checksum-clean record that does not decode, is a *CorruptError with
+// the record's byte offset; a journal torn before its header survived
+// yields an info with no header and no sites, and onHeader is not called.
+func walk(fr *framing.Reader,
+	onHeader func(JournalInfo) error,
+	onSite func(country string, site dataset.Website, outcome dataset.SiteOutcome) error,
+) (*JournalInfo, error) {
 	info := &JournalInfo{}
-
-	// Magic: a short prefix of it is a torn first write; any mismatch means
-	// this is not a journal at all.
-	magicBuf := make([]byte, len(magic))
-	n, err := io.ReadFull(r, magicBuf)
-	if err != nil {
-		if !equalPrefix(magicBuf[:n], magic) {
-			return nil, &CorruptError{Path: path, Offset: 0, Reason: "not a checkpoint journal (bad magic)"}
-		}
-		info.Truncated = n > 0
-		return info, nil
-	}
-	if !equalPrefix(magicBuf, magic) {
-		return nil, &CorruptError{Path: path, Offset: 0, Reason: "not a checkpoint journal (bad magic)"}
-	}
-
-	off := int64(len(magic))
-	idx := 0
-	var hdr [8]byte
-	var payload []byte
-	for off < size {
-		if size-off < 8 {
-			info.Truncated = true
+	err := fr.Magic(magic)
+	for first := true; err == nil; first = false {
+		var payload []byte
+		var off int64
+		if payload, off, err = fr.Next(); err != nil {
 			break
 		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading journal: %w", err)
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[:4]))
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		end := off + 8 + length
-		if length > maxRecordBytes {
-			if end > size {
-				// A garbage length from a torn frame header almost always
-				// points past EOF; recover it as the tail it is.
-				info.Truncated = true
-				break
-			}
-			return nil, &CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("record length %d exceeds maximum %d", length, maxRecordBytes)}
-		}
-		if end > size {
-			info.Truncated = true
-			break
-		}
-		if int64(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading journal: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			if end == size {
-				// Corrupt FINAL record: the torn residue of a crash
-				// mid-append. Drop it.
-				info.Truncated = true
-				break
-			}
-			return nil, &CorruptError{Path: path, Offset: off, Reason: "record checksum mismatch"}
-		}
-		if idx == 0 {
+		if first {
 			var h header
 			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, &CorruptError{Path: path, Offset: off,
-					Reason: fmt.Sprintf("undecodable header: %v", err)}
+				return nil, fr.Corrupt(off, "undecodable header: %v", err)
 			}
 			info.Version = h.Version
 			info.Epoch = h.Epoch
 			info.Countries = sortedCopy(h.Countries)
-			if h.Shard != nil {
-				sh := *h.Shard
-				info.Shard = &sh
-			}
+			info.Shard = h.Shard
 			if onHeader != nil {
 				if err := onHeader(*info); err != nil {
 					return nil, err
 				}
 			}
-		} else {
-			var rec siteRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, &CorruptError{Path: path, Offset: off,
-					Reason: fmt.Sprintf("undecodable record: %v", err)}
-			}
-			info.Sites++
-			if onSite != nil {
-				if err := onSite(rec.Country, rec.Site, rec.Outcome); err != nil {
-					return nil, err
-				}
+			continue
+		}
+		var rec siteRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return nil, fr.Corrupt(off, "undecodable record: %v", err)
+		}
+		info.Sites++
+		if onSite != nil {
+			if err := onSite(rec.Country, rec.Site, rec.Outcome); err != nil {
+				return nil, err
 			}
 		}
-		off = end
-		idx++
 	}
+	if err != io.EOF {
+		return nil, err
+	}
+	info.Truncated = fr.Torn()
 	return info, nil
 }

@@ -11,12 +11,10 @@
 //	<dir>/corpus.manifest   magic "WDEPMAN1" + framed sections
 //	<dir>/<CC>.shard        magic "WDEPSHD1" + framed sections
 //
-// Every file reuses the checkpoint journal's framing discipline (see
-// internal/checkpoint): sections are length-prefixed and CRC32-checksummed,
-//
-//	u32le payload length | u32le CRC32(payload) | payload
-//
-// and the first payload byte is the section type — 'H' (versioned JSON
+// Every file is a magic followed by frames of internal/framing (u32le
+// payload length, u32le CRC32, payload), the same frame the checkpoint
+// journal is built from. A frame here is a section: by this package's own
+// convention the first payload byte is the section type — 'H' (versioned JSON
 // header), 'B' (columnar row block, shards only), 'E' (JSON end marker
 // carrying totals). Files are written temp → fsync → rename, so a store
 // never contains a torn shard: unlike the journal's append-tolerant tail,
@@ -57,10 +55,10 @@ package corpusstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/framing"
 	"github.com/webdep/webdep/internal/obs"
 )
 
@@ -101,15 +99,7 @@ const maxBlockRows = 1 << 20
 // that do not match the end marker. Stores are written atomically, so —
 // unlike a checkpoint journal's torn tail — corruption is never expected
 // residue and is always a hard error with the byte offset of the damage.
-type CorruptError struct {
-	Path   string
-	Offset int64
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("corpusstore: %s: corrupt at byte offset %d: %s", e.Path, e.Offset, e.Reason)
-}
+type CorruptError = framing.CorruptError
 
 // Options tunes a store writer or reader; nil (or the zero value) is
 // production defaults.
@@ -204,97 +194,41 @@ type manifestEnd struct {
 	Shards int `json:"shards"`
 }
 
-// writeFrame writes one framed section to w — u32le length, u32le CRC32,
-// then the type byte and the payload parts — and returns the bytes written.
-// The checksum runs over the parts in place, so a payload is never copied
-// into a frame of its own.
-func writeFrame(w io.Writer, typ byte, parts ...[]byte) (int, error) {
-	size := 1
-	sum := crc32.Update(0, crc32.IEEETable, []byte{typ})
-	for _, p := range parts {
-		size += len(p)
-		sum = crc32.Update(sum, crc32.IEEETable, p)
-	}
-	if size > maxSectionBytes {
-		return 0, fmt.Errorf("section of %d bytes exceeds maximum %d", size, maxSectionBytes)
-	}
-	var hdr [9]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(size))
-	binary.LittleEndian.PutUint32(hdr[4:], sum)
-	hdr[8] = typ
-	written, err := w.Write(hdr[:])
-	for _, p := range parts {
-		if err != nil {
-			break
-		}
-		var n int
-		n, err = w.Write(p)
-		written += n
-	}
-	return written, err
+// writeSection frames one section to w and returns the bytes written. The
+// type byte goes to the framer as the payload's first part, so it is inside
+// the length and the checksum; body may be nil.
+func writeSection(w io.Writer, typ byte, head, body []byte) (int, error) {
+	return framing.Write(w, maxSectionBytes, []byte{typ}, head, body)
 }
 
-// sectionReader iterates a store file's framed sections, tracking the byte
-// offset for corruption reports. It reuses one payload buffer: a returned
-// payload is valid only until the next call.
-type sectionReader struct {
-	r    io.Reader
-	path string
-	off  int64
-	hdr  [8]byte
-	buf  []byte
+// nextSection reads the next section off a store file's strict reader and
+// splits the type byte from the payload, which is valid only until the next
+// read. what names the section the format requires here: the file ending
+// instead is corruption, like every other irregularity.
+func nextSection(fr *framing.Reader, what string) (typ byte, payload []byte, off int64, err error) {
+	payload, off, err = fr.Next()
+	switch {
+	case err == io.EOF:
+		err = fr.Corrupt(off, "missing %s", what)
+	case err == nil && len(payload) == 0:
+		err = fr.Corrupt(off, "empty section")
+	}
+	if err != nil {
+		return 0, nil, off, err
+	}
+	return payload[0], payload[1:], off, nil
 }
 
-func newSectionReader(r io.Reader, path string, start int64) *sectionReader {
-	return &sectionReader{r: r, path: path, off: start}
-}
-
-// next returns the next section's type, payload, and starting offset.
-// io.EOF marks a clean end of file at a section boundary; every other
-// irregularity is a *CorruptError.
-func (sr *sectionReader) next() (typ byte, payload []byte, off int64, err error) {
-	off = sr.off
-	if _, err := io.ReadFull(sr.r, sr.hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, off, io.EOF
-		}
-		return 0, nil, off, &CorruptError{Path: sr.path, Offset: off, Reason: "truncated section frame"}
+// endOfSections requires the file to stop here, after the section named what.
+func endOfSections(fr *framing.Reader, what string) error {
+	_, off, err := fr.Next()
+	switch err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fr.Corrupt(off, "data after %s", what)
 	}
-	length := int64(binary.LittleEndian.Uint32(sr.hdr[:4]))
-	sum := binary.LittleEndian.Uint32(sr.hdr[4:])
-	if length > maxSectionBytes {
-		return 0, nil, off, &CorruptError{Path: sr.path, Offset: off,
-			Reason: fmt.Sprintf("section length %d exceeds maximum %d", length, maxSectionBytes)}
-	}
-	if int64(cap(sr.buf)) < length {
-		sr.buf = make([]byte, length)
-	}
-	sr.buf = sr.buf[:length]
-	if _, err := io.ReadFull(sr.r, sr.buf); err != nil {
-		return 0, nil, off, &CorruptError{Path: sr.path, Offset: off, Reason: "truncated section payload"}
-	}
-	if crc32.ChecksumIEEE(sr.buf) != sum {
-		return 0, nil, off, &CorruptError{Path: sr.path, Offset: off, Reason: "section checksum mismatch"}
-	}
-	if len(sr.buf) == 0 {
-		return 0, nil, off, &CorruptError{Path: sr.path, Offset: off, Reason: "empty section"}
-	}
-	sr.off += 8 + length
-	return sr.buf[0], sr.buf[1:], off, nil
-}
-
-// readMagic consumes and validates a file's 8-byte magic.
-func readMagic(r io.Reader, path string, want []byte) error {
-	var got [8]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return &CorruptError{Path: path, Offset: 0, Reason: "file shorter than magic"}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return &CorruptError{Path: path, Offset: 0, Reason: "bad magic (not a corpus store file)"}
-		}
-	}
-	return nil
+	return err
 }
 
 // byteReader is a bounds-checked cursor over one section payload; every

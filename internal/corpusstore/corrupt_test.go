@@ -75,11 +75,11 @@ func streamAll(t *testing.T, dir string) error {
 	return rowErr
 }
 
-// frame returns one framed section as bytes.
-func frame(tb testing.TB, typ byte, payload []byte) []byte {
+// section returns one framed section as bytes.
+func section(tb testing.TB, typ byte, payload []byte) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, typ, payload); err != nil {
+	if _, err := writeSection(&buf, typ, payload, nil); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -117,7 +117,7 @@ func rewriteSection(t *testing.T, path string, typ byte, mutate func(payload []b
 		}
 		payload := append([]byte(nil), whole[off+9:offs[i+1]]...)
 		out := append([]byte(nil), whole[:off]...)
-		out = append(out, frame(t, typ, mutate(payload))...)
+		out = append(out, section(t, typ, mutate(payload))...)
 		out = append(out, whole[offs[i+1]:]...)
 		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)

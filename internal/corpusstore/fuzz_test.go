@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/framing"
 )
 
 // FuzzShardDecode drives the shard section decoder over arbitrary bytes,
@@ -38,9 +39,16 @@ func FuzzShardDecode(f *testing.F) {
 	huge := binary.AppendUvarint(nil, 1<<32)
 	huge = binary.AppendUvarint(huge, 1<<32)
 	hdrEnd := 16 + int(binary.LittleEndian.Uint32(shard[8:]))
-	f.Add(append(append([]byte(nil), shard[:hdrEnd]...), frame(f, secBlock, huge)...))
+	f.Add(append(append([]byte(nil), shard[:hdrEnd]...), section(f, secBlock, huge)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// decode runs the input through one view and returns the rows
+		// decoded, the bytes consumed and the error.
+		decode := func(dec *shardBlockDecoder) (int64, int64, error) {
+			fr := framing.NewReader(bytes.NewReader(data), int64(len(data)), "fuzz", maxSectionBytes, framing.Strict)
+			rows, err := decodeShard(fr, nil, dec)
+			return rows, fr.Offset(), err
+		}
 		var delivered int64
 		rowDec := &shardBlockDecoder{onRow: func(w *dataset.Website) error {
 			if w.Domain == "" {
@@ -49,7 +57,7 @@ func FuzzShardDecode(f *testing.F) {
 			delivered++
 			return nil
 		}}
-		rows, consumed, err := decodeShard(bytes.NewReader(data), "fuzz", nil, rowDec)
+		rows, consumed, err := decode(rowDec)
 
 		var symDelivered int64
 		symDec := &shardBlockDecoder{onBlock: func(b *dataset.SymbolBlock) error {
@@ -66,7 +74,7 @@ func FuzzShardDecode(f *testing.F) {
 			symDelivered += int64(b.Rows())
 			return nil
 		}}
-		symRows, symConsumed, symErr := decodeShard(bytes.NewReader(data), "fuzz", nil, symDec)
+		symRows, symConsumed, symErr := decode(symDec)
 
 		if rows != symRows || consumed != symConsumed {
 			t.Fatalf("views disagree: rows decoded %d rows in %d bytes, symbols %d in %d",

@@ -1,16 +1,15 @@
 package corpusstore
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/framing"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/parallel"
 )
@@ -33,75 +32,68 @@ type Store struct {
 func Open(dir string, opts *Options) (*Store, error) {
 	opts = opts.orDefault()
 	s := &Store{dir: dir, workers: opts.Workers, m: newStoreMetrics(opts.Obs)}
-	path := filepath.Join(dir, ManifestName)
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("corpusstore: %s is not a store (no manifest): %w", dir, err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if err := readMagic(br, path, manifestMagic); err != nil {
+	fr, err := framing.NewFileReader(f, maxSectionBytes, framing.Strict)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.readManifest(fr); err != nil {
 		return nil, s.noteCorrupt(err)
 	}
-	sr := newSectionReader(br, path, int64(len(manifestMagic)))
+	return s, nil
+}
 
-	typ, payload, off, err := sr.next()
+// readManifest fills s.man and s.byCC from a manifest file: magic, header,
+// end marker, clean end of file.
+func (s *Store) readManifest(fr *framing.Reader) error {
+	if err := fr.Magic(manifestMagic); err != nil {
+		return err
+	}
+	typ, payload, off, err := nextSection(fr, "manifest header")
 	if err != nil {
-		if err == io.EOF {
-			err = &CorruptError{Path: path, Offset: off, Reason: "missing manifest header"}
-		}
-		return nil, s.noteCorrupt(err)
+		return err
 	}
 	if typ != secHeader {
-		return nil, s.noteCorrupt(&CorruptError{Path: path, Offset: off,
-			Reason: fmt.Sprintf("expected header section, found %q", typ)})
+		return fr.Corrupt(off, "expected header section, found %q", typ)
 	}
 	if err := json.Unmarshal(payload, &s.man); err != nil {
-		return nil, s.noteCorrupt(&CorruptError{Path: path, Offset: off, Reason: "undecodable manifest header"})
+		return fr.Corrupt(off, "undecodable manifest header")
 	}
 	if s.man.Version != Version {
-		return nil, fmt.Errorf("corpusstore: %s holds store version %d; this build reads version %d",
-			dir, s.man.Version, Version)
+		return fmt.Errorf("corpusstore: %s holds store version %d; this build reads version %d",
+			s.dir, s.man.Version, Version)
 	}
 	if s.man.Epoch == "" {
-		return nil, s.noteCorrupt(&CorruptError{Path: path, Offset: off, Reason: "manifest has empty epoch"})
+		return fr.Corrupt(off, "manifest has empty epoch")
 	}
 	s.byCC = make(map[string]manifestShard, len(s.man.Shards))
 	for _, ms := range s.man.Shards {
 		if _, dup := s.byCC[ms.Country]; dup {
-			return nil, s.noteCorrupt(&CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("duplicate shard entry for country %s", ms.Country)})
+			return fr.Corrupt(off, "duplicate shard entry for country %s", ms.Country)
 		}
 		want, err := shardFileName(ms.Country)
 		if err != nil || ms.File != want {
-			return nil, s.noteCorrupt(&CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("shard entry %s names file %q", ms.Country, ms.File)})
+			return fr.Corrupt(off, "shard entry %s names file %q", ms.Country, ms.File)
 		}
 		s.byCC[ms.Country] = ms
 	}
 
-	typ, payload, off, err = sr.next()
+	typ, payload, off, err = nextSection(fr, "manifest end marker")
 	if err != nil {
-		if err == io.EOF {
-			err = &CorruptError{Path: path, Offset: off, Reason: "missing manifest end marker"}
-		}
-		return nil, s.noteCorrupt(err)
+		return err
 	}
 	var end manifestEnd
 	if typ != secEnd || json.Unmarshal(payload, &end) != nil {
-		return nil, s.noteCorrupt(&CorruptError{Path: path, Offset: off, Reason: "undecodable manifest end marker"})
+		return fr.Corrupt(off, "undecodable manifest end marker")
 	}
 	if end.Shards != len(s.man.Shards) {
-		return nil, s.noteCorrupt(&CorruptError{Path: path, Offset: off,
-			Reason: fmt.Sprintf("end marker declares %d shards, manifest lists %d", end.Shards, len(s.man.Shards))})
+		return fr.Corrupt(off, "end marker declares %d shards, manifest lists %d", end.Shards, len(s.man.Shards))
 	}
-	if _, _, off, err = sr.next(); err != io.EOF {
-		if err == nil {
-			err = &CorruptError{Path: path, Offset: off, Reason: "data after manifest end marker"}
-		}
-		return nil, s.noteCorrupt(err)
-	}
-	return s, nil
+	return endOfSections(fr, "manifest end marker")
 }
 
 // noteCorrupt counts corruption detections before handing the error back.
@@ -173,25 +165,27 @@ func (s *Store) stream(cc string, dec *shardBlockDecoder) error {
 		return fmt.Errorf("corpusstore: store has no shard for country %s", cc)
 	}
 	sp := obs.StartSpan(s.m.shardStreamMS)
-	path := filepath.Join(s.dir, ms.File)
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(s.dir, ms.File))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	fr, err := framing.NewFileReader(f, maxSectionBytes, framing.Strict)
+	if err != nil {
+		return err
+	}
 	want := shardHeader{Version: Version, Epoch: s.man.Epoch, Country: cc}
-	rows, bytes, err := decodeShard(bufio.NewReaderSize(f, 1<<16), path, &want, dec)
+	rows, err := decodeShard(fr, &want, dec)
 	if err != nil {
 		return s.noteCorrupt(err)
 	}
 	if rows != ms.Rows {
-		return s.noteCorrupt(&CorruptError{Path: path, Offset: bytes,
-			Reason: fmt.Sprintf("shard holds %d rows, manifest records %d", rows, ms.Rows)})
+		return s.noteCorrupt(fr.Corrupt(fr.Offset(), "shard holds %d rows, manifest records %d", rows, ms.Rows))
 	}
 	sp.End()
 	s.m.shardsStreamed.Inc()
 	s.m.rowsStreamed.Add(rows)
-	s.m.bytesStreamed.Add(bytes)
+	s.m.bytesStreamed.Add(fr.Offset())
 	return nil
 }
 
@@ -266,88 +260,68 @@ func (s *Store) Score() (*dataset.ScoreSet, error) {
 
 // decodeShard drives one shard stream through dec: magic, header (validated
 // against want when non-nil), row blocks, end marker, clean EOF. It
-// returns the decoded row count and the byte length consumed. Every
+// returns the decoded row count; fr.Offset() is the byte length consumed. Every
 // deviation from the format is a *CorruptError carrying the offset of the
 // failing section; the decoder never panics and never allocates more than
 // a constant factor of the (already CRC-validated) section it is decoding,
 // which is what makes it safe to point at arbitrary bytes (FuzzShardDecode).
-func decodeShard(r io.Reader, path string, want *shardHeader, dec *shardBlockDecoder) (rows, bytes int64, err error) {
-	if err := readMagic(r, path, shardMagic); err != nil {
-		return 0, 0, err
+func decodeShard(fr *framing.Reader, want *shardHeader, dec *shardBlockDecoder) (rows int64, err error) {
+	if err := fr.Magic(shardMagic); err != nil {
+		return 0, err
 	}
-	sr := newSectionReader(r, path, int64(len(shardMagic)))
-
-	typ, payload, off, err := sr.next()
+	typ, payload, off, err := nextSection(fr, "shard header")
 	if err != nil {
-		if err == io.EOF {
-			err = &CorruptError{Path: path, Offset: off, Reason: "missing shard header"}
-		}
-		return 0, sr.off, err
+		return 0, err
 	}
 	var hdr shardHeader
 	if typ != secHeader || json.Unmarshal(payload, &hdr) != nil {
-		return 0, sr.off, &CorruptError{Path: path, Offset: off, Reason: "undecodable shard header"}
+		return 0, fr.Corrupt(off, "undecodable shard header")
 	}
 	if hdr.Version != Version {
-		return 0, sr.off, &CorruptError{Path: path, Offset: off,
-			Reason: fmt.Sprintf("shard version %d; this build reads version %d", hdr.Version, Version)}
+		return 0, fr.Corrupt(off, "shard version %d; this build reads version %d", hdr.Version, Version)
 	}
 	if want != nil {
 		if hdr.Epoch != want.Epoch {
-			return 0, sr.off, &CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("shard holds epoch %q, store is epoch %q", hdr.Epoch, want.Epoch)}
+			return 0, fr.Corrupt(off, "shard holds epoch %q, store is epoch %q", hdr.Epoch, want.Epoch)
 		}
 		if hdr.Country != want.Country {
-			return 0, sr.off, &CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("shard holds country %q, expected %q", hdr.Country, want.Country)}
+			return 0, fr.Corrupt(off, "shard holds country %q, expected %q", hdr.Country, want.Country)
 		}
 	}
 
 	dec.country = hdr.Country
 	for {
-		typ, payload, off, err = sr.next()
+		typ, payload, off, err = nextSection(fr, "shard end marker")
 		if err != nil {
-			if err == io.EOF {
-				err = &CorruptError{Path: path, Offset: off, Reason: "missing shard end marker"}
-			}
-			return rows, sr.off, err
+			return rows, err
 		}
 		if typ == secEnd {
 			break
 		}
 		if typ != secBlock {
-			return rows, sr.off, &CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("unexpected section type %q", typ)}
+			return rows, fr.Corrupt(off, "unexpected section type %q", typ)
 		}
 		n, err := dec.block(payload)
 		if err != nil {
 			if _, ok := err.(*CorruptError); !ok {
-				err = &CorruptError{Path: path, Offset: off, Reason: err.Error()}
+				err = fr.Corrupt(off, "%v", err)
 			}
-			return rows, sr.off, err
+			return rows, err
 		}
 		rows += n
 	}
 
 	var end shardEnd
 	if json.Unmarshal(payload, &end) != nil {
-		return rows, sr.off, &CorruptError{Path: path, Offset: off, Reason: "undecodable shard end marker"}
+		return rows, fr.Corrupt(off, "undecodable shard end marker")
 	}
 	if end.Rows != rows {
-		return rows, sr.off, &CorruptError{Path: path, Offset: off,
-			Reason: fmt.Sprintf("end marker declares %d rows, shard decoded %d", end.Rows, rows)}
+		return rows, fr.Corrupt(off, "end marker declares %d rows, shard decoded %d", end.Rows, rows)
 	}
 	if end.Symbols != int64(len(dec.syms)) {
-		return rows, sr.off, &CorruptError{Path: path, Offset: off,
-			Reason: fmt.Sprintf("end marker declares %d symbols, shard decoded %d", end.Symbols, len(dec.syms))}
+		return rows, fr.Corrupt(off, "end marker declares %d symbols, shard decoded %d", end.Symbols, len(dec.syms))
 	}
-	if _, _, off, err = sr.next(); err != io.EOF {
-		if err == nil {
-			err = &CorruptError{Path: path, Offset: off, Reason: "data after shard end marker"}
-		}
-		return rows, sr.off, err
-	}
-	return rows, sr.off, nil
+	return rows, endOfSections(fr, "shard end marker")
 }
 
 // shardBlockDecoder decodes 'B' sections under one view, carrying the

@@ -197,10 +197,10 @@ func (w *Writer) Close() error {
 		if _, err := out.Write(manifestMagic); err != nil {
 			return err
 		}
-		if _, err := writeFrame(out, secHeader, hdr); err != nil {
+		if _, err := writeSection(out, secHeader, hdr, nil); err != nil {
 			return fmt.Errorf("corpusstore: manifest: %w", err)
 		}
-		_, err := writeFrame(out, secEnd, end)
+		_, err := writeSection(out, secEnd, end, nil)
 		return err
 	})
 	if err != nil {
@@ -266,7 +266,7 @@ func newShardWriter(w *Writer, country, path, file string) (*ShardWriter, error)
 		sw.abort()
 		return nil, err
 	}
-	if err := sw.writeSection(secHeader, hdr); err != nil {
+	if err := sw.writeSection(secHeader, hdr, nil); err != nil {
 		sw.abort()
 		return nil, err
 	}
@@ -329,7 +329,7 @@ func (sw *ShardWriter) Close() error {
 	if err != nil {
 		return sw.fail(err)
 	}
-	if err := sw.writeSection(secEnd, end); err != nil {
+	if err := sw.writeSection(secEnd, end, nil); err != nil {
 		return err
 	}
 	if err := sw.bw.Flush(); err != nil {
@@ -398,8 +398,8 @@ func (sw *ShardWriter) writeRaw(b []byte) error {
 }
 
 // writeSection frames one section into the buffered shard file.
-func (sw *ShardWriter) writeSection(typ byte, parts ...[]byte) error {
-	n, err := writeFrame(sw.bw, typ, parts...)
+func (sw *ShardWriter) writeSection(typ byte, head, body []byte) error {
+	n, err := writeSection(sw.bw, typ, head, body)
 	sw.written += int64(n)
 	if err != nil {
 		return sw.fail(fmt.Errorf("corpusstore: shard %s: %w", sw.country, err))

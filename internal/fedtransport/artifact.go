@@ -14,7 +14,7 @@
 // # Artifact format
 //
 //	"WDEPART1" (8 bytes)
-//	u32le meta length | u32le CRC32(meta) | meta JSON
+//	meta JSON as one frame of internal/framing (u32le length, u32le CRC32)
 //	u64le journal length | journal bytes (a complete checkpoint journal)
 //	32-byte HMAC-SHA256 trailer
 //
@@ -26,17 +26,18 @@
 package fedtransport
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 
 	"github.com/webdep/webdep/internal/checkpoint"
+	"github.com/webdep/webdep/internal/framing"
 )
 
 // artifactMagic identifies a journal artifact; the trailing digit is the
@@ -130,16 +131,6 @@ type Artifact struct {
 	Info    *checkpoint.JournalInfo
 }
 
-// frame wraps a payload in the u32le length + u32le CRC32 framing shared
-// with the checkpoint journal format.
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
-}
-
 // WriteArtifact streams a signed artifact: the journal is read exactly
 // once and the HMAC is computed incrementally, so a vantage can ship a
 // large journal without holding the envelope in memory. journalLen must be
@@ -162,7 +153,7 @@ func WriteArtifact(w io.Writer, key []byte, meta Meta, journalLen int64, journal
 	if _, err := out.Write(artifactMagic); err != nil {
 		return err
 	}
-	if _, err := out.Write(frame(mb)); err != nil {
+	if _, err := framing.Write(out, maxMetaBytes, mb); err != nil {
 		return err
 	}
 	var lenBuf [8]byte
@@ -197,26 +188,24 @@ func VerifyArtifact(data []byte, exp Expect) (*Artifact, error) {
 		return nil, &RefusalError{Kind: kind, Worker: exp.Worker, Reason: fmt.Sprintf(format, args...)}
 	}
 	// Structure first: magic, framed meta, journal length, MAC trailer.
-	if len(data) < len(artifactMagic) {
-		if equalPrefix(data, artifactMagic) {
-			return refuse(RefusedTruncated, "%d bytes is shorter than the artifact magic", len(data))
-		}
-		return refuse(RefusedCorrupt, "not a journal artifact (bad magic)")
+	if len(data) < len(artifactMagic) && bytes.HasPrefix(artifactMagic, data) {
+		return refuse(RefusedTruncated, "%d bytes is shorter than the artifact magic", len(data))
 	}
-	if !equalPrefix(data[:len(artifactMagic)], artifactMagic) {
+	if !bytes.HasPrefix(data, artifactMagic) {
 		return refuse(RefusedCorrupt, "not a journal artifact (bad magic)")
 	}
 	off := len(artifactMagic)
-	if len(data)-off < 8 {
+	if len(data)-off < framing.HeaderSize {
 		return refuse(RefusedTruncated, "artifact ends inside the meta frame header")
 	}
-	metaLen := int(binary.LittleEndian.Uint32(data[off:]))
-	metaSum := binary.LittleEndian.Uint32(data[off+4:])
+	// The header words only locate the meta record here; its checksum is
+	// believed after the signature is.
+	metaLen, metaSum := framing.ParseHeader(data[off:])
 	if metaLen > maxMetaBytes {
 		return refuse(RefusedCorrupt, "meta length %d exceeds maximum %d", metaLen, maxMetaBytes)
 	}
-	metaStart := off + 8
-	metaEnd := metaStart + metaLen
+	metaStart := off + framing.HeaderSize
+	metaEnd := metaStart + int(metaLen)
 	if len(data) < metaEnd+8 {
 		return refuse(RefusedTruncated, "artifact ends inside the meta record")
 	}
@@ -255,7 +244,7 @@ func VerifyArtifact(data []byte, exp Expect) (*Artifact, error) {
 	// The signature is genuine; now the signed content must make sense and
 	// match this dispatch.
 	metaPayload := data[metaStart:metaEnd]
-	if crc32.ChecksumIEEE(metaPayload) != metaSum {
+	if framing.Checksum(metaPayload) != metaSum {
 		return refuse(RefusedCorrupt, "signed meta record fails its checksum")
 	}
 	var meta Meta
@@ -305,15 +294,6 @@ func VerifyArtifact(data []byte, exp Expect) (*Artifact, error) {
 		}
 	}
 	return &Artifact{Meta: meta, Journal: journal, Info: info}, nil
-}
-
-func equalPrefix(a, b []byte) bool {
-	for i := range a {
-		if i >= len(b) || a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sortedEqual(a, b []string) bool {

@@ -13,6 +13,7 @@ import (
 
 	"github.com/webdep/webdep/internal/checkpoint"
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/framing"
 	"github.com/webdep/webdep/internal/obs"
 )
 
@@ -64,7 +65,7 @@ func signedArtifact(t *testing.T, key []byte, meta Meta, journal []byte) []byte 
 func rawArtifact(key, metaJSON, journal []byte) []byte {
 	var buf bytes.Buffer
 	buf.Write(artifactMagic)
-	buf.Write(frame(metaJSON))
+	framing.Write(&buf, maxMetaBytes, metaJSON)
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(journal)))
 	buf.Write(lenBuf[:])

@@ -46,6 +46,7 @@ const (
 	outcomeMiss
 	outcomeCoalesced
 	outcomePanicked // a miss whose render panicked
+	outcomeRefused  // never reached the cache: counted only as the 5xx it is
 )
 
 // testHookBuild, when set, runs inside the building goroutine after the

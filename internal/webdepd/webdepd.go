@@ -9,9 +9,10 @@
 // cache hit does zero scoring, zero graph traversal, and zero JSON
 // encoding. Cold keys are built under singleflight coalescing — K
 // concurrent requests for the same cold key trigger exactly one render.
-// The cache is keyed off the corpus's scoring-index snapshot (the same
-// invalidation contract Corpus.Derived uses), so a mutated corpus can
-// never serve stale bytes.
+// A generation is immutable; the daemon checks that on every request
+// against the corpus's scoring-index snapshot (the invalidation contract
+// Corpus.Derived uses), so a corpus mutated underneath it is a loud 500,
+// never stale bytes.
 //
 // Epoch hot-swap: when the daemon is started over a store-generation root
 // (corpusstore.LatestGeneration's layout), POST /reload — or SIGHUP via
@@ -198,22 +199,32 @@ func (d *Daemon) Generation() (label string, swap int64) {
 // and its cache are released whole. Refused when the daemon serves a
 // fixed in-memory corpus.
 func (d *Daemon) Reload() (label string, err error) {
+	gen, err := d.reload()
+	if err != nil {
+		return "", err
+	}
+	return gen.label, nil
+}
+
+// reload is Reload handing back the generation it installed: whichever is
+// serving by the time the caller looks may be a concurrent reload's.
+func (d *Daemon) reload() (*generation, error) {
 	d.reloadMu.Lock()
 	defer d.reloadMu.Unlock()
 	if d.cfg.StoreRoot == "" {
 		d.m.reloadErr.Inc()
-		return "", fmt.Errorf("webdepd: daemon serves a fixed in-memory corpus; reload needs a store root")
+		return nil, fmt.Errorf("webdepd: daemon serves a fixed in-memory corpus; reload needs a store root")
 	}
 	sp := obs.StartSpan(d.m.reloadMS)
 	gen, err := d.loadGeneration(d.gen.Load().id + 1)
 	if err != nil {
 		d.m.reloadErr.Inc()
-		return "", err
+		return nil, err
 	}
 	d.gen.Store(gen)
 	sp.End()
 	d.m.reloads.Inc()
-	return gen.label, nil
+	return gen, nil
 }
 
 // loadGeneration resolves and loads the newest complete generation under
@@ -237,18 +248,16 @@ func (d *Daemon) loadGeneration(id int64) (*generation, error) {
 	return newGeneration(corpus, label, id), nil
 }
 
-// respond serves q from the generation's cache. The snapshot check is one
-// atomic pointer comparison: while the corpus is unmutated (always, in
-// production — generations are immutable) the pre-keyed cache answers.
-// If a test mutates the served corpus in place, the stale-keyed cache is
-// bypassed and responses re-key through Corpus.Derived on the corpus's
-// *current* snapshot, so mutation can delay but never corrupt an answer.
+// respond serves q from the generation's cache. Generations are immutable,
+// and the one atomic pointer comparison here holds them to it: a corpus
+// whose snapshot moved since the generation was built cannot be answered
+// from the cache keyed on the old snapshot, and is refused, uncached.
 func (d *Daemon) respond(g *generation, q Query) (*cacheEntry, cacheOutcome) {
-	if g.corpus.SnapshotKey() == g.snap {
-		return g.cache.get(g, q)
+	if g.corpus.SnapshotKey() != g.snap {
+		return &cacheEntry{err: &QueryError{Status: http.StatusInternalServerError,
+			Msg: "served corpus mutated: a generation is immutable, swap in a new one"}}, outcomeRefused
 	}
-	c := g.corpus.Derived("webdepd.responses", func() any { return newRespCache() }).(*respCache)
-	return c.get(g, q)
+	return g.cache.get(g, q)
 }
 
 // handleAPI is the query hot path. On a cache hit it does: one counter
@@ -315,15 +324,14 @@ func (d *Daemon) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &QueryError{Status: http.StatusMethodNotAllowed, Msg: "reload is POST-only"})
 		return
 	}
-	label, err := d.Reload()
+	g, err := d.reload()
 	if err != nil {
 		writeError(w, &QueryError{Status: http.StatusConflict, Msg: err.Error()})
 		return
 	}
-	g := d.gen.Load()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"generation": label,
+		"generation": g.label,
 		"epoch":      g.corpus.Epoch,
 		"swap":       g.id,
 	})

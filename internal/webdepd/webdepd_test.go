@@ -390,6 +390,51 @@ func TestReloadHotSwap(t *testing.T) {
 	}
 }
 
+// TestConcurrentReloadsReportOwnSwap: each POST /reload answers for the
+// generation that reload installed. Reloads serialize, so K concurrent ones
+// install swaps 1..K, and the K responses must name each exactly once — a
+// handler that re-read the serving generation after its reload returned
+// would report a later reload's swap id under its own label.
+func TestConcurrentReloadsReportOwnSwap(t *testing.T) {
+	root := t.TempDir()
+	if err := corpusstore.Save(root+"/gen-0001", worldCorpus(t, 31, 40, []string{"US", "DE"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, Config{StoreRoot: root})
+
+	const K = 8
+	swaps := make([]int64, K)
+	var wg sync.WaitGroup
+	for i := range swaps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post("http://"+d.Addr+"/reload", "", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var swapped struct {
+				Generation string `json:"generation"`
+				Swap       int64  `json:"swap"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&swapped); err != nil || swapped.Generation != "gen-0001" {
+				t.Errorf("reload answered %d %+v: %v", resp.StatusCode, swapped, err)
+			}
+			swaps[i] = swapped.Swap
+		}(i)
+	}
+	wg.Wait()
+	seen := map[int64]bool{}
+	for _, id := range swaps {
+		if id < 1 || id > K || seen[id] {
+			t.Fatalf("swap ids %v, want each of 1..%d once", swaps, K)
+		}
+		seen[id] = true
+	}
+}
+
 // TestReloadRaceHammer hammers queries against concurrent reloads under
 // the race detector: every response must be byte-identical to one of the
 // two generations' direct renders — never a blend, never torn.
@@ -484,35 +529,42 @@ func TestReloadRaceHammer(t *testing.T) {
 	}
 }
 
-// TestMutatedCorpusFallsBack pins the snapshot-keying: if the served
-// corpus is mutated in place (outside the daemon's own swap discipline),
-// the stale-keyed cache is bypassed and responses reflect the new data.
+// TestMutatedCorpusFallsBack pins the immutability contract from the
+// request side: if the served corpus is mutated in place (outside the
+// daemon's own swap discipline), the daemon falls back to refusing — a 500
+// naming the cause on every request, never cached, and never the bytes
+// rendered before the mutation.
 func TestMutatedCorpusFallsBack(t *testing.T) {
+	reg := obs.NewRegistry()
 	corpus := worldCorpus(t, 9, 60, []string{"US", "DE"})
-	d := startDaemon(t, Config{Corpus: corpus})
+	d := startDaemon(t, Config{Corpus: corpus, Obs: reg})
 
-	_, before := get(t, d, "/api/scores?layer=hosting")
-	var ls LayerScoresResponse
-	if err := json.Unmarshal(before, &ls); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ls.Scores["JP"]; ok {
-		t.Fatal("JP in corpus before mutation")
+	status, before := get(t, d, "/api/scores?layer=hosting")
+	if status != http.StatusOK {
+		t.Fatalf("pre-mutation: %d", status)
 	}
 
 	// Mutate the served corpus: a new country list lands in place.
 	jp := worldCorpus(t, 9, 60, []string{"JP"})
 	corpus.Add(jp.Lists["JP"])
 
-	status, after := get(t, d, "/api/scores?layer=hosting")
-	if status != http.StatusOK {
-		t.Fatalf("post-mutation: %d", status)
+	// A key rendered before the mutation, and a cold one, twice each.
+	for _, path := range []string{"/api/scores?layer=hosting", "/api/scores?layer=dns"} {
+		for i := 0; i < 2; i++ {
+			status, body := get(t, d, path)
+			if status != http.StatusInternalServerError || !strings.Contains(string(body), "served corpus mutated") {
+				t.Fatalf("%s after mutation: %d %s", path, status, body)
+			}
+			if bytes.Equal(body, before) {
+				t.Fatalf("%s served pre-mutation bytes", path)
+			}
+		}
 	}
-	if err := json.Unmarshal(after, &ls); err != nil {
-		t.Fatal(err)
+	if got := reg.Counter("webdepd.errors_5xx").Value(); got != 4 {
+		t.Errorf("webdepd.errors_5xx = %d, want 4", got)
 	}
-	if _, ok := ls.Scores["JP"]; !ok {
-		t.Error("mutated corpus still serving pre-mutation bytes")
+	if hits, misses := reg.Counter("webdepd.hits").Value(), reg.Counter("webdepd.misses").Value(); hits != 0 || misses != 1 {
+		t.Errorf("refusals moved the cache counters: hits %d, misses %d; want 0, 1", hits, misses)
 	}
 }
 
