@@ -93,9 +93,9 @@ const (
 	RefusedForeign RefusalKind = "foreign"
 	// RefusedCorrupt: the structure is intact and, where checkable, the
 	// signature verifies, yet the content does not parse — bad magic,
-	// trailing garbage, an undecodable meta, or an embedded journal the
-	// checkpoint scanner refuses. A signed-but-corrupt artifact means the
-	// vantage itself shipped damage.
+	// trailing garbage, an undecodable meta, or an embedded journal that
+	// checkpoint's journal walker (over a framing.Reader) refuses. A
+	// signed-but-corrupt artifact means the vantage itself shipped damage.
 	RefusedCorrupt RefusalKind = "corrupt"
 )
 
@@ -123,8 +123,8 @@ type Expect struct {
 }
 
 // Artifact is a verified artifact: the decoded meta, the embedded journal
-// bytes (ready for atomic admission to the merge directory), and what the
-// checkpoint scanner found in them.
+// bytes (ready for atomic admission to the merge directory), and what
+// checkpoint's journal walker found in them.
 type Artifact struct {
 	Meta    Meta
 	Journal []byte
@@ -177,10 +177,11 @@ func WriteArtifact(w io.Writer, key []byte, meta Meta, journalLen int64, journal
 // truncation is detected first (a cut-short transfer is transient and
 // worth re-fetching), then the HMAC over every preceding byte (constant
 // time; any mismatch is a forgery), then the signed identity (campaign,
-// worker, generation), and finally the embedded journal through the
-// checkpoint scanner — including that the journal's own shard descriptor
-// agrees with the signed meta, so a vantage cannot sign one identity
-// around a journal claiming another.
+// worker, generation), and finally the embedded journal through
+// checkpoint's journal walker (checkpoint.InspectBytes, the same walk over
+// a framing.Reader that Resume and StreamSites use) — including that the
+// journal's own shard descriptor agrees with the signed meta, so a vantage
+// cannot sign one identity around a journal claiming another.
 //
 // Every failure is a *RefusalError naming its kind.
 func VerifyArtifact(data []byte, exp Expect) (*Artifact, error) {

@@ -7,9 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"strconv"
-	"strings"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,7 +100,8 @@ func (f fieldCounters) observe(s dataset.FieldStatus) {
 // liveMetrics holds the crawl's hoisted instruments: per-field outcome
 // counters feeding the same classification as dataset.Coverage, per-site
 // crawl latency, and page-fetch latency (DNS and TLS latency live in the
-// resolver and scanner).
+// resolver and scanner). reused counts the fetch attempts that rode the CA
+// probe's connection instead of dialling their own.
 type liveMetrics struct {
 	host, ns, ca, lang fieldCounters
 	siteMS             *obs.Histogram
@@ -110,6 +109,7 @@ type liveMetrics struct {
 	httpMS             *obs.Histogram
 	fetches            *obs.Counter
 	fetchErrors        *obs.Counter
+	reused             *obs.Counter
 }
 
 func (l *Live) reg() *obs.Registry {
@@ -139,6 +139,7 @@ func (l *Live) m() *liveMetrics {
 			httpMS:      r.Timing("probe.http.ms"),
 			fetches:     r.Counter("probe.http.fetches"),
 			fetchErrors: r.Counter("probe.http.errors"),
+			reused:      r.Counter("probe.http.reused"),
 		}
 	})
 	return l.metrics
@@ -443,8 +444,10 @@ func (l *Live) crawlSite(ctx context.Context, cc, domain string, rank int) (data
 		}
 	}
 
-	// CA: real TLS handshake with SNI selecting the site.
-	if res, err := l.scanTLS(ctx, domain); err == nil {
+	// CA: real TLS handshake with SNI selecting the site. When a page fetch
+	// follows, the scan leaves its session open and the fetch owns it.
+	res, conn, err := l.scanTLS(ctx, domain)
+	if err == nil {
 		w.CAOwner = res.CAOwner
 		w.CAOwnerCountry = res.CAOwnerCountry
 		o.CA = dataset.StatusOK
@@ -453,7 +456,7 @@ func (l *Live) crawlSite(ctx context.Context, cc, domain string, rank int) (data
 	}
 
 	if l.DetectLanguage {
-		if body, err := l.fetchPage(ctx, domain); err == nil {
+		if body, err := l.fetchPage(ctx, conn, domain); err == nil {
 			w.Language = langid.Detect(body)
 			o.Language = dataset.StatusOK
 		} else {
@@ -464,50 +467,79 @@ func (l *Live) crawlSite(ctx context.Context, cc, domain string, rank int) (data
 }
 
 // scanTLS performs the CA probe, under the resilience policy when one is
-// configured (breaker kind "tls").
-func (l *Live) scanTLS(ctx context.Context, domain string) (*tlsscan.Result, error) {
-	if l.Resilience == nil {
-		return l.Scanner.ScanContext(ctx, l.TLSAddr, domain)
-	}
-	var res *tlsscan.Result
-	err := l.Resilience.Do(ctx, "tls", func(ctx context.Context) error {
-		var err error
-		res, err = l.Scanner.ScanContext(ctx, l.TLSAddr, domain)
+// configured (breaker kind "tls"). With DetectLanguage set it returns the
+// successful attempt's open connection, which the caller must hand to
+// fetchPage; otherwise, and on any error, conn is nil and already closed.
+func (l *Live) scanTLS(ctx context.Context, domain string) (res *tlsscan.Result, conn *tls.Conn, err error) {
+	scan := func(ctx context.Context) error {
+		res, conn, err = l.Scanner.ScanConn(ctx, l.TLSAddr, domain)
 		return err
-	})
-	return res, err
+	}
+	if l.Resilience == nil {
+		err = scan(ctx)
+	} else {
+		err = l.Resilience.Do(ctx, "tls", scan)
+	}
+	// Nothing follows the scan without DetectLanguage. And a caller who
+	// cancelled just as the handshake completed gets the policy's
+	// cancellation, not the attempt's success, so no fetch will follow.
+	if conn != nil && (err != nil || !l.DetectLanguage) {
+		conn.Close()
+		conn = nil
+	}
+	return res, conn, err
 }
 
 // fetchPage fetches the site's page body, under the resilience policy when
 // one is configured (breaker kind "http"). Server-side 5xx responses are
 // transient — the page may exist on retry — while other non-2xx statuses
-// are authoritative negatives.
-func (l *Live) fetchPage(ctx context.Context, domain string) (string, error) {
-	if l.Resilience == nil {
-		return l.fetchBodyObserved(ctx, domain)
-	}
-	var body string
-	err := l.Resilience.DoClassified(ctx, "http", httpClassify, func(ctx context.Context) error {
-		var err error
-		body, err = l.fetchBodyObserved(ctx, domain)
+// are authoritative negatives. kept is the session the CA probe left open,
+// or nil: the first attempt sends its request over it and a retry dials its
+// own, so a connection is never used twice. fetchPage owns kept and closes
+// it even when no attempt runs (open breaker, cancelled ctx).
+func (l *Live) fetchPage(ctx context.Context, kept *tls.Conn, domain string) (body string, err error) {
+	defer func() {
+		if kept != nil {
+			kept.Close()
+		}
+	}()
+	fetch := func(ctx context.Context) error {
+		conn := kept
+		kept = nil // fetchBodyObserved closes what it is given
+		body, err = l.fetchBodyObserved(ctx, conn, domain)
 		return err
-	})
+	}
+	if l.Resilience == nil {
+		err = fetch(ctx)
+	} else {
+		err = l.Resilience.DoClassified(ctx, "http", httpClassify, fetch)
+	}
 	return body, err
 }
 
-// fetchBodyObserved wraps fetchBody with the "probe.http.*" instruments;
-// under a resilience policy it runs once per attempt, so the fetch counter
-// matches the policy's attempt accounting for the "http" kind.
-func (l *Live) fetchBodyObserved(ctx context.Context, domain string) (string, error) {
+// fetchBodyObserved runs one fetch attempt with the "probe.http.*"
+// instruments, over conn when it is given one and over its own dial
+// otherwise; either way the connection is closed on return. Under a
+// resilience policy it runs once per attempt, so the fetch counter matches
+// the policy's attempt accounting for the "http" kind. A failed dial counts
+// as a failed fetch, and the dial's handshake is inside "probe.http.ms".
+func (l *Live) fetchBodyObserved(ctx context.Context, conn *tls.Conn, domain string) (body string, err error) {
 	m := l.m()
 	m.fetches.Inc()
 	sp := obs.StartSpan(m.httpMS)
-	body, err := fetchBody(ctx, l.TLSAddr, domain)
-	sp.End()
-	if err != nil {
-		m.fetchErrors.Inc()
+	defer func() {
+		sp.End()
+		if err != nil {
+			m.fetchErrors.Inc()
+		}
+	}()
+	if conn != nil {
+		m.reused.Inc()
+	} else if conn, err = l.Scanner.Dial(ctx, l.TLSAddr, domain); err != nil {
+		return "", err
 	}
-	return body, err
+	defer conn.Close()
+	return fetchBody(ctx, conn, domain)
 }
 
 // HTTPStatusError reports a non-2xx status from a page fetch.
@@ -531,30 +563,23 @@ func httpClassify(err error) resilience.Class {
 	return resilience.DefaultClassify(err)
 }
 
-// maxBodyBytes bounds how much of a response a page fetch will read; pages
-// beyond the cap are truncated, which is ample for language detection.
+// maxBodyBytes bounds how much of a page a fetch will keep; pages beyond
+// the cap are truncated, which is ample for language detection. Twice the
+// cap bounds what is read off the wire for it (headers, chunk framing), so
+// a hostile endpoint cannot grow either without limit.
 const maxBodyBytes = 1 << 20
 
-// fetchBody performs a minimal HTTPS GET against the endpoint with the
-// domain as SNI and Host, returning the response body. Non-2xx responses
-// are returned as *HTTPStatusError without reading the body — an error
-// page must not masquerade as site content downstream (e.g. language
-// detection). The read is bounded by maxBodyBytes and by ctx.
-func fetchBody(ctx context.Context, addr, domain string) (string, error) {
-	dialer := &tls.Dialer{
-		NetDialer: &net.Dialer{Timeout: 3 * time.Second},
-		Config: &tls.Config{
-			ServerName:         domain,
-			InsecureSkipVerify: true, // synthetic roots; CA labeling happens in the scanner
-			MinVersion:         tls.VersionTLS12,
-		},
-	}
-	nc, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
+// fetchBody sends a minimal GET with the domain as Host over an open TLS
+// session to the site and returns the decoded response body. Non-2xx
+// responses are returned as *HTTPStatusError without reading the body — an
+// error page must not masquerade as site content downstream (e.g. language
+// detection). A body that ends before its Content-Length or its last chunk
+// is an error, never a short page. The exchange is bounded by maxBodyBytes,
+// by 3 s and by ctx's deadline; the caller closes conn.
+func fetchBody(ctx context.Context, conn *tls.Conn, domain string) (string, error) {
+	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	conn := nc.(*tls.Conn)
-	defer conn.Close()
 	dl := time.Now().Add(3 * time.Second)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
 		dl = d
@@ -562,50 +587,21 @@ func fetchBody(ctx context.Context, addr, domain string) (string, error) {
 	if err := conn.SetDeadline(dl); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n", domain)
-	reader := bufio.NewReader(io.LimitReader(conn, maxBodyBytes))
-	status, err := reader.ReadString('\n')
+	if _, err := fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n", domain); err != nil {
+		return "", err
+	}
+	// resp.Body is not closed: closing would drain the rest of an over-long
+	// page, and the connection is closed by the caller anyway.
+	resp, err := http.ReadResponse(bufio.NewReader(io.LimitReader(conn, 2*maxBodyBytes)), nil)
 	if err != nil {
 		return "", err
 	}
-	code, err := parseStatus(status)
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		return "", &HTTPStatusError{Code: resp.StatusCode}
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return "", err
 	}
-	// Skip headers.
-	for {
-		line, err := reader.ReadString('\n')
-		if err != nil {
-			return "", err
-		}
-		if strings.TrimSpace(line) == "" {
-			break
-		}
-	}
-	if code < 200 || code >= 300 {
-		return "", &HTTPStatusError{Code: code}
-	}
-	var body strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := reader.Read(buf)
-		body.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	return body.String(), nil
-}
-
-// parseStatus extracts the status code from an HTTP/1.x status line.
-func parseStatus(line string) (int, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 || !strings.HasPrefix(fields[0], "HTTP/") {
-		return 0, fmt.Errorf("pipeline: malformed status line %q", strings.TrimSpace(line))
-	}
-	code, err := strconv.Atoi(fields[1])
-	if err != nil || code < 100 || code > 599 {
-		return 0, fmt.Errorf("pipeline: malformed status code in %q", strings.TrimSpace(line))
-	}
-	return code, nil
+	return string(body), nil
 }

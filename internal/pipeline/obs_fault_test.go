@@ -100,6 +100,21 @@ func TestObsCountersMatchResilienceUnderFaults(t *testing.T) {
 		t.Errorf("per-probe attempt counters sum to %d, policy ran %d attempts", probes, stats.Attempts)
 	}
 
+	// Connections close the same way: every scan dialled once, and so did
+	// every fetch attempt that did not ride the connection its site's scan
+	// kept; each of those dials either completed a handshake or was one of
+	// the connections the proxy dropped.
+	reused := r.Counter("probe.http.reused").Value()
+	dials := r.Counter("probe.tls.scans").Value() + r.Counter("probe.http.fetches").Value() - reused
+	handshakes, dropped := r.Counter("probe.tls.handshakes").Value(), int64(tlsProxy.Stats().TCPDropped)
+	if handshakes+dropped != dials {
+		t.Errorf("%d handshakes + %d dropped connections != %d dials (scans + fetches − %d reused)",
+			handshakes, dropped, dials, reused)
+	}
+	if reused == 0 {
+		t.Error("no fetch rode a kept connection; the dial cross-check would be vacuous")
+	}
+
 	// The crawl-level outcome counters must equal the corpus's coverage
 	// accounting field for field.
 	var sites, ok, empty, lost [4]int64

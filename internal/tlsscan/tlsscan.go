@@ -56,11 +56,13 @@ type Scanner struct {
 }
 
 // scanMetrics holds the hoisted per-scan instruments: handshake latency
-// plus scan/error counters.
+// plus scan/error counters, and the count of handshakes completed through
+// Dial — by a scan or by anyone else who needed a session to the site.
 type scanMetrics struct {
-	scanMS *obs.Histogram
-	scans  *obs.Counter
-	errors *obs.Counter
+	scanMS     *obs.Histogram
+	scans      *obs.Counter
+	errors     *obs.Counter
+	handshakes *obs.Counter
 }
 
 func (s *Scanner) m() *scanMetrics {
@@ -70,9 +72,10 @@ func (s *Scanner) m() *scanMetrics {
 			r = obs.Default()
 		}
 		s.metrics = &scanMetrics{
-			scanMS: r.Timing("probe.tls.ms"),
-			scans:  r.Counter("probe.tls.scans"),
-			errors: r.Counter("probe.tls.errors"),
+			scanMS:     r.Timing("probe.tls.ms"),
+			scans:      r.Counter("probe.tls.scans"),
+			errors:     r.Counter("probe.tls.errors"),
+			handshakes: r.Counter("probe.tls.handshakes"),
 		}
 	})
 	return s.metrics
@@ -92,7 +95,49 @@ func (s *Scanner) Scan(addr, serverName string) (*Result, error) {
 // ScanContext is Scan bounded by a context: cancelling ctx aborts the dial
 // and handshake, so crawl-level retry policies and cancellation propagate
 // into in-flight scans.
-func (s *Scanner) ScanContext(ctx context.Context, addr, serverName string) (res *Result, err error) {
+func (s *Scanner) ScanContext(ctx context.Context, addr, serverName string) (*Result, error) {
+	res, conn, err := s.ScanConn(ctx, addr, serverName)
+	if err != nil {
+		return nil, err
+	}
+	conn.Close()
+	return res, nil
+}
+
+// Dial connects to addr and completes a TLS handshake with the given SNI,
+// accepting whatever chain the site serves. It is the one place the live
+// path opens a TLS session, so "probe.tls.handshakes" counts every
+// completed client handshake whoever asked for it. Timeout bounds dial +
+// handshake; the context's expiry does not affect the returned connection.
+func (s *Scanner) Dial(ctx context.Context, addr, serverName string) (*tls.Conn, error) {
+	timeout := s.Timeout
+	if timeout <= 0 {
+		timeout = 3 * time.Second
+	}
+	conf := &tls.Config{
+		ServerName: serverName,
+		// The measurement must observe whatever certificate the site
+		// serves, trusted or not; verification, when requested, happens
+		// explicitly in ScanConn against the configured roots.
+		InsecureSkipVerify: true,
+		MinVersion:         tls.VersionTLS12,
+	}
+	dialer := &tls.Dialer{NetDialer: &net.Dialer{Timeout: timeout}, Config: conf}
+	nc, err := dialer.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("tlsscan: %s (sni %s): %w", addr, serverName, err)
+	}
+	s.m().handshakes.Inc()
+	return nc.(*tls.Conn), nil
+}
+
+// ScanConn is ScanContext that hands the open session back with the
+// result, so a caller with more to ask of the site (the crawl's page fetch)
+// does not pay a second handshake. The caller owns the connection and must
+// close it; on error the connection is already closed and nil. The
+// "probe.tls.ms" span covers dial, handshake and verification only — it
+// has ended by the time the caller can write a byte.
+func (s *Scanner) ScanConn(ctx context.Context, addr, serverName string) (res *Result, conn *tls.Conn, err error) {
 	m := s.m()
 	m.scans.Inc()
 	sp := obs.StartSpan(m.scanMS)
@@ -102,26 +147,20 @@ func (s *Scanner) ScanContext(ctx context.Context, addr, serverName string) (res
 			m.errors.Inc()
 		}
 	}()
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
-	conf := &tls.Config{
-		ServerName: serverName,
-		// The measurement must observe whatever certificate the site
-		// serves, trusted or not; verification, when requested, happens
-		// explicitly below against the configured roots.
-		InsecureSkipVerify: true,
-		MinVersion:         tls.VersionTLS12,
-	}
-	dialer := &tls.Dialer{NetDialer: &net.Dialer{Timeout: timeout}, Config: conf}
-	nc, err := dialer.DialContext(ctx, "tcp", addr)
+	conn, err = s.Dial(ctx, addr, serverName)
 	if err != nil {
-		return nil, fmt.Errorf("tlsscan: %s (sni %s): %w", addr, serverName, err)
+		return nil, nil, err
 	}
-	conn := nc.(*tls.Conn)
-	defer conn.Close()
-	state := conn.ConnectionState()
+	if res, err = s.label(conn.ConnectionState(), serverName); err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
+	return res, conn, nil
+}
+
+// label reads the peer chain off a completed handshake, verifies it when
+// Roots is set, and joins the leaf against the owner database.
+func (s *Scanner) label(state tls.ConnectionState, serverName string) (*Result, error) {
 	if len(state.PeerCertificates) == 0 {
 		return nil, ErrNoCertificate
 	}
@@ -141,7 +180,7 @@ func (s *Scanner) ScanContext(ctx context.Context, addr, serverName string) (res
 		}
 	}
 
-	res = &Result{
+	res := &Result{
 		Leaf:        leaf,
 		Version:     state.Version,
 		CipherSuite: state.CipherSuite,

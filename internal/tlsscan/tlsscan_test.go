@@ -4,11 +4,13 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/webdep/webdep/internal/capki"
+	"github.com/webdep/webdep/internal/obs"
 )
 
 // startTLSServer runs a minimal TLS listener presenting certs selected by
@@ -213,5 +215,92 @@ func TestScanContextCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v, want prompt abort", elapsed)
+	}
+}
+
+// TestScanConnHandsBackOpenSession: ScanConn labels like Scan and returns
+// the session still open — the server can be spoken to over it — while a
+// scan that fails verification closes the connection itself. Either way one
+// handshake is counted, and the scan's span has ended before the caller
+// gets to write.
+func TestScanConnHandsBackOpenSession(t *testing.T) {
+	ca, err := capki.NewAuthority("DigiCert", "US")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := ca.IssueLeaf("kept.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := tls.Listen("tcp", "127.0.0.1:0", &tls.Config{Certificates: []tls.Certificate{cert}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Each accepted connection echoes what it reads until the client closes,
+	// then reports how it ended.
+	ended := make(chan error, 2)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				_, err := io.Copy(c, c)
+				c.Close()
+				ended <- err
+			}()
+		}
+	}()
+
+	db := capki.NewOwnerDB()
+	db.RegisterAuthority(ca)
+	r := obs.NewRegistry()
+	scanner := New(db)
+	scanner.Obs = r
+
+	res, conn, err := scanner.ScanConn(context.Background(), ln.Addr().String(), "kept.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CAOwner != "DigiCert" {
+		t.Errorf("owner = %q", res.CAOwner)
+	}
+	if got := r.Timing("probe.tls.ms").Snapshot().Count; got != 1 {
+		t.Errorf("probe.tls.ms count = %d before the caller used the session, want 1", got)
+	}
+	if _, err := conn.Write([]byte("ping")); err != nil {
+		t.Fatalf("write over the kept session: %v", err)
+	}
+	buf := make([]byte, 4)
+	if _, err := io.ReadFull(conn, buf); err != nil || string(buf) != "ping" {
+		t.Fatalf("echo over the kept session = %q, %v", buf, err)
+	}
+	conn.Close()
+	if err := <-ended; err != nil {
+		t.Errorf("server saw the session end with %v, want a clean close", err)
+	}
+
+	other, err := capki.NewAuthority("Other", "US")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanner.Roots = x509.NewCertPool()
+	scanner.Roots.AddCert(other.Certificate())
+	if res, conn, err := scanner.ScanConn(context.Background(), ln.Addr().String(), "kept.example"); err == nil || conn != nil || res != nil {
+		t.Fatalf("ScanConn against a foreign root = %v, %v, %v; want only an error", res, conn, err)
+	}
+	select {
+	case <-ended: // the failed scan closed its own connection
+	case <-time.After(2 * time.Second):
+		t.Error("connection of the failed scan still open")
+	}
+	for name, want := range map[string]int64{
+		"probe.tls.scans": 2, "probe.tls.handshakes": 2, "probe.tls.errors": 1,
+	} {
+		if got := r.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
