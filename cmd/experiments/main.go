@@ -89,8 +89,8 @@ type experiment struct {
 	run  func() error
 }
 
-// harness lazily builds and caches the world, corpora, and classifications
-// shared by the experiments.
+// harness lazily builds and caches the world, corpora, classifications and
+// dependency graph shared by the experiments.
 type harness struct {
 	seed        int64
 	sites       int
@@ -104,6 +104,7 @@ type harness struct {
 	corpus  *dataset.Corpus
 	corpus2 *dataset.Corpus
 	class   map[countries.Layer]*classify.Result
+	graph   *depgraph.Graph
 }
 
 func newHarness(seed int64, sites int, geoErr bool, subset []string, workers int) *harness {
@@ -249,6 +250,17 @@ func (h *harness) getClass(layer countries.Layer) (*classify.Result, error) {
 	}
 	h.class[layer] = res
 	return res, nil
+}
+
+func (h *harness) getGraph() (*depgraph.Graph, error) {
+	if h.graph == nil {
+		corpus, err := h.getCorpus()
+		if err != nil {
+			return nil, err
+		}
+		h.graph = depgraph.Build(corpus, &depgraph.Options{Workers: h.workers})
+	}
+	return h.graph, nil
 }
 
 func (h *harness) fig1() error {
@@ -734,7 +746,7 @@ func (h *harness) topProviders() error {
 // the worst one failing — the blast-radius analysis the paper's
 // per-layer scores cannot express.
 func (h *harness) spof() error {
-	corpus, err := h.getCorpus()
+	g, err := h.getGraph()
 	if err != nil {
 		return err
 	}
@@ -742,7 +754,7 @@ func (h *harness) spof() error {
 	if err != nil {
 		return err
 	}
-	spofs := analysis.TopSPOFs(corpus, 10)
+	spofs := g.TopSPOFs(10)
 	report.SPOFTable(os.Stdout, "Top single points of failure (transitive blast radius)", spofs)
 	if len(spofs) == 0 {
 		return nil
@@ -751,7 +763,7 @@ func (h *harness) spof() error {
 	for _, s := range spofs {
 		fmt.Printf("  %-24s hosting class %s\n", s.Provider, cls.ClassOf(s.Provider))
 	}
-	imp, err := depgraph.FromCorpus(corpus).Simulate(spofs[0].Provider)
+	imp, err := g.Simulate(spofs[0].Provider)
 	if err != nil {
 		return err
 	}
@@ -769,7 +781,10 @@ func (h *harness) transitive() error {
 	if err != nil {
 		return err
 	}
-	g := depgraph.FromCorpus(corpus)
+	g, err := h.getGraph()
+	if err != nil {
+		return err
+	}
 	st := g.Stats()
 	fmt.Printf("provider graph: %d nodes, %d provider edges, %d site-edge columns, %d SCCs\n\n",
 		st.Nodes, st.ProviderEdges, st.SiteEdges, st.ClosureSCCs)
@@ -786,7 +801,7 @@ func (h *harness) transitive() error {
 		fmt.Printf("%-8s %10.4f %12.4f %+10.4f\n", layer, dm, tm, tm-dm)
 	}
 	fmt.Println()
-	rows := analysis.SortedTransitiveScores(corpus, countries.Hosting)
+	rows := analysis.SortedTransitiveScores(g, countries.Hosting)
 	fmt.Println("most transitively centralized in hosting:")
 	for i, row := range rows {
 		if i >= 10 {

@@ -400,7 +400,7 @@ func run(opts options) error {
 		printSummary(corpus.ScoreSet(), corpus.CoverageByCountry)
 	}
 	if opts.wantGraph() {
-		if err := blastRadius(depgraph.FromCorpus(corpus), opts); err != nil {
+		if err := blastRadius(depgraph.Build(corpus, &depgraph.Options{Workers: opts.Workers}), opts); err != nil {
 			return err
 		}
 	}
@@ -732,7 +732,7 @@ func runMerge(opts options) error {
 		printSummary(res.Corpus.ScoreSet(), res.Corpus.CoverageByCountry)
 	}
 	if opts.wantGraph() {
-		if err := blastRadius(depgraph.FromCorpus(res.Corpus), opts); err != nil {
+		if err := blastRadius(depgraph.Build(res.Corpus, &depgraph.Options{Workers: opts.Workers}), opts); err != nil {
 			return err
 		}
 	}
@@ -841,23 +841,29 @@ func runFromStore(opts options) error {
 	exportSpan.End()
 	fmt.Fprintf(os.Stderr, "wrote %d country files to %s\n", len(st.Countries()), outDir)
 
-	if opts.Summary {
-		ss, err := st.Score()
-		if err != nil {
-			return err
-		}
+	// Summary and graph both come from symbol-ID scans — the corpus is never
+	// materialized — and when both are asked for, from one scan.
+	var (
+		ss    *dataset.ScoreSet
+		g     *depgraph.Graph
+		gopts = &depgraph.Options{Workers: opts.Workers}
+	)
+	switch {
+	case opts.Summary && opts.wantGraph():
+		ss, g, err = depgraph.ScanStore(st, gopts)
+	case opts.Summary:
+		ss, err = st.Score()
+	case opts.wantGraph():
+		g, err = depgraph.FromStore(st, gopts)
+	}
+	if err != nil {
+		return err
+	}
+	if ss != nil {
 		printSummary(ss, st.Coverage())
 	}
-	if opts.wantGraph() {
-		// Build the graph by streaming the shards — like Score above, the
-		// corpus is never materialized.
-		g, err := depgraph.FromStore(st, &depgraph.Options{Workers: opts.Workers})
-		if err != nil {
-			return err
-		}
-		if err := blastRadius(g, opts); err != nil {
-			return err
-		}
+	if g != nil {
+		return blastRadius(g, opts)
 	}
 	return nil
 }

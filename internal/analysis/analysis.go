@@ -3,6 +3,12 @@
 // distributions, continent-dependence matrices, class correlations, the
 // longitudinal comparison, and the TLD study. The report package renders
 // these structures; the experiments command maps each to its table/figure.
+//
+// An analysis that is a function of the per-country provider counts takes a
+// dataset.Scored — a corpus or a store-scanned ScoreSet, it cannot tell
+// which. One that takes a *dataset.Corpus reads website rows (continents
+// of serving IPs, languages, the second epoch's lists) and says so by its
+// signature.
 package analysis
 
 import (
@@ -30,32 +36,32 @@ type CountryScore struct {
 
 // SortedScores returns per-country centralization for a layer, most
 // centralized first (the paper's Tables 5–8 and Figures 5/17–19).
-func SortedScores(corpus *dataset.Corpus, layer countries.Layer) []CountryScore {
-	return sortCountryValues(corpus.Scores(layer))
+func SortedScores(src dataset.Scored, layer countries.Layer) []CountryScore {
+	return sortCountryValues(src.ScoreSet().Scores(layer))
 }
 
 // SortedInsularity returns per-country insularity for a layer, most insular
 // first (Figures 13 and 20–22). The TLD layer uses ccTLD semantics: a
 // site is insular when its TLD's home country is the list's country (.com
 // counts as insular to the U.S.).
-func SortedInsularity(corpus *dataset.Corpus, layer countries.Layer) []CountryScore {
-	vals := Insularities(corpus, layer)
-	out := sortCountryValues(vals)
-	return out
+func SortedInsularity(src dataset.Scored, layer countries.Layer) []CountryScore {
+	return sortCountryValues(Insularities(src, layer))
 }
 
 // Insularities computes per-country insularity for any layer, handling the
 // TLD layer's ccTLD semantics. The TLD path reads the scoring index's
 // per-country TLD count columns — O(distinct TLDs) instead of O(sites),
 // with identical tallies since the per-TLD counts are exact integers.
-func Insularities(corpus *dataset.Corpus, layer countries.Layer) map[string]float64 {
+func Insularities(src dataset.Scored, layer countries.Layer) map[string]float64 {
+	ss := src.ScoreSet()
 	if layer != countries.TLD {
-		return corpus.Insularities(layer)
+		return ss.Insularities(layer)
 	}
-	out := make(map[string]float64, len(corpus.Lists))
-	for _, cc := range corpus.Countries() {
+	ccs := ss.Countries()
+	out := make(map[string]float64, len(ccs))
+	for _, cc := range ccs {
 		var ins core.Insularity
-		for _, ps := range corpus.DistributionOf(cc, countries.TLD).Ranked() {
+		for _, ps := range ss.DistributionOf(cc, countries.TLD).Ranked() {
 			ins.Total += ps.Count
 			if home := tldinfo.InsularTo(ps.Provider); home != "" && home == cc {
 				ins.Domestic += ps.Count
@@ -187,9 +193,10 @@ type LayerSummary struct {
 // SummarizeLayer computes the headline aggregates for one layer. Countries
 // are visited in sorted code order so ties for most/least centralized and
 // the floating-point reductions come out identical on every run.
-func SummarizeLayer(corpus *dataset.Corpus, layer countries.Layer) LayerSummary {
-	scores := corpus.Scores(layer)
-	ccs := corpus.Countries()
+func SummarizeLayer(src dataset.Scored, layer countries.Layer) LayerSummary {
+	ss := src.ScoreSet()
+	scores := ss.Scores(layer)
+	ccs := ss.Countries()
 	xs := make([]float64, 0, len(ccs))
 	sum := LayerSummary{Layer: layer, MostValue: -1, LeastValue: 2}
 	for _, cc := range ccs {
@@ -205,8 +212,8 @@ func SummarizeLayer(corpus *dataset.Corpus, layer countries.Layer) LayerSummary 
 	sum.Mean = stats.Mean(xs)
 	sum.Variance = stats.Variance(xs)
 	sum.Median = stats.Median(xs)
-	sum.GlobalTop = corpus.GlobalDistribution(layer).Score()
-	insularities := Insularities(corpus, layer)
+	sum.GlobalTop = ss.GlobalDistribution(layer).Score()
+	insularities := Insularities(ss, layer)
 	ins := make([]float64, 0, len(ccs))
 	for _, cc := range ccs {
 		ins = append(ins, insularities[cc])
@@ -215,14 +222,15 @@ func SummarizeLayer(corpus *dataset.Corpus, layer countries.Layer) LayerSummary 
 	return sum
 }
 
-// SummarizeLayers summarizes every layer of the corpus concurrently, one
-// pool slot per layer (the first summary to run builds the corpus's shared
-// scoring index; the rest read it). The slice follows the order of
-// countries.Layers and is identical to calling SummarizeLayer serially.
-func SummarizeLayers(corpus *dataset.Corpus) []LayerSummary {
+// SummarizeLayers summarizes every layer concurrently, one pool slot per
+// layer, over one scoring surface (a corpus builds its index here, once).
+// The slice follows the order of countries.Layers and is identical to
+// calling SummarizeLayer serially.
+func SummarizeLayers(src dataset.Scored) []LayerSummary {
+	ss := src.ScoreSet()
 	sums, err := parallel.Map(context.Background(), len(countries.Layers), len(countries.Layers),
 		func(_ context.Context, i int) (LayerSummary, error) {
-			return SummarizeLayer(corpus, countries.Layers[i]), nil
+			return SummarizeLayer(ss, countries.Layers[i]), nil
 		})
 	if err != nil {
 		// SummarizeLayer cannot fail and the context is never cancelled,
@@ -236,8 +244,8 @@ func SummarizeLayers(corpus *dataset.Corpus) []LayerSummary {
 
 // InsularityCDF returns the empirical CDF of a layer's insularity across
 // countries (Figure 11).
-func InsularityCDF(corpus *dataset.Corpus, layer countries.Layer) *stats.ECDF {
-	vals := Insularities(corpus, layer)
+func InsularityCDF(src dataset.Scored, layer countries.Layer) *stats.ECDF {
+	vals := Insularities(src, layer)
 	xs := make([]float64, 0, len(vals))
 	for _, v := range vals {
 		xs = append(xs, v)
@@ -247,12 +255,13 @@ func InsularityCDF(corpus *dataset.Corpus, layer countries.Layer) *stats.ECDF {
 
 // ScoreHistogram bins a layer's country scores (Figure 12) and returns the
 // Global-Top-10k marker value.
-func ScoreHistogram(corpus *dataset.Corpus, layer countries.Layer, bins int) (*stats.Histogram, float64) {
+func ScoreHistogram(src dataset.Scored, layer countries.Layer, bins int) (*stats.Histogram, float64) {
+	ss := src.ScoreSet()
 	h := stats.NewHistogram(0, 0.65, bins)
-	for _, v := range corpus.Scores(layer) {
+	for _, v := range ss.Scores(layer) {
 		h.Add(v)
 	}
-	return h, corpus.GlobalDistribution(layer).Score()
+	return h, ss.GlobalDistribution(layer).Score()
 }
 
 // DependenceBasis selects what Figure 8's dependence matrix is computed
@@ -343,9 +352,10 @@ type Correlation struct {
 // ClassCorrelations reproduces Section 5's correlation battery from a
 // hosting classification: XL-GP dominance vs 𝒮 (paper: 0.90), other L-GP
 // share vs 𝒮 (0.19), L-RP share vs 𝒮 (−0.72), and insularity vs 𝒮 (−0.61).
-func ClassCorrelations(corpus *dataset.Corpus, cls *classify.Result) ([]Correlation, error) {
-	scores := corpus.Scores(countries.Hosting)
-	ccs := corpus.Countries()
+func ClassCorrelations(src dataset.Scored, cls *classify.Result) ([]Correlation, error) {
+	ss := src.ScoreSet()
+	scores := ss.Scores(countries.Hosting)
+	ccs := ss.Countries()
 	scoreVec := make([]float64, len(ccs))
 	for i, cc := range ccs {
 		scoreVec[i] = scores[cc]
@@ -358,10 +368,10 @@ func ClassCorrelations(corpus *dataset.Corpus, cls *classify.Result) ([]Correlat
 		return out
 	}
 
-	xl := classify.ClassShares(corpus, countries.Hosting, cls, classify.XLGlobal)
-	lg := classify.ClassShares(corpus, countries.Hosting, cls, classify.LGlobal, classify.LGlobalRegion)
-	lr := classify.ClassShares(corpus, countries.Hosting, cls, classify.LRegional)
-	ins := Insularities(corpus, countries.Hosting)
+	xl := classify.ClassShares(ss, countries.Hosting, cls, classify.XLGlobal)
+	lg := classify.ClassShares(ss, countries.Hosting, cls, classify.LGlobal, classify.LGlobalRegion)
+	lr := classify.ClassShares(ss, countries.Hosting, cls, classify.LRegional)
+	ins := Insularities(ss, countries.Hosting)
 
 	specs := []struct {
 		label    string

@@ -2,31 +2,15 @@ package analysis
 
 import (
 	"github.com/webdep/webdep/internal/countries"
-	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/depgraph"
 )
-
-// This file is the analysis surface over the provider dependency graph:
-// ranked single-point-of-failure tables and transitive score tables in
-// the same CountryScore shape the rest of the report layer consumes.
-// All entry points go through depgraph.FromCorpus, so repeated calls
-// (the experiments suite renders several tables from one corpus) share
-// one cached graph build.
-
-// TopSPOFs returns the corpus's n worst single points of failure —
-// providers ranked by transitive blast radius across the hosting, DNS,
-// and CA layers. Ties order deterministically by provider symbol, then
-// name.
-func TopSPOFs(corpus *dataset.Corpus, n int) []depgraph.SPOF {
-	return depgraph.FromCorpus(corpus).TopSPOFs(n)
-}
 
 // SortedTransitiveScores returns per-country transitive centralization
 // for a modeled layer, most centralized first — the transitive
 // counterpart of SortedScores, on the same core.Distribution scoring
 // surface. Layers the graph does not model (TLD) return nil.
-func SortedTransitiveScores(corpus *dataset.Corpus, layer countries.Layer) []CountryScore {
-	vals := depgraph.FromCorpus(corpus).TransitiveScores(layer)
+func SortedTransitiveScores(g *depgraph.Graph, layer countries.Layer) []CountryScore {
+	vals := g.TransitiveScores(layer)
 	if vals == nil {
 		return nil
 	}

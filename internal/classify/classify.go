@@ -109,9 +109,11 @@ func DefaultOptions() Options {
 	return Options{MaxClustered: 600, Cluster: opts}
 }
 
-// Layer classifies the providers of one layer of a measured corpus.
-func Layer(corpus *dataset.Corpus, layer countries.Layer, opts Options) (*Result, error) {
-	curves := corpus.UsageCurves(layer)
+// Layer classifies the providers of one layer of a measured corpus, from
+// its scoring surface alone.
+func Layer(src dataset.Scored, layer countries.Layer, opts Options) (*Result, error) {
+	ss := src.ScoreSet()
+	curves := ss.UsageCurves(layer)
 	features := make([]ProviderFeatures, 0, len(curves))
 	for provider, curve := range curves {
 		features = append(features, ProviderFeatures{
@@ -127,7 +129,7 @@ func Layer(corpus *dataset.Corpus, layer countries.Layer, opts Options) (*Result
 		}
 		return features[i].Provider < features[j].Provider
 	})
-	return classifyFeatures(features, len(corpus.Lists), opts)
+	return classifyFeatures(features, len(ss.Countries()), opts)
 }
 
 func classifyFeatures(features []ProviderFeatures, numCountries int, opts Options) (*Result, error) {
@@ -259,17 +261,16 @@ func minMax(xs []float64) []float64 {
 // CountryBreakdown computes, for one country, the share of sites served by
 // each provider class — one bar of the paper's Figure 7/14/15. It rebuilds
 // the list's distribution per call; when the list belongs to a corpus,
-// CountryBreakdownIndexed reads the corpus's cached scoring index instead.
+// CountryBreakdownIndexed reads the scoring surface instead.
 func CountryBreakdown(list *dataset.CountryList, layer countries.Layer, res *Result) map[Class]float64 {
 	return breakdownOf(list.Distribution(layer), res)
 }
 
-// CountryBreakdownIndexed is CountryBreakdown over a corpus's scoring
-// index: no per-call corpus scan, just reads of the frozen per-country
-// distribution. It returns an empty breakdown for countries not in the
-// corpus.
-func CountryBreakdownIndexed(corpus *dataset.Corpus, cc string, layer countries.Layer, res *Result) map[Class]float64 {
-	dist := corpus.DistributionOf(cc, layer)
+// CountryBreakdownIndexed is CountryBreakdown over a scoring surface: no
+// per-call corpus scan, just reads of the frozen per-country distribution.
+// It returns an empty breakdown for countries the surface does not hold.
+func CountryBreakdownIndexed(src dataset.Scored, cc string, layer countries.Layer, res *Result) map[Class]float64 {
+	dist := src.ScoreSet().DistributionOf(cc, layer)
 	if dist == nil {
 		return make(map[Class]float64)
 	}
@@ -290,15 +291,17 @@ func breakdownOf(dist *core.Distribution, res *Result) map[Class]float64 {
 
 // ClassShares computes each country's total share on a set of providers
 // (used for the correlation experiments: XL-GP share vs 𝒮, etc.), reading
-// the corpus's scoring index.
-func ClassShares(corpus *dataset.Corpus, layer countries.Layer, res *Result, classes ...Class) map[string]float64 {
+// the scoring surface.
+func ClassShares(src dataset.Scored, layer countries.Layer, res *Result, classes ...Class) map[string]float64 {
+	ss := src.ScoreSet()
 	want := make(map[Class]bool, len(classes))
 	for _, c := range classes {
 		want[c] = true
 	}
-	out := make(map[string]float64, len(corpus.Lists))
-	for _, cc := range corpus.Countries() {
-		dist := corpus.DistributionOf(cc, layer)
+	ccs := ss.Countries()
+	out := make(map[string]float64, len(ccs))
+	for _, cc := range ccs {
+		dist := ss.DistributionOf(cc, layer)
 		total := dist.Total()
 		if total == 0 {
 			out[cc] = 0

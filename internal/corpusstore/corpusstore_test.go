@@ -154,7 +154,12 @@ func equalScoreSets(t *testing.T, streamed, mem *dataset.ScoreSet) {
 	}
 }
 
-// savedScore saves a corpus and scores it from disk.
+// savedScore saves a corpus and scores it from disk, twice: through Score,
+// and through a Scan whose every block goes to the country's tally and to
+// a second observer — the shape of depgraph.ScanStore, which this package
+// cannot import (depgraph's own store tests and TestGoldenSPOFThroughStore
+// hold the graph half). The second observer must see every row and must
+// not change what the tally sees.
 func savedScore(t *testing.T, c *dataset.Corpus, blockRows int) *dataset.ScoreSet {
 	t.Helper()
 	dir := t.TempDir()
@@ -168,6 +173,32 @@ func savedScore(t *testing.T, c *dataset.Corpus, blockRows int) *dataset.ScoreSe
 	streamed, err := st.Score()
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	ccs := st.Countries()
+	tallies, rows := make([]*dataset.CountryTally, len(ccs)), make([]int, len(ccs))
+	err = st.Scan(0, func(i int, cc string) func(*dataset.SymbolBlock) {
+		if cc != ccs[i] {
+			t.Errorf("Scan calls country %d %s, Countries() says %s", i, cc, ccs[i])
+		}
+		tallies[i] = dataset.NewCountryTally(cc)
+		return func(b *dataset.SymbolBlock) {
+			tallies[i].ObserveBlock(b)
+			rows[i] += b.Rows()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned, err := dataset.BuildScoreSet(tallies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalScoreSets(t, scanned, streamed)
+	for i, cc := range ccs {
+		if want := len(c.Get(cc).Sites); rows[i] != want {
+			t.Errorf("%s: Scan delivered %d rows, corpus holds %d", cc, rows[i], want)
+		}
 	}
 	return streamed
 }

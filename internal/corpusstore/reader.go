@@ -229,24 +229,34 @@ func (s *Store) Load() (*dataset.Corpus, error) {
 	return c, nil
 }
 
+// Scan decodes every shard once in symbol form: up to workers countries at
+// a time (0 means one per core), each country's blocks in stored order.
+// observe is called once per country — concurrently, i indexing Countries()
+// — and returns the function that country's blocks are handed to; whatever
+// it accumulates into must be private to the country. The block is reused
+// across calls, as in StreamSymbols.
+func (s *Store) Scan(workers int, observe func(i int, cc string) func(*dataset.SymbolBlock)) error {
+	ccs := s.Countries()
+	return parallel.ForEachIndexed(context.Background(), workers, len(ccs), func(_ context.Context, i int) error {
+		block := observe(i, ccs[i])
+		return s.StreamSymbols(ccs[i], func(b *dataset.SymbolBlock) error {
+			block(b)
+			return nil
+		})
+	})
+}
+
 // Score streams every shard's symbol columns into per-country tallies and
 // merges them into a ScoreSet — the same frozen surface an in-memory Corpus
 // exposes, with bit-identical numbers, while holding only one decoded
 // block per concurrent shard plus the tallies themselves.
 func (s *Store) Score() (*dataset.ScoreSet, error) {
 	sp := obs.StartSpan(s.m.scoreMS)
-	ccs := s.Countries()
-	tallies, err := parallel.Map(context.Background(), s.workers, len(ccs),
-		func(_ context.Context, i int) (*dataset.CountryTally, error) {
-			t := dataset.NewCountryTally(ccs[i])
-			if err := s.StreamSymbols(ccs[i], func(b *dataset.SymbolBlock) error {
-				t.ObserveBlock(b)
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			return t, nil
-		})
+	tallies := make([]*dataset.CountryTally, len(s.byCC))
+	err := s.Scan(s.workers, func(i int, cc string) func(*dataset.SymbolBlock) {
+		tallies[i] = dataset.NewCountryTally(cc)
+		return tallies[i].ObserveBlock
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,11 @@
 package corpusstore_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -12,12 +17,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/webdep/webdep/internal/analysis"
+	"github.com/webdep/webdep/internal/classify"
 	"github.com/webdep/webdep/internal/corpusstore"
 	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/depgraph"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/pipeline"
+	"github.com/webdep/webdep/internal/webdepd"
 	"github.com/webdep/webdep/internal/worldgen"
 )
 
@@ -70,6 +78,59 @@ func (hw *heapWatermark) peakMB() float64 {
 	return float64(hw.peak.Load()) / (1 << 20)
 }
 
+// scaleBudgetMB applies the scale gates' shared switches: skip unless
+// WEBDEP_SCALE_SMOKE is set, and read the heap budget.
+func scaleBudgetMB(t *testing.T) float64 {
+	t.Helper()
+	if os.Getenv("WEBDEP_SCALE_SMOKE") == "" {
+		t.Skip("set WEBDEP_SCALE_SMOKE=1 to run the million-site scale gates")
+	}
+	s := os.Getenv("WEBDEP_SCALE_BUDGET_MB")
+	if s == "" {
+		return scaleDefaultBudgetMB
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatalf("WEBDEP_SCALE_BUDGET_MB=%q: %v", s, err)
+	}
+	return v
+}
+
+// ingestScaleWorld generates the million-site world (every country the
+// paper models, 6700 sites each) as a shell and measures it into a fresh
+// store country by country, the way cmd/webdep does. Each gate ingests its
+// own: a store shared between tests would have to outlive the test that
+// wrote it, and the ingest is seconds.
+func ingestScaleWorld(t *testing.T, opts *corpusstore.Options) (dir string, ccs []string, sites int64) {
+	t.Helper()
+	ccs = countries.Codes()
+	w, err := worldgen.BuildShell(worldgen.Config{
+		Seed:               1,
+		SitesPerCountry:    scaleSitesPerCountry,
+		DomesticPerCountry: 40,
+		Countries:          ccs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites = int64(len(ccs)) * scaleSitesPerCountry
+	if sites < 1_000_000 {
+		t.Fatalf("world holds %d sites; the scale gate requires at least a million", sites)
+	}
+	dir = t.TempDir()
+	sw, err := corpusstore.Create(dir, w.Config.Epoch, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipeline.FromWorld(w).MeasureWorldToStore(w, sw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, ccs, sites
+}
+
 // TestScaleMillionSiteStore is the CI memory-budget scale gate: a
 // million-site world (every country the paper models, 6700 sites each) is
 // generated, enriched, and ingested into a store country by country, then
@@ -81,49 +142,11 @@ func (hw *heapWatermark) peakMB() float64 {
 //
 // Gated behind WEBDEP_SCALE_SMOKE=1: it runs minutes, not seconds.
 func TestScaleMillionSiteStore(t *testing.T) {
-	if os.Getenv("WEBDEP_SCALE_SMOKE") == "" {
-		t.Skip("set WEBDEP_SCALE_SMOKE=1 to run the million-site scale gate")
-	}
-	budgetMB := float64(scaleDefaultBudgetMB)
-	if s := os.Getenv("WEBDEP_SCALE_BUDGET_MB"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("WEBDEP_SCALE_BUDGET_MB=%q: %v", s, err)
-		}
-		budgetMB = v
-	}
-
-	ccs := countries.Codes()
-	w, err := worldgen.BuildShell(worldgen.Config{
-		Seed:               1,
-		SitesPerCountry:    scaleSitesPerCountry,
-		DomesticPerCountry: 40,
-		Countries:          ccs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSites := int64(len(ccs)) * scaleSitesPerCountry
-	if wantSites < 1_000_000 {
-		t.Fatalf("world holds %d sites; the scale gate requires at least a million", wantSites)
-	}
-
+	budgetMB := scaleBudgetMB(t)
 	hw := watchHeap()
-	dir := t.TempDir()
 	opts := &corpusstore.Options{Obs: obs.NewRegistry()}
-
 	start := time.Now()
-	sw, err := corpusstore.Create(dir, w.Config.Epoch, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pipeline.FromWorld(w)
-	if err := p.MeasureWorldToStore(w, sw); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir, ccs, wantSites := ingestScaleWorld(t, opts)
 	ingestDone := time.Now()
 
 	st, err := corpusstore.Open(dir, opts)
@@ -197,4 +220,179 @@ func TestScaleMillionSiteStore(t *testing.T) {
 		t.Fatalf("heap watermark %.1f MB exceeds the %.0f MB scale budget: the streaming path is materializing state it must not hold",
 			peakMB, budgetMB)
 	}
+}
+
+// TestScaleDaemonServesMillionSiteStore holds the serving path to the batch
+// path's memory bound: webdepd is started over the million-site store,
+// answers one query of every endpoint shape, and is reloaded while a
+// goroutine keeps querying — two generations alive at once — all under the
+// same heap watermark budget. A daemon that materialized the rows it serves
+// would hold gigabytes here. Every body must equal the direct render: the
+// exported response type filled from the store's separately pinned
+// streaming paths (Score, FromStore) and marshalled.
+func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
+	budgetMB := scaleBudgetMB(t)
+	dir, _, wantSites := ingestScaleWorld(t, &corpusstore.Options{Obs: obs.NewRegistry()})
+	st, err := corpusstore.Open(dir, &corpusstore.Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, label, err := corpusstore.LatestGeneration(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := directRenders(t, st, label, wantSites)
+	runtime.GC() // the watermark is the daemon's, not the reference's
+
+	hw := watchHeap()
+	start := time.Now()
+	d, err := webdepd.Start("127.0.0.1:0", webdepd.Config{StoreRoot: dir, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	started := time.Now()
+
+	fetch := func(path string) []byte {
+		resp, err := http.Get("http://" + d.Addr + path)
+		if err != nil {
+			t.Errorf("GET %s: %v", path, err)
+			return nil
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	check := func(path string) {
+		body := fetch(path)
+		for _, w := range want[path] {
+			if bytes.Equal(body, w) {
+				return
+			}
+		}
+		t.Errorf("%s: served bytes differ from the direct render\n got: %.200s\nwant: %.200s", path, body, want[path][0])
+	}
+	for path := range want {
+		check(path) // cold
+	}
+	served := time.Now()
+
+	// One reload with the old generation still answering: queries loop until
+	// the swap has happened and every path has been fetched again after it.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			for path := range want {
+				check(path)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	if _, err := d.Reload(); err != nil {
+		t.Errorf("reload: %v", err)
+	}
+	reloaded := time.Now()
+	close(stop)
+	<-done
+	for path := range want {
+		check(path) // the new generation, cold or warm
+	}
+	if _, swap := d.Generation(); swap != 1 {
+		t.Errorf("serving swap %d after one reload", swap)
+	}
+
+	peakMB := hw.peakMB()
+	t.Logf("daemon scale gate: %d sites; start %.1fs, %d cold queries %.1fs, reload under load %.1fs; heap watermark %.1f MB (budget %.0f MB)",
+		wantSites, started.Sub(start).Seconds(), len(want), served.Sub(started).Seconds(),
+		reloaded.Sub(served).Seconds(), peakMB, budgetMB)
+	if peakMB > budgetMB {
+		t.Fatalf("heap watermark %.1f MB exceeds the %.0f MB scale budget: the serving path is holding state that grows with the site count",
+			peakMB, budgetMB)
+	}
+}
+
+// directRenders computes what the daemon must answer, for one query of every
+// endpoint shape, without the daemon: the exported response types filled
+// from Store.Score and depgraph.FromStore and marshalled as the daemon
+// marshals. /api/epoch has one body per swap the test can observe.
+func directRenders(t *testing.T, st *corpusstore.Store, label string, sites int64) map[string][][]byte {
+	t.Helper()
+	ss, err := st.Score()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := depgraph.FromStore(st, &depgraph.Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	epoch, ccs := st.Epoch(), ss.Countries()
+	out := map[string][][]byte{}
+
+	all := webdepd.AllScoresResponse{Epoch: epoch, Layers: map[string]webdepd.LayerScores{}}
+	for _, l := range countries.Layers {
+		all.Layers[l.String()] = webdepd.LayerScores{Scores: ss.Scores(l), Insularity: analysis.Insularities(ss, l)}
+	}
+	out["/api/scores"] = [][]byte{body(all)}
+	out["/api/scores?layer=tld"] = [][]byte{body(webdepd.LayerScoresResponse{
+		Epoch: epoch, Layer: "tld", Scores: ss.Scores(countries.TLD), Insularity: analysis.Insularities(ss, countries.TLD),
+	})}
+
+	cc := ccs[len(ccs)/2]
+	one := webdepd.CountryScoreResponse{
+		Epoch: epoch, Layer: "dns", Country: cc, Of: len(ccs),
+		Score:      ss.Scores(countries.DNS)[cc],
+		Insularity: ss.Insularities(countries.DNS)[cc],
+	}
+	for i, row := range analysis.SortedScores(ss, countries.DNS) {
+		if row.Code == cc {
+			one.Rank = i + 1
+		}
+	}
+	out["/api/scores?layer=dns&country="+cc] = [][]byte{body(one)}
+	out["/api/rankcurve?layer=hosting&country="+cc] = [][]byte{body(webdepd.RankCurveResponse{
+		Epoch: epoch, Layer: "hosting", Country: cc, Curve: ss.DistributionOf(cc, countries.Hosting).RankCurve(),
+	})}
+	out["/api/coverage"] = [][]byte{body(webdepd.CoverageResponse{
+		Epoch: epoch, Countries: map[string]*dataset.Coverage{}, Degraded: []string{},
+	})}
+
+	res, err := classify.Layer(ss, countries.CA, classify.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := webdepd.ClassesResponse{Epoch: epoch, Layer: "ca", Counts: res.Counts(), Shares: map[string]map[classify.Class]float64{}}
+	for _, cc := range ccs {
+		classes.Shares[cc] = classify.CountryBreakdownIndexed(ss, cc, countries.CA, res)
+	}
+	out["/api/classes?layer=ca"] = [][]byte{body(classes)}
+
+	top := g.TopSPOFs(5)
+	out["/api/spof?n=5"] = [][]byte{body(webdepd.SPOFResponse{Epoch: epoch, Top: top})}
+	imp, err := g.Simulate(top[0].Provider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["/api/what-if?provider="+url.QueryEscape(top[0].Provider)] = [][]byte{body(webdepd.WhatIfResponse{Epoch: epoch, Impact: imp})}
+
+	for swap := int64(0); swap <= 1; swap++ {
+		out["/api/epoch"] = append(out["/api/epoch"], body(webdepd.EpochResponse{
+			Epoch: epoch, Generation: label, Swap: swap, Countries: len(ccs), Sites: int(sites),
+		}))
+	}
+	return out
 }

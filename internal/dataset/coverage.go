@@ -1,6 +1,9 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // FieldStatus classifies the outcome of one field's live probe. The paper's
 // metrics are computed over *observed* provider distributions, so a field
@@ -123,4 +126,17 @@ func (c *Coverage) Fraction() float64 {
 		}
 	}
 	return frac
+}
+
+// Degraded returns, in sorted order, the countries a coverage accounting
+// flags degraded; nil for an empty or nil accounting.
+func Degraded(byCountry map[string]*Coverage) []string {
+	var out []string
+	for cc, cov := range byCountry {
+		if cov.Degraded {
+			out = append(out, cc)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

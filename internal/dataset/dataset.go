@@ -206,16 +206,7 @@ func (c *Corpus) CoverageOf(country string) *Coverage {
 // DegradedCountries returns, in sorted order, the countries whose live
 // crawl was flagged degraded. Empty (not nil-panicking) for corpora without
 // coverage accounting.
-func (c *Corpus) DegradedCountries() []string {
-	var out []string
-	for cc, cov := range c.CoverageByCountry {
-		if cov.Degraded {
-			out = append(out, cc)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (c *Corpus) DegradedCountries() []string { return Degraded(c.CoverageByCountry) }
 
 // TotalSites returns the number of website rows across all lists.
 func (c *Corpus) TotalSites() int {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
@@ -80,24 +79,13 @@ type layerIndex struct {
 }
 
 // scoringIndex is the complete immutable index. After build it is only
-// ever read — except the derived-value cache, which is guarded by its own
-// mutex — which is what makes concurrent Scores/GlobalDistribution/
+// ever read, which is what makes concurrent Scores/GlobalDistribution/
 // UsageMatrix calls race-clean.
 type scoringIndex struct {
 	countries []string // sorted; aligned with layerIndex.cols
 	pos       map[string]int
 	providers *symtab
 	layers    [numLayers]layerIndex
-
-	// derived caches expensive structures computed FROM this index
-	// snapshot by other packages (the provider dependency graph in
-	// internal/depgraph). Keying the cache on the index — not the Corpus —
-	// gives derived values exactly the scoring index's lifetime: Add,
-	// SetCoverage, and InvalidateScoringIndex drop the index and the
-	// derived values with it, so a mutate-then-analyze sequence never
-	// reads a graph built from rows that no longer exist.
-	derivedMu sync.Mutex
-	derived   map[string]any
 }
 
 // index returns the corpus's scoring index, building it on first use.
@@ -122,39 +110,6 @@ func (c *Corpus) index() *scoringIndex {
 // this automatically; callers that mutate a CountryList's Sites slice in
 // place (tests, benchmarks) must call it themselves.
 func (c *Corpus) InvalidateScoringIndex() { c.scoring.Store(nil) }
-
-// SnapshotKey returns an opaque identity for the corpus's current
-// scoring-index snapshot: two calls return the same key exactly when no
-// invalidation (Add, SetCoverage, InvalidateScoringIndex) happened between
-// them, so a caller holding a structure derived from the corpus — a
-// rendered response cache, a serialized table — can check in one atomic
-// load whether that structure still describes the rows the corpus holds.
-// This is the same invalidation contract Derived keys its cache on; keys
-// are only comparable with ==, never inspected. Calling SnapshotKey builds
-// the index if no snapshot exists yet.
-func (c *Corpus) SnapshotKey() any { return c.index() }
-
-// Derived returns the value cached under key on the corpus's current
-// scoring-index snapshot, calling build exactly once per snapshot to
-// produce it. The cache has the scoring index's lifetime: Add,
-// SetCoverage, and InvalidateScoringIndex all drop it, so a derived
-// structure (such as the internal/depgraph provider graph) can never
-// outlive the rows it was computed from. build runs with the cache lock
-// held; it must not call Derived on the same corpus.
-func (c *Corpus) Derived(key string, build func() any) any {
-	idx := c.index()
-	idx.derivedMu.Lock()
-	defer idx.derivedMu.Unlock()
-	if v, ok := idx.derived[key]; ok {
-		return v
-	}
-	if idx.derived == nil {
-		idx.derived = make(map[string]any)
-	}
-	v := build()
-	idx.derived[key] = v
-	return v
-}
 
 // rawLayer is the per-worker extraction result for one (country, layer):
 // plain string-keyed counts (interning happens later, single-threaded, so

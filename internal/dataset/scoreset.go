@@ -57,6 +57,15 @@ type ScoreSet struct {
 	idx *scoringIndex
 }
 
+// Scored is what the score-only analyses take: anything that can hand out
+// its frozen scoring surface. A *Corpus does (its index, built on first
+// use) and so does a *ScoreSet itself, so one analysis body serves a
+// corpus in memory and a store scanned from disk.
+type Scored interface{ ScoreSet() *ScoreSet }
+
+// ScoreSet returns the set itself: a ScoreSet is Scored.
+func (s *ScoreSet) ScoreSet() *ScoreSet { return s }
+
 // ScoreSet returns the corpus's scoring surface, building the index on
 // first use. The returned set shares the corpus's cached index; it stays
 // valid (as a snapshot) even if the corpus is mutated afterwards.

@@ -200,21 +200,8 @@ func (t *Tally) fold() {
 	}
 }
 
-// FromCorpus returns the corpus's dependency graph, building it on first
-// use and caching it on the corpus's scoring-index snapshot: Add,
-// SetCoverage, and InvalidateScoringIndex drop the cached graph exactly
-// when they drop the cached scores, so a mutated corpus never serves a
-// stale graph.
-func FromCorpus(c *dataset.Corpus) *Graph {
-	return c.Derived("depgraph.graph", func() any {
-		return Build(c, &Options{Workers: c.Workers})
-	}).(*Graph)
-}
-
 // Build constructs the graph from an in-memory corpus in one parallel
 // pass over the rows (one tally per country) plus a deterministic merge.
-// Build does not consult or populate the corpus-level cache; use
-// FromCorpus for the cached path.
 func Build(c *dataset.Corpus, opts *Options) *Graph {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
@@ -250,21 +237,47 @@ func Build(c *dataset.Corpus, opts *Options) *Graph {
 // the only resident state, never the corpus or a row of it. The result is
 // bit-identical to Build over the materialized rows.
 func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
+	return scanStore(st, opts, nil)
+}
+
+// ScanStore is FromStore and Store.Score in one decode: every block feeds
+// the country's scoring tally and its graph tally, so a caller that wants
+// both surfaces — the serving daemon, -from-store -summary -spof — reads
+// the store once. Both results are bit-identical to the separate calls.
+func ScanStore(st *corpusstore.Store, opts *Options) (*dataset.ScoreSet, *Graph, error) {
+	scores := make([]*dataset.CountryTally, len(st.Countries()))
+	g, err := scanStore(st, opts, scores)
+	if err != nil {
+		return nil, nil, err
+	}
+	ss, err := dataset.BuildScoreSet(scores)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ss, g, nil
+}
+
+// scanStore builds the graph from one Store.Scan. A non-nil scores is
+// filled, aligned with st.Countries(), with scoring tallies fed from the
+// same blocks.
+func scanStore(st *corpusstore.Store, opts *Options, scores []*dataset.CountryTally) (*Graph, error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
 	sp := obs.StartSpan(m.buildMS)
-	ccs := st.Countries()
-	tallies, err := parallel.Map(context.Background(), opts.Workers, len(ccs),
-		func(_ context.Context, i int) (*Tally, error) {
-			t := NewTally(ccs[i])
-			if err := st.StreamSymbols(ccs[i], func(b *dataset.SymbolBlock) error {
-				t.ObserveBlock(b)
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			return t, nil
-		})
+	tallies := make([]*Tally, len(st.Countries()))
+	err := st.Scan(opts.Workers, func(i int, cc string) func(*dataset.SymbolBlock) {
+		t := NewTally(cc)
+		tallies[i] = t
+		if scores == nil {
+			return t.ObserveBlock
+		}
+		s := dataset.NewCountryTally(cc)
+		scores[i] = s
+		return func(b *dataset.SymbolBlock) {
+			s.ObserveBlock(b)
+			t.ObserveBlock(b)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}

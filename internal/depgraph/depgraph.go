@@ -31,9 +31,8 @@
 // distribution IS the direct distribution, bit for bit.
 //
 // A Graph is immutable after construction and safe for concurrent use;
-// only its stats counters mutate (atomically). FromCorpus caches the
-// graph on the corpus's scoring-index snapshot, so Add/SetCoverage
-// invalidate it exactly like the scores themselves.
+// only its stats counters mutate (atomically). A caller that needs the
+// graph more than once keeps the pointer; nothing caches it.
 package depgraph
 
 import (
@@ -214,22 +213,6 @@ func (g *Graph) DependsOn(provider string) []string {
 	out := make([]string, 0, len(g.edges[s]))
 	for _, q := range g.edges[s] {
 		out = append(out, g.names[q])
-	}
-	return out
-}
-
-// TransitiveDeps returns every provider reachable from the given one
-// (excluding itself) in symbol order. Unknown providers return nil.
-func (g *Graph) TransitiveDeps(provider string) []string {
-	s, ok := g.ids[provider]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, q := range g.closure[s].members() {
-		if q != s {
-			out = append(out, g.names[q])
-		}
 	}
 	return out
 }

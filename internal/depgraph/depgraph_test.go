@@ -3,9 +3,11 @@ package depgraph
 import (
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/webdep/webdep/internal/corpusstore"
+	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/pipeline"
@@ -186,27 +188,6 @@ func TestEdgePluralityTieBreak(t *testing.T) {
 	}
 }
 
-func TestFromCorpusCachesOnIndexSnapshot(t *testing.T) {
-	c := handCorpus(t, map[string][]dataset.Website{
-		"US": {site("HostA", "US", "DNSX", "US", "CAZ", "US")},
-	})
-	g1 := FromCorpus(c)
-	if g2 := FromCorpus(c); g2 != g1 {
-		t.Fatal("FromCorpus rebuilt the graph without a corpus mutation")
-	}
-	// Mutating the corpus must drop the cached graph with the scoring
-	// index.
-	c.Add(&dataset.CountryList{Country: "DE", Epoch: "test-epoch",
-		Sites: []dataset.Website{site("HostB", "DE", "DNSX", "US", "CAZ", "US")}})
-	g3 := FromCorpus(c)
-	if g3 == g1 {
-		t.Fatal("FromCorpus served a stale graph after Corpus.Add")
-	}
-	if len(g3.Countries()) != 2 {
-		t.Fatalf("rebuilt graph has countries %v", g3.Countries())
-	}
-}
-
 func TestWorkerCountAndTallyOrderInvariance(t *testing.T) {
 	corpus := worldCorpus(t, 11, 120, []string{"TH", "US", "DE", "IR", "JP"})
 	want := Build(corpus, &Options{Workers: 1, Obs: obs.NewRegistry()})
@@ -250,7 +231,37 @@ func TestFromStoreMatchesCorpusBuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromStore: %v", err)
 	}
-	equalGraphs(t, fromStore, Build(corpus, &Options{Obs: obs.NewRegistry()}))
+	want := Build(corpus, &Options{Obs: obs.NewRegistry()})
+	equalGraphs(t, fromStore, want)
+
+	// The combined scan feeds both tallies from one decode; neither may
+	// notice the other.
+	scores, scanned, err := ScanStore(st, &Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("ScanStore: %v", err)
+	}
+	equalGraphs(t, scanned, want)
+	equalScores(t, scores, corpus.ScoreSet())
+}
+
+// equalScores requires two scoring surfaces to agree bit for bit on what
+// the tallies produce: scores, insularities and the usage matrix.
+func equalScores(t *testing.T, got, want *dataset.ScoreSet) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Countries(), want.Countries()) {
+		t.Fatalf("scored countries %v, want %v", got.Countries(), want.Countries())
+	}
+	for _, layer := range countries.Layers {
+		if !reflect.DeepEqual(got.Scores(layer), want.Scores(layer)) {
+			t.Errorf("%v: scores differ", layer)
+		}
+		if !reflect.DeepEqual(got.Insularities(layer), want.Insularities(layer)) {
+			t.Errorf("%v: insularities differ", layer)
+		}
+		if !reflect.DeepEqual(got.UsageMatrix(layer), want.UsageMatrix(layer)) {
+			t.Errorf("%v: usage matrices differ", layer)
+		}
+	}
 }
 
 func TestSimulateUnknownProvider(t *testing.T) {

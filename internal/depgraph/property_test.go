@@ -139,7 +139,7 @@ func TestClosureIdempotence(t *testing.T) {
 
 func TestSimulateMatchesBruteForce(t *testing.T) {
 	corpus := worldCorpus(t, 7, 150, []string{"AU", "IN", "ZA", "CZ"})
-	g := FromCorpus(corpus)
+	g := Build(corpus, &Options{Obs: obs.NewRegistry()})
 	for p := uint32(0); p < uint32(g.Nodes()); p++ {
 		name := g.NameOf(p)
 		fast, err := g.Simulate(name)

@@ -38,7 +38,8 @@ func hostileCorpus(t *testing.T, seed int64) *dataset.Corpus {
 // of the graph tally's skip rules equal end to end: FromStore counts the
 // store's symbol IDs, Build reads Website strings, and the graphs must be
 // the same structure and give the same answers, compared as JSON. Blocks of
-// one row make every symbol arrive in a different block from the last.
+// one row make every symbol arrive in a different block from the last. The
+// combined scan is held to the same graph, and its scores to the corpus's.
 func TestFromStoreMatchesBuildOnHostileCorpora(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		corpus := hostileCorpus(t, seed)
@@ -57,6 +58,12 @@ func TestFromStoreMatchesBuildOnHostileCorpora(t *testing.T) {
 		}
 		want := Build(corpus, &Options{Obs: obs.NewRegistry()})
 		equalGraphs(t, got, want)
+		scores, scanned, err := ScanStore(st, &Options{Obs: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalGraphs(t, scanned, want)
+		equalScores(t, scores, corpus.ScoreSet())
 
 		answers := func(g *Graph) string {
 			type answer struct {

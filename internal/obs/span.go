@@ -29,13 +29,6 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// ObserveDuration records an already-measured duration in milliseconds.
-func ObserveDuration(h *Histogram, d time.Duration) {
-	if h != nil {
-		h.Observe(float64(d) / float64(time.Millisecond))
-	}
-}
-
 // Time runs fn under a span against the named timing histogram in r — the
 // convenience form for cold paths (CLI stages) where a registry lookup per
 // call is fine.

@@ -136,7 +136,7 @@ func compareSPOFFiles(t *testing.T, got *goldenSPOFFile, label string) {
 // extraction, edge inference, closure, or transitive scoring changed
 // behavior; regenerate with -update only if that change is intentional.
 func TestGoldenSPOF(t *testing.T) {
-	got := spofFileFrom(depgraph.FromCorpus(goldenCorpus(t, 0)))
+	got := spofFileFrom(depgraph.Build(goldenCorpus(t, 0), &depgraph.Options{Obs: obs.NewRegistry()}))
 
 	if *update {
 		buf, err := json.MarshalIndent(got, "", "  ")
@@ -159,7 +159,9 @@ func TestGoldenSPOF(t *testing.T) {
 // TestGoldenSPOFThroughStore holds the store-streamed graph build to the
 // SAME frozen fixture, never regenerated: the graph built by streaming
 // shards from an on-disk store must be indistinguishable from the graph
-// built from the materialized corpus.
+// built from the materialized corpus — alone (FromStore) or beside the
+// scoring tally in the combined scan the daemon loads through (ScanStore),
+// whose scores are held to the golden score file in the same breath.
 func TestGoldenSPOFThroughStore(t *testing.T) {
 	st := storeGolden(t, 0)
 	g, err := depgraph.FromStore(st, &depgraph.Options{Obs: obs.NewRegistry()})
@@ -167,6 +169,13 @@ func TestGoldenSPOFThroughStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareSPOFFiles(t, spofFileFrom(g), "store-streamed build")
+
+	ss, g, err := depgraph.ScanStore(st, &depgraph.Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSPOFFiles(t, spofFileFrom(g), "combined scan")
+	compareGoldenScores(t, ss, "combined scan")
 }
 
 // TestGoldenSPOFSimulateAudit is the acceptance gate for the what-if
@@ -175,7 +184,7 @@ func TestGoldenSPOFThroughStore(t *testing.T) {
 // removal-and-rescore for EVERY provider in the graph.
 func TestGoldenSPOFSimulateAudit(t *testing.T) {
 	corpus := goldenCorpus(t, 0)
-	g := depgraph.FromCorpus(corpus)
+	g := depgraph.Build(corpus, &depgraph.Options{Obs: obs.NewRegistry()})
 	for _, provider := range g.Providers() {
 		fast, err := g.Simulate(provider)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"github.com/webdep/webdep/internal/classify"
 	"github.com/webdep/webdep/internal/corpusstore"
 	"github.com/webdep/webdep/internal/countries"
+	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/worldgen"
 )
@@ -61,38 +62,16 @@ func TestGoldenCorpusThroughStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	buf, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want goldenFile
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-
 	if got := st.TotalSites(); got != int64(goldenSites*len(goldenCountries)) {
 		t.Fatalf("store holds %d sites, golden world has %d", got, goldenSites*len(goldenCountries))
 	}
-	for _, layer := range countries.Layers {
-		for cc, wantScore := range wantLayerScores(&want, layer) {
-			got := formatScore(ss.DistributionOf(cc, layer).Score())
-			if got != wantScore {
-				t.Errorf("store score drift: %s %v = %s, golden %s", cc, layer, got, wantScore)
-			}
-		}
-	}
-	if got, wantN := len(ss.Countries()), len(goldenCountries); got != wantN {
-		t.Fatalf("scored %d countries, want %d", got, wantN)
-	}
+	want := compareGoldenScores(t, ss, "store")
 
-	// Classification runs on a materialized corpus: Load must hand classify
-	// the exact rows, reproducing the frozen provider classes.
-	corpus, err := st.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Classification reads the streamed scoring surface, never a row: the
+	// usage curves it is computed from must reproduce the frozen provider
+	// classes.
 	for _, layer := range countries.Layers {
-		res, err := classify.Layer(corpus, layer, classify.DefaultOptions())
+		res, err := classify.Layer(ss, layer, classify.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,6 +83,32 @@ func TestGoldenCorpusThroughStore(t *testing.T) {
 			t.Errorf("provider classes through store drift from golden for %v", layer)
 		}
 	}
+}
+
+// compareGoldenScores holds a scoring surface to testdata/golden_scores.json,
+// un-regenerated, and returns the decoded file.
+func compareGoldenScores(t *testing.T, ss *dataset.ScoreSet, label string) *goldenFile {
+	t.Helper()
+	buf, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want goldenFile
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, layer := range countries.Layers {
+		for cc, wantScore := range wantLayerScores(&want, layer) {
+			got := formatScore(ss.DistributionOf(cc, layer).Score())
+			if got != wantScore {
+				t.Errorf("%s score drift: %s %v = %s, golden %s", label, cc, layer, got, wantScore)
+			}
+		}
+	}
+	if got, wantN := len(ss.Countries()), len(goldenCountries); got != wantN {
+		t.Fatalf("%s scored %d countries, want %d", label, got, wantN)
+	}
+	return &want
 }
 
 // wantLayerScores flattens the golden file's cc->layer->score map for one

@@ -222,16 +222,16 @@ func ClassTable(w io.Writer, title string, res *classify.Result) {
 
 // ClassBreakdown renders Figures 7/14/15: per-country class shares sorted
 // by centralization.
-func ClassBreakdown(w io.Writer, title string, corpus *dataset.Corpus, layer countries.Layer, res *classify.Result) {
+func ClassBreakdown(w io.Writer, title string, src dataset.Scored, layer countries.Layer, res *classify.Result) {
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(w, "%-4s %8s", "CC", "S")
 	for _, class := range classify.Order {
 		fmt.Fprintf(w, " %8s", class)
 	}
 	fmt.Fprintln(w)
-	rows := analysis.SortedScores(corpus, layer)
-	for _, row := range rows {
-		breakdown := classify.CountryBreakdownIndexed(corpus, row.Code, layer, res)
+	ss := src.ScoreSet()
+	for _, row := range analysis.SortedScores(ss, layer) {
+		breakdown := classify.CountryBreakdownIndexed(ss, row.Code, layer, res)
 		fmt.Fprintf(w, "%-4s %8.4f", row.Code, row.Value)
 		for _, class := range classify.Order {
 			fmt.Fprintf(w, " %7.1f%%", breakdown[class]*100)
@@ -293,7 +293,8 @@ func Longitudinal(w io.Writer, res *analysis.LongitudinalResult) {
 
 // RankCurves renders Figure 1: cumulative share by provider rank for a set
 // of countries.
-func RankCurves(w io.Writer, title string, corpus *dataset.Corpus, layer countries.Layer, ccs []string, maxRank int) {
+func RankCurves(w io.Writer, title string, src dataset.Scored, layer countries.Layer, ccs []string, maxRank int) {
+	ss := src.ScoreSet()
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(w, "%4s", "rank")
 	for _, cc := range ccs {
@@ -302,7 +303,7 @@ func RankCurves(w io.Writer, title string, corpus *dataset.Corpus, layer countri
 	fmt.Fprintln(w)
 	curves := make([][]float64, len(ccs))
 	for i, cc := range ccs {
-		curves[i] = corpus.DistributionOf(cc, layer).RankCurve()
+		curves[i] = ss.DistributionOf(cc, layer).RankCurve()
 	}
 	for r := 0; r < maxRank; r++ {
 		fmt.Fprintf(w, "%4d", r+1)

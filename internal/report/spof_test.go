@@ -5,14 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/webdep/webdep/internal/analysis"
 	"github.com/webdep/webdep/internal/depgraph"
 )
 
 func TestSPOFTable(t *testing.T) {
 	corpus := corpusForReport(t)
 	var buf bytes.Buffer
-	SPOFTable(&buf, "single points of failure", analysis.TopSPOFs(corpus, 5))
+	SPOFTable(&buf, "single points of failure", depgraph.Build(corpus, nil).TopSPOFs(5))
 	out := buf.String()
 	for _, want := range []string{"single points of failure", "Rank", "radius", "share"} {
 		if !strings.Contains(out, want) {
@@ -38,7 +37,7 @@ func TestSPOFTableEmpty(t *testing.T) {
 
 func TestImpactTable(t *testing.T) {
 	corpus := corpusForReport(t)
-	g := depgraph.FromCorpus(corpus)
+	g := depgraph.Build(corpus, nil)
 	worst := g.TopSPOFs(1)[0].Provider
 	imp, err := g.Simulate(worst)
 	if err != nil {

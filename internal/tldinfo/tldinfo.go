@@ -38,24 +38,6 @@ func (k Kind) String() string {
 	}
 }
 
-// gTLDs are well-known non-com global TLDs. Classification treats any TLD
-// that is neither .com nor a studied ccTLD as global (new-gTLD explosion),
-// matching the paper's coarse four-way split; this set exists so adopters
-// can distinguish legacy gTLDs from the long tail. Note that ccTLDs of
-// studied countries (e.g. .co for Colombia, .me for Montenegro) classify as
-// ccTLDs, taking precedence over their popular generic use.
-var gTLDs = map[string]bool{
-	"org": true, "net": true, "info": true, "biz": true, "edu": true,
-	"gov": true, "mil": true, "int": true, "io": true,
-	"tv": true, "cc": true, "app": true, "dev": true,
-	"xyz": true, "online": true, "site": true, "shop": true, "store": true,
-	"blog": true, "news": true, "live": true, "cloud": true, "ai": true,
-}
-
-// IsLegacyGTLD reports whether the TLD is one of the well-known global
-// TLDs listed above.
-func IsLegacyGTLD(tld string) bool { return gTLDs[strings.ToLower(tld)] }
-
 // ccTLDException maps ISO country codes whose ccTLD differs from the
 // lowercase ISO code. (Among the study's 150 countries only the United
 // Kingdom needs this: GB uses .uk.)

@@ -52,7 +52,7 @@ func BenchmarkCachedHitParallel(b *testing.B) {
 // these two benchmarks is the cache's entire value proposition.
 func BenchmarkColdRender(b *testing.B) {
 	corpus := worldCorpus(b, 42, 400, []string{"US", "DE", "JP", "IN", "BR", "FR"})
-	g := newGeneration(corpus, "memory", 0)
+	g := corpusGeneration(corpus, "memory", 0, 0)
 	q, qerr := ParseQuery("/api/scores", "layer=hosting")
 	if qerr != nil {
 		b.Fatal(qerr)

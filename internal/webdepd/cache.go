@@ -24,8 +24,9 @@ import (
 // channel is closed on every way out of the build, so a bug in one
 // renderer costs the requests that met it, never the key.
 type respCache struct {
-	mu      sync.Mutex // guards entry creation only; lookups are lock-free
-	entries sync.Map   // Query.Key() → *cacheEntry
+	render  func(Query) ([]byte, *QueryError) // the generation's renderer
+	mu      sync.Mutex                        // guards entry creation only; lookups are lock-free
+	entries sync.Map                          // Query.Key() → *cacheEntry
 }
 
 type cacheEntry struct {
@@ -46,23 +47,18 @@ const (
 	outcomeMiss
 	outcomeCoalesced
 	outcomePanicked // a miss whose render panicked
-	outcomeRefused  // never reached the cache: counted only as the 5xx it is
 )
 
-// testHookBuild, when set, runs inside the building goroutine after the
-// entry is published but before render is called. Tests use it to hold the
-// build open while concurrent requests pile onto the entry, and to panic in
-// render's place.
-var testHookBuild func(key string)
-
-func newRespCache() *respCache {
-	return &respCache{}
+// newRespCache returns an empty cache that fills cold keys by calling
+// render — a generation's, or a test's blocking or panicking stand-in.
+func newRespCache(render func(Query) ([]byte, *QueryError)) *respCache {
+	return &respCache{render: render}
 }
 
-// get returns the cache entry for q, rendering it against g at most once
-// per key no matter how many requests race on a cold cache. The returned
-// entry is complete: body and contentLength, or err, are set.
-func (c *respCache) get(g *generation, q Query) (*cacheEntry, cacheOutcome) {
+// get returns the cache entry for q, rendering it at most once per key no
+// matter how many requests race on a cold cache. The returned entry is
+// complete: body and contentLength, or err, are set.
+func (c *respCache) get(q Query) (*cacheEntry, cacheOutcome) {
 	key := q.Key()
 	if v, ok := c.entries.Load(key); ok {
 		return c.wait(v.(*cacheEntry), outcomeHit)
@@ -77,14 +73,14 @@ func (c *respCache) get(g *generation, q Query) (*cacheEntry, cacheOutcome) {
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries.Store(key, e)
 	c.mu.Unlock()
-	return e, c.build(g, q, key, e)
+	return e, c.build(q, key, e)
 }
 
 // build renders q into the published entry e and releases the requests
 // parked on it. An error — a panic included, which is logged with its stack
 // as net/http would have — is published to those requests, and the entry is
 // dropped so the error is never served from cache.
-func (c *respCache) build(g *generation, q Query, key string, e *cacheEntry) (outcome cacheOutcome) {
+func (c *respCache) build(q Query, key string, e *cacheEntry) (outcome cacheOutcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			log.Printf("webdepd: rendering %s panicked: %v\n%s", key, p, debug.Stack())
@@ -97,10 +93,7 @@ func (c *respCache) build(g *generation, q Query, key string, e *cacheEntry) (ou
 		}
 		close(e.ready)
 	}()
-	if testHookBuild != nil {
-		testHookBuild(key)
-	}
-	e.body, e.err = g.render(q)
+	e.body, e.err = c.render(q)
 	e.contentLength = []string{strconv.Itoa(len(e.body))}
 	return outcomeMiss
 }

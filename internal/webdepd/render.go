@@ -12,18 +12,19 @@ import (
 	"github.com/webdep/webdep/internal/depgraph"
 )
 
-// This file computes each endpoint's JSON body directly from the corpus —
-// the "slow path" the response cache runs exactly once per (generation,
-// query shape). Every render reads the scoring index (or the Derived
-// dependency graph), so the work a cache miss pays is the same work the
-// analysis/report packages do; the cross-check test serves each endpoint
-// over HTTP and re-renders from an independently measured corpus, and the
-// bytes must match.
+// This file computes each endpoint's JSON body from the generation's read
+// model — the "slow path" the response cache runs exactly once per
+// (generation, query shape). Every render reads the scoring surface or the
+// dependency graph through the same entry points the analysis/report
+// packages use; the cross-check test serves each endpoint over HTTP, from
+// an in-memory corpus and from a store, and re-renders from an
+// independently measured corpus, and the bytes must match.
 //
 // Determinism: bodies are produced by encoding/json over structs and
-// maps. Go marshals map keys in sorted order, and every float in the
-// corpus is a deterministic pure function of the rows (the golden-corpus
-// invariant), so one corpus renders one byte sequence.
+// maps. Go marshals map keys in sorted order, and every float in the read
+// model is a deterministic pure function of the rows (the golden-corpus
+// invariant), so one corpus renders one byte sequence whichever source it
+// was built from.
 
 // LayerScores is one layer's per-country metrics inside an all-layers
 // scores response.
@@ -117,7 +118,7 @@ type ErrorResponse struct {
 }
 
 // render computes the response body for a parsed query against this
-// generation's corpus. Errors are typed QueryErrors (unknown country or
+// generation's read model. Errors are typed QueryErrors (unknown country or
 // provider → 404; classification failure → 500) and are never cached.
 func (g *generation) render(q Query) ([]byte, *QueryError) {
 	switch q.Endpoint {
@@ -160,11 +161,11 @@ func marshal(v any) ([]byte, *QueryError) {
 }
 
 func (g *generation) renderAllScores() ([]byte, *QueryError) {
-	resp := AllScoresResponse{Epoch: g.corpus.Epoch, Layers: make(map[string]LayerScores, len(countries.Layers))}
+	resp := AllScoresResponse{Epoch: g.epoch, Layers: make(map[string]LayerScores, len(countries.Layers))}
 	for _, layer := range countries.Layers {
 		resp.Layers[layer.String()] = LayerScores{
-			Scores:     g.corpus.Scores(layer),
-			Insularity: analysis.Insularities(g.corpus, layer),
+			Scores:     g.scores.Scores(layer),
+			Insularity: analysis.Insularities(g.scores, layer),
 		}
 	}
 	return marshal(resp)
@@ -172,18 +173,18 @@ func (g *generation) renderAllScores() ([]byte, *QueryError) {
 
 func (g *generation) renderLayerScores(layer countries.Layer) ([]byte, *QueryError) {
 	return marshal(LayerScoresResponse{
-		Epoch:      g.corpus.Epoch,
+		Epoch:      g.epoch,
 		Layer:      layer.String(),
-		Scores:     g.corpus.Scores(layer),
-		Insularity: analysis.Insularities(g.corpus, layer),
+		Scores:     g.scores.Scores(layer),
+		Insularity: analysis.Insularities(g.scores, layer),
 	})
 }
 
 func (g *generation) renderCountryScore(layer countries.Layer, cc string) ([]byte, *QueryError) {
-	if g.corpus.Get(cc) == nil {
+	if g.scores.DistributionOf(cc, layer) == nil {
 		return nil, notFound("country %s is not in the served corpus", cc)
 	}
-	sorted := analysis.SortedScores(g.corpus, layer)
+	sorted := analysis.SortedScores(g.scores, layer)
 	rank := 0
 	for i := range sorted {
 		if sorted[i].Code == cc {
@@ -192,18 +193,18 @@ func (g *generation) renderCountryScore(layer countries.Layer, cc string) ([]byt
 		}
 	}
 	return marshal(CountryScoreResponse{
-		Epoch:      g.corpus.Epoch,
+		Epoch:      g.epoch,
 		Layer:      layer.String(),
 		Country:    cc,
-		Score:      g.corpus.Scores(layer)[cc],
-		Insularity: analysis.Insularities(g.corpus, layer)[cc],
+		Score:      g.scores.Scores(layer)[cc],
+		Insularity: analysis.Insularities(g.scores, layer)[cc],
 		Rank:       rank,
 		Of:         len(sorted),
 	})
 }
 
 func (g *generation) renderRankCurve(layer countries.Layer, cc string) ([]byte, *QueryError) {
-	dist := g.corpus.DistributionOf(cc, layer)
+	dist := g.scores.DistributionOf(cc, layer)
 	if dist == nil {
 		return nil, notFound("country %s is not in the served corpus", cc)
 	}
@@ -212,7 +213,7 @@ func (g *generation) renderRankCurve(layer countries.Layer, cc string) ([]byte, 
 		curve = []float64{}
 	}
 	return marshal(RankCurveResponse{
-		Epoch:   g.corpus.Epoch,
+		Epoch:   g.epoch,
 		Layer:   layer.String(),
 		Country: cc,
 		Curve:   curve,
@@ -220,11 +221,7 @@ func (g *generation) renderRankCurve(layer countries.Layer, cc string) ([]byte, 
 }
 
 func (g *generation) renderCoverage() ([]byte, *QueryError) {
-	resp := CoverageResponse{
-		Epoch:     g.corpus.Epoch,
-		Countries: g.corpus.CoverageByCountry,
-		Degraded:  g.corpus.DegradedCountries(),
-	}
+	resp := CoverageResponse{Epoch: g.epoch, Countries: g.coverage, Degraded: dataset.Degraded(g.coverage)}
 	if resp.Countries == nil {
 		resp.Countries = map[string]*dataset.Coverage{}
 	}
@@ -235,52 +232,46 @@ func (g *generation) renderCoverage() ([]byte, *QueryError) {
 }
 
 func (g *generation) renderClasses(layer countries.Layer) ([]byte, *QueryError) {
-	res, err := classify.Layer(g.corpus, layer, classify.DefaultOptions())
+	res, err := classify.Layer(g.scores, layer, classify.DefaultOptions())
 	if err != nil {
 		return nil, &QueryError{Status: http.StatusInternalServerError,
 			Msg: fmt.Sprintf("classifying %s providers: %v", layer, err)}
 	}
+	ccs := g.scores.Countries()
 	resp := ClassesResponse{
-		Epoch:  g.corpus.Epoch,
+		Epoch:  g.epoch,
 		Layer:  layer.String(),
 		Counts: res.Counts(),
-		Shares: make(map[string]map[classify.Class]float64, len(g.corpus.Lists)),
+		Shares: make(map[string]map[classify.Class]float64, len(ccs)),
 	}
-	for _, cc := range g.corpus.Countries() {
-		resp.Shares[cc] = classify.CountryBreakdownIndexed(g.corpus, cc, layer, res)
+	for _, cc := range ccs {
+		resp.Shares[cc] = classify.CountryBreakdownIndexed(g.scores, cc, layer, res)
 	}
 	return marshal(resp)
 }
 
-// graph returns the generation's provider dependency graph, built once per
-// scoring-index snapshot through Corpus.Derived (shared with the CLI's
-// -spof/-what-if path).
-func (g *generation) graph() *depgraph.Graph {
-	return depgraph.FromCorpus(g.corpus)
-}
-
 func (g *generation) renderSPOF(n int) ([]byte, *QueryError) {
-	top := g.graph().TopSPOFs(n)
+	top := g.graph.TopSPOFs(n)
 	if top == nil {
 		top = []depgraph.SPOF{}
 	}
-	return marshal(SPOFResponse{Epoch: g.corpus.Epoch, Top: top})
+	return marshal(SPOFResponse{Epoch: g.epoch, Top: top})
 }
 
 func (g *generation) renderWhatIf(provider string) ([]byte, *QueryError) {
-	imp, err := g.graph().Simulate(provider)
+	imp, err := g.graph.Simulate(provider)
 	if err != nil {
 		return nil, notFound("%v", err)
 	}
-	return marshal(WhatIfResponse{Epoch: g.corpus.Epoch, Impact: imp})
+	return marshal(WhatIfResponse{Epoch: g.epoch, Impact: imp})
 }
 
 func (g *generation) renderEpoch() ([]byte, *QueryError) {
 	return marshal(EpochResponse{
-		Epoch:      g.corpus.Epoch,
+		Epoch:      g.epoch,
 		Generation: g.label,
 		Swap:       g.id,
-		Countries:  len(g.corpus.Lists),
-		Sites:      g.corpus.TotalSites(),
+		Countries:  len(g.scores.Countries()),
+		Sites:      g.sites,
 	})
 }

@@ -1,25 +1,34 @@
 // Package webdepd is the score-query daemon: an HTTP server answering
 // per-country dependence questions — centralization scores, rank curves,
 // coverage, provider-class shares, SPOF rankings, what-if simulations —
-// over a loaded corpus, at a throughput far beyond re-scoring per request.
+// over a measured corpus, at a throughput far beyond re-scoring per request.
+//
+// The daemon never holds a website row. Every number it serves is a
+// function of per-(country, layer) provider counts, so a generation is a
+// read model of exactly that: the frozen scoring surface
+// (dataset.ScoreSet), the provider dependency graph, the coverage
+// accounting and the site count. A store is turned into one by a single
+// symbol-ID scan feeding both tallies (depgraph.ScanStore); an in-memory
+// corpus by its scoring index and depgraph.Build, once, at Start. The
+// renderers have one code path and cannot tell which source it was, and
+// the resident set is O(providers × countries), not O(sites).
 //
 // The perf core is a pre-serialized response cache. Every endpoint's JSON
-// body is a pure function of the corpus, so it is rendered to bytes once
-// per (corpus generation, query shape) and served verbatim after that: a
+// body is a pure function of the generation, so it is rendered to bytes
+// once per (generation, query shape) and served verbatim after that: a
 // cache hit does zero scoring, zero graph traversal, and zero JSON
 // encoding. Cold keys are built under singleflight coalescing — K
 // concurrent requests for the same cold key trigger exactly one render.
-// A generation is immutable; the daemon checks that on every request
-// against the corpus's scoring-index snapshot (the invalidation contract
-// Corpus.Derived uses), so a corpus mutated underneath it is a loud 500,
-// never stale bytes.
+// A generation is immutable by construction: it points at nothing a caller
+// can mutate (the scoring surface is a frozen snapshot, the coverage map a
+// private copy), so there is nothing to check per request.
 //
 // Epoch hot-swap: when the daemon is started over a store-generation root
 // (corpusstore.LatestGeneration's layout), POST /reload — or SIGHUP via
-// the CLI — loads the newest complete generation, builds a fresh
+// the CLI — scans the newest complete generation, builds a fresh
 // generation value, and swaps one atomic pointer. In-flight requests
-// finish on the snapshot they loaded; new requests see the new corpus;
-// the old generation's corpus, index, and cache are dropped whole and
+// finish on the snapshot they loaded; new requests see the new epoch;
+// the old generation's read model and cache are dropped whole and
 // garbage-collected. There is no torn state: a response is always
 // entirely from one generation.
 package webdepd
@@ -36,6 +45,7 @@ import (
 
 	"github.com/webdep/webdep/internal/corpusstore"
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/depgraph"
 	"github.com/webdep/webdep/internal/obs"
 )
 
@@ -44,7 +54,9 @@ import (
 // serves the newest complete store generation under the root and enables
 // hot reloads.
 type Config struct {
-	// Corpus is an in-memory corpus to serve as the single generation.
+	// Corpus is an in-memory corpus to serve as the single generation. Start
+	// takes what it needs from it and keeps no reference: the corpus stays
+	// the caller's to mutate, and the daemon keeps serving what it saw.
 	Corpus *dataset.Corpus
 
 	// StoreRoot is a generation root (or bare store directory); the
@@ -58,22 +70,39 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// generation is one immutable serving epoch: a corpus, its response
-// cache, and the scoring-index snapshot the cache is valid for. The
-// daemon swaps whole generations atomically and never mutates one.
+// generation is one immutable serving epoch: the read model every renderer
+// queries and its response cache, complete before the daemon's pointer
+// swap. Nothing in it is reachable from outside the daemon, and nothing
+// after construction writes to it.
 type generation struct {
-	corpus *dataset.Corpus
-	id     int64  // swap counter: 0 for the initial load, +1 per reload
-	label  string // store generation name, or "memory" for Config.Corpus
-	cache  *respCache
-	snap   any // corpus.SnapshotKey() captured when the generation was built
+	id       int64  // swap counter: 0 for the initial load, +1 per reload
+	label    string // store generation name, or "memory" for Config.Corpus
+	epoch    string
+	scores   *dataset.ScoreSet
+	graph    *depgraph.Graph
+	coverage map[string]*dataset.Coverage // the generation's own; nil when the source carried none
+	sites    int
+	cache    *respCache
 }
 
-// newGeneration wraps a loaded corpus for serving. Capturing SnapshotKey
-// here forces the scoring index to build once, eagerly, so the first
-// request pays only its own render.
-func newGeneration(c *dataset.Corpus, label string, id int64) *generation {
-	return &generation{corpus: c, label: label, id: id, cache: newRespCache(), snap: c.SnapshotKey()}
+// corpusGeneration snapshots an in-memory corpus. The scoring surface and
+// the graph are frozen copies by construction; the coverage map is mutated
+// in place by SetCoverage, and its values by a crawl still running, so both
+// are copied.
+func corpusGeneration(c *dataset.Corpus, label string, id int64, workers int) *generation {
+	g := &generation{
+		id: id, label: label, epoch: c.Epoch,
+		scores:   c.ScoreSet(),
+		graph:    depgraph.Build(c, &depgraph.Options{Workers: workers}),
+		coverage: make(map[string]*dataset.Coverage, len(c.CoverageByCountry)),
+		sites:    c.TotalSites(),
+	}
+	for cc, cov := range c.CoverageByCountry {
+		own := *cov
+		g.coverage[cc] = &own
+	}
+	g.cache = newRespCache(g.render)
+	return g
 }
 
 // metrics holds the daemon's SLO surfaces, pre-resolved so the hit path
@@ -120,13 +149,14 @@ type Daemon struct {
 	// Addr is the address actually listening — useful with port 0.
 	Addr string
 
-	cfg      Config
-	gen      atomic.Pointer[generation]
-	reloadMu sync.Mutex // serializes Reload; requests never take it
-	m        *metrics
-	mux      *http.ServeMux
-	srv      *http.Server
-	ln       net.Listener
+	storeRoot string // "" when serving a fixed in-memory corpus
+	workers   int
+	gen       atomic.Pointer[generation]
+	reloadMu  sync.Mutex // serializes Reload; requests never take it
+	m         *metrics
+	mux       *http.ServeMux
+	srv       *http.Server
+	ln        net.Listener
 }
 
 // Handler exposes the daemon's full HTTP handler for in-process drivers
@@ -143,14 +173,11 @@ func Start(addr string, cfg Config) (*Daemon, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	d := &Daemon{cfg: cfg, m: newMetrics(reg)}
+	d := &Daemon{storeRoot: cfg.StoreRoot, workers: cfg.Workers, m: newMetrics(reg)}
 
 	var gen *generation
 	if cfg.Corpus != nil {
-		if cfg.Workers > 0 {
-			cfg.Corpus.Workers = cfg.Workers
-		}
-		gen = newGeneration(cfg.Corpus, "memory", 0)
+		gen = corpusGeneration(cfg.Corpus, "memory", 0, cfg.Workers)
 	} else {
 		var err error
 		if gen, err = d.loadGeneration(0); err != nil {
@@ -194,9 +221,9 @@ func (d *Daemon) Generation() (label string, swap int64) {
 	return g.label, g.id
 }
 
-// Reload loads the newest complete store generation and atomically swaps
-// it in. In-flight requests finish on the old generation; the old corpus
-// and its cache are released whole. Refused when the daemon serves a
+// Reload scans the newest complete store generation and atomically swaps
+// it in. In-flight requests finish on the old generation; the old read
+// model and its cache are released whole. Refused when the daemon serves a
 // fixed in-memory corpus.
 func (d *Daemon) Reload() (label string, err error) {
 	gen, err := d.reload()
@@ -211,7 +238,7 @@ func (d *Daemon) Reload() (label string, err error) {
 func (d *Daemon) reload() (*generation, error) {
 	d.reloadMu.Lock()
 	defer d.reloadMu.Unlock()
-	if d.cfg.StoreRoot == "" {
+	if d.storeRoot == "" {
 		d.m.reloadErr.Inc()
 		return nil, fmt.Errorf("webdepd: daemon serves a fixed in-memory corpus; reload needs a store root")
 	}
@@ -227,37 +254,31 @@ func (d *Daemon) reload() (*generation, error) {
 	return gen, nil
 }
 
-// loadGeneration resolves and loads the newest complete generation under
-// the store root.
+// loadGeneration resolves the newest complete generation under the store
+// root and scans it, once, into both surfaces. The manifest's coverage map
+// is immutable after Open and its row counts are cross-checked against the
+// decoded rows by the scan, so both are used as they are.
 func (d *Daemon) loadGeneration(id int64) (*generation, error) {
-	dir, label, err := corpusstore.LatestGeneration(d.cfg.StoreRoot)
+	dir, label, err := corpusstore.LatestGeneration(d.storeRoot)
 	if err != nil {
 		return nil, err
 	}
-	st, err := corpusstore.Open(dir, &corpusstore.Options{Workers: d.cfg.Workers})
+	st, err := corpusstore.Open(dir, &corpusstore.Options{Workers: d.workers})
 	if err != nil {
 		return nil, err
 	}
-	corpus, err := st.Load()
+	scores, graph, err := depgraph.ScanStore(st, &depgraph.Options{Workers: d.workers})
 	if err != nil {
 		return nil, err
 	}
-	if d.cfg.Workers > 0 {
-		corpus.Workers = d.cfg.Workers
+	g := &generation{
+		id: id, label: label, epoch: st.Epoch(),
+		scores: scores, graph: graph,
+		coverage: st.Coverage(),
+		sites:    int(st.TotalSites()),
 	}
-	return newGeneration(corpus, label, id), nil
-}
-
-// respond serves q from the generation's cache. Generations are immutable,
-// and the one atomic pointer comparison here holds them to it: a corpus
-// whose snapshot moved since the generation was built cannot be answered
-// from the cache keyed on the old snapshot, and is refused, uncached.
-func (d *Daemon) respond(g *generation, q Query) (*cacheEntry, cacheOutcome) {
-	if g.corpus.SnapshotKey() != g.snap {
-		return &cacheEntry{err: &QueryError{Status: http.StatusInternalServerError,
-			Msg: "served corpus mutated: a generation is immutable, swap in a new one"}}, outcomeRefused
-	}
-	return g.cache.get(g, q)
+	g.cache = newRespCache(g.render)
+	return g, nil
 }
 
 // handleAPI is the query hot path. On a cache hit it does: one counter
@@ -283,7 +304,7 @@ func (d *Daemon) handleAPI(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := obs.StartSpan(d.m.endpoint[q.Endpoint])
-	e, outcome := d.respond(d.gen.Load(), q)
+	e, outcome := d.gen.Load().cache.get(q)
 	sp.End()
 	switch outcome {
 	case outcomeHit:
@@ -332,7 +353,7 @@ func (d *Daemon) handleReload(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"generation": g.label,
-		"epoch":      g.corpus.Epoch,
+		"epoch":      g.epoch,
 		"swap":       g.id,
 	})
 }

@@ -84,53 +84,67 @@ func crossCheckQueries() []string {
 	return qs
 }
 
+// parsePath parses a request path as the daemon's handler would.
+func parsePath(t testing.TB, path string) Query {
+	t.Helper()
+	endpoint, rawQuery, _ := strings.Cut(path, "?")
+	q, qerr := ParseQuery(endpoint, rawQuery)
+	if qerr != nil {
+		t.Fatalf("%s: parse: %v", path, qerr)
+	}
+	return q
+}
+
 // TestEndpointsCrossCheck pins the daemon's correctness contract: every
 // endpoint's HTTP bytes must be identical to rendering the same query
 // against an independently measured corpus — the cache can never change
-// what is served, only how fast.
+// what is served, only how fast — whichever source the daemon was started
+// over. The store leg is the gate that the read model one Store.Scan builds
+// (symbol IDs, both tallies from one decode) is the one built from rows:
+// its reference never touches a store.
 func TestEndpointsCrossCheck(t *testing.T) {
-	corpus := worldCorpus(t, 7, 150, testCCs)
-	d := startDaemon(t, Config{Corpus: corpus})
-
-	// An independent measurement of the same world, rendered directly
-	// with no daemon and no cache in the loop.
-	independent := newGeneration(worldCorpus(t, 7, 150, testCCs), "memory", 0)
-
-	for _, path := range crossCheckQueries() {
-		u := strings.TrimPrefix(path, "/api/")
-		q, qerr := ParseQuery("/api/"+strings.Split(u, "?")[0], urlQuery(path))
-		if qerr != nil {
-			t.Fatalf("%s: parse: %v", path, qerr)
-		}
-		want, qerr := independent.render(q)
-		if qerr != nil {
-			t.Fatalf("%s: direct render: %v", path, qerr)
-		}
-		// Twice: once cold (miss), once hot (hit) — same bytes both times.
-		for pass := 0; pass < 2; pass++ {
-			status, body := get(t, d, path)
-			if status != http.StatusOK {
-				t.Fatalf("%s pass %d: status %d: %s", path, pass, status, body)
-			}
-			if !bytes.Equal(body, want) {
-				t.Errorf("%s pass %d: served bytes differ from direct render\n got: %.200s\nwant: %.200s", path, pass, body, want)
-			}
-			if !json.Valid(body) {
-				t.Errorf("%s: response is not valid JSON", path)
-			}
-		}
+	root := t.TempDir()
+	if err := corpusstore.Save(root+"/gen-0001", worldCorpus(t, 7, 150, testCCs), nil); err != nil {
+		t.Fatal(err)
 	}
-	if hits := d.m.hits.Value(); hits == 0 {
-		t.Error("second passes never hit the cache")
-	}
-}
+	for _, leg := range []struct {
+		label string
+		cfg   Config
+	}{
+		{"memory", Config{Corpus: worldCorpus(t, 7, 150, testCCs)}},
+		{"gen-0001", Config{StoreRoot: root}},
+	} {
+		t.Run(leg.label, func(t *testing.T) {
+			d := startDaemon(t, leg.cfg)
 
-// urlQuery splits the raw query off a request path.
-func urlQuery(path string) string {
-	if _, q, ok := strings.Cut(path, "?"); ok {
-		return q
+			// An independent measurement of the same world, rendered directly
+			// with no daemon, no store and no cache in the loop.
+			independent := corpusGeneration(worldCorpus(t, 7, 150, testCCs), leg.label, 0, 0)
+
+			for _, path := range crossCheckQueries() {
+				want, qerr := independent.render(parsePath(t, path))
+				if qerr != nil {
+					t.Fatalf("%s: direct render: %v", path, qerr)
+				}
+				// Twice: once cold (miss), once hot (hit) — same bytes both times.
+				for pass := 0; pass < 2; pass++ {
+					status, body := get(t, d, path)
+					if status != http.StatusOK {
+						t.Fatalf("%s pass %d: status %d: %s", path, pass, status, body)
+					}
+					if !bytes.Equal(body, want) {
+						t.Errorf("%s pass %d: served bytes differ from direct render\n got: %.200s\nwant: %.200s", path, pass, body, want)
+					}
+					if !json.Valid(body) {
+						t.Errorf("%s: response is not valid JSON", path)
+					}
+				}
+			}
+			if hits := d.m.hits.Value(); hits == 0 {
+				t.Error("second passes never hit the cache")
+			}
+		})
 	}
-	return ""
 }
 
 // TestErrorResponses pins the typed-rejection surface: hostile or wrong
@@ -189,6 +203,17 @@ func TestErrorResponses(t *testing.T) {
 	}
 }
 
+type renderFunc = func(Query) ([]byte, *QueryError)
+
+// serveThrough swaps in a copy of the serving generation whose cold renders
+// go through wrap — the cache's injected renderer, so a test can hold a
+// build open or panic in it without a hook in production code.
+func serveThrough(d *Daemon, wrap func(render renderFunc, q Query) ([]byte, *QueryError)) {
+	g := *d.gen.Load()
+	g.cache = newRespCache(func(q Query) ([]byte, *QueryError) { return wrap(g.render, q) })
+	d.gen.Store(&g)
+}
+
 // TestCoalescing pins the singleflight contract: K concurrent requests
 // for one cold key trigger exactly one render; the rest wait for it and
 // are counted as coalesced.
@@ -199,11 +224,11 @@ func TestCoalescing(t *testing.T) {
 
 	var builds atomic.Int64
 	release := make(chan struct{})
-	testHookBuild = func(string) {
+	serveThrough(d, func(render renderFunc, q Query) ([]byte, *QueryError) {
 		builds.Add(1)
 		<-release
-	}
-	defer func() { testHookBuild = nil }()
+		return render(q)
+	})
 
 	var wg sync.WaitGroup
 	bodies := make([][]byte, K)
@@ -254,13 +279,13 @@ func TestRenderPanicDoesNotPoisonKey(t *testing.T) {
 
 	var builds atomic.Int64
 	release := make(chan struct{})
-	testHookBuild = func(string) {
+	serveThrough(d, func(render renderFunc, q Query) ([]byte, *QueryError) {
 		if builds.Add(1) == 1 {
 			<-release
 			panic("injected render bug")
 		}
-	}
-	defer func() { testHookBuild = nil }()
+		return render(q)
+	})
 
 	var wg sync.WaitGroup
 	for i := 0; i <= K; i++ {
@@ -458,15 +483,12 @@ func TestReloadRaceHammer(t *testing.T) {
 	// Direct renders from both worlds; a served body must match one side
 	// entirely.
 	allowed := make(map[string][2][]byte, len(paths))
-	genA := newGeneration(worldCorpus(t, 21, 80, []string{"US", "DE", "JP"}), "gen-0001", 0)
+	genA := corpusGeneration(worldCorpus(t, 21, 80, []string{"US", "DE", "JP"}), "gen-0001", 0, 0)
 	corpusB2 := worldCorpus(t, 22, 80, []string{"US", "DE", "JP"})
 	corpusB2.Epoch = "2023-06"
-	genB := newGeneration(corpusB2, "gen-0002", 1)
+	genB := corpusGeneration(corpusB2, "gen-0002", 1, 0)
 	for _, p := range paths {
-		q, qerr := ParseQuery("/api/"+strings.Split(strings.TrimPrefix(p, "/api/"), "?")[0], urlQuery(p))
-		if qerr != nil {
-			t.Fatal(qerr)
-		}
+		q := parsePath(t, p)
 		wa, qerr := genA.render(q)
 		if qerr != nil {
 			t.Fatal(qerr)
@@ -529,42 +551,56 @@ func TestReloadRaceHammer(t *testing.T) {
 	}
 }
 
-// TestMutatedCorpusFallsBack pins the immutability contract from the
-// request side: if the served corpus is mutated in place (outside the
-// daemon's own swap discipline), the daemon falls back to refusing — a 500
-// naming the cause on every request, never cached, and never the bytes
-// rendered before the mutation.
-func TestMutatedCorpusFallsBack(t *testing.T) {
+// TestServedSnapshotIgnoresMutation pins the immutability contract from the
+// request side: Start takes what it serves from the corpus and keeps no
+// pointer into it, so a caller that goes on mutating the corpus — a new
+// list, coverage attached, a coverage value updated in place as a running
+// crawl does — changes nothing the daemon answers. Every endpoint, cached
+// before the mutation or cold after it, serves the pre-mutation bytes.
+func TestServedSnapshotIgnoresMutation(t *testing.T) {
 	reg := obs.NewRegistry()
 	corpus := worldCorpus(t, 9, 60, []string{"US", "DE"})
+	usCov := &dataset.Coverage{Country: "US", Sites: 60, Host: dataset.FieldCoverage{OK: 60}}
+	corpus.SetCoverage(usCov)
+	want := corpusGeneration(corpus, "memory", 0, 0)
 	d := startDaemon(t, Config{Corpus: corpus, Obs: reg})
 
-	status, before := get(t, d, "/api/scores?layer=hosting")
-	if status != http.StatusOK {
-		t.Fatalf("pre-mutation: %d", status)
+	// Warm half the keys, so the mutation is met by hits and by cold renders.
+	queries := append(crossCheckQueries(), "/api/scores?layer=hosting&country=US")
+	for _, path := range queries[:len(queries)/2] {
+		get(t, d, path)
 	}
+	warmed := reg.Counter("webdepd.misses").Value()
 
-	// Mutate the served corpus: a new country list lands in place.
 	jp := worldCorpus(t, 9, 60, []string{"JP"})
 	corpus.Add(jp.Lists["JP"])
+	corpus.SetCoverage(&dataset.Coverage{Country: "DE", Sites: 60, Degraded: true})
+	usCov.Degraded, usCov.Host.Lost = true, 7
+	corpus.Epoch = "mutated"
 
-	// A key rendered before the mutation, and a cold one, twice each.
-	for _, path := range []string{"/api/scores?layer=hosting", "/api/scores?layer=dns"} {
-		for i := 0; i < 2; i++ {
+	for _, path := range queries {
+		wantBody, qerr := want.render(parsePath(t, path))
+		if qerr != nil {
+			t.Fatalf("%s: direct render: %v", path, qerr)
+		}
+		for pass := 0; pass < 2; pass++ {
 			status, body := get(t, d, path)
-			if status != http.StatusInternalServerError || !strings.Contains(string(body), "served corpus mutated") {
-				t.Fatalf("%s after mutation: %d %s", path, status, body)
-			}
-			if bytes.Equal(body, before) {
-				t.Fatalf("%s served pre-mutation bytes", path)
+			if status != http.StatusOK || !bytes.Equal(body, wantBody) {
+				t.Errorf("%s pass %d after mutation: status %d\n got: %.200s\nwant: %.200s", path, pass, status, body, wantBody)
 			}
 		}
 	}
-	if got := reg.Counter("webdepd.errors_5xx").Value(); got != 4 {
-		t.Errorf("webdepd.errors_5xx = %d, want 4", got)
+	// Hits stay hits: every warmed key is served from cache, every cold one
+	// renders once.
+	n := int64(len(queries))
+	if hits, misses := reg.Counter("webdepd.hits").Value(), reg.Counter("webdepd.misses").Value(); misses != n || hits != n+warmed {
+		t.Errorf("hits/misses = %d/%d, want %d/%d", hits, misses, n+warmed, n)
 	}
-	if hits, misses := reg.Counter("webdepd.hits").Value(), reg.Counter("webdepd.misses").Value(); hits != 0 || misses != 1 {
-		t.Errorf("refusals moved the cache counters: hits %d, misses %d; want 0, 1", hits, misses)
+	if status, _ := get(t, d, "/api/scores?layer=hosting&country=JP"); status != http.StatusNotFound {
+		t.Errorf("a country added after Start answers %d, want 404", status)
+	}
+	if got := reg.Counter("webdepd.errors_5xx").Value(); got != 0 {
+		t.Errorf("webdepd.errors_5xx = %d, want 0", got)
 	}
 }
 

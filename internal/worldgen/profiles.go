@@ -1,9 +1,6 @@
 package worldgen
 
-import (
-	"github.com/webdep/webdep/internal/countries"
-	"github.com/webdep/webdep/internal/tldinfo"
-)
+import "github.com/webdep/webdep/internal/countries"
 
 // CAInfo describes one certificate authority in the synthetic WebPKI.
 type CAInfo struct {
@@ -360,17 +357,4 @@ func comWeight(c countries.Country) float64 {
 	default:
 		return 0.45
 	}
-}
-
-// tldUniverse returns the full TLD list for the world: com, gTLDs, and
-// every studied country's ccTLD.
-func tldUniverse(codes []string) []string {
-	out := []string{"com"}
-	for _, g := range globalTLDs {
-		out = append(out, g.Name)
-	}
-	for _, cc := range codes {
-		out = append(out, tldinfo.CCTLDFor(cc))
-	}
-	return out
 }
