@@ -1,12 +1,12 @@
 // Command authdns serves RFC 1035 master files as an authoritative DNS
 // server over UDP and TCP — the standalone face of the toolkit's DNS
-// substrate. Point it at the zone files cmd/webdep -zones exports (or your
+// substrate. Point it at the zone files webdep export -zones writes (or your
 // own) and crawl it with any resolver.
 //
 // Usage:
 //
 //	authdns -listen 127.0.0.1:5353 zones/*.zone
-//	webdep -countries TH -sites 50 -zones -out data/ && authdns data/zones/*.zone
+//	webdep export -countries TH -sites 50 -zones -out data/ && authdns data/zones/*.zone
 package main
 
 import (

@@ -99,7 +99,7 @@ func Serve(w *worldgen.World) (*Endpoints, error) {
 
 // Zones builds the authoritative zone set for a world: one zone per TLD in
 // use plus the nsinfra zone for nameserver hosts, keyed by origin. Exposed
-// so callers can dump the zones as master files (cmd/webdep -zones) or load
+// so callers can dump the zones as master files (webdep export -zones) or load
 // them into their own servers.
 func Zones(w *worldgen.World) (map[string]*dnsserver.Zone, error) {
 	zones := map[string]*dnsserver.Zone{}

@@ -145,15 +145,26 @@ func (l *Live) m() *liveMetrics {
 	return l.metrics
 }
 
-// minCoverage resolves the MinCoverage knob: 0 → 1.0, negative → disabled.
-func (l *Live) minCoverage() float64 {
+// FlagDegraded applies the coverage threshold (0 → 1.0, negative →
+// disabled) to one country: below it the country is flagged degraded or,
+// with failFast, is an error. CrawlCorpus calls it per country; a corpus
+// assembled from journals instead (fedcrawl.Merge) gets it from its caller.
+func FlagDegraded(cov *dataset.Coverage, minCoverage float64, failFast bool) error {
+	min := minCoverage
 	switch {
-	case l.MinCoverage == 0:
-		return 1
-	case l.MinCoverage < 0:
-		return 0
+	case min == 0:
+		min = 1
+	case min < 0:
+		min = 0
 	}
-	return l.MinCoverage
+	if frac := cov.Fraction(); frac < min {
+		if failFast {
+			return fmt.Errorf("pipeline: country %s coverage %.3f below minimum %.3f (%d probes lost)",
+				cov.Country, frac, min, cov.Lost())
+		}
+		cov.Degraded = true
+	}
+	return nil
 }
 
 // CrawlCountry measures one country's domains end-to-end over the same
@@ -234,19 +245,14 @@ func (l *Live) CrawlCorpus(ctx context.Context, epoch string, ccs []string, doma
 	// Record the worker count the crawl actually ran with, not the raw
 	// (possibly zero) knob.
 	corpus.Workers = l.workerCount()
-	min := l.minCoverage()
 	for i, cc := range ccs {
 		corpus.Add(&dataset.CountryList{Country: cc, Epoch: epoch, Sites: sites[i]})
 		cov := &dataset.Coverage{Country: cc}
 		for _, o := range outcomes[i] {
 			cov.Observe(o)
 		}
-		if frac := cov.Fraction(); frac < min {
-			if l.FailFast {
-				return nil, fmt.Errorf("pipeline: country %s coverage %.3f below minimum %.3f (%d probes lost)",
-					cc, frac, min, cov.Lost())
-			}
-			cov.Degraded = true
+		if err := FlagDegraded(cov, l.MinCoverage, l.FailFast); err != nil {
+			return nil, err
 		}
 		corpus.SetCoverage(cov)
 	}
