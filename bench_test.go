@@ -228,8 +228,8 @@ func BenchmarkFig7HostingBreakdown(b *testing.B) {
 	_, corpus := setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, list := range corpus.Lists {
-			_ = classify.CountryBreakdown(list, countries.Hosting, benchClass)
+		for cc := range corpus.Lists {
+			_ = classify.CountryBreakdownIndexed(corpus, cc, countries.Hosting, benchClass)
 		}
 	}
 }
@@ -614,9 +614,10 @@ func BenchmarkAblationEndemicityRatio(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationResolverConcurrency sweeps the live resolver's worker
-// pool, the knob a real crawl tunes first.
-func BenchmarkAblationResolverConcurrency(b *testing.B) {
+// BenchmarkAblationCrawlWorkers sweeps the live crawl's worker count
+// (pipeline.Live.Workers), the knob a real crawl tunes first, over one
+// served 40-site country: DNS, TLS and enrichment per site.
+func BenchmarkAblationCrawlWorkers(b *testing.B) {
 	w, err := worldgen.Build(worldgen.Config{
 		Seed: 7, SitesPerCountry: 40, Countries: []string{"US"}, DomesticPerCountry: 8,
 	})
@@ -631,13 +632,17 @@ func BenchmarkAblationResolverConcurrency(b *testing.B) {
 	domains := w.Truth.Get("US").Domains()
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			pool := &resolver.Pool{Client: resolver.NewClient(ep.DNSAddr), Workers: workers}
+			live := &pipeline.Live{
+				Pipeline: pipeline.FromWorld(w),
+				DNS:      resolver.NewClient(ep.DNSAddr),
+				Scanner:  tlsscan.New(w.Owners),
+				TLSAddr:  ep.TLSAddr,
+				Workers:  workers,
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results := pool.ResolveAll(domains)
-				for _, r := range results {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
+				if _, err := live.CrawlCountry(context.Background(), "US", "bench", domains); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -341,6 +341,8 @@ func (f *crawl) check() error {
 		return fmt.Errorf("-federate journals its shard workers under -checkpoint; pass a directory")
 	case f.Federate > 0 && f.Resume:
 		return fmt.Errorf("-resume does not apply to -federate: a federated run always resumes from the journals already in its -checkpoint directory")
+	case f.Federate > 0 && f.FailFast:
+		return fmt.Errorf("-fail-fast does not apply to -federate: a federated run re-dispatches until no probe is lost or fails outright, so no country can fall below -min-coverage")
 	case len(f.Transport) == 0 && len(f.VantageKeys) > 0:
 		return fmt.Errorf("-vantage-key authenticates the federation transport; it requires -transport")
 	case len(f.Transport) == 0:
@@ -433,6 +435,24 @@ func bindServe(fs *flag.FlagSet, c *common) (body, func() error) {
 	w := bindWorld(fs)
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	store := fs.String("store", "", "serve this corpus store, or the newest complete generation under this root, hot-swapping on SIGHUP or POST /reload (default: measure a generated world in memory)")
+	// A store is served as it is: a world flag beside -store would be dropped.
+	check := func() error {
+		if *store == "" {
+			return nil
+		}
+		worldFlags := flag.NewFlagSet("", flag.ContinueOnError)
+		bindWorld(worldFlags)
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if worldFlags.Lookup(f.Name) != nil {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("-store serves a measured corpus, not a generated world: %s would be ignored", strings.Join(ignored, " "))
+		}
+		return nil
+	}
 	return func(ctx context.Context, o out) error {
 		cfg := webdepd.Config{Workers: c.Workers, Obs: obs.Default(), StoreRoot: *store}
 		if *store == "" {
@@ -468,7 +488,7 @@ func bindServe(fs *flag.FlagSet, c *common) (body, func() error) {
 				}
 			}
 		}
-	}, nil
+	}, check
 }
 
 // bindVantage runs the process as a remote federation vantage worker: it

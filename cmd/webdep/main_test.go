@@ -293,6 +293,8 @@ func TestFlagMatrixValidation(t *testing.T) {
 		{"negative federate", "crawl -checkpoint d -federate -2", "-federate"},
 		{"federate without checkpoint", "crawl -federate 3", "-checkpoint"},
 		{"federate with resume", "crawl -checkpoint d -federate 3 -resume", "-resume"},
+		{"federate with fail-fast", "crawl -checkpoint d -federate 2 -fail-fast", "-fail-fast"},
+		{"serve a store with world flags", "serve -store s -countries TH -seed 4", "-countries -seed"},
 		{"transport without federate", "crawl -transport http://v -vantage-key k", "-federate"},
 		{"transport url count mismatch", "crawl -checkpoint d -federate 2 -transport http://v -vantage-key k", "-transport"},
 		{"transport without key", "crawl -checkpoint d -federate 2 -transport http://a,http://b", "-vantage-key"},
@@ -431,15 +433,19 @@ func TestRunMergeFlagsDegraded(t *testing.T) {
 	// Lose the CA probe on two of CZ's twelve sites, as a crawl whose retry
 	// budget ran out would have journaled them.
 	ccs := []string{"CZ", "TH"}
-	j, err := checkpoint.Resume(filepath.Join(ckpt, "2023-05.journal"), "2023-05", ccs, nil)
-	if err != nil {
+	journal := filepath.Join(ckpt, "2023-05.journal")
+	var cz []checkpoint.Entry
+	if _, err := checkpoint.StreamSites(journal, nil, func(cc string, site dataset.Website, o dataset.SiteOutcome) error {
+		if cc == "CZ" {
+			cz = append(cz, checkpoint.Entry{Site: site, Outcome: o})
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	var cz []checkpoint.Entry
-	for k, e := range j.Entries() {
-		if k.Country == "CZ" {
-			cz = append(cz, e)
-		}
+	j, err := checkpoint.Resume(journal, "2023-05", ccs, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sort.Slice(cz, func(a, b int) bool { return cz[a].Site.Rank < cz[b].Site.Rank })
 	for _, e := range cz[:2] {

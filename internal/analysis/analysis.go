@@ -89,28 +89,6 @@ func sortCountryValues(vals map[string]float64) []CountryScore {
 	return out
 }
 
-// ExcludeDegraded returns a corpus without the countries whose live crawl
-// was flagged degraded: their distributions reflect measurement loss, so
-// score tables built from them would rank noise. The coverage accounting is
-// carried over whole — including the excluded countries' — so reports can
-// still say what was dropped and why. Corpora without degraded countries
-// (including every fast-path corpus) pass through unchanged.
-func ExcludeDegraded(corpus *dataset.Corpus) *dataset.Corpus {
-	if len(corpus.DegradedCountries()) == 0 {
-		return corpus
-	}
-	out := dataset.NewCorpus(corpus.Epoch)
-	out.Workers = corpus.Workers
-	out.CoverageByCountry = corpus.CoverageByCountry
-	for cc, list := range corpus.Lists {
-		if cov := corpus.CoverageOf(cc); cov != nil && cov.Degraded {
-			continue
-		}
-		out.Add(list)
-	}
-	return out
-}
-
 // RegionAggregate is one subregion's summary for a layer.
 type RegionAggregate struct {
 	Region    string

@@ -342,38 +342,3 @@ func TestByContinent(t *testing.T) {
 		}
 	}
 }
-
-func TestExcludeDegraded(t *testing.T) {
-	c := dataset.NewCorpus("2023-05")
-	c.Workers = 3
-	for _, cc := range []string{"TH", "US", "BR"} {
-		c.Add(&dataset.CountryList{Country: cc, Epoch: "2023-05"})
-	}
-	c.SetCoverage(&dataset.Coverage{Country: "TH"})
-	c.SetCoverage(&dataset.Coverage{Country: "US", Degraded: true})
-	c.SetCoverage(&dataset.Coverage{Country: "BR"})
-
-	got := ExcludeDegraded(c)
-	if got == c {
-		t.Fatal("corpus with a degraded country returned unchanged")
-	}
-	want := []string{"BR", "TH"}
-	ccs := got.Countries()
-	if len(ccs) != len(want) || ccs[0] != want[0] || ccs[1] != want[1] {
-		t.Errorf("Countries = %v, want %v", ccs, want)
-	}
-	if got.Workers != 3 || got.Epoch != "2023-05" {
-		t.Errorf("corpus metadata not carried over: %+v", got)
-	}
-	// The excluded country's coverage stays reportable.
-	if cov := got.CoverageOf("US"); cov == nil || !cov.Degraded {
-		t.Errorf("excluded coverage lost: %+v", cov)
-	}
-
-	// Pass-through cases: nothing degraded, and no coverage at all.
-	clean := dataset.NewCorpus("x")
-	clean.Add(&dataset.CountryList{Country: "TH", Epoch: "x"})
-	if ExcludeDegraded(clean) != clean {
-		t.Error("coverage-free corpus was copied")
-	}
-}

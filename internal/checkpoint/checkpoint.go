@@ -246,7 +246,6 @@ type Journal struct {
 	w         WriteSyncer
 	armed     bool
 	disarmErr error
-	appended  map[Key]Entry // records written this process, for Compact
 	sinceSync int
 	disarmed  bool // OnDisarm already delivered
 
@@ -281,7 +280,6 @@ func newJournal(path, epoch string, countries []string, opts *Options) (*Journal
 		syncEvery: opts.SyncEvery,
 		m:         newJournalMetrics(opts.Obs),
 		replay:    map[Key]Entry{},
-		appended:  map[Key]Entry{},
 	}
 	return j, nil
 }
@@ -357,12 +355,24 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open journal for resume: %w", err)
 	}
-	var hdr *JournalInfo // nil when the header itself was torn or absent
+	sawHeader := false // false when the header itself was torn or absent
 	dupes := false
 	info, err := walkFile(f,
 		func(h JournalInfo) error {
-			hdr = &h
-			return nil
+			sawHeader = true
+			// Version first: a journal another format version wrote is
+			// refused before any of its records is decoded as this build's.
+			if h.Version != Version {
+				return fmt.Errorf("checkpoint: journal version %d, this build reads version %d", h.Version, Version)
+			}
+			if h.Shard != nil {
+				// A federated shard journal holds one vantage's slice of the
+				// crawl; resuming it as if it were the whole campaign would
+				// silently skip every other worker's sites. Merge it instead.
+				return fmt.Errorf("checkpoint: %s is a federated shard journal (%s); merge it with its sibling shards instead of resuming it",
+					path, h.Shard)
+			}
+			return matches(h.Epoch, h.Countries, epoch, countries)
 		},
 		func(country string, site dataset.Website, outcome dataset.SiteOutcome) error {
 			k := Key{Country: country, Domain: site.Domain}
@@ -375,24 +385,6 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 	if err != nil {
 		f.Close()
 		return nil, err
-	}
-	if hdr != nil {
-		if hdr.Shard != nil {
-			// A federated shard journal holds one vantage's slice of the
-			// crawl; resuming it as if it were the whole campaign would
-			// silently skip every other worker's sites. Merge it instead.
-			f.Close()
-			return nil, fmt.Errorf("checkpoint: %s is a federated shard journal (%s); merge it with its sibling shards instead of resuming it",
-				path, hdr.Shard)
-		}
-		if err := matches(hdr.Epoch, hdr.Countries, epoch, countries); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if hdr.Version != Version {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint: journal version %d, this build reads version %d", hdr.Version, Version)
-		}
 	}
 	j.stats.recordsReplayed.Add(info.Sites)
 	j.m.recordsReplayed.Add(info.Sites)
@@ -410,7 +402,7 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 		}
 	}()
 	switch {
-	case hdr == nil:
+	case !sawHeader:
 		// Nothing durable survived (empty file or a tear inside the
 		// magic/header): start the journal over in place.
 		if err := f.Truncate(0); err != nil {
@@ -453,12 +445,6 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 	}
 	return j, nil
 }
-
-// Epoch returns the epoch the journal was created for.
-func (j *Journal) Epoch() string { return j.epoch }
-
-// Countries returns the journal's country set, sorted.
-func (j *Journal) Countries() []string { return append([]string(nil), j.countries...) }
 
 // Shard returns the journal's shard descriptor, or nil for a whole-crawl
 // journal.
@@ -555,60 +541,9 @@ func (j *Journal) Append(country string, site dataset.Website, outcome dataset.S
 		}
 		return
 	}
-	j.appended[Key{Country: country, Domain: site.Domain}] = Entry{Site: site, Outcome: outcome}
 	j.mu.Unlock()
 	j.stats.recordsWritten.Add(1)
 	j.m.recordsWritten.Inc()
-}
-
-// Compact atomically rewrites the journal to one record per site (the
-// newest record for each key wins) via write-temp → fsync → rename, then
-// reopens it for appending. The crawl may keep appending afterwards.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.armed {
-		return j.disarmErr
-	}
-	entries := make(map[Key]Entry, len(j.replay)+len(j.appended))
-	for k, e := range j.replay {
-		entries[k] = e
-	}
-	for k, e := range j.appended {
-		entries[k] = e
-	}
-	if err := writeJournalFile(j.path, j.headerRecord(), entries); err != nil {
-		return err
-	}
-	j.f.Close()
-	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return err
-	}
-	j.attach(f)
-	j.sinceSync = 0
-	j.stats.compactions.Add(1)
-	j.m.compactions.Inc()
-	return nil
-}
-
-// Entries returns a copy of every site the journal currently holds,
-// replayed and appended, newest record per key.
-func (j *Journal) Entries() map[Key]Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[Key]Entry, len(j.replay)+len(j.appended))
-	for k, e := range j.replay {
-		out[k] = e
-	}
-	for k, e := range j.appended {
-		out[k] = e
-	}
-	return out
 }
 
 // Err returns the error that disarmed checkpointing, or nil while the

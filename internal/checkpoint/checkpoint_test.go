@@ -1,14 +1,18 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/faultinject"
+	"github.com/webdep/webdep/internal/framing"
 	"github.com/webdep/webdep/internal/obs"
 )
 
@@ -101,6 +105,40 @@ func TestCreateRequiresEpochAndCountries(t *testing.T) {
 func TestResumeMissingFileErrors(t *testing.T) {
 	if _, err := Resume(filepath.Join(t.TempDir(), "absent.journal"), "2023-05", testCCs, nil); err == nil {
 		t.Fatal("resume of a nonexistent journal succeeded")
+	}
+}
+
+// TestResumeRefusesForeignVersionOnHeader hand-frames a journal another
+// format version wrote, whose one record does not decode as this build's
+// siteRecord: Resume must refuse it on the header, naming both versions,
+// before it reads (let alone replays) the record.
+func TestResumeRefusesForeignVersionOnHeader(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(magic)
+	for _, payload := range []string{
+		`{"version":99,"epoch":"2023-05","countries":["CZ","TH"]}`,
+		`{"country":7,"site":{},"outcome":{}}`,
+	} {
+		if _, err := framing.Write(&buf, maxRecordBytes, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := journalPath(t)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Resume(path, "2023-05", testCCs, nil)
+	if err == nil {
+		t.Fatal("resumed a version-99 journal")
+	}
+	var ce *CorruptError
+	if errors.As(err, &ce) {
+		t.Fatalf("the record was decoded before the header was checked: %v", err)
+	}
+	for _, want := range []string{"version 99", fmt.Sprintf("version %d", Version)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
 	}
 }
 
@@ -350,15 +388,17 @@ func TestReuseReprobesLostSites(t *testing.T) {
 	}
 	// The re-probe's fresh append supersedes the lost record.
 	r.Append("TH", site("TH", "lost.example", 1), okOutcome())
-	if err := r.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	r.Close()
 	r2, err := Resume(path, "2023-05", testCCs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
+	// Resume is the one place a journal is rewritten: r2 found two records
+	// for lost.example and compacted them to the newest.
+	if got := r2.Stats().Compactions; got != 1 {
+		t.Errorf("compactions = %d, want 1", got)
+	}
 	if _, o, ok := r2.Reuse("TH", "lost.example"); !ok || o != okOutcome() {
 		t.Errorf("superseding append lost: ok=%v outcome=%+v", ok, o)
 	}
@@ -469,9 +509,6 @@ func TestObsCountersMatchJournalStats(t *testing.T) {
 	r.Reuse("TH", "a.example") // skip
 	r.Reuse("TH", "missing.example")
 	r.Append("TH", site("TH", "missing.example", 3), okOutcome())
-	if err := r.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	r.Close()
 
 	for _, phase := range []struct {
@@ -500,8 +537,9 @@ func TestObsCountersMatchJournalStats(t *testing.T) {
 			t.Errorf("%s: fsync_ms count = %d, journal accounting says %d", phase.name, got, phase.st.Fsyncs)
 		}
 	}
-	// The resume run really exercised recovery.
-	if st := r.Stats(); st.Truncations != 1 || st.SitesSkipped != 1 || st.SitesReprobed != 1 {
+	// The resume run really exercised recovery: one compaction, the torn
+	// tail's (nothing compacts a journal but Resume).
+	if st := r.Stats(); st.Truncations != 1 || st.Compactions != 1 || st.SitesSkipped != 1 || st.SitesReprobed != 1 {
 		t.Errorf("resume stats vacuous: %+v", st)
 	}
 	if got := reg2.Gauge("checkpoint.armed").Value(); got != 1 {

@@ -97,21 +97,24 @@ func (g *Merger) Countries() []string { return append([]string(nil), g.countries
 // A journal torn before its header survived contributes nothing and is
 // accepted (nothing was durably recorded, so nothing is missing from it).
 func (g *Merger) ReadJournal(path string) (*JournalInfo, error) {
-	foreign := ""
+	foreign := false
+	// refuse rejects the journal on its header, the record after the magic.
+	refuse := func(format string, args ...any) error {
+		foreign = true
+		return &CorruptError{Path: path, Offset: int64(len(magic)), Reason: fmt.Sprintf(format, args...)}
+	}
 	var src MergeSource
 	info, err := StreamSites(path,
 		func(info JournalInfo) error {
 			if info.Version != Version {
-				foreign = fmt.Sprintf("journal version %d, this build merges version %d", info.Version, Version)
-				return &CorruptError{Path: path, Offset: int64(len(magic)), Reason: foreign}
+				return refuse("journal version %d, this build merges version %d", info.Version, Version)
 			}
 			if g.adopt && g.epoch == "" {
 				g.epoch = info.Epoch
 				g.countries = sortedCopy(info.Countries)
 			}
 			if merr := matches(info.Epoch, info.Countries, g.epoch, g.countries); merr != nil {
-				foreign = fmt.Sprintf("foreign partial journal: %v", merr)
-				return &CorruptError{Path: path, Offset: int64(len(magic)), Reason: foreign}
+				return refuse("foreign partial journal: %v", merr)
 			}
 			src = MergeSource{Path: path, Shard: info.Shard}
 			return nil
@@ -121,7 +124,7 @@ func (g *Merger) ReadJournal(path string) (*JournalInfo, error) {
 			return nil
 		})
 	if err != nil {
-		if foreign != "" {
+		if foreign {
 			g.stats.refusalsForeign.Add(1)
 			g.m.mergeRefusalsForeign.Inc()
 		} else {

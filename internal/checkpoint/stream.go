@@ -29,9 +29,8 @@ type JournalInfo struct {
 }
 
 // StreamSites reads a journal's site records in file order without loading
-// the journal into memory — for consumers (the on-disk corpus store's
-// IngestJournal, the federated Merger) that fold each record away instead
-// of keeping a map of them.
+// the journal into memory — for consumers (the federated Merger) that fold
+// each record away instead of keeping a map of them.
 //
 // Recovery semantics are the journal's (see walk). Records are delivered as
 // they are read, so onSite may run before a torn tail is discovered; a

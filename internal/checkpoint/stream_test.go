@@ -201,7 +201,7 @@ func TestStreamSitesMatchesResume(t *testing.T) {
 	}
 	defer j.Close()
 	replayed := map[Key]dataset.Website{}
-	for k, e := range j.Entries() {
+	for k, e := range j.replay {
 		replayed[k] = e.Site
 	}
 	if !reflect.DeepEqual(streamed, replayed) {

@@ -258,17 +258,11 @@ func minMax(xs []float64) []float64 {
 	return out
 }
 
-// CountryBreakdown computes, for one country, the share of sites served by
-// each provider class — one bar of the paper's Figure 7/14/15. It rebuilds
-// the list's distribution per call; when the list belongs to a corpus,
-// CountryBreakdownIndexed reads the scoring surface instead.
-func CountryBreakdown(list *dataset.CountryList, layer countries.Layer, res *Result) map[Class]float64 {
-	return breakdownOf(list.Distribution(layer), res)
-}
-
-// CountryBreakdownIndexed is CountryBreakdown over a scoring surface: no
-// per-call corpus scan, just reads of the frozen per-country distribution.
-// It returns an empty breakdown for countries the surface does not hold.
+// CountryBreakdownIndexed computes, for one country, the share of sites
+// served by each provider class — one bar of the paper's Figure 7/14/15 —
+// from a scoring surface: no per-call corpus scan, just reads of the frozen
+// per-country distribution. It returns an empty breakdown for countries the
+// surface does not hold.
 func CountryBreakdownIndexed(src dataset.Scored, cc string, layer countries.Layer, res *Result) map[Class]float64 {
 	dist := src.ScoreSet().DistributionOf(cc, layer)
 	if dist == nil {

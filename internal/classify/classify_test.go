@@ -137,8 +137,8 @@ func TestCountryBreakdownSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cc, list := range w.Truth.Lists {
-		breakdown := CountryBreakdown(list, countries.Hosting, res)
+	for cc := range w.Truth.Lists {
+		breakdown := CountryBreakdownIndexed(w.Truth, cc, countries.Hosting, res)
 		var sum float64
 		for _, share := range breakdown {
 			sum += share
@@ -156,8 +156,8 @@ func TestThailandVsIranBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := CountryBreakdown(w.Truth.Get("TH"), countries.Hosting, res)
-	ir := CountryBreakdown(w.Truth.Get("IR"), countries.Hosting, res)
+	th := CountryBreakdownIndexed(w.Truth, "TH", countries.Hosting, res)
+	ir := CountryBreakdownIndexed(w.Truth, "IR", countries.Hosting, res)
 	if th[XLGlobal] <= ir[XLGlobal] {
 		t.Errorf("TH XL share %v should exceed IR %v", th[XLGlobal], ir[XLGlobal])
 	}
@@ -192,8 +192,9 @@ func TestClassShares(t *testing.T) {
 
 func TestEmptyCountryBreakdown(t *testing.T) {
 	res := &Result{byName: map[string]*ProviderFeatures{}}
-	empty := &dataset.CountryList{Country: "US"}
-	if got := CountryBreakdown(empty, countries.Hosting, res); len(got) != 0 {
+	empty := dataset.NewCorpus("2023-05")
+	empty.Add(&dataset.CountryList{Country: "US"})
+	if got := CountryBreakdownIndexed(empty, "US", countries.Hosting, res); len(got) != 0 {
 		t.Errorf("empty breakdown = %v", got)
 	}
 }

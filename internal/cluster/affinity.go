@@ -60,17 +60,6 @@ type Result struct {
 // NumClusters returns the number of clusters found.
 func (r *Result) NumClusters() int { return len(r.Exemplars) }
 
-// Members returns the point indices assigned to cluster c.
-func (r *Result) Members(c int) []int {
-	var out []int
-	for i, a := range r.Assignment {
-		if a == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ErrEmptyInput is returned when no points are supplied.
 var ErrEmptyInput = errors.New("cluster: no points")
 

@@ -149,20 +149,6 @@ func TestIdenticalPointsSingleCluster(t *testing.T) {
 	}
 }
 
-func TestMembers(t *testing.T) {
-	res := &Result{
-		Exemplars:  []int{0, 3},
-		Assignment: []int{0, 0, 1, 1, 0},
-	}
-	m0 := res.Members(0)
-	if len(m0) != 3 || m0[0] != 0 || m0[1] != 1 || m0[2] != 4 {
-		t.Errorf("Members(0) = %v", m0)
-	}
-	if len(res.Members(1)) != 2 {
-		t.Errorf("Members(1) = %v", res.Members(1))
-	}
-}
-
 func TestNegSquaredEuclidean(t *testing.T) {
 	s := NegSquaredEuclidean([][]float64{{0, 0}, {3, 4}})
 	if s[0][0] != 0 || s[1][1] != 0 {

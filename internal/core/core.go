@@ -165,15 +165,6 @@ func hhiOf(counts []float64, total float64) float64 {
 // Observe records a single website's dependence on the provider.
 func (d *Distribution) Observe(provider string) { d.Add(provider, 1) }
 
-// Merge adds every provider count of other into d. Site-count
-// distributions hold integer-valued floats, so merging subtotals is exact
-// and yields the same distribution in any merge order.
-func (d *Distribution) Merge(other *Distribution) {
-	for p, n := range other.counts {
-		d.Add(p, n)
-	}
-}
-
 // Total returns C, the total number of websites observed.
 func (d *Distribution) Total() float64 { return d.total }
 

@@ -35,10 +35,10 @@
 // # Streaming
 //
 // Ingestion (Writer) and scoring (Store.Score) never materialize a corpus:
-// worldgen can emit shards country by country, a checkpoint journal can be
-// converted record by record (IngestJournal), and scoring streams each
-// shard into the tallies the in-memory scoring index merges, producing
-// bit-identical scores (dataset.CountryTally / dataset.BuildScoreSet).
+// worldgen can emit shards country by country (AppendList encodes a list's
+// blocks in place), and scoring streams each shard into the tallies the
+// in-memory scoring index merges, producing bit-identical scores
+// (dataset.CountryTally / dataset.BuildScoreSet).
 //
 // # Views
 //

@@ -247,42 +247,36 @@ func TestStreamedScoresMatchOnHostileCorpora(t *testing.T) {
 	}
 }
 
-// TestAppendMatchesAppendList pins the writer's two entry points to the same
-// bytes: rows appended one at a time through the block buffer, and a list
-// encoded in place, at block sizes of one row, a few, and more than the
-// default — with a list longer than one block of each.
-func TestAppendMatchesAppendList(t *testing.T) {
+// TestAppendListBytesPinned pins the writer's bytes at block sizes of one
+// row, a few, and more than the default, with a list longer than one block
+// of each. The digests were written at PR 19's commit by the row-at-a-time
+// Append path this package used to have (rows copied into a pending block,
+// the last partial block flushed by Close); AppendList, which encodes the
+// blocks in place, must keep reproducing them.
+func TestAppendListBytesPinned(t *testing.T) {
 	list := testCorpus(7, []string{"US"}, 4100).Get("US")
-	for _, blockRows := range []int{1, 6, 4096} {
-		write := func(fill func(*Writer) error) [sha256.Size]byte {
-			dir := t.TempDir()
-			w, err := Create(dir, list.Epoch, testOpts(blockRows))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fill(w); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			shard, err := os.ReadFile(filepath.Join(dir, "US.shard"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sha256.Sum256(shard)
+	for blockRows, want := range map[int]string{
+		1:    "082251884eb304ede0f8279a8409d7a583fdddbcf627f0533656a2c734f75def",
+		6:    "5a6029e99e4a08e93e9670f34cec37c4a72173d4bc6823f8f20753633013ceb9",
+		4096: "e68e70b6b59d128dd1e6cde2c670b294620deb29511684a0b0f60d8d06c85d67",
+	} {
+		dir := t.TempDir()
+		w, err := Create(dir, list.Epoch, testOpts(blockRows))
+		if err != nil {
+			t.Fatal(err)
 		}
-		byRow := write(func(w *Writer) error {
-			for i := range list.Sites {
-				if err := w.Append(&list.Sites[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		byList := write(func(w *Writer) error { return w.AppendList(list) })
-		if byRow != byList {
-			t.Errorf("blockRows=%d: Append wrote %x, AppendList %x", blockRows, byRow, byList)
+		if err := w.AppendList(list); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		shard, err := os.ReadFile(filepath.Join(dir, "US.shard"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(shard)); got != want {
+			t.Errorf("blockRows=%d: AppendList wrote %s, pinned %s", blockRows, got, want)
 		}
 	}
 }
@@ -374,42 +368,6 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 }
 
-// TestWriterInterleavedAppend exercises the journal-ingest path: rows of
-// different countries arriving interleaved through Writer.Append.
-func TestWriterInterleavedAppend(t *testing.T) {
-	dir := t.TempDir()
-	c := testCorpus(5, []string{"US", "DE"}, 30)
-	w, err := Create(dir, c.Epoch, testOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	us, de := c.Get("US").Sites, c.Get("DE").Sites
-	for i := 0; i < len(us); i++ {
-		if err := w.Append(&us[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(&de[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cc := range []string{"US", "DE"} {
-		list, err := st.ReadList(cc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(list.Sites, c.Get(cc).Sites) {
-			t.Fatalf("%s: interleaved append does not round-trip", cc)
-		}
-	}
-}
-
 func TestWriterValidation(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir, "2023-05", nil)
@@ -429,18 +387,19 @@ func TestWriterValidation(t *testing.T) {
 	if _, err := w.Shard("../evil"); err == nil {
 		t.Error("path-escaping country code should fail")
 	}
-	if err := sw.Append(&dataset.Website{Domain: "a.com", Country: "DE", Rank: 1}); err == nil {
-		t.Error("wrong-country row should fail")
-	}
-	// The shard latched the error; it never reaches the manifest.
-	if err := sw.Close(); err == nil {
-		t.Error("closing a failed shard should return the latched error")
-	}
-	sw2, err := w.Shard("DE")
-	if err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw2.Append(&dataset.Website{Country: "DE", Rank: 1}); err == nil {
+	if _, err := w.Shard("US"); err == nil {
+		t.Error("reopening a written shard should fail")
+	}
+	// A refused row fails its shard, which never reaches the manifest.
+	if err := w.AppendList(&dataset.CountryList{Country: "DE", Epoch: "2023-05",
+		Sites: []dataset.Website{{Domain: "a.com", Country: "US", Rank: 1}}}); err == nil {
+		t.Error("wrong-country row should fail")
+	}
+	if err := w.AppendList(&dataset.CountryList{Country: "JP", Epoch: "2023-05",
+		Sites: []dataset.Website{{Country: "JP", Rank: 1}}}); err == nil {
 		t.Error("empty-domain row should fail")
 	}
 	if err := w.Close(); err != nil {
@@ -453,8 +412,8 @@ func TestWriterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Countries()) != 0 {
-		t.Fatalf("failed shards must not reach the manifest; got %v", st.Countries())
+	if got := st.Countries(); !reflect.DeepEqual(got, []string{"US"}) {
+		t.Fatalf("failed shards must not reach the manifest; got %v", got)
 	}
 }
 

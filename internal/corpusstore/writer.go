@@ -20,7 +20,7 @@ import (
 
 // Writer streams one corpus into a store directory: shards are written
 // country by country (concurrently if the caller wants — each ShardWriter
-// is independent), buffering at most one block of rows per open shard, and
+// is independent), encoding one block of rows at a time, and
 // the manifest is written last, atomically, by Close. A store is readable
 // only once Close succeeds; a crash mid-ingestion leaves temp files and no
 // manifest, never a half-store that Open would trust.
@@ -75,7 +75,7 @@ func (w *Writer) Epoch() string { return w.epoch }
 
 // Shard opens the writer for one country's shard. Each country may be
 // opened once; distinct shards may be written concurrently, but a single
-// ShardWriter is not safe for concurrent Append calls.
+// ShardWriter is not safe for concurrent use.
 func (w *Writer) Shard(country string) (*ShardWriter, error) {
 	name, err := shardFileName(country)
 	if err != nil {
@@ -98,24 +98,6 @@ func (w *Writer) Shard(country string) (*ShardWriter, error) {
 	}
 	w.open[country] = sw
 	return sw, nil
-}
-
-// Append routes one row to its country's shard, opening the shard on first
-// use. It is the convenience entry for interleaved single-goroutine
-// ingestion (e.g. replaying a checkpoint journal, whose records mix
-// countries); it is not safe for concurrent use — parallel ingestion
-// should give each goroutine its own Shard.
-func (w *Writer) Append(site *dataset.Website) error {
-	w.mu.Lock()
-	sw := w.open[site.Country]
-	w.mu.Unlock()
-	if sw == nil {
-		var err error
-		if sw, err = w.Shard(site.Country); err != nil {
-			return err
-		}
-	}
-	return sw.Append(site)
 }
 
 // AppendList writes one country's list as a complete shard, encoding the
@@ -219,10 +201,10 @@ func sortedKeys(m map[string]manifestShard) []string {
 	return out
 }
 
-// ShardWriter encodes one country's rows into a shard file. Rows appended
-// one at a time are buffered one block at a time (BlockRows sites), so
-// memory is bounded by the block size, not the country's toplist length.
-// Not safe for concurrent use.
+// ShardWriter encodes one country's rows into a shard file, one block
+// (BlockRows sites) at a time straight from the caller's rows, so the
+// writer's own memory is bounded by the block size, not the country's
+// toplist length. Not safe for concurrent use.
 type ShardWriter struct {
 	w       *Writer
 	country string
@@ -235,9 +217,8 @@ type ShardWriter struct {
 
 	syms    map[string]uint32
 	nsyms   uint32
-	newSyms []string // symbols first seen in the pending block
+	newSyms []string // symbols first seen in the block being encoded
 
-	rows    []dataset.Website // Append's pending block, copied values; nil until first Append
 	total   int64
 	written int64  // bytes written through the framer
 	head    []byte // reused: a block's new-symbol list
@@ -273,26 +254,6 @@ func newShardWriter(w *Writer, country, path, file string) (*ShardWriter, error)
 	return sw, nil
 }
 
-// Country returns the country this shard holds.
-func (sw *ShardWriter) Country() string { return sw.country }
-
-// Append buffers one row, flushing a full block to disk. The row must
-// belong to the shard's country and carry a non-empty domain — the two
-// structural invariants every reader of the format relies on.
-func (sw *ShardWriter) Append(site *dataset.Website) error {
-	if err := sw.check(site); err != nil {
-		return err
-	}
-	if sw.rows == nil {
-		sw.rows = make([]dataset.Website, 0, sw.w.blockRows)
-	}
-	sw.rows = append(sw.rows, *site)
-	if len(sw.rows) >= sw.w.blockRows {
-		return sw.flushBlock()
-	}
-	return nil
-}
-
 // check refuses a row the shard cannot take, failing the shard.
 func (sw *ShardWriter) check(site *dataset.Website) error {
 	if sw.err != nil {
@@ -310,20 +271,14 @@ func (sw *ShardWriter) check(site *dataset.Website) error {
 	return nil
 }
 
-// Close flushes the final partial block, writes the end marker, fsyncs,
-// and atomically renames the temp file into place, registering the shard
-// with the store's manifest.
+// Close writes the end marker, fsyncs, and atomically renames the temp
+// file into place, registering the shard with the store's manifest.
 func (sw *ShardWriter) Close() error {
 	if sw.err != nil {
 		return sw.err
 	}
 	if sw.closed {
 		return fmt.Errorf("corpusstore: shard %s already closed", sw.country)
-	}
-	if len(sw.rows) > 0 {
-		if err := sw.flushBlock(); err != nil {
-			return err
-		}
 	}
 	end, err := json.Marshal(shardEnd{Rows: sw.total, Symbols: int64(sw.nsyms)})
 	if err != nil {
@@ -424,13 +379,6 @@ func (sw *ShardWriter) intern(s string) uint32 {
 // measured row encodes to about 68 bytes, and a low guess only costs the
 // append growth the hint is there to avoid.
 const encodedRowHint = 80
-
-// flushBlock writes Append's pending rows as one block.
-func (sw *ShardWriter) flushBlock() error {
-	err := sw.writeBlock(sw.rows)
-	sw.rows = sw.rows[:0]
-	return err
-}
 
 // writeBlock encodes rows as one columnar 'B' section: the symbols first
 // seen in the block, the row count, then the columns of shardColumns in

@@ -25,7 +25,6 @@ const (
 	DNS
 	CA
 	TLD
-	numLayers
 )
 
 // Layers lists every layer in presentation order.
@@ -87,53 +86,6 @@ func Codes() []string {
 	out := make([]string, len(all))
 	for i, c := range all {
 		out[i] = c.Code
-	}
-	return out
-}
-
-// Regions returns the distinct UN subregions in alphabetical order.
-func Regions() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range all {
-		if !seen[c.Region] {
-			seen[c.Region] = true
-			out = append(out, c.Region)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// InRegion returns the countries in a UN subregion, in ISO-code order.
-func InRegion(region string) []Country {
-	var out []Country
-	for _, c := range all {
-		if c.Region == region {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// InContinent returns the countries on a continent (two-letter code from
-// Appendix E), in ISO-code order.
-func InContinent(continent string) []Country {
-	var out []Country
-	for _, c := range all {
-		if c.Continent == continent {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// PaperScores returns the published per-country scores for one layer as a
-// code→score map.
-func PaperScores(layer Layer) map[string]float64 {
-	out := make(map[string]float64, len(all))
-	for _, c := range all {
-		out[c.Code] = c.PaperScore[layer]
 	}
 	return out
 }

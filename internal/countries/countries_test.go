@@ -177,8 +177,10 @@ func TestSubregionFacts(t *testing.T) {
 	// least (≈ 0.0788); Europe ≈ 0.0994; Eastern Europe ≈ 0.0803.
 	regionMean := func(region string) float64 {
 		var xs []float64
-		for _, c := range InRegion(region) {
-			xs = append(xs, c.PaperScore[Hosting])
+		for _, c := range All() {
+			if c.Region == region {
+				xs = append(xs, c.PaperScore[Hosting])
+			}
 		}
 		return stats.Mean(xs)
 	}
@@ -192,8 +194,10 @@ func TestSubregionFacts(t *testing.T) {
 		t.Errorf("Eastern Europe hosting mean = %v, paper ≈0.0803", m)
 	}
 	var eu []float64
-	for _, c := range InContinent("EU") {
-		eu = append(eu, c.PaperScore[Hosting])
+	for _, c := range All() {
+		if c.Continent == "EU" {
+			eu = append(eu, c.PaperScore[Hosting])
+		}
 	}
 	if m := stats.Mean(eu); math.Abs(m-0.0994) > 0.005 {
 		t.Errorf("Europe hosting mean = %v, paper ≈0.0994", m)
@@ -201,42 +205,33 @@ func TestSubregionFacts(t *testing.T) {
 }
 
 func TestRegionsAndContinents(t *testing.T) {
-	regions := Regions()
+	regions := map[string]bool{}
+	oceania := 0
+	for _, c := range All() {
+		regions[c.Region] = true
+		if c.Continent == "OC" {
+			oceania++
+		}
+	}
 	if len(regions) < 15 {
 		t.Fatalf("only %d regions: %v", len(regions), regions)
 	}
-	// Every country's region appears.
-	seen := map[string]bool{}
-	for _, r := range regions {
-		seen[r] = true
-	}
-	for _, c := range All() {
-		if !seen[c.Region] {
-			t.Errorf("%s region %q missing from Regions()", c.Code, c.Region)
-		}
-	}
-	se := InRegion("South-eastern Asia")
-	codes := map[string]bool{}
-	for _, c := range se {
-		codes[c.Code] = true
-	}
 	for _, want := range []string{"TH", "ID", "MM", "LA", "SG", "PH", "MY", "KH", "VN", "BN"} {
-		if !codes[want] {
-			t.Errorf("South-eastern Asia missing %s", want)
+		if c, _ := ByCode(want); c.Region != "South-eastern Asia" {
+			t.Errorf("South-eastern Asia missing %s (region %q)", want, c.Region)
 		}
 	}
-	if len(InContinent("OC")) != 3 { // AU, NZ, PG
-		t.Errorf("Oceania = %v", InContinent("OC"))
+	if oceania != 3 { // AU, NZ, PG
+		t.Errorf("Oceania has %d countries", oceania)
 	}
 }
 
 func TestPaperScoresMap(t *testing.T) {
-	m := PaperScores(Hosting)
-	if len(m) != 150 {
-		t.Fatalf("len = %d", len(m))
+	if len(All()) != 150 {
+		t.Fatalf("len = %d", len(All()))
 	}
-	if m["TH"] != 0.3548 {
-		t.Errorf("TH = %v", m["TH"])
+	if c, _ := ByCode("TH"); c.PaperScore[Hosting] != 0.3548 {
+		t.Errorf("TH = %v", c.PaperScore[Hosting])
 	}
 }
 

@@ -224,12 +224,6 @@ func (c *Corpus) Scores(layer countries.Layer) map[string]float64 {
 	return cloneScores(c.index().layers[layer].scores)
 }
 
-// Insularities returns the insularity fraction per country for one layer,
-// read from the scoring index. The returned map is the caller's.
-func (c *Corpus) Insularities(layer countries.Layer) map[string]float64 {
-	return cloneScores(c.index().layers[layer].insular)
-}
-
 // DistributionOf returns the frozen provider distribution of one country's
 // layer from the scoring index, or nil when the country is not in the
 // corpus. The distribution is shared with every other caller and with the
@@ -242,24 +236,6 @@ func (c *Corpus) DistributionOf(country string, layer countries.Layer) *core.Dis
 		return nil
 	}
 	return idx.layers[layer].cols[i].dist
-}
-
-// GlobalDistribution aggregates every country list into a single provider
-// distribution for the layer — the "Global Top 10k"-style marker in the
-// paper's Figure 12 (each country's list contributes its sites). The
-// result is the index's frozen per-layer merge: shared, safe for
-// concurrent reads, and not to be mutated. Counts are integers, so the
-// merge is exact in any order.
-func (c *Corpus) GlobalDistribution(layer countries.Layer) *core.Distribution {
-	return c.index().layers[layer].global
-}
-
-// UsageMatrix returns, for one layer, each provider's usage percentage per
-// country: provider → country → percent of that country's measured sites.
-// The nested maps are built fresh per call (callers reshape them) from the
-// index's columnar count vectors in sorted country order.
-func (c *Corpus) UsageMatrix(layer countries.Layer) map[string]map[string]float64 {
-	return c.index().usageMatrix(layer)
 }
 
 // UsageCurves converts a usage matrix into a per-provider usage curve over

@@ -131,7 +131,7 @@ func TestCorpusBasics(t *testing.T) {
 	if scores["US"] != 0 {
 		t.Errorf("US score = %v", scores["US"])
 	}
-	ins := c.Insularities(countries.Hosting)
+	ins := c.ScoreSet().Insularities(countries.Hosting)
 	if ins["US"] != 1 {
 		t.Errorf("US insularity = %v", ins["US"])
 	}
@@ -140,7 +140,7 @@ func TestCorpusBasics(t *testing.T) {
 func TestGlobalDistribution(t *testing.T) {
 	c := NewCorpus("2023-05")
 	c.Add(sampleList())
-	g := c.GlobalDistribution(countries.Hosting)
+	g := c.ScoreSet().GlobalDistribution(countries.Hosting)
 	if g.Total() != 3 || g.Count("Cloudflare") != 2 {
 		t.Errorf("global: total %v cf %v", g.Total(), g.Count("Cloudflare"))
 	}
@@ -155,7 +155,7 @@ func TestUsageMatrixAndCurves(t *testing.T) {
 	}}
 	c.Add(us)
 
-	matrix := c.UsageMatrix(countries.Hosting)
+	matrix := c.ScoreSet().UsageMatrix(countries.Hosting)
 	if got := matrix["Cloudflare"]["TH"]; math.Abs(got-100*2.0/3) > 1e-9 {
 		t.Errorf("CF@TH = %v", got)
 	}

@@ -24,9 +24,9 @@ func snapshot(c *Corpus) fullResults {
 	var r fullResults
 	for _, layer := range countries.Layers {
 		r.Scores = append(r.Scores, c.Scores(layer))
-		r.Insularities = append(r.Insularities, c.Insularities(layer))
-		r.GlobalScores = append(r.GlobalScores, c.GlobalDistribution(layer).Score())
-		r.UsageMatrix = append(r.UsageMatrix, c.UsageMatrix(layer))
+		r.Insularities = append(r.Insularities, c.ScoreSet().Insularities(layer))
+		r.GlobalScores = append(r.GlobalScores, c.ScoreSet().GlobalDistribution(layer).Score())
+		r.UsageMatrix = append(r.UsageMatrix, c.ScoreSet().UsageMatrix(layer))
 	}
 	return r
 }
@@ -122,11 +122,11 @@ func TestScoringIndexConcurrentReads(t *testing.T) {
 					errs <- "Scores mismatch under concurrency"
 					return
 				}
-				if got := corpus.Insularities(layer); !reflect.DeepEqual(got, want.Insularities[li]) {
+				if got := corpus.ScoreSet().Insularities(layer); !reflect.DeepEqual(got, want.Insularities[li]) {
 					errs <- "Insularities mismatch under concurrency"
 					return
 				}
-				if got := corpus.GlobalDistribution(layer).Score(); got != want.GlobalScores[li] {
+				if got := corpus.ScoreSet().GlobalDistribution(layer).Score(); got != want.GlobalScores[li] {
 					errs <- "GlobalDistribution score mismatch under concurrency"
 					return
 				}
@@ -176,7 +176,7 @@ func TestIndexMatchesPerListComputation(t *testing.T) {
 	corpus := syntheticCorpus(17, []string{"TH", "IR", "US", "CZ"}, 250)
 	for _, layer := range countries.Layers {
 		scores := corpus.Scores(layer)
-		ins := corpus.Insularities(layer)
+		ins := corpus.ScoreSet().Insularities(layer)
 		for cc, list := range corpus.Lists {
 			if want := list.Distribution(layer).Score(); scores[cc] != want {
 				t.Errorf("%s/%v: indexed score %v != direct %v", cc, layer, scores[cc], want)
@@ -234,7 +234,7 @@ func TestUsageCurvesMatchUsageMatrix(t *testing.T) {
 	ccs := corpus.Countries()
 	for _, layer := range countries.Layers {
 		want := make(map[string]core.UsageCurve)
-		for provider, byCountry := range corpus.UsageMatrix(layer) {
+		for provider, byCountry := range corpus.ScoreSet().UsageMatrix(layer) {
 			vals := make([]float64, len(ccs))
 			for i, cc := range ccs {
 				vals[i] = byCountry[cc]

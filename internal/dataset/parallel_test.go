@@ -54,17 +54,17 @@ func TestCorpusComputationsDeterministicAcrossWorkers(t *testing.T) {
 		if a, b := seq.Scores(layer), par.Scores(layer); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: Scores differ across worker counts:\n w1 %v\n w8 %v", layer, a, b)
 		}
-		if a, b := seq.Insularities(layer), par.Insularities(layer); !reflect.DeepEqual(a, b) {
+		if a, b := seq.ScoreSet().Insularities(layer), par.ScoreSet().Insularities(layer); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: Insularities differ across worker counts", layer)
 		}
-		if a, b := seq.UsageMatrix(layer), par.UsageMatrix(layer); !reflect.DeepEqual(a, b) {
+		if a, b := seq.ScoreSet().UsageMatrix(layer), par.ScoreSet().UsageMatrix(layer); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: UsageMatrix differs across worker counts", layer)
 		}
 		if a, b := seq.UsageCurves(layer), par.UsageCurves(layer); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: UsageCurves differ across worker counts", layer)
 		}
-		a := seq.GlobalDistribution(layer)
-		b := par.GlobalDistribution(layer)
+		a := seq.ScoreSet().GlobalDistribution(layer)
+		b := par.ScoreSet().GlobalDistribution(layer)
 		if !reflect.DeepEqual(a.Ranked(), b.Ranked()) || a.Score() != b.Score() {
 			t.Errorf("%v: GlobalDistribution differs across worker counts", layer)
 		}
@@ -84,7 +84,7 @@ func TestCorpusComputationsStableAcrossRuns(t *testing.T) {
 		if !reflect.DeepEqual(a.Scores(layer), b.Scores(layer)) {
 			t.Errorf("%v: Scores not reproducible", layer)
 		}
-		if !reflect.DeepEqual(a.UsageMatrix(layer), b.UsageMatrix(layer)) {
+		if !reflect.DeepEqual(a.ScoreSet().UsageMatrix(layer), b.ScoreSet().UsageMatrix(layer)) {
 			t.Errorf("%v: UsageMatrix not reproducible", layer)
 		}
 	}

@@ -37,9 +37,6 @@ func NewCountryTally(country string) *CountryTally {
 	return t
 }
 
-// Country returns the country the tally accumulates.
-func (t *CountryTally) Country() string { return t.country }
-
 // Observe folds one website row into the tally: every layer's provider
 // count plus the non-TLD insularity counters, exactly as the in-memory
 // index extraction does. Rows with empty provider fields are skipped per

@@ -58,9 +58,6 @@ func NewTally(country string) *Tally {
 	return t
 }
 
-// Country returns the country code the tally accumulates for.
-func (t *Tally) Country() string { return t.country }
-
 // Observe folds one website row into the tally. Empty provider fields
 // are skipped per layer — the same rule the scoring extraction applies —
 // so a layer's measured total in the graph equals the scoring index's

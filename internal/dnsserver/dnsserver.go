@@ -5,7 +5,6 @@
 package dnsserver
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -440,6 +439,3 @@ func (s *Server) glueFor(answers []dnswire.Record) []dnswire.Record {
 	}
 	return glue
 }
-
-// ErrServerClosed is retained for API symmetry with net/http-style servers.
-var ErrServerClosed = errors.New("dnsserver: server closed")

@@ -47,9 +47,6 @@ func (h *Histogram) Observe(v float64) {
 	h.max.storeMax(v)
 }
 
-// Count returns how many values have been observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts has one extra entry for

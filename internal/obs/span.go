@@ -28,12 +28,3 @@ func (s Span) End() time.Duration {
 	}
 	return d
 }
-
-// Time runs fn under a span against the named timing histogram in r — the
-// convenience form for cold paths (CLI stages) where a registry lookup per
-// call is fine.
-func Time(r *Registry, name string, fn func()) time.Duration {
-	sp := StartSpan(r.Timing(name))
-	fn()
-	return sp.End()
-}

@@ -7,7 +7,6 @@ package pfx2as
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"github.com/webdep/webdep/internal/iptrie"
 )
@@ -94,13 +93,3 @@ func (t *Table) LookupOrgString(ip string) (Org, bool) {
 
 // Routes reports the number of announced prefixes.
 func (t *Table) Routes() int { return t.routes.Len() }
-
-// ASNs returns the registered ASNs in ascending order.
-func (t *Table) ASNs() []int {
-	out := make([]int, 0, len(t.orgs))
-	for asn := range t.orgs {
-		out = append(out, asn)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -59,13 +59,13 @@ func TestMeasureWorldDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("%v score for %s: %v sequential, %v parallel", layer, cc, v, parScores[cc])
 			}
 		}
-		seqIns := seq.Insularities(layer)
-		for cc, v := range par.Insularities(layer) {
+		seqIns := seq.ScoreSet().Insularities(layer)
+		for cc, v := range par.ScoreSet().Insularities(layer) {
 			if seqIns[cc] != v {
 				t.Errorf("%v insularity for %s differs across worker counts", layer, cc)
 			}
 		}
-		if a, b := seq.GlobalDistribution(layer).Score(), par.GlobalDistribution(layer).Score(); a != b {
+		if a, b := seq.ScoreSet().GlobalDistribution(layer).Score(), par.ScoreSet().GlobalDistribution(layer).Score(); a != b {
 			t.Errorf("%v global score: %v sequential, %v parallel", layer, a, b)
 		}
 	}

@@ -3,6 +3,7 @@ package resolver
 import (
 	"context"
 	"errors"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -112,6 +113,36 @@ func TestTCPBlackholeExhaustsRetries(t *testing.T) {
 	ips, err := c.LookupA("site1.world.test")
 	if err != nil || len(ips) != 1 {
 		t.Fatalf("udp-only lookup: %v %v", ips, err)
+	}
+}
+
+// TestRetriesThroughLossyPath drops the first datagrams of a plain
+// (non-truncated) lookup and verifies the client's fixed retry loop recovers.
+func TestRetriesThroughLossyPath(t *testing.T) {
+	addr := startWorld(t)
+	p := faultProxy(t, addr, faultinject.Plan{DropFirst: 2}, faultinject.Plan{})
+
+	c := NewClient(p.Addr)
+	c.Timeout = 300 * time.Millisecond
+	c.Retries = 3
+	addrs, err := c.LookupA("site1.world.test")
+	if err != nil {
+		t.Fatalf("lookup through lossy path: %v", err)
+	}
+	if len(addrs) != 1 || addrs[0] != netip.MustParseAddr("203.0.113.1") {
+		t.Errorf("addrs = %v", addrs)
+	}
+}
+
+func TestLossBeyondRetriesFails(t *testing.T) {
+	addr := startWorld(t)
+	p := faultProxy(t, addr, faultinject.Plan{Blackhole: true}, faultinject.Plan{})
+
+	c := NewClient(p.Addr)
+	c.Timeout = 150 * time.Millisecond
+	c.Retries = 1
+	if _, err := c.LookupA("site1.world.test"); !errors.Is(err, ErrTimeout) {
+		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }
 

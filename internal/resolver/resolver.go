@@ -1,8 +1,8 @@
 // Package resolver is the toolkit's concurrent DNS lookup engine — the
 // ZDNS substitute. A Client performs single exchanges against an
 // authoritative server over UDP with retries and automatic TCP fallback on
-// truncation; a Pool fans lookups out across a bounded worker set, the way
-// the paper's measurement resolved 588K domains.
+// truncation; the crawler (pipeline.Live) fans lookups out across its own
+// bounded worker set, the way the paper's measurement resolved 588K domains.
 package resolver
 
 import (
@@ -356,52 +356,4 @@ func (c *Client) LookupNSGluedContext(ctx context.Context, name string) (targets
 		}
 	}
 	return targets, glue, nil
-}
-
-// Result is the outcome of one pooled lookup.
-type Result struct {
-	Domain string
-	Addrs  []netip.Addr
-	NS     []string
-	Err    error
-}
-
-// Pool performs bulk A+NS resolution with bounded concurrency.
-type Pool struct {
-	Client  *Client
-	Workers int // default 16
-}
-
-// ResolveAll looks up A and NS records for every domain, preserving input
-// order in the returned slice. Individual failures are reported per-result,
-// not as an overall error — a crawl keeps going when single domains fail.
-func (p *Pool) ResolveAll(domains []string) []Result {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = 16
-	}
-	results := make([]Result, len(domains))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				domain := domains[i]
-				res := Result{Domain: domain}
-				res.Addrs, res.Err = p.Client.LookupA(domain)
-				if res.Err == nil {
-					res.NS, _ = p.Client.LookupNS(domain)
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range domains {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
 }

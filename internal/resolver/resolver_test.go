@@ -128,46 +128,6 @@ func TestTimeoutAgainstBlackhole(t *testing.T) {
 	}
 }
 
-func TestPoolResolveAll(t *testing.T) {
-	addr := startWorld(t)
-	pool := &Pool{Client: NewClient(addr), Workers: 8}
-	domains := []string{
-		"site1.world.test", "site2.world.test", "missing.world.test",
-		"site1.world.test", "fat.world.test",
-	}
-	results := pool.ResolveAll(domains)
-	if len(results) != len(domains) {
-		t.Fatalf("results = %d", len(results))
-	}
-	// Order preserved.
-	for i, r := range results {
-		if r.Domain != domains[i] {
-			t.Errorf("result %d domain %q, want %q", i, r.Domain, domains[i])
-		}
-	}
-	if results[0].Err != nil || len(results[0].Addrs) != 1 {
-		t.Errorf("site1: %+v", results[0])
-	}
-	if !errors.Is(results[2].Err, ErrNXDomain) {
-		t.Errorf("missing: %v", results[2].Err)
-	}
-	if len(results[4].Addrs) != 60 {
-		t.Errorf("fat via pool: %d addrs", len(results[4].Addrs))
-	}
-	if len(results[0].NS) != 1 {
-		t.Errorf("site1 NS: %v", results[0].NS)
-	}
-}
-
-func TestPoolDefaults(t *testing.T) {
-	addr := startWorld(t)
-	pool := &Pool{Client: NewClient(addr)} // Workers unset → default
-	results := pool.ResolveAll([]string{"site1.world.test"})
-	if len(results) != 1 || results[0].Err != nil {
-		t.Fatalf("results = %+v", results)
-	}
-}
-
 func TestClientZeroValueDefaults(t *testing.T) {
 	addr := startWorld(t)
 	c := &Client{Server: addr} // zero Timeout/Retries must self-repair
@@ -188,5 +148,45 @@ func TestLookupNSGluedUsesAdditionalSection(t *testing.T) {
 	}
 	if len(glue) != 0 {
 		t.Fatalf("glue for unresolvable target: %v", glue)
+	}
+}
+
+// TestParentAnswersReferral queries a parent zone for a name below a
+// delegation it holds: no answer, authority NS, glue A, AA clear.
+func TestParentAnswersReferral(t *testing.T) {
+	parent := dnsserver.NewZone("test")
+	for _, r := range []dnswire.Record{
+		{Name: "test", Type: dnswire.TypeSOA,
+			SOA: &dnswire.SOAData{MName: "ns1.test", RName: "admin.test", Serial: 1}},
+		{Name: "example.test", Type: dnswire.TypeNS, TTL: 300, Target: "ns1.example.test"},
+		{Name: "ns1.example.test", Type: dnswire.TypeA, TTL: 300, Addr: netip.MustParseAddr("198.51.100.53")},
+	} {
+		if err := parent.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := dnsserver.NewServer(nil)
+	srv.AddZone(parent)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	resp, err := NewClient(addr.String()).Exchange("www.example.test", dnswire.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.AA {
+		t.Error("referral marked authoritative")
+	}
+	if len(resp.Answers) != 0 {
+		t.Errorf("referral carries answers: %+v", resp.Answers)
+	}
+	if len(resp.Authorities) != 1 || resp.Authorities[0].Target != "ns1.example.test" {
+		t.Errorf("authorities = %+v", resp.Authorities)
+	}
+	if len(resp.Additionals) != 1 || resp.Additionals[0].Addr != netip.MustParseAddr("198.51.100.53") {
+		t.Errorf("glue = %+v", resp.Additionals)
 	}
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -27,33 +26,6 @@ func (e *ECDF) At(x float64) float64 {
 	// Count of samples ≤ x: first index with sorted[i] > x.
 	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile (q in [0,1]) using the nearest-rank
-// method: the smallest sample whose cumulative probability is at least q,
-// i.e. sorted sample ⌈q·n⌉ (1-based). Out-of-range q values are clamped.
-func (e *ECDF) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[n-1]
-	}
-	// Nearest rank is ⌈q·n⌉; the pre-fix code floored instead, which
-	// overshot by one sample whenever q·n was an exact integer (e.g.
-	// q=0.5, n=4 must take sample 2, not sample 3).
-	rank := int(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return e.sorted[rank-1]
 }
 
 // Len reports the number of samples behind the ECDF.
@@ -109,13 +81,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// AddAll records every observation in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // Total reports how many observations the histogram holds.
 func (h *Histogram) Total() int { return h.total }
 
@@ -123,15 +88,4 @@ func (h *Histogram) Total() int { return h.total }
 func (h *Histogram) BinLabel(i int) string {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return fmt.Sprintf("[%.3f,%.3f)", h.Lo+float64(i)*w, h.Lo+float64(i+1)*w)
-}
-
-// Mode returns the index of the fullest bin (the smallest index on ties).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
 }

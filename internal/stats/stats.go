@@ -1,13 +1,12 @@
 // Package stats provides the descriptive and inferential statistics used
 // throughout the dependence toolkit: correlation coefficients, set
-// similarity, distribution summaries, empirical CDFs, histograms, and
-// feature scaling.
+// similarity, distribution summaries, empirical CDFs and histograms.
 //
 // The paper ("Formalizing Dependence of Web Infrastructure", SIGCOMM 2025)
-// relies on Pearson's correlation coefficient for cross-country comparisons,
-// the Jaccard index for toplist churn, and min-max scaling ahead of provider
-// clustering; all of those live here so that the higher-level metric
-// packages stay free of numeric plumbing.
+// relies on Pearson's correlation coefficient for cross-country comparisons
+// and the Jaccard index for toplist churn; those live here so that the
+// higher-level metric packages stay free of numeric plumbing. (The min-max
+// scaling ahead of provider clustering is classify's own.)
 package stats
 
 import (
@@ -51,18 +50,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Min returns the minimum of xs, or 0 for an empty slice.
@@ -132,41 +119,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, ErrInsufficientData
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns Spearman's rank correlation coefficient: Pearson's
-// coefficient computed over the ranks of the two samples, with ties assigned
-// their average rank.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks converts observations to 1-based fractional ranks, assigning tied
-// values the mean of the ranks they span.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average 1-based rank across the tie run [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }
 
 // CorrelationStrength renders a Pearson coefficient using the Akoglu (2018)
@@ -286,30 +238,4 @@ func Jaccard(a, b []string) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// MinMaxScale maps xs affinely onto [0, 1]. A constant sequence maps to all
-// zeros. The input is not modified.
-func MinMaxScale(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	lo, hi := Min(xs), Max(xs)
-	span := hi - lo
-	if span == 0 {
-		return out
-	}
-	if math.IsInf(span, 0) {
-		// The range overflows float64; scale in halves to stay finite.
-		halfSpan := hi/2 - lo/2
-		for i, x := range xs {
-			out[i] = (x/2 - lo/2) / halfSpan
-		}
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - lo) / span
-	}
-	return out
 }

@@ -26,13 +26,10 @@ func TestMeanBasics(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
+func TestVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
 	}
 	if got := Variance(nil); got != 0 {
 		t.Errorf("Variance(nil) = %v, want 0", got)
@@ -143,32 +140,6 @@ func TestPearsonSymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly increasing transform yields rho = 1 under Spearman.
-	xs := []float64{1, 5, 2, 8, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x) // monotone, nonlinear
-	}
-	rho, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rho, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", rho)
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCorrelationStrength(t *testing.T) {
 	cases := []struct {
 		rho  float64
@@ -230,44 +201,6 @@ func TestJaccardSymmetricProperty(t *testing.T) {
 	}
 }
 
-func TestMinMaxScale(t *testing.T) {
-	got := MinMaxScale([]float64{10, 20, 30})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("MinMaxScale = %v, want %v", got, want)
-		}
-	}
-	// Constant input maps to zeros, not NaN.
-	for _, v := range MinMaxScale([]float64{7, 7, 7}) {
-		if v != 0 {
-			t.Fatalf("constant scale produced %v", v)
-		}
-	}
-	if len(MinMaxScale(nil)) != 0 {
-		t.Fatal("nil scale should be empty")
-	}
-}
-
-func TestMinMaxScaleRangeProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-		}
-		for _, v := range MinMaxScale(xs) {
-			if v < 0 || v > 1 || math.IsNaN(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestECDF(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
 	cases := []struct {
@@ -282,71 +215,6 @@ func TestECDF(t *testing.T) {
 	}
 	if e.Len() != 4 {
 		t.Errorf("Len = %d, want 4", e.Len())
-	}
-}
-
-func TestECDFQuantile(t *testing.T) {
-	// Nearest-rank: the q-quantile is sorted sample ⌈q·n⌉ (1-based). The
-	// table covers exact-integer ranks (where the old floor indexing
-	// overshot by one) and fractional ranks (where floor and ceil-minus-one
-	// agree), across even and odd sample sizes.
-	four := []float64{10, 20, 30, 40}
-	five := []float64{1, 2, 3, 4, 5}
-	cases := []struct {
-		name string
-		xs   []float64
-		q    float64
-		want float64
-	}{
-		{"clamp-low", four, 0, 10},
-		{"clamp-below", four, -0.5, 10},
-		{"clamp-high", four, 1, 40},
-		{"clamp-above", four, 1.5, 40},
-		// q·n integer: rank q·n exactly, index q·n−1.
-		{"median-even-n", four, 0.5, 20},    // 0.5·4 = 2 → sample 2
-		{"quartile-even-n", four, 0.25, 10}, // 0.25·4 = 1 → sample 1
-		{"p75-even-n", four, 0.75, 30},      // 0.75·4 = 3 → sample 3
-		{"fifth-exact", five, 0.2, 1},       // 0.2·5 = 1 → sample 1
-		{"p60-exact", five, 0.6, 3},         // 0.6·5 = 3 → sample 3
-		// q·n fractional: rank ⌈q·n⌉.
-		{"median-odd-n", five, 0.5, 3},    // ⌈2.5⌉ = 3 → sample 3
-		{"p90-even-n", four, 0.9, 40},     // ⌈3.6⌉ = 4 → sample 4
-		{"p10-odd-n", five, 0.1, 1},       // ⌈0.5⌉ = 1 → sample 1
-		{"p99-odd-n", five, 0.99, 5},      // ⌈4.95⌉ = 5 → sample 5
-		{"p30-even-n", four, 0.3, 20},     // ⌈1.2⌉ = 2 → sample 2
-		{"tiny-q-even-n", four, 1e-9, 10}, // ⌈~0⌉ clamps to rank 1
-	}
-	for _, tc := range cases {
-		e := NewECDF(tc.xs)
-		if got := e.Quantile(tc.q); got != tc.want {
-			t.Errorf("%s: Quantile(%v) over %v = %v, want %v", tc.name, tc.q, tc.xs, got, tc.want)
-		}
-	}
-	empty := NewECDF(nil)
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Errorf("empty Quantile = %v", q)
-	}
-}
-
-// TestECDFQuantileConsistentWithAt pins the defining nearest-rank property:
-// Quantile(q) is the smallest sample x with At(x) ≥ q.
-func TestECDFQuantileConsistentWithAt(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	e := NewECDF(xs)
-	for _, q := range []float64{0.01, 0.1, 0.25, 1.0 / 3, 0.5, 0.6, 2.0 / 3, 0.75, 0.9, 0.99} {
-		got := e.Quantile(q)
-		if e.At(got) < q {
-			t.Errorf("At(Quantile(%v)) = %v < q", q, e.At(got))
-		}
-		// No smaller sample satisfies the bound.
-		for _, x := range e.sorted {
-			if x >= got {
-				break
-			}
-			if e.At(x) >= q {
-				t.Errorf("Quantile(%v) = %v is not the smallest sample with At ≥ q (%v qualifies)", q, got, x)
-			}
-		}
 	}
 }
 
@@ -387,7 +255,9 @@ func TestECDFPoints(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 1, 4)
-	h.AddAll([]float64{0.1, 0.1, 0.3, 0.6, 0.9, 1.5, -0.5})
+	for _, x := range []float64{0.1, 0.1, 0.3, 0.6, 0.9, 1.5, -0.5} {
+		h.Add(x)
+	}
 	if h.Total() != 7 {
 		t.Fatalf("Total = %d", h.Total())
 	}
@@ -397,9 +267,6 @@ func TestHistogram(t *testing.T) {
 		if h.Counts[i] != want[i] {
 			t.Fatalf("Counts = %v, want %v", h.Counts, want)
 		}
-	}
-	if h.Mode() != 0 {
-		t.Errorf("Mode = %d, want 0", h.Mode())
 	}
 	if lbl := h.BinLabel(0); lbl != "[0.000,0.250)" {
 		t.Errorf("BinLabel = %q", lbl)
@@ -414,8 +281,8 @@ func TestHistogramDegenerateConstruction(t *testing.T) {
 	}
 }
 
-func TestSumMinMaxEmpty(t *testing.T) {
-	if Sum(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
+func TestMinMaxEmpty(t *testing.T) {
+	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Fatal("empty-slice accessors should return 0")
 	}
 }

@@ -87,7 +87,7 @@ func TestStructuralAnecdotes(t *testing.T) {
 	}
 
 	// Insularity: US highest, Iran high, Thailand low.
-	ins := w.Truth.Insularities(countries.Hosting)
+	ins := w.Truth.ScoreSet().Insularities(countries.Hosting)
 	if ins["US"] < 0.80 {
 		t.Errorf("US insularity = %v, paper reports 0.921", ins["US"])
 	}
