@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -246,7 +247,8 @@ func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
 
 	hw := watchHeap()
 	start := time.Now()
-	d, err := webdepd.Start("127.0.0.1:0", webdepd.Config{StoreRoot: dir, Obs: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	d, err := webdepd.Start("127.0.0.1:0", webdepd.Config{StoreRoot: dir, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +284,23 @@ func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
 
 	// One reload with the old generation still answering: queries loop until
 	// the swap has happened and every path has been fetched again after it.
+	// The manifest is first written again as a new file, which is what a store
+	// put in this one's place looks like — a reload that found the very file
+	// it serves would scan nothing and share the read model.
+	manifest := filepath.Join(dir, corpusstore.ManifestName)
+	if label != "." {
+		manifest = filepath.Join(dir, label, corpusstore.ManifestName)
+	}
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest+".new", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(manifest+".new", manifest); err != nil {
+		t.Fatal(err)
+	}
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -307,6 +326,9 @@ func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
 	}
 	if _, swap := d.Generation(); swap != 1 {
 		t.Errorf("serving swap %d after one reload", swap)
+	}
+	if n := reg.Counter("webdepd.reloads_unchanged").Value(); n != 0 {
+		t.Errorf("the reload scanned nothing (webdepd.reloads_unchanged = %d): two read models were never alive at once", n)
 	}
 
 	peakMB := hw.peakMB()

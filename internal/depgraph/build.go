@@ -234,35 +234,55 @@ func Build(c *dataset.Corpus, opts *Options) *Graph {
 // the only resident state, never the corpus or a row of it. The result is
 // bit-identical to Build over the materialized rows.
 func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
-	return scanStore(st, opts, nil)
+	opts = opts.orDefault()
+	m := newMetrics(opts.Obs)
+	sp := obs.StartSpan(m.buildMS)
+	tallies, err := scanTallies(st, opts.Workers, nil)
+	if err != nil {
+		return nil, err
+	}
+	return mergeTimed(tallies, m, sp)
 }
 
 // ScanStore is FromStore and Store.Score in one decode: every block feeds
 // the country's scoring tally and its graph tally, so a caller that wants
-// both surfaces — the serving daemon, -from-store -summary -spof — reads
-// the store once. Both results are bit-identical to the separate calls.
+// both surfaces — the serving daemon, score -spof — reads the store once.
+// The two serial tails, the graph merge and the scoring index build, read
+// disjoint tallies and run side by side when opts.Workers allows. Both
+// results are bit-identical to the separate calls at any worker count.
 func ScanStore(st *corpusstore.Store, opts *Options) (*dataset.ScoreSet, *Graph, error) {
+	opts = opts.orDefault()
+	m := newMetrics(opts.Obs)
+	sp := obs.StartSpan(m.buildMS)
 	scores := make([]*dataset.CountryTally, len(st.Countries()))
-	g, err := scanStore(st, opts, scores)
+	tallies, err := scanTallies(st, opts.Workers, scores)
 	if err != nil {
 		return nil, nil, err
 	}
-	ss, err := dataset.BuildScoreSet(scores)
+	var (
+		ss *dataset.ScoreSet
+		g  *Graph
+	)
+	err = parallel.ForEachIndexed(context.Background(), opts.Workers, 2, func(_ context.Context, i int) (err error) {
+		if i == 0 {
+			g, err = mergeTimed(tallies, m, sp)
+		} else {
+			ss, err = dataset.BuildScoreSet(scores)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return ss, g, nil
 }
 
-// scanStore builds the graph from one Store.Scan. A non-nil scores is
-// filled, aligned with st.Countries(), with scoring tallies fed from the
-// same blocks.
-func scanStore(st *corpusstore.Store, opts *Options, scores []*dataset.CountryTally) (*Graph, error) {
-	opts = opts.orDefault()
-	m := newMetrics(opts.Obs)
-	sp := obs.StartSpan(m.buildMS)
+// scanTallies fills one graph tally per country, aligned with
+// st.Countries(), from one Store.Scan. A non-nil scores is filled the same
+// way with scoring tallies fed from the same blocks.
+func scanTallies(st *corpusstore.Store, workers int, scores []*dataset.CountryTally) ([]*Tally, error) {
 	tallies := make([]*Tally, len(st.Countries()))
-	err := st.Scan(opts.Workers, func(i int, cc string) func(*dataset.SymbolBlock) {
+	err := st.Scan(workers, func(i int, cc string) func(*dataset.SymbolBlock) {
 		t := NewTally(cc)
 		tallies[i] = t
 		if scores == nil {
@@ -278,12 +298,7 @@ func scanStore(st *corpusstore.Store, opts *Options, scores []*dataset.CountryTa
 	if err != nil {
 		return nil, err
 	}
-	g, err := merge(tallies, m)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	return g, nil
+	return tallies, nil
 }
 
 // FromTallies merges independently accumulated per-country tallies into
@@ -294,7 +309,11 @@ func scanStore(st *corpusstore.Store, opts *Options, scores []*dataset.CountryTa
 func FromTallies(tallies []*Tally, opts *Options) (*Graph, error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
-	sp := obs.StartSpan(m.buildMS)
+	return mergeTimed(tallies, m, obs.StartSpan(m.buildMS))
+}
+
+// mergeTimed is merge closing the build span its caller opened, on success.
+func mergeTimed(tallies []*Tally, m *metrics, sp obs.Span) (*Graph, error) {
 	g, err := merge(tallies, m)
 	if err != nil {
 		return nil, err

@@ -235,13 +235,16 @@ func TestFromStoreMatchesCorpusBuild(t *testing.T) {
 	equalGraphs(t, fromStore, want)
 
 	// The combined scan feeds both tallies from one decode; neither may
-	// notice the other.
-	scores, scanned, err := ScanStore(st, &Options{Obs: obs.NewRegistry()})
-	if err != nil {
-		t.Fatalf("ScanStore: %v", err)
+	// notice the other, whether the graph merge and the index build that
+	// follow run one after the other (one worker) or side by side.
+	for _, workers := range []int{1, 2, 8} {
+		scores, scanned, err := ScanStore(st, &Options{Workers: workers, Obs: obs.NewRegistry()})
+		if err != nil {
+			t.Fatalf("ScanStore with %d workers: %v", workers, err)
+		}
+		equalGraphs(t, scanned, want)
+		equalScores(t, scores, corpus.ScoreSet())
 	}
-	equalGraphs(t, scanned, want)
-	equalScores(t, scores, corpus.ScoreSet())
 }
 
 // equalScores requires two scoring surfaces to agree bit for bit on what

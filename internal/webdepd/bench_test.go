@@ -3,7 +3,11 @@ package webdepd
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
+
+	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/obs"
 )
 
 // benchDaemon serves a mid-sized world for the hot-path benchmarks.
@@ -52,7 +56,7 @@ func BenchmarkCachedHitParallel(b *testing.B) {
 // these two benchmarks is the cache's entire value proposition.
 func BenchmarkColdRender(b *testing.B) {
 	corpus := worldCorpus(b, 42, 400, []string{"US", "DE", "JP", "IN", "BR", "FR"})
-	g := corpusGeneration(corpus, "memory", 0, 0)
+	g := direct(corpus, "memory", 0)
 	q, qerr := ParseQuery("/api/scores", "layer=hosting")
 	if qerr != nil {
 		b.Fatal(qerr)
@@ -64,4 +68,63 @@ func BenchmarkColdRender(b *testing.B) {
 			b.Fatal(qerr)
 		}
 	}
+}
+
+// BenchmarkReloadUnchanged is the timer-driven loop's steady state: reload a
+// store root nothing has been written to, then render classes?layer=hosting
+// cold. "ap-runs/op" is how many of those renders ran affinity propagation,
+// and CI fails unless it reads 0 — every one shares generation 0's read
+// model, and with it the classification.
+func BenchmarkReloadUnchanged(b *testing.B) {
+	root := b.TempDir()
+	saveGeneration(b, root, "gen-0001", reloadCorpus(b, 400))
+	benchReload(b, root, func(int) {})
+}
+
+// BenchmarkReloadChanged is the other side: every reload lands a store the
+// daemon is not serving (two generations, the newer hidden and shown in
+// turn), so each pays the scan and the clustering — ap-runs/op reads 1.
+func BenchmarkReloadChanged(b *testing.B) {
+	root := b.TempDir()
+	saveGeneration(b, root, "gen-0001", reloadCorpus(b, 400))
+	saveGeneration(b, root, "gen-0002", reloadCorpus(b, 300))
+	shown, hidden := root+"/gen-0002", root+"/gen-0002.tmp" // Generations skips *.tmp
+	benchReload(b, root, func(i int) {
+		from, to := shown, hidden
+		if i%2 == 1 {
+			from, to = hidden, shown
+		}
+		if err := os.Rename(from, to); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+func reloadCorpus(b *testing.B, sites int) *dataset.Corpus {
+	return worldCorpus(b, 42, sites, []string{"US", "DE", "JP", "IN", "BR", "FR"})
+}
+
+// benchReload times b.N rounds of land(i), a reload and one cold
+// classes?layer=hosting, and reports how many of the renders clustered.
+func benchReload(b *testing.B, root string, land func(i int)) {
+	reg := obs.NewRegistry()
+	d := startDaemon(b, Config{StoreRoot: root, Obs: reg})
+	req := httptest.NewRequest(http.MethodGet, "http://x/api/classes?layer=hosting", nil)
+	w := &nullWriter{h: make(http.Header)}
+	d.handleAPI(w, req) // generation 0 pays for its clustering outside the loop
+	before, _, _ := classesCounters(reg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		land(i)
+		mustReload(b, d)
+		d.handleAPI(w, req)
+	}
+	b.StopTimer()
+	clustered, carried, _ := classesCounters(reg)
+	ran := clustered - before
+	if ran+carried != int64(b.N) {
+		b.Fatalf("%d reloads rendered classes cold %d times", b.N, ran+carried)
+	}
+	b.ReportMetric(float64(ran)/float64(b.N), "ap-runs/op")
 }

@@ -231,11 +231,22 @@ func (g *generation) renderCoverage() ([]byte, *QueryError) {
 	return marshal(resp)
 }
 
+// renderClasses takes the layer's classes from the read model, which
+// clusters once however many generations share it, counts which way it went,
+// and renders the census and every country's shares.
 func (g *generation) renderClasses(layer countries.Layer) ([]byte, *QueryError) {
-	res, err := classify.Layer(g.scores, layer, classify.DefaultOptions())
+	res, carried, err := g.classify(layer)
 	if err != nil {
 		return nil, &QueryError{Status: http.StatusInternalServerError,
 			Msg: fmt.Sprintf("classifying %s providers: %v", layer, err)}
+	}
+	if carried {
+		g.m.carried.Inc()
+	} else {
+		g.m.clustered.Inc()
+		if res.Iterations > 0 && !res.Converged {
+			g.m.capped.Inc()
+		}
 	}
 	ccs := g.scores.Countries()
 	resp := ClassesResponse{

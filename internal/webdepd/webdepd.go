@@ -31,6 +31,12 @@
 // the old generation's read model and cache are dropped whole and
 // garbage-collected. There is no torn state: a response is always
 // entirely from one generation.
+//
+// A reload that finds the store it is already serving — the usual one, for a
+// loop that reloads on a timer rather than on a write — scans nothing: the
+// new generation shares its predecessor's read model, provider classes
+// included, and gets a swap id and an empty cache of its own. Nothing is
+// shared between generations read from different stores.
 package webdepd
 
 import (
@@ -39,11 +45,15 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/webdep/webdep/internal/classify"
 	"github.com/webdep/webdep/internal/corpusstore"
+	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/depgraph"
 	"github.com/webdep/webdep/internal/obs"
@@ -70,28 +80,71 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// generation is one immutable serving epoch: the read model every renderer
-// queries and its response cache, complete before the daemon's pointer
-// swap. Nothing in it is reachable from outside the daemon, and nothing
-// after construction writes to it.
+// generation is one serving epoch: a read model, a swap id and the response
+// cache, complete before the daemon's pointer swap. Nothing in it is
+// reachable from outside the daemon.
 type generation struct {
-	id       int64  // swap counter: 0 for the initial load, +1 per reload
+	id int64 // swap counter: 0 for the initial load, +1 per reload
+	*model
+	m     *metrics
+	cache *respCache
+}
+
+// model is the read model every renderer queries: what one store, or the
+// in-memory corpus, said. Nothing after construction writes to it but
+// classify, under its lock. Generations that reloaded the same store share
+// one; it is dropped whole with the last of them.
+type model struct {
 	label    string // store generation name, or "memory" for Config.Corpus
 	epoch    string
 	scores   *dataset.ScoreSet
 	graph    *depgraph.Graph
-	coverage map[string]*dataset.Coverage // the generation's own; nil when the source carried none
+	coverage map[string]*dataset.Coverage // the model's own; nil when the source carried none
 	sites    int
-	cache    *respCache
+	manifest os.FileInfo // the store's manifest as the load found it; nil for Config.Corpus
+
+	mu      sync.Mutex
+	classes map[countries.Layer]*classify.Result // a layer's provider classes, once some generation has asked
 }
 
-// corpusGeneration snapshots an in-memory corpus. The scoring surface and
-// the graph are frozen copies by construction; the coverage map is mutated
-// in place by SetCoverage, and its values by a crawl still running, so both
+// classify returns the layer's provider classes, clustering the first time
+// a generation over this model asks; carried says a sibling's or this one's
+// earlier render already had. A classify.Result is immutable once returned.
+// The lock is not held across the kernel: two generations that ask together
+// both cluster, to equal results. Only a success is remembered.
+func (m *model) classify(layer countries.Layer) (res *classify.Result, carried bool, err error) {
+	m.mu.Lock()
+	res = m.classes[layer]
+	m.mu.Unlock()
+	if res != nil {
+		return res, true, nil
+	}
+	if res, err = classify.Layer(m.scores, layer, classify.DefaultOptions()); err != nil {
+		return nil, false, err
+	}
+	m.mu.Lock()
+	if m.classes == nil {
+		m.classes = make(map[countries.Layer]*classify.Result, len(countries.Layers))
+	}
+	m.classes[layer] = res
+	m.mu.Unlock()
+	return res, false, nil
+}
+
+// serve wraps a read model as the generation with swap id.
+func (d *Daemon) serve(m *model, id int64) *generation {
+	g := &generation{id: id, model: m, m: d.m}
+	g.cache = newRespCache(g.render)
+	return g
+}
+
+// corpusModel snapshots an in-memory corpus. The scoring surface and the
+// graph are frozen copies by construction; the coverage map is mutated in
+// place by SetCoverage, and its values by a crawl still running, so both
 // are copied.
-func corpusGeneration(c *dataset.Corpus, label string, id int64, workers int) *generation {
-	g := &generation{
-		id: id, label: label, epoch: c.Epoch,
+func corpusModel(c *dataset.Corpus, label string, workers int) *model {
+	m := &model{
+		label: label, epoch: c.Epoch,
 		scores:   c.ScoreSet(),
 		graph:    depgraph.Build(c, &depgraph.Options{Workers: workers}),
 		coverage: make(map[string]*dataset.Coverage, len(c.CoverageByCountry)),
@@ -99,10 +152,9 @@ func corpusGeneration(c *dataset.Corpus, label string, id int64, workers int) *g
 	}
 	for cc, cov := range c.CoverageByCountry {
 		own := *cov
-		g.coverage[cc] = &own
+		m.coverage[cc] = &own
 	}
-	g.cache = newRespCache(g.render)
-	return g
+	return m
 }
 
 // metrics holds the daemon's SLO surfaces, pre-resolved so the hit path
@@ -116,7 +168,11 @@ type metrics struct {
 	errors5xx *obs.Counter // webdepd.errors_5xx — render failures
 	panics    *obs.Counter // webdepd.render_panics — renders that panicked (each also a miss and a 5xx)
 	reloads   *obs.Counter // webdepd.reloads — successful generation swaps
+	unchanged *obs.Counter // webdepd.reloads_unchanged — of those, the ones that found the store already served
 	reloadErr *obs.Counter // webdepd.reload_errors — refused or failed reloads
+	clustered *obs.Counter // webdepd.classes.clustered — cold classes renders that ran affinity propagation
+	carried   *obs.Counter // webdepd.classes.carried — cold classes renders whose read model already held the result
+	capped    *obs.Counter // webdepd.classes.capped — clusterings cut off at MaxIterations, not converged
 	inflight  *obs.Gauge   // webdepd.inflight — /api requests being served now
 	reloadMS  *obs.Histogram
 	endpoint  map[string]*obs.Histogram // webdepd.<endpoint>.ms latency
@@ -132,7 +188,11 @@ func newMetrics(r *obs.Registry) *metrics {
 		errors5xx: r.Counter("webdepd.errors_5xx"),
 		panics:    r.Counter("webdepd.render_panics"),
 		reloads:   r.Counter("webdepd.reloads"),
+		unchanged: r.Counter("webdepd.reloads_unchanged"),
 		reloadErr: r.Counter("webdepd.reload_errors"),
+		clustered: r.Counter("webdepd.classes.clustered"),
+		carried:   r.Counter("webdepd.classes.carried"),
+		capped:    r.Counter("webdepd.classes.capped"),
 		inflight:  r.Gauge("webdepd.inflight"),
 		reloadMS:  r.Timing("webdepd.reload.ms"),
 		endpoint:  make(map[string]*obs.Histogram, len(endpoints)),
@@ -175,16 +235,16 @@ func Start(addr string, cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{storeRoot: cfg.StoreRoot, workers: cfg.Workers, m: newMetrics(reg)}
 
-	var gen *generation
+	var m *model
 	if cfg.Corpus != nil {
-		gen = corpusGeneration(cfg.Corpus, "memory", 0, cfg.Workers)
+		m = corpusModel(cfg.Corpus, "memory", cfg.Workers)
 	} else {
 		var err error
-		if gen, err = d.loadGeneration(0); err != nil {
+		if m, err = d.loadModel(nil); err != nil {
 			return nil, err
 		}
 	}
-	d.gen.Store(gen)
+	d.gen.Store(d.serve(m, 0))
 
 	d.mux = http.NewServeMux()
 	d.mux.HandleFunc("/api/", d.handleAPI)
@@ -221,10 +281,12 @@ func (d *Daemon) Generation() (label string, swap int64) {
 	return g.label, g.id
 }
 
-// Reload scans the newest complete store generation and atomically swaps
-// it in. In-flight requests finish on the old generation; the old read
-// model and its cache are released whole. Refused when the daemon serves a
-// fixed in-memory corpus.
+// Reload resolves the newest complete store generation and atomically
+// swaps to it: scanned, when it is not the store already being served, and
+// otherwise over the serving read model as it is. In-flight requests finish
+// on the old generation; its cache, and its read model once no generation
+// shares it, are released whole. Refused when the daemon serves a fixed
+// in-memory corpus.
 func (d *Daemon) Reload() (label string, err error) {
 	gen, err := d.reload()
 	if err != nil {
@@ -243,25 +305,41 @@ func (d *Daemon) reload() (*generation, error) {
 		return nil, fmt.Errorf("webdepd: daemon serves a fixed in-memory corpus; reload needs a store root")
 	}
 	sp := obs.StartSpan(d.m.reloadMS)
-	gen, err := d.loadGeneration(d.gen.Load().id + 1)
+	cur := d.gen.Load()
+	m, err := d.loadModel(cur.model)
 	if err != nil {
 		d.m.reloadErr.Inc()
 		return nil, err
 	}
+	gen := d.serve(m, cur.id+1)
 	d.gen.Store(gen)
 	sp.End()
 	d.m.reloads.Inc()
+	if m == cur.model {
+		d.m.unchanged.Inc()
+	}
 	return gen, nil
 }
 
-// loadGeneration resolves the newest complete generation under the store
-// root and scans it, once, into both surfaces. The manifest's coverage map
-// is immutable after Open and its row counts are cross-checked against the
-// decoded rows by the scan, so both are used as they are.
-func (d *Daemon) loadGeneration(id int64) (*generation, error) {
+// loadModel resolves the newest complete generation under the store root
+// and returns serving itself when that is the store it was read from;
+// otherwise it scans the store, once, into both surfaces. The manifest's
+// coverage map is immutable after Open and its row counts are cross-checked
+// against the decoded rows by the scan, so both are used as they are.
+func (d *Daemon) loadModel(serving *model) (*model, error) {
 	dir, label, err := corpusstore.LatestGeneration(d.storeRoot)
 	if err != nil {
 		return nil, err
+	}
+	// Stat before Open: a store replaced in between is scanned under the old
+	// manifest's identity, which costs the next reload a scan, never a stale
+	// answer.
+	manifest, err := os.Stat(filepath.Join(dir, corpusstore.ManifestName))
+	if err != nil {
+		return nil, err
+	}
+	if serving != nil && serving.label == label && sameFile(serving.manifest, manifest) {
+		return serving, nil
 	}
 	st, err := corpusstore.Open(dir, &corpusstore.Options{Workers: d.workers})
 	if err != nil {
@@ -271,14 +349,23 @@ func (d *Daemon) loadGeneration(id int64) (*generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &generation{
-		id: id, label: label, epoch: st.Epoch(),
+	return &model{
+		label: label, epoch: st.Epoch(),
 		scores: scores, graph: graph,
 		coverage: st.Coverage(),
 		sites:    int(st.TotalSites()),
-	}
-	g.cache = newRespCache(g.render)
-	return g, nil
+		manifest: manifest,
+	}, nil
+}
+
+// sameFile says two stats of a store's manifest saw one file, unmodified. A
+// store's manifest is written last, once, by rename, and Create refuses a
+// directory that holds one, so a store written over a served path — the
+// bare-store layout, where the label is always "." — has a manifest that is
+// a different file. Size and modification time are there for a file system
+// that hands the removed one's identity to the new one.
+func sameFile(a, b os.FileInfo) bool {
+	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
 }
 
 // handleAPI is the query hot path. On a cache hit it does: one counter

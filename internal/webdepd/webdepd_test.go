@@ -61,6 +61,14 @@ func get(t testing.TB, d *Daemon, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// direct snapshots a corpus for direct renders, the reference served bytes
+// are held to: a read model and counters of its own, nothing of the daemon
+// under test.
+func direct(c *dataset.Corpus, label string, id int64) *generation {
+	d := &Daemon{m: newMetrics(obs.NewRegistry())}
+	return d.serve(corpusModel(c, label, 0), id)
+}
+
 var testCCs = []string{"US", "DE", "JP", "IN"}
 
 // crossCheckQueries enumerates one query of every endpoint shape.
@@ -119,7 +127,7 @@ func TestEndpointsCrossCheck(t *testing.T) {
 
 			// An independent measurement of the same world, rendered directly
 			// with no daemon, no store and no cache in the loop.
-			independent := corpusGeneration(worldCorpus(t, 7, 150, testCCs), leg.label, 0, 0)
+			independent := direct(worldCorpus(t, 7, 150, testCCs), leg.label, 0)
 
 			for _, path := range crossCheckQueries() {
 				want, qerr := independent.render(parsePath(t, path))
@@ -462,31 +470,37 @@ func TestConcurrentReloadsReportOwnSwap(t *testing.T) {
 
 // TestReloadRaceHammer hammers queries against concurrent reloads under
 // the race detector: every response must be byte-identical to one of the
-// two generations' direct renders — never a blend, never torn.
+// two generations' direct renders — never a blend, never torn. The classes
+// queries put the read model that unchanged reloads share under the same
+// hammer: generation B is a smaller world (a seed alone does not move a
+// provider's share), the first swap scans it with A's renders still in
+// flight, and the later swaps find B already served and share its model,
+// classes included, with renders on both sides of each.
 func TestReloadRaceHammer(t *testing.T) {
 	root := t.TempDir()
 	corpusA := worldCorpus(t, 21, 80, []string{"US", "DE", "JP"})
-	corpusB := worldCorpus(t, 22, 80, []string{"US", "DE", "JP"})
+	corpusB := worldCorpus(t, 22, 60, []string{"US", "DE", "JP"})
 	corpusB.Epoch = "2023-06"
 	if err := corpusstore.Save(root+"/gen-0001", corpusA, &corpusstore.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	d := startDaemon(t, Config{StoreRoot: root, Workers: 2})
+	reg := obs.NewRegistry()
+	d := startDaemon(t, Config{StoreRoot: root, Workers: 2, Obs: reg})
 
-	paths := []string{
+	classes := []string{"/api/classes?layer=ca", "/api/classes?layer=hosting"}
+	paths := append([]string{
 		"/api/scores?layer=hosting",
 		"/api/scores?layer=dns&country=DE",
 		"/api/rankcurve?layer=hosting&country=US",
 		"/api/spof?n=5",
-		"/api/classes?layer=ca",
-	}
+	}, classes...)
 	// Direct renders from both worlds; a served body must match one side
 	// entirely.
 	allowed := make(map[string][2][]byte, len(paths))
-	genA := corpusGeneration(worldCorpus(t, 21, 80, []string{"US", "DE", "JP"}), "gen-0001", 0, 0)
-	corpusB2 := worldCorpus(t, 22, 80, []string{"US", "DE", "JP"})
+	genA := direct(worldCorpus(t, 21, 80, []string{"US", "DE", "JP"}), "gen-0001", 0)
+	corpusB2 := worldCorpus(t, 22, 60, []string{"US", "DE", "JP"})
 	corpusB2.Epoch = "2023-06"
-	genB := corpusGeneration(corpusB2, "gen-0002", 1, 0)
+	genB := direct(corpusB2, "gen-0002", 1)
 	for _, p := range paths {
 		q := parsePath(t, p)
 		wa, qerr := genA.render(q)
@@ -549,6 +563,34 @@ func TestReloadRaceHammer(t *testing.T) {
 	if label, _ := d.Generation(); label != "gen-0002" {
 		t.Errorf("final generation %s", label)
 	}
+
+	// Four generations served two classes keys: at most eight cold renders,
+	// each counted once. With the readers gone, one reload and a render of
+	// both make sure B's model holds both results, and the next must carry
+	// them.
+	clustered, carried, _ := classesCounters(reg)
+	if n := clustered + carried; n < 1 || n > 8 {
+		t.Errorf("clustered+carried = %d+%d under the hammer, want 1..8 cold classes renders", clustered, carried)
+	}
+	for settled := 0; settled < 2; settled++ {
+		clustered, carried, _ = classesCounters(reg)
+		mustReload(t, d)
+		for _, p := range classes {
+			if _, body := get(t, d, p); !bytes.Equal(body, allowed[p][1]) {
+				t.Errorf("%s after the hammer: body is not generation B's", p)
+			}
+		}
+	}
+	if cl, ca, _ := classesCounters(reg); cl != clustered || ca != carried+2 {
+		t.Errorf("unchanged reload after the hammer: clustered/carried moved %d/%d, want 0/2", cl-clustered, ca-carried)
+	}
+	// Of the five reloads only the first found a store not yet served.
+	if got := reg.Counter("webdepd.reloads_unchanged").Value(); got != 4 {
+		t.Errorf("webdepd.reloads_unchanged = %d, want 4", got)
+	}
+	if got := reg.Counter("webdepd.errors_5xx").Value(); got != 0 {
+		t.Errorf("webdepd.errors_5xx = %d, want 0", got)
+	}
 }
 
 // TestServedSnapshotIgnoresMutation pins the immutability contract from the
@@ -562,7 +604,7 @@ func TestServedSnapshotIgnoresMutation(t *testing.T) {
 	corpus := worldCorpus(t, 9, 60, []string{"US", "DE"})
 	usCov := &dataset.Coverage{Country: "US", Sites: 60, Host: dataset.FieldCoverage{OK: 60}}
 	corpus.SetCoverage(usCov)
-	want := corpusGeneration(corpus, "memory", 0, 0)
+	want := direct(corpus, "memory", 0)
 	d := startDaemon(t, Config{Corpus: corpus, Obs: reg})
 
 	// Warm half the keys, so the mutation is met by hits and by cold renders.
