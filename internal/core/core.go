@@ -22,11 +22,11 @@ import (
 // The derived views (Score, HHI, Ranked, Counts, RankCurve, TopNShare,
 // ProvidersForCoverage) are memoized: the first call sorts the counts once
 // and every later call reads the cached ordering until the next mutation
-// (Add, Observe, Merge) discards it. A frozen distribution — one whose
-// caches have been warmed via Freeze, or any distribution handed out by
-// the dataset scoring index — is safe for concurrent readers as long as
-// nobody mutates it; an unfrozen distribution must not have its first
-// derived-view call race with another reader.
+// (Add, Observe, Merge) discards it. A frozen distribution — one built by
+// FromSorted, as every distribution the dataset scoring index hands out is
+// — is safe for concurrent readers as long as nobody mutates it; an
+// unfrozen distribution must not have its first derived-view call race
+// with another reader.
 type Distribution struct {
 	counts map[string]float64
 	total  float64
@@ -107,16 +107,6 @@ func (d *Distribution) unfreeze() {
 		d.sorted = nil
 		d.ranked = nil
 	}
-}
-
-// Freeze warms every memoized derived view (sorted counts, provider
-// ranking, score, HHI) and returns d. After Freeze, the read-only methods
-// perform no writes, making the distribution safe for concurrent readers
-// until the next mutation. Freezing an already-frozen distribution is a
-// no-op.
-func (d *Distribution) Freeze() *Distribution {
-	d.freeze()
-	return d
 }
 
 // freeze builds the memoized views if they are stale.

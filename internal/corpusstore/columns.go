@@ -65,7 +65,7 @@ var (
 	// rowView materialises every column: StreamShard, ReadList, Load.
 	rowView blockView
 	// symbolView collects the provider columns and skips the rest:
-	// StreamSymbols, and through it Score and depgraph.FromStore.
+	// Scan, and through it Score and depgraph.FromStore.
 	symbolView = func() (v blockView) {
 		for c, col := range shardColumns {
 			v[c] = actSkip

@@ -46,7 +46,7 @@
 // a view decides what it keeps. The row view materialises every column as
 // dataset.Website rows (StreamShard, ReadList, Load). The symbol view hands
 // out only the provider columns, as shard-local symbol IDs next to the
-// shard's name table (StreamSymbols): the shard's symbol table already is
+// shard's name table (Scan): the shard's symbol table already is
 // the interning a tally would otherwise redo, so Score and
 // depgraph.FromStore count IDs and resolve names once per shard, and build
 // no string per row. Both views validate every column of every block.
@@ -241,6 +241,11 @@ type byteReader struct {
 var errShortPayload = fmt.Errorf("corpusstore: payload exhausted")
 
 func (r *byteReader) uvarint() (uint64, error) {
+	// Most symbol IDs and lengths fit one byte.
+	if r.i < len(r.b) && r.b[r.i] < 0x80 {
+		r.i++
+		return uint64(r.b[r.i-1]), nil
+	}
 	v, n := binary.Uvarint(r.b[r.i:])
 	if n <= 0 {
 		return 0, errShortPayload

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/webdep/webdep/internal/countries"
@@ -304,6 +305,45 @@ func TestScoreAllocsPerRow(t *testing.T) {
 		t.Errorf("Score allocates %.2f times per row (%.0f for %d rows), want at most 0.5",
 			perRow, allocs, c.TotalSites())
 	}
+}
+
+// TestScoreBytesPerRow gates streamed scoring in bytes as well as objects,
+// at one worker: a scan reads every shard through one set of read buffers,
+// so what a score allocates is the per-shard symbol tables, the tallies and
+// the score set, about 18 bytes a row on this corpus. A fresh 64 KiB read
+// buffer and payload buffer per shard, or a per-row string, fails here.
+func TestScoreBytesPerRow(t *testing.T) {
+	c := benchCorpus(t)
+	dir := t.TempDir()
+	if err := Save(dir, c, benchOpts()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, &Options{Obs: obs.NewRegistry(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := bytesPerRun(3, func() {
+		if _, err := st.Score(); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(c.TotalSites())
+	if perRow > 30 {
+		t.Errorf("Score allocates %.1f bytes per row, want at most 30", perRow)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun in bytes: the heap bytes one call of
+// f allocates, averaged over runs after a warm-up call, on one core.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func TestStreamShardMatchesReadList(t *testing.T) {

@@ -39,7 +39,7 @@ func streamView(dir string, symbols bool) (error, int64) {
 	}
 	for _, cc := range st.Countries() {
 		if symbols {
-			err = st.StreamSymbols(cc, func(*dataset.SymbolBlock) error { return nil })
+			err = st.stream(cc, &shardReader{dec: shardBlockDecoder{onBlock: func(*dataset.SymbolBlock) error { return nil }}})
 		} else {
 			err = st.StreamShard(cc, func(*dataset.Website) error { return nil })
 		}

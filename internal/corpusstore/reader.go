@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"github.com/webdep/webdep/internal/dataset"
@@ -146,20 +147,23 @@ func (s *Store) Coverage() map[string]*dataset.Coverage { return s.man.Coverage 
 // epoch, country), its end-marker totals against the rows actually decoded,
 // and any mismatch, truncation, or checksum failure is a *CorruptError.
 func (s *Store) StreamShard(cc string, fn func(*dataset.Website) error) error {
-	return s.stream(cc, &shardBlockDecoder{onRow: fn})
+	return s.stream(cc, &shardReader{dec: shardBlockDecoder{onRow: fn}})
 }
 
-// StreamSymbols decodes one country's shard block by block in interned
-// form: the seven provider columns as shard-local symbol IDs plus the
-// shard's name table, with no Website and no per-row string built. It runs
-// the same parser and makes every check StreamShard makes, on every column.
-// The block passed to fn is reused across calls.
-func (s *Store) StreamSymbols(cc string, fn func(*dataset.SymbolBlock) error) error {
-	return s.stream(cc, &shardBlockDecoder{onBlock: fn})
+// shardReader is the read state of one shard stream: the file's frame
+// reader and the block decoder. Scan gives each of its workers one and
+// points it at every shard the worker reads, so the read buffer, the frame
+// payload buffer, the symbol-ID columns and the scratch are allocated once
+// per worker, not once per shard.
+type shardReader struct {
+	fr  *framing.Reader
+	dec shardBlockDecoder
 }
 
-// stream opens one country's shard and drives it through dec.
-func (s *Store) stream(cc string, dec *shardBlockDecoder) error {
+// stream opens one country's shard and drives it through rd. The shard's
+// symbol table is always a fresh one: tallies keep the Names of the blocks
+// they observed.
+func (s *Store) stream(cc string, rd *shardReader) error {
 	ms, ok := s.byCC[cc]
 	if !ok {
 		return fmt.Errorf("corpusstore: store has no shard for country %s", cc)
@@ -170,12 +174,18 @@ func (s *Store) stream(cc string, dec *shardBlockDecoder) error {
 		return err
 	}
 	defer f.Close()
-	fr, err := framing.NewFileReader(f, maxSectionBytes, framing.Strict)
+	if rd.fr == nil {
+		rd.fr, err = framing.NewFileReader(f, maxSectionBytes, framing.Strict)
+	} else {
+		err = rd.fr.ResetFile(f)
+	}
 	if err != nil {
 		return err
 	}
+	fr := rd.fr
+	rd.dec.syms = nil
 	want := shardHeader{Version: Version, Epoch: s.man.Epoch, Country: cc}
-	rows, err := decodeShard(fr, &want, dec)
+	rows, err := decodeShard(fr, &want, &rd.dec)
 	if err != nil {
 		return s.noteCorrupt(err)
 	}
@@ -229,20 +239,36 @@ func (s *Store) Load() (*dataset.Corpus, error) {
 	return c, nil
 }
 
-// Scan decodes every shard once in symbol form: up to workers countries at
-// a time (0 means one per core), each country's blocks in stored order.
-// observe is called once per country — concurrently, i indexing Countries()
-// — and returns the function that country's blocks are handed to; whatever
-// it accumulates into must be private to the country. The block is reused
-// across calls, as in StreamSymbols.
+// Scan decodes every shard once in its symbol view: the seven provider
+// columns as shard-local symbol IDs next to the shard's name table, with no
+// Website and no per-row string built, under the same parser and every
+// check StreamShard makes, on every column. Up to workers countries are
+// read at a time (0 means one per core), each country's blocks in stored
+// order. observe is called once per country — concurrently, i indexing
+// Countries() — and returns the function that country's blocks are handed
+// to; whatever it accumulates into must be private to the country. The
+// block is reused across calls; its name table is the shard's own. Each
+// worker reads all its shards through one shardReader, handed from a
+// finished shard to the next through a channel private to this call: two
+// scans share no buffer, and a finished scan keeps none.
 func (s *Store) Scan(workers int, observe func(i int, cc string) func(*dataset.SymbolBlock)) error {
 	ccs := s.Countries()
+	// At most this many shards are read at once, so the channel never fills.
+	idle := make(chan *shardReader, min(parallel.Workers(workers), len(ccs)))
 	return parallel.ForEachIndexed(context.Background(), workers, len(ccs), func(_ context.Context, i int) error {
+		var rd *shardReader
+		select {
+		case rd = <-idle:
+		default:
+			rd = new(shardReader)
+		}
+		defer func() { idle <- rd }()
 		block := observe(i, ccs[i])
-		return s.StreamSymbols(ccs[i], func(b *dataset.SymbolBlock) error {
+		rd.dec.onBlock = func(b *dataset.SymbolBlock) error {
 			block(b)
 			return nil
-		})
+		}
+		return s.stream(ccs[i], rd)
 	})
 }
 
@@ -375,6 +401,7 @@ func (d *shardBlockDecoder) block(payload []byte) (int64, error) {
 	if uint64(len(d.syms))+nSyms > dataset.NoSymbol {
 		return 0, fmt.Errorf("block grows the symbol table past %d entries", uint32(dataset.NoSymbol))
 	}
+	d.syms = slices.Grow(d.syms, int(nSyms))
 	for i := uint64(0); i < nSyms; i++ {
 		s, err := br.str()
 		if err != nil {

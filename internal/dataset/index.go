@@ -1,9 +1,11 @@
 package dataset
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
@@ -121,32 +123,41 @@ type rawLayer struct {
 
 // buildIndex extracts the whole index in one parallel pass over the
 // corpus: each worker scans one country's website rows once, tallying all
-// four layers simultaneously, and the deterministic merge (sorted country
-// order, layer order, rank order) happens on the calling goroutine.
+// four layers simultaneously, and builds that country's columns.
 func (c *Corpus) buildIndex() *scoringIndex {
 	ccs := c.Countries()
-	raws, err := parallel.Map(context.Background(), c.Workers, len(ccs),
-		func(_ context.Context, i int) ([numLayers]rawLayer, error) {
-			return extractCountry(c.Lists[ccs[i]]), nil
-		})
-	if err != nil {
-		// Map only fails when fn errors or the context is cancelled;
-		// extractCountry is infallible and the context above is never
-		// cancelled, so this branch is unreachable (the invariant
-		// TestScoringExtractionCannotFail pins down). Panicking — rather
-		// than the old perCountry helper's silent `_ =` discard — means a
-		// future fallible extraction fails loudly instead of zero-filling
-		// every score.
-		panic(fmt.Sprintf("dataset: scoring-index extraction failed: %v", err))
-	}
-	return buildIndexFromRaws(ccs, raws)
+	return buildIndexFromRaws(ccs, c.Workers, func(i int) *[numLayers]rawLayer {
+		raws := extractCountry(c.Lists[ccs[i]])
+		return &raws
+	})
 }
 
-// buildIndexFromRaws merges per-country layer tallies into the immutable
-// index. ccs must be sorted and aligned with raws; symbols are interned in
-// (country, layer, rank) order, so the same tallies always produce the same
-// table — whether they came from in-memory rows or a streamed shard.
-func buildIndexFromRaws(ccs []string, raws [][numLayers]rawLayer) *scoringIndex {
+// buildIndexFromRaws builds the immutable index from per-country layer
+// tallies. ccs must be sorted; raw(i) returns country i's tallies. Calling
+// it and turning its tallies into the country's four columns — sort,
+// frozen Distribution, score, insularity — run on one of up to workers
+// goroutines (0 means one per core) per country. The symbol intern and the
+// global distributions run on the calling goroutine in (layer, country,
+// rank) order, so the same tallies always produce the same table — whether
+// they came from in-memory rows or a streamed shard, on any worker count.
+func buildIndexFromRaws(ccs []string, workers int, raw func(i int) *[numLayers]rawLayer) *scoringIndex {
+	cols, err := parallel.Map(context.Background(), workers, len(ccs),
+		func(_ context.Context, i int) (out [numLayers]countryCol, _ error) {
+			raws := raw(i)
+			for l := range out {
+				buildCol(&out[l], &raws[l])
+			}
+			return out, nil
+		})
+	if err != nil {
+		// Map only fails when fn errors or the context is cancelled; the
+		// column build is infallible and the context above is never
+		// cancelled, so this branch is unreachable (the invariant
+		// TestScoringExtractionCannotFail pins down). Panicking — rather
+		// than a silent `_ =` discard — means a future fallible extraction
+		// fails loudly instead of zero-filling every score.
+		panic(fmt.Sprintf("dataset: scoring-index extraction failed: %v", err))
+	}
 	idx := &scoringIndex{
 		countries: ccs,
 		pos:       make(map[string]int, len(ccs)),
@@ -160,20 +171,47 @@ func buildIndexFromRaws(ccs []string, raws [][numLayers]rawLayer) *scoringIndex 
 		ly.cols = make([]countryCol, len(ccs))
 		ly.scores = make(map[string]float64, len(ccs))
 		ly.insular = make(map[string]float64, len(ccs))
-		globalCounts := make(map[string]float64)
+		var global []float64 // symbol -> the layer's corpus-wide count
+		var used []uint32    // symbols the layer counted, first use first
 		for i, cc := range ccs {
-			raw := &raws[i][l]
 			col := &ly.cols[i]
-			buildCol(col, raw, idx.providers)
+			*col = cols[i][l]
+			col.syms = make([]uint32, len(col.counts))
+			for k, ps := range col.dist.Ranked() {
+				s := idx.providers.intern(ps.Provider)
+				col.syms[k] = s
+				if int(s) >= len(global) {
+					global = append(global, make([]float64, int(s)+1-len(global))...)
+				}
+				if global[s] == 0 {
+					used = append(used, s)
+				}
+				global[s] += col.counts[k]
+			}
 			ly.scores[cc] = col.score
 			ly.insular[cc] = col.ins.Fraction()
-			for p, n := range raw.counts {
-				globalCounts[p] += float64(n)
-			}
 		}
-		ly.global = core.FromCounts(globalCounts).Freeze()
+		ly.global = globalDistribution(used, global, idx.providers)
 	}
 	return idx
+}
+
+// globalDistribution freezes a layer's corpus-wide counts: the symbols it
+// used, ranked (count descending, name ascending) — the distribution
+// core.FromCounts would freeze from the same counts, built without a map.
+func globalDistribution(used []uint32, global []float64, providers *symtab) *core.Distribution {
+	slices.SortFunc(used, func(a, b uint32) int {
+		if global[a] != global[b] {
+			return cmp.Compare(global[b], global[a])
+		}
+		return strings.Compare(providers.name(a), providers.name(b))
+	})
+	names := make([]string, len(used))
+	counts := make([]float64, len(used))
+	for k, s := range used {
+		names[k], counts[k] = providers.name(s), global[s]
+	}
+	return core.FromSorted(names, counts)
 }
 
 // extractCountry tallies one country's provider counts and insularity for
@@ -214,30 +252,32 @@ func observeSite(out *[numLayers]rawLayer, country string, w *Website) {
 	}
 }
 
-// buildCol converts one raw (country, layer) tally into its columnar form:
-// sort providers by (count desc, name asc), intern them in that order, and
-// precompute the score and the frozen Distribution view. The sorted count
-// vector feeds emd.CentralizationSorted through core.FromSorted, so the
-// score is bit-identical to Distribution.Score over the same tally.
-func buildCol(col *countryCol, raw *rawLayer, providers *symtab) {
-	names := make([]string, 0, len(raw.counts))
-	for p := range raw.counts {
-		names = append(names, p)
+// buildCol converts one raw (country, layer) tally into its columnar form,
+// all but the symbols: providers sorted by (count desc, name asc), the
+// score, and the frozen Distribution view. The sorted count vector feeds
+// emd.CentralizationSorted through core.FromSorted, so the score is
+// bit-identical to Distribution.Score over the same tally.
+func buildCol(col *countryCol, raw *rawLayer) {
+	type providerCount struct {
+		name string
+		n    uint32
 	}
-	sort.Slice(names, func(i, j int) bool {
-		ci, cj := raw.counts[names[i]], raw.counts[names[j]]
-		if ci != cj {
-			return ci > cj
+	ranked := make([]providerCount, 0, len(raw.counts))
+	for p, n := range raw.counts {
+		ranked = append(ranked, providerCount{p, n})
+	}
+	slices.SortFunc(ranked, func(a, b providerCount) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
 		}
-		return names[i] < names[j]
+		return strings.Compare(a.name, b.name)
 	})
-	col.syms = make([]uint32, len(names))
-	col.counts = make([]float64, len(names))
-	for i, p := range names {
-		col.syms[i] = providers.intern(p)
-		n := float64(raw.counts[p])
-		col.counts[i] = n
-		col.total += n
+	names := make([]string, len(ranked))
+	col.counts = make([]float64, len(ranked))
+	for i, pc := range ranked {
+		names[i] = pc.name
+		col.counts[i] = float64(pc.n)
+		col.total += col.counts[i]
 	}
 	col.dist = core.FromSorted(names, col.counts)
 	col.score = col.dist.Score()

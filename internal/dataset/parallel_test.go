@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/webdep/webdep/internal/countries"
@@ -86,6 +87,50 @@ func TestCorpusComputationsStableAcrossRuns(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.ScoreSet().UsageMatrix(layer), b.ScoreSet().UsageMatrix(layer)) {
 			t.Errorf("%v: UsageMatrix not reproducible", layer)
+		}
+	}
+}
+
+// TestScoreSetIndependentOfOrderAndCores: an index's columns are built one
+// country per worker and interned on the caller, so the whole score set —
+// symbol table, columns, usage curves — is the same at any worker count, and
+// tallies handed to BuildScoreSet in any order, on any number of cores, give
+// that same set.
+func TestScoreSetIndependentOfOrderAndCores(t *testing.T) {
+	ccs := []string{"TH", "IR", "US", "CZ", "DE", "FR", "JP", "BR", "IN", "NG"}
+	want := syntheticCorpus(11, ccs, 300)
+	want.Workers = 1
+	for _, workers := range []int{2, 8} {
+		c := syntheticCorpus(11, ccs, 300)
+		c.Workers = workers
+		if !reflect.DeepEqual(c.ScoreSet(), want.ScoreSet()) {
+			t.Fatalf("%d workers: score set differs from one worker's", workers)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		runtime.GOMAXPROCS(procs)
+		var tallies []*CountryTally
+		for _, cc := range want.Countries() {
+			tl := NewCountryTally(cc)
+			for i := range want.Lists[cc].Sites {
+				tl.Observe(&want.Lists[cc].Sites[i])
+			}
+			tallies = append(tallies, tl)
+		}
+		rng.Shuffle(len(tallies), func(i, j int) { tallies[i], tallies[j] = tallies[j], tallies[i] })
+		ss, err := BuildScoreSet(tallies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, layer := range countries.Layers {
+			if !reflect.DeepEqual(ss.UsageCurves(layer), want.UsageCurves(layer)) {
+				t.Fatalf("GOMAXPROCS %d: %v usage curves differ", procs, layer)
+			}
+		}
+		if !reflect.DeepEqual(ss, want.ScoreSet()) {
+			t.Fatalf("GOMAXPROCS %d: shuffled tallies give a different score set", procs)
 		}
 	}
 }

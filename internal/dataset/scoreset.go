@@ -74,21 +74,22 @@ func (c *Corpus) ScoreSet() *ScoreSet { return &ScoreSet{idx: c.index()} }
 // building a Corpus from the same rows and reading its index. Duplicate
 // countries are an error: two tallies for one country means the caller
 // split a country across shards without merging them. Tallies that observed
-// symbol blocks are folded to names here, so they must be done observing.
+// symbol blocks are folded to names here, one country per core, so they
+// must be done observing.
 func BuildScoreSet(tallies []*CountryTally) (*ScoreSet, error) {
 	ordered := append([]*CountryTally(nil), tallies...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].country < ordered[j].country })
 	ccs := make([]string, len(ordered))
-	raws := make([][numLayers]rawLayer, len(ordered))
 	for i, t := range ordered {
 		if i > 0 && ccs[i-1] == t.country {
 			return nil, fmt.Errorf("dataset: duplicate tally for country %s", t.country)
 		}
-		t.fold()
 		ccs[i] = t.country
-		raws[i] = t.raws
 	}
-	return &ScoreSet{idx: buildIndexFromRaws(ccs, raws)}, nil
+	return &ScoreSet{idx: buildIndexFromRaws(ccs, 0, func(i int) *[numLayers]rawLayer {
+		ordered[i].fold()
+		return &ordered[i].raws
+	})}, nil
 }
 
 // Countries returns the set's country codes in sorted order.

@@ -1,9 +1,12 @@
 package depgraph
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/webdep/webdep/internal/corpusstore"
 	"github.com/webdep/webdep/internal/dataset"
@@ -13,11 +16,14 @@ import (
 
 // This file is the graph construction path: a one-pass parallel
 // extraction into per-country tallies (the same shape as the columnar
-// scoring index and the streamed CountryTally), followed by a
-// deterministic single-threaded merge. Because a Tally is a pure fold
-// over website rows, the same rows produce the same graph whether they
-// came from in-memory lists, a streamed store shard, or any worker
-// count — the permutation-invariance property tests pin this down.
+// scoring index and the streamed CountryTally), followed by a merge whose
+// serial part is the symbol intern — ranking and summing run on workers —
+// and the transitive closure over the merged edges. A tally counts symbol
+// IDs — a store stream's, or, for Website rows, its own — so the skip rules
+// exist once, on IDs. Because a Tally is a pure fold over website rows, the
+// same rows produce the same graph whether they came from in-memory lists,
+// a streamed store shard, or any worker count — the permutation-invariance
+// property tests pin this down.
 
 // pairKind enumerates the observed provider co-occurrence kinds the
 // edge inference draws from.
@@ -28,70 +34,72 @@ const (
 	numPairKinds
 )
 
-// pair is an ordered provider co-occurrence key (or a provider/country
-// key in the home tally).
-type pair struct{ from, to string }
-
-// Tally accumulates one country's graph evidence: per-layer provider
-// site counts, provider co-occurrence counts, and provider-country
-// observations. Observe is the row-level unit of the in-memory build,
-// ObserveBlock the symbol-ID unit of the store-streamed one; a Tally is
-// not safe for concurrent use.
+// Tally accumulates one country's graph evidence in symbol IDs: per-layer
+// provider site counts in dense per-symbol slices, and provider
+// co-occurrences and provider-country observations keyed by the two IDs
+// packed into a uint64 (first<<32 | second). The IDs index one table: the
+// stream's, for a tally fed ObserveBlock, or the tally's own intern, for one
+// fed Observe. A tally takes one of the two inputs, never both, and is not
+// safe for concurrent use.
 type Tally struct {
 	country string
 	rows    int64
-	counts  [numGraphLayers]map[string]int64
-	pairs   [numPairKinds]map[pair]int64
-	homes   map[pair]int64 // {provider, observed country} -> observations
-	ids     *idTally       // rows observed as symbol IDs, not yet folded into the maps
+	names   []string // the ID table as of the last observation
+	scanned int      // names already checked for empty
+	empty   uint32   // ID of "", the unmeasured provider or country
+	counts  [numGraphLayers][]int64
+	pairs   [numPairKinds]map[uint64]int64
+	homes   map[uint64]int64 // pack(provider, observed country) -> observations
+
+	own map[string]uint32   // Observe's intern; nil until the first row
+	row dataset.SymbolBlock // Observe's one-row block, reused
 }
 
 // NewTally returns an empty tally for one country.
 func NewTally(country string) *Tally {
-	t := &Tally{country: country, homes: make(map[pair]int64)}
-	for l := range t.counts {
-		t.counts[l] = make(map[string]int64)
-	}
+	t := &Tally{country: country, empty: dataset.NoSymbol, homes: make(map[uint64]int64)}
 	for k := range t.pairs {
-		t.pairs[k] = make(map[pair]int64)
+		t.pairs[k] = make(map[uint64]int64)
 	}
 	return t
 }
 
-// Observe folds one website row into the tally. Empty provider fields
-// are skipped per layer — the same rule the scoring extraction applies —
-// so a layer's measured total in the graph equals the scoring index's
-// distribution mass for that (country, layer).
+// Observe folds one website row into the tally: it interns the row's three
+// providers and their countries into the tally's own table and applies
+// ObserveBlock's rules to the one-row block that makes. Empty provider
+// fields are skipped per layer — the same rule the scoring extraction
+// applies — so a layer's measured total in the graph equals the scoring
+// index's distribution mass for that (country, layer).
 func (t *Tally) Observe(w *dataset.Website) {
-	t.rows++
-	host, dns, ca := w.HostProvider, w.DNSProvider, w.CAOwner
-	if host != "" {
-		t.counts[0][host]++
-		if w.HostProviderCountry != "" {
-			t.homes[pair{host, w.HostProviderCountry}]++
+	if t.own == nil {
+		if t.names != nil {
+			panic(fmt.Sprintf("depgraph: tally for %q observed symbol blocks, then a Website row; a tally takes one kind of input", t.country))
+		}
+		t.own = make(map[string]uint32)
+		for _, c := range graphSymbols {
+			t.row.Cols[c.provider] = make([]uint32, 1)
+			t.row.Cols[c.country] = make([]uint32, 1)
 		}
 	}
-	if dns != "" {
-		t.counts[1][dns]++
-		if w.DNSProviderCountry != "" {
-			t.homes[pair{dns, w.DNSProviderCountry}]++
-		}
+	for l, c := range graphSymbols {
+		p, pc := w.ProviderOf(graphLayers[l])
+		t.row.Cols[c.provider][0] = t.intern(p)
+		t.row.Cols[c.country][0] = t.intern(pc)
 	}
-	if ca != "" {
-		t.counts[2][ca]++
-		if w.CAOwnerCountry != "" {
-			t.homes[pair{ca, w.CAOwnerCountry}]++
-		}
+	t.row.Names = t.names
+	t.observe(&t.row)
+}
+
+// intern returns the tally's own ID for a name, assigning the next one on
+// first use.
+func (t *Tally) intern(name string) uint32 {
+	id, ok := t.own[name]
+	if !ok {
+		id = uint32(len(t.names))
+		t.own[name] = id
+		t.names = append(t.names, name)
 	}
-	if host != "" && dns != "" {
-		t.pairs[pairHostDNS][pair{host, dns}]++
-	}
-	if host != "" && ca != "" {
-		t.pairs[pairHostCA][pair{host, ca}]++
-	}
-	if dns != "" && ca != "" {
-		t.pairs[pairDNSCA][pair{dns, ca}]++
-	}
+	return id
 }
 
 // graphSymbols maps each graph layer to its provider and provider-country
@@ -109,92 +117,85 @@ var pairLayers = [numPairKinds]struct{ from, to int }{
 	pairDNSCA:   {1, 2},
 }
 
-// idTally is a Tally's accumulator for rows observed as symbol IDs: site
-// counts in dense per-symbol slices, co-occurrences and homes keyed by the
-// two IDs packed into a uint64 (first<<32 | second), all folded into the
-// name-keyed maps once the stream is done.
-type idTally struct {
-	names   []string // the stream's table as of the last block
-	scanned int      // names already checked for empty
-	empty   uint32   // ID of "", the unmeasured provider or country
-	counts  [numGraphLayers][]int64
-	pairs   [numPairKinds]map[uint64]int64
-	homes   map[uint64]int64
-}
-
 func pack(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
 
-// ObserveBlock folds a block of interned rows into the tally. It applies
-// Observe's rules — an empty provider is not counted, a home needs a
-// provider and a country, a pair needs both ends — on IDs instead of
-// strings; TestObserveBlockMatchesObserve holds the two equal. Every block
-// given to one tally must come from the same stream.
+// ObserveBlock folds a block of interned rows into the tally. Every block
+// given to one tally must come from the same stream, whose table only
+// grows; a block whose table does not extend the last one, or a block after
+// Website rows, panics rather than mix two ID tables.
 func (t *Tally) ObserveBlock(b *dataset.SymbolBlock) {
-	if t.ids == nil {
-		t.ids = &idTally{empty: dataset.NoSymbol, homes: make(map[uint64]int64)}
-		for k := range t.ids.pairs {
-			t.ids.pairs[k] = make(map[uint64]int64)
-		}
+	if t.own != nil {
+		panic(fmt.Sprintf("depgraph: tally for %q observed Website rows, then a symbol block; a tally takes one kind of input", t.country))
 	}
-	ids := t.ids
-	ids.names = b.Names
-	for ; ids.scanned < len(b.Names); ids.scanned++ {
-		if b.Names[ids.scanned] == "" {
-			ids.empty = uint32(ids.scanned)
+	if len(b.Names) < len(t.names) || !slices.Equal(b.Names[:len(t.names)], t.names) {
+		panic(fmt.Sprintf("depgraph: tally for %q observed blocks from two streams; every block given to one tally must come from the same stream", t.country))
+	}
+	t.observe(b)
+}
+
+// observe applies the tally's rules to a block over its table: an empty
+// provider is not counted, a home needs a provider and a country, a pair
+// needs both ends.
+func (t *Tally) observe(b *dataset.SymbolBlock) {
+	t.names = b.Names
+	for ; t.scanned < len(b.Names); t.scanned++ {
+		if b.Names[t.scanned] == "" {
+			t.empty = uint32(t.scanned)
 		}
 	}
 	t.rows += int64(b.Rows())
-	for l := range ids.counts {
-		counts := ids.counts[l]
+	for l := range t.counts {
+		counts := t.counts[l]
 		if len(counts) < len(b.Names) {
 			counts = append(counts, make([]int64, len(b.Names)-len(counts))...)
-			ids.counts[l] = counts
+			t.counts[l] = counts
 		}
 		homes := b.Cols[graphSymbols[l].country]
 		for i, p := range b.Cols[graphSymbols[l].provider] {
-			if p == ids.empty {
+			if p == t.empty {
 				continue
 			}
 			counts[p]++
-			if homes[i] != ids.empty {
-				ids.homes[pack(p, homes[i])]++
+			if homes[i] != t.empty {
+				t.homes[pack(p, homes[i])]++
 			}
 		}
 	}
 	for k, kind := range pairLayers {
-		pairs, to := ids.pairs[k], b.Cols[graphSymbols[kind.to].provider]
+		pairs, to := t.pairs[k], b.Cols[graphSymbols[kind.to].provider]
 		for i, from := range b.Cols[graphSymbols[kind.from].provider] {
-			if from != ids.empty && to[i] != ids.empty {
+			if from != t.empty && to[i] != t.empty {
 				pairs[pack(from, to[i])]++
 			}
 		}
 	}
 }
 
-// fold moves the ID-keyed evidence into the name-keyed maps Observe
-// writes, after which the tally no longer depends on the stream's table.
-func (t *Tally) fold() {
-	ids := t.ids
-	if ids == nil {
-		return
-	}
-	t.ids = nil
-	name := func(key uint64) pair { return pair{ids.names[key>>32], ids.names[uint32(key)]} }
-	for l := range ids.counts {
-		for id, n := range ids.counts[l] {
-			if n > 0 {
-				t.counts[l][ids.names[id]] += n
+// ranked returns, per layer, the IDs the tally counted, sorted (count
+// descending, name ascending) — the order the graph interns them in.
+func (t *Tally) ranked() (out [numGraphLayers][]uint32) {
+	for l, counts := range t.counts {
+		n := 0
+		for _, c := range counts {
+			if c > 0 {
+				n++
 			}
 		}
-	}
-	for k := range ids.pairs {
-		for key, n := range ids.pairs[k] {
-			t.pairs[k][name(key)] += n
+		ids := make([]uint32, 0, n)
+		for id, c := range counts {
+			if c > 0 {
+				ids = append(ids, uint32(id))
+			}
 		}
+		slices.SortFunc(ids, func(a, b uint32) int {
+			if counts[a] != counts[b] {
+				return cmp.Compare(counts[b], counts[a])
+			}
+			return strings.Compare(t.names[a], t.names[b])
+		})
+		out[l] = ids
 	}
-	for key, n := range ids.homes {
-		t.homes[name(key)] += n
-	}
+	return out
 }
 
 // Build constructs the graph from an in-memory corpus in one parallel
@@ -219,10 +220,10 @@ func Build(c *dataset.Corpus, opts *Options) *Graph {
 		// returning a zero graph.
 		panic(fmt.Sprintf("depgraph: corpus extraction failed: %v", err))
 	}
-	g, err := merge(tallies, m)
+	g, err := merge(tallies, opts.Workers, m)
 	if err != nil {
-		// A corpus keys lists by country, so duplicate tallies are
-		// impossible here.
+		// A corpus keys lists by country and a tally's own table names
+		// each provider once, so the merge cannot refuse these tallies.
 		panic(fmt.Sprintf("depgraph: corpus merge failed: %v", err))
 	}
 	sp.End()
@@ -241,7 +242,7 @@ func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mergeTimed(tallies, m, sp)
+	return mergeTimed(tallies, opts.Workers, m, sp)
 }
 
 // ScanStore is FromStore and Store.Score in one decode: every block feeds
@@ -265,7 +266,7 @@ func ScanStore(st *corpusstore.Store, opts *Options) (*dataset.ScoreSet, *Graph,
 	)
 	err = parallel.ForEachIndexed(context.Background(), opts.Workers, 2, func(_ context.Context, i int) (err error) {
 		if i == 0 {
-			g, err = mergeTimed(tallies, m, sp)
+			g, err = mergeTimed(tallies, opts.Workers, m, sp)
 		} else {
 			ss, err = dataset.BuildScoreSet(scores)
 		}
@@ -304,17 +305,16 @@ func scanTallies(st *corpusstore.Store, workers int, scores []*dataset.CountryTa
 // FromTallies merges independently accumulated per-country tallies into
 // a graph — the entry point for callers that already stream rows
 // themselves. Tallies may arrive in any order; countries must be unique.
-// Tallies that observed symbol blocks are folded to names here, so they
-// must be done observing.
+// The merge reads the tallies' tables, so they must be done observing.
 func FromTallies(tallies []*Tally, opts *Options) (*Graph, error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
-	return mergeTimed(tallies, m, obs.StartSpan(m.buildMS))
+	return mergeTimed(tallies, opts.Workers, m, obs.StartSpan(m.buildMS))
 }
 
 // mergeTimed is merge closing the build span its caller opened, on success.
-func mergeTimed(tallies []*Tally, m *metrics, sp obs.Span) (*Graph, error) {
-	g, err := merge(tallies, m)
+func mergeTimed(tallies []*Tally, workers int, m *metrics, sp obs.Span) (*Graph, error) {
+	g, err := merge(tallies, workers, m)
 	if err != nil {
 		return nil, err
 	}
@@ -326,30 +326,43 @@ func mergeTimed(tallies []*Tally, m *metrics, sp obs.Span) (*Graph, error) {
 // descending, name ascending), which has a unique maximum — so the
 // winner is independent of map iteration order.
 type best struct {
-	name string
-	n    int64
-	ok   bool
+	id uint32
+	n  int64
+	ok bool
 }
 
-func (b *best) offer(name string, n int64) {
-	if !b.ok || n > b.n || (n == b.n && name < b.name) {
-		b.name, b.n, b.ok = name, n, true
+// offer proposes id, named names[id], with n observations.
+func (b *best) offer(id uint32, n int64, names []string) {
+	if !b.ok || n > b.n || (n == b.n && names[id] < names[b.id]) {
+		b.id, b.n, b.ok = id, n, true
 	}
 }
 
-// merge folds sorted per-country tallies into the immutable graph:
-// symbols interned in (country, layer, rank) order, site-edge columns,
-// plurality home countries, inferred provider edges, and the transitive
-// closure. Everything downstream of the sort is single-threaded and
-// deterministic.
-func merge(tallies []*Tally, m *metrics) (*Graph, error) {
+// merge folds per-country tallies into the immutable graph in three
+// phases. Each country's layers are ranked on a worker of their own. The
+// calling goroutine interns the ranked providers in (country, layer, rank)
+// order, which fixes every symbol, and records each tally's local-to-graph
+// ID table. Then one task per co-occurrence kind, and one for the home
+// countries, sums the tallies' evidence under graph symbols and picks the
+// pluralities. Integer sums are order-independent and the pluralities are
+// total orders, so neither the worker count nor map iteration order can
+// reach the result.
+func merge(tallies []*Tally, workers int, m *metrics) (*Graph, error) {
 	ts := append([]*Tally(nil), tallies...)
 	sort.Slice(ts, func(i, j int) bool { return ts[i].country < ts[j].country })
 	for i, t := range ts {
 		if i > 0 && t.country == ts[i-1].country {
 			return nil, fmt.Errorf("depgraph: duplicate tally for country %q", t.country)
 		}
-		t.fold()
+	}
+	ctx := context.Background()
+	ranked := make([][numGraphLayers][]uint32, len(ts))
+	err := parallel.ForEachIndexed(ctx, workers, len(ts), func(_ context.Context, i int) error {
+		ranked[i] = ts[i].ranked()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	g := &Graph{
@@ -361,75 +374,70 @@ func merge(tallies []*Tally, m *metrics) (*Graph, error) {
 	for l := range g.cols {
 		g.cols[l] = make([]siteCol, len(ts))
 	}
-
-	var rows, siteEdges int64
+	var (
+		rows, siteEdges int64
+		// Per tally, local ID -> graph symbol. Every ID a pair or a home
+		// names as a provider was counted, so has one.
+		local  = make([][]uint32, len(ts))
+		placed []int // symbol -> the last column, numbered from 1, it joined
+		column int
+	)
 	for i, t := range ts {
 		g.countries[i] = t.country
 		g.pos[t.country] = i
 		rows += t.rows
+		local[i] = make([]uint32, len(t.names))
 		for l := 0; l < numGraphLayers; l++ {
-			col := buildSiteCol(t.counts[l], g)
+			column++
+			// The ranked local IDs become the column's symbols in place.
+			col := siteCol{syms: ranked[i][l], counts: make([]int64, len(ranked[i][l]))}
+			for k, id := range col.syms {
+				s := g.intern(t.names[id])
+				if int(s) == len(placed) {
+					placed = append(placed, 0)
+				}
+				if placed[s] == column {
+					return nil, fmt.Errorf("depgraph: tally for %q names provider %q under two IDs", t.country, t.names[id])
+				}
+				placed[s] = column
+				local[i][id] = s
+				n := t.counts[l][id]
+				col.syms[k], col.counts[k] = s, n
+				col.total += n
+			}
 			g.cols[l][i] = col
 			g.layerTotal[l] += col.total
 			siteEdges += int64(len(col.syms))
 		}
 	}
 
-	// Merge the co-occurrence and home tallies corpus-wide. Integer sums
-	// are order-independent, so map iteration order cannot leak into the
-	// result.
-	var pairSum [numPairKinds]map[pair]int64
-	for k := range pairSum {
-		pairSum[k] = make(map[pair]int64)
-		for _, t := range ts {
-			for pr, n := range t.pairs[k] {
-				pairSum[k][pr] += n
-			}
-		}
-	}
-	homeSum := make(map[pair]int64)
-	for _, t := range ts {
-		for pr, n := range t.homes {
-			homeSum[pr] += n
-		}
-	}
-
-	// Plurality home country per node. Every provider in homeSum was
-	// counted in some layer column, so the symbol lookup always hits.
-	g.home = make([]string, len(g.names))
-	homeBest := make([]best, len(g.names))
-	for pr, n := range homeSum {
-		homeBest[g.ids[pr.from]].offer(pr.to, n)
-	}
-	for s := range homeBest {
-		if homeBest[s].ok {
-			g.home[s] = homeBest[s].name
-		}
-	}
-
 	// Infer provider→provider edges: for each co-occurrence kind, a
 	// provider depends on the plurality partner observed across the sites
 	// it serves. Self-pairs are excluded from the competition — a
-	// provider is never its own dependency.
-	adj := make([][]uint32, len(g.names))
-	for k := range pairSum {
-		edgeBest := make([]best, len(g.names))
-		for pr, n := range pairSum[k] {
-			if pr.from == pr.to {
-				continue
-			}
-			edgeBest[g.ids[pr.from]].offer(pr.to, n)
+	// provider is never its own dependency. The last task picks each
+	// provider's plurality home country.
+	var partner [numPairKinds][]best
+	err = parallel.ForEachIndexed(ctx, workers, numPairKinds+1, func(_ context.Context, k int) error {
+		if k == numPairKinds {
+			g.home = homes(ts, local, len(g.names))
+		} else {
+			partner[k] = partners(ts, local, k, g.names)
 		}
-		for s := range edgeBest {
-			if edgeBest[s].ok {
-				adj[s] = append(adj[s], g.ids[edgeBest[s].name])
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var provEdges int64
 	g.edges = make([][]uint32, len(g.names))
-	for s := range adj {
-		g.edges[s] = dedupSorted(adj[s])
+	for s := range g.edges {
+		var adj []uint32
+		for k := range partner {
+			if p := partner[k][s]; p.ok {
+				adj = append(adj, p.id)
+			}
+		}
+		g.edges[s] = dedupSorted(adj)
 		provEdges += int64(len(g.edges[s]))
 	}
 
@@ -450,32 +458,58 @@ func merge(tallies []*Tally, m *metrics) (*Graph, error) {
 	return g, nil
 }
 
-// buildSiteCol converts one (country, layer) tally into its columnar
-// form — providers sorted (count descending, name ascending), interned
-// in that order — growing the graph's symbol table as needed.
-func buildSiteCol(counts map[string]int64, g *Graph) siteCol {
-	names := make([]string, 0, len(counts))
-	for p := range counts {
-		names = append(names, p)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ci, cj := counts[names[i]], counts[names[j]]
-		if ci != cj {
-			return ci > cj
+// partners sums co-occurrence kind k across the tallies under graph
+// symbols and returns each provider's plurality partner, self-pairs
+// excluded.
+func partners(ts []*Tally, local [][]uint32, k int, names []string) []best {
+	sum := make(map[uint64]int64)
+	for i, t := range ts {
+		for key, n := range t.pairs[k] {
+			if from, to := local[i][key>>32], local[i][uint32(key)]; from != to {
+				sum[pack(from, to)] += n
+			}
 		}
-		return names[i] < names[j]
-	})
-	col := siteCol{
-		syms:   make([]uint32, len(names)),
-		counts: make([]int64, len(names)),
 	}
-	for i, p := range names {
-		col.syms[i] = g.intern(p)
-		n := counts[p]
-		col.counts[i] = n
-		col.total += n
+	win := make([]best, len(names))
+	for key, n := range sum {
+		win[key>>32].offer(uint32(key), n, names)
 	}
-	return col
+	return win
+}
+
+// homes sums the tallies' provider-country observations under graph
+// symbols and returns each provider's plurality home country, "" when
+// none was observed. Countries get their own intern, so ties break by name
+// as everywhere else.
+func homes(ts []*Tally, local [][]uint32, nodes int) []string {
+	var (
+		ids   = make(map[string]uint32)
+		names []string
+		sum   = make(map[uint64]int64)
+	)
+	for i, t := range ts {
+		for key, n := range t.homes {
+			country := t.names[uint32(key)]
+			c, ok := ids[country]
+			if !ok {
+				c = uint32(len(names))
+				ids[country] = c
+				names = append(names, country)
+			}
+			sum[pack(local[i][key>>32], c)] += n
+		}
+	}
+	win := make([]best, nodes)
+	for key, n := range sum {
+		win[key>>32].offer(uint32(key), n, names)
+	}
+	home := make([]string, nodes)
+	for s := range win {
+		if win[s].ok {
+			home[s] = names[win[s].id]
+		}
+	}
+	return home
 }
 
 // intern returns the symbol for a provider name, assigning the next

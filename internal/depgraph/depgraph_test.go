@@ -2,8 +2,12 @@ package depgraph
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/webdep/webdep/internal/corpusstore"
@@ -244,6 +248,83 @@ func TestFromStoreMatchesCorpusBuild(t *testing.T) {
 		}
 		equalGraphs(t, scanned, want)
 		equalScores(t, scores, corpus.ScoreSet())
+	}
+
+	// Both merges rank on workers and intern on the caller: the same
+	// tallies, handed over in any order, at any worker count and on one
+	// core, must give the identical graph — stats included — and the
+	// identical score set, symbol table and usage curves included.
+	wantScores := corpus.ScoreSet()
+	rng := rand.New(rand.NewSource(5))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 8} {
+			scores := make([]*dataset.CountryTally, len(st.Countries()))
+			tallies, err := scanTallies(st, workers, scores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng.Shuffle(len(tallies), func(i, j int) { tallies[i], tallies[j] = tallies[j], tallies[i] })
+			rng.Shuffle(len(scores), func(i, j int) { scores[i], scores[j] = scores[j], scores[i] })
+			g, err := FromTallies(tallies, &Options{Workers: workers, Obs: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalGraphs(t, g, want)
+			if g.Stats() != want.Stats() {
+				t.Fatalf("GOMAXPROCS %d, %d workers: stats %+v, want %+v", procs, workers, g.Stats(), want.Stats())
+			}
+			ss, err := dataset.BuildScoreSet(scores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, layer := range countries.Layers {
+				if !reflect.DeepEqual(ss.UsageCurves(layer), wantScores.UsageCurves(layer)) {
+					t.Fatalf("GOMAXPROCS %d, %d workers: %v usage curves differ", procs, workers, layer)
+				}
+			}
+			if !reflect.DeepEqual(ss, wantScores) {
+				t.Fatalf("GOMAXPROCS %d, %d workers: score set differs from the corpus's", procs, workers)
+			}
+		}
+	}
+}
+
+// TestTransitiveScoresMatchDistribution holds the dense transitive scores to
+// the distribution they summarise, bit for bit, for every country and layer:
+// on the golden world, and on corpora drawn to be full of provider cycles,
+// unmeasured providers and providers named like countries.
+func TestTransitiveScoresMatchDistribution(t *testing.T) {
+	w, err := worldgen.Build(worldgen.Config{
+		Seed: 7, SitesPerCountry: 600, DomesticPerCountry: 30,
+		Countries: []string{"AU", "BR", "CZ", "DE", "IN", "IR", "JP", "TH", "US", "ZA"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := pipeline.FromWorld(w).MeasureWorld(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpora := map[string]*dataset.Corpus{"golden world": golden}
+	for seed := int64(1); seed <= 12; seed++ {
+		corpora[fmt.Sprintf("hostile corpus %d", seed)] = hostileCorpus(t, seed)
+	}
+	for name, c := range corpora {
+		g := Build(c, &Options{Obs: obs.NewRegistry()})
+		for _, layer := range Layers() {
+			scores := g.TransitiveScores(layer)
+			if len(scores) != len(g.Countries()) {
+				t.Fatalf("%s %v: %d scores for %d countries", name, layer, len(scores), len(g.Countries()))
+			}
+			for _, cc := range g.Countries() {
+				got, want := scores[cc], g.TransitiveDistribution(cc, layer).Score()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s %v: transitive score %v, distribution says %v", name, cc, layer, got, want)
+				}
+			}
+		}
 	}
 }
 

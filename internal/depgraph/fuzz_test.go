@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/webdep/webdep/internal/dataset"
@@ -211,6 +212,16 @@ func FuzzGraphBuild(f *testing.F) {
 		}
 		g2 := Build(corpus, &Options{Obs: obs.NewRegistry()})
 		equalGraphs(t, g2, g)
+
+		// The dense transitive scores are the distributions' scores, bit
+		// for bit.
+		for _, layer := range Layers() {
+			for cc, got := range g.TransitiveScores(layer) {
+				if want := g.TransitiveDistribution(cc, layer).Score(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%q %v: transitive score %v, distribution says %v", cc, layer, got, want)
+				}
+			}
+		}
 
 		// Simulate stays sane on whatever the graph contains: lost never
 		// exceeds measured, and the audit oracle agrees.

@@ -1,10 +1,14 @@
 package depgraph
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
+	"github.com/webdep/webdep/internal/emd"
 )
 
 // SPOF ranks one provider by blast radius: the total number of measured
@@ -100,10 +104,11 @@ func frac(num, den int64) float64 {
 // a layer with transitivity folded in: every measured site counts toward
 // each provider in its direct provider's closure, so a provider's mass
 // is "sites that stop working at this layer if it fails". The result is
-// a frozen core.Distribution, making transitive scores directly
-// comparable to the direct scores — with an empty provider edge set the
-// two are bit-identical. Layers the graph does not model (TLD) and
-// unknown countries return nil.
+// a frozen core.Distribution, ranked as the scoring index ranks a direct
+// one, making transitive scores directly comparable to the direct scores —
+// with an empty provider edge set the two are bit-identical. It is the
+// name-keyed reference TransitiveScores is held to. Layers the graph does
+// not model (TLD) and unknown countries return nil.
 func (g *Graph) TransitiveDistribution(cc string, layer countries.Layer) *core.Distribution {
 	l := graphLayerIndex(layer)
 	if l < 0 {
@@ -121,18 +126,59 @@ func (g *Graph) TransitiveDistribution(cc string, layer countries.Layer) *core.D
 			counts[g.names[q]] += n
 		}
 	}
-	return core.FromCounts(counts).Freeze()
+	names := make([]string, 0, len(counts))
+	for p := range counts {
+		names = append(names, p)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if counts[names[i]] != counts[names[j]] {
+			return counts[names[i]] > counts[names[j]]
+		}
+		return names[i] < names[j]
+	})
+	ranked := make([]float64, len(names))
+	for i, p := range names {
+		ranked[i] = counts[p]
+	}
+	return core.FromSorted(names, ranked)
 }
 
 // TransitiveScores returns every country's transitive dependence score
-// at a layer. Layers the graph does not model return nil.
+// at a layer. Layers the graph does not model return nil. Each country's
+// masses accumulate in one dense per-symbol vector; the score reads only
+// the nonzero masses sorted nonincreasing, and the sums are exact integer
+// sums, so every score is bit-identical to TransitiveDistribution's.
 func (g *Graph) TransitiveScores(layer countries.Layer) map[string]float64 {
-	if graphLayerIndex(layer) < 0 {
+	l := graphLayerIndex(layer)
+	if l < 0 {
 		return nil
 	}
 	out := make(map[string]float64, len(g.countries))
-	for _, cc := range g.countries {
-		out[cc] = g.TransitiveDistribution(cc, layer).Score()
+	mass := make([]float64, len(g.names))
+	var held []uint32 // symbols with nonzero mass
+	var sorted []float64
+	for i, cc := range g.countries {
+		col := &g.cols[l][i]
+		held = held[:0]
+		for k, s := range col.syms {
+			n := float64(col.counts[k])
+			for wi, w := range g.closure[s] {
+				for ; w != 0; w &= w - 1 {
+					q := wi*64 + bits.TrailingZeros64(w)
+					if mass[q] == 0 {
+						held = append(held, uint32(q))
+					}
+					mass[q] += n
+				}
+			}
+		}
+		sorted = sorted[:0]
+		for _, q := range held {
+			sorted = append(sorted, mass[q])
+			mass[q] = 0
+		}
+		slices.SortFunc(sorted, func(a, b float64) int { return cmp.Compare(b, a) })
+		out[cc] = emd.CentralizationSorted(sorted)
 	}
 	return out
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/webdep/webdep/internal/corpusstore"
@@ -97,45 +98,115 @@ func TestFromStoreMatchesBuildOnHostileCorpora(t *testing.T) {
 
 // TestObserveBlockMatchesObserve is the same property at the tally, where
 // a country of "" — which the store cannot hold — can be covered too: rows
-// observed as Websites and as blocks of symbol IDs leave identical tallies.
+// observed as Websites (interned into the tally's own table) and as blocks
+// of symbol IDs over one growing stream table must merge to the same graph.
 func TestObserveBlockMatchesObserve(t *testing.T) {
 	for _, cc := range []string{"US", ""} {
 		for seed := int64(1); seed <= 12; seed++ {
 			corpus := hostileCorpus(t, seed)
 			byRow, byBlock := NewTally(cc), NewTally(cc)
 			ids, names := map[string]uint32{}, []string(nil)
-			intern := func(s string) uint32 {
-				id, ok := ids[s]
-				if !ok {
-					id = uint32(len(names))
-					ids[s] = id
-					names = append(names, s)
-				}
-				return id
-			}
 			// One block per source list: three blocks over one growing table.
 			for _, list := range corpus.Lists {
-				var b dataset.SymbolBlock
 				for i := range list.Sites {
-					w := &list.Sites[i]
-					byRow.Observe(w)
-					for c, s := range [dataset.NumSymbolColumns]string{
-						dataset.SymHostProvider: w.HostProvider, dataset.SymHostProviderCountry: w.HostProviderCountry,
-						dataset.SymDNSProvider: w.DNSProvider, dataset.SymDNSProviderCountry: w.DNSProviderCountry,
-						dataset.SymCAOwner: w.CAOwner, dataset.SymCAOwnerCountry: w.CAOwnerCountry,
-						dataset.SymTLD: w.TLD,
-					} {
-						b.Cols[c] = append(b.Cols[c], intern(s))
-					}
+					byRow.Observe(&list.Sites[i])
 				}
-				b.Names = names
-				byBlock.ObserveBlock(&b)
+				byBlock.ObserveBlock(blockOf(ids, &names, list.Sites))
 			}
-			byBlock.fold()
-			if !reflect.DeepEqual(byBlock, byRow) {
-				t.Fatalf("country %q seed %d: block tally\n %+v\nrow tally\n %+v", cc, seed, byBlock, byRow)
+			fromRows, err := FromTallies([]*Tally{byRow}, &Options{Obs: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromBlocks, err := FromTallies([]*Tally{byBlock}, &Options{Obs: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalGraphs(t, fromBlocks, fromRows)
+			if g, w := fromBlocks.Stats(), fromRows.Stats(); g != w {
+				t.Fatalf("country %q seed %d: block stats %+v, row stats %+v", cc, seed, g, w)
 			}
 		}
+	}
+}
+
+// blockOf interns rows into a SymbolBlock over a stream's growing table,
+// the way a store shard does: IDs in first-seen order, column by column.
+func blockOf(ids map[string]uint32, names *[]string, rows []dataset.Website) *dataset.SymbolBlock {
+	var b dataset.SymbolBlock
+	for i := range rows {
+		w := &rows[i]
+		for c, s := range [dataset.NumSymbolColumns]string{
+			dataset.SymHostProvider: w.HostProvider, dataset.SymHostProviderCountry: w.HostProviderCountry,
+			dataset.SymDNSProvider: w.DNSProvider, dataset.SymDNSProviderCountry: w.DNSProviderCountry,
+			dataset.SymCAOwner: w.CAOwner, dataset.SymCAOwnerCountry: w.CAOwnerCountry,
+			dataset.SymTLD: w.TLD,
+		} {
+			id, ok := ids[s]
+			if !ok {
+				id = uint32(len(*names))
+				ids[s] = id
+				*names = append(*names, s)
+			}
+			b.Cols[c] = append(b.Cols[c], id)
+		}
+	}
+	b.Names = *names
+	return &b
+}
+
+// TestTallyRefusesMixedTables: a tally's IDs index one table, so feeding
+// it rows and blocks, or blocks from two streams, must fail loudly rather
+// than count one table's IDs under another's names. A block whose table
+// extends the last one is the same stream and is taken.
+func TestTallyRefusesMixedTables(t *testing.T) {
+	rows := []dataset.Website{site("HostA", "US", "DNSX", "DE", "CAZ", "US")}
+	other := []dataset.Website{site("DNSX", "DE", "HostA", "US", "CAZ", "US")}
+	stream := func(rows []dataset.Website) *dataset.SymbolBlock {
+		var names []string
+		return blockOf(map[string]uint32{}, &names, rows)
+	}
+	for name, feed := range map[string]func(*Tally){
+		"rows then a block": func(tl *Tally) { tl.Observe(&rows[0]); tl.ObserveBlock(stream(rows)) },
+		"a block then rows": func(tl *Tally) { tl.ObserveBlock(stream(rows)); tl.Observe(&rows[0]) },
+		"two streams":       func(tl *Tally) { tl.ObserveBlock(stream(rows)); tl.ObserveBlock(stream(other)) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `tally for "US"`) {
+					t.Errorf("%s: recovered %q, want a panic naming the tally", name, msg)
+				}
+			}()
+			feed(NewTally("US"))
+		}()
+	}
+
+	ids, names := map[string]uint32{}, []string(nil)
+	tl := NewTally("US")
+	tl.ObserveBlock(blockOf(ids, &names, rows))
+	tl.ObserveBlock(blockOf(ids, &names, other))
+	if tl.rows != 2 {
+		t.Fatalf("one stream in two blocks counted %d rows, want 2", tl.rows)
+	}
+}
+
+// TestMergeRefusesDuplicateNames: a stream's table names each symbol once
+// when a store writer made it, but the decoder does not check, so a crafted
+// shard can name one provider under two IDs. The merge must refuse that
+// tally rather than put the provider in one column twice.
+func TestMergeRefusesDuplicateNames(t *testing.T) {
+	tl := NewTally("US")
+	tl.ObserveBlock(&dataset.SymbolBlock{
+		Names: []string{"", "HostA", "HostA"},
+		Cols: [dataset.NumSymbolColumns][]uint32{
+			dataset.SymHostProvider: {1, 2}, dataset.SymHostProviderCountry: {0, 0},
+			dataset.SymDNSProvider: {0, 0}, dataset.SymDNSProviderCountry: {0, 0},
+			dataset.SymCAOwner: {0, 0}, dataset.SymCAOwnerCountry: {0, 0}, dataset.SymTLD: {0, 0},
+		},
+	})
+	_, err := FromTallies([]*Tally{tl}, &Options{Obs: obs.NewRegistry()})
+	if err == nil || !strings.Contains(err.Error(), `"HostA" under two IDs`) {
+		t.Fatalf("FromTallies = %v, want the duplicate name refused", err)
 	}
 }
 
@@ -163,4 +234,45 @@ func TestFromStoreAllocsPerRow(t *testing.T) {
 		t.Errorf("FromStore allocates %.2f times per row (%.0f for %d rows), want at most 0.5",
 			perRow, allocs, corpus.TotalSites())
 	}
+}
+
+// TestFromStoreBytesPerRow gates the streamed graph build in bytes as well
+// as objects, at one worker: the tallies count into dense slices and
+// ID-keyed maps, the merge never builds a string-keyed map of a tally, and
+// the scan reuses its read buffers, for about 123 bytes a row on this
+// corpus. Folding the tallies to names again, or a fresh read buffer per
+// shard, fails here.
+func TestFromStoreBytesPerRow(t *testing.T) {
+	corpus := benchCorpus(t)
+	dir := filepath.Join(t.TempDir(), "bench.store")
+	if err := corpusstore.Save(dir, corpus, nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := corpusstore.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{Workers: 1, Obs: obs.NewRegistry()}
+	perRow := bytesPerRun(3, func() {
+		if _, err := FromStore(st, opts); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(corpus.TotalSites())
+	if perRow > 180 {
+		t.Errorf("FromStore allocates %.1f bytes per row, want at most 180", perRow)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun in bytes: the heap bytes one call of
+// f allocates, averaged over runs after a warm-up call, on one core.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -102,7 +102,7 @@ const (
 )
 
 // Reader walks the frames of a stream of known size, tracking the byte
-// offset for corruption reports. It reuses one payload buffer, never sized
+// offset for corruption reports. It reuses one payload buffer, never grown
 // beyond max or beyond the bytes the stream still holds.
 type Reader struct {
 	r      io.Reader
@@ -126,11 +126,29 @@ func NewReader(r io.Reader, size int64, path string, max int, policy TailPolicy)
 // NewFileReader reads frames, buffered, from an open file of its present
 // size; errors name the file as it was opened.
 func NewFileReader(f *os.File, max int, policy TailPolicy) (*Reader, error) {
+	fr := &Reader{max: int64(max), policy: policy}
+	if err := fr.ResetFile(f); err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// ResetFile points the reader at the start of another open file, as
+// NewFileReader would with the same max and policy, but keeps its read
+// buffer and payload buffer.
+func (fr *Reader) ResetFile(f *os.File) error {
 	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("framing: %w", err)
+		return fmt.Errorf("framing: %w", err)
 	}
-	return NewReader(bufio.NewReaderSize(f, 1<<16), st.Size(), f.Name(), max, policy), nil
+	br, ok := fr.r.(*bufio.Reader)
+	if ok {
+		br.Reset(f)
+	} else {
+		br = bufio.NewReaderSize(f, 1<<16)
+	}
+	*fr = Reader{r: br, size: st.Size(), path: f.Name(), max: fr.max, policy: fr.policy, buf: fr.buf}
+	return nil
 }
 
 // Offset returns the bytes consumed so far: the magic and every frame
