@@ -29,6 +29,36 @@ func TestWriteFileAtomicReplacesContent(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicReportsDirSyncFailure: a directory that can be
+// written and searched but not read lets the temp file be created and
+// renamed, then refuses the open the directory fsync needs. Until that
+// fsync succeeds a crash can undo the rename, so the caller must hear of
+// it, even though the new content is already in place.
+func TestWriteFileAtomicReportsDirSyncFailure(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("root ignores directory permission bits")
+	}
+	dir := filepath.Join(t.TempDir(), "wx-only")
+	if err := os.Mkdir(dir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "out.csv")
+	if err := os.Chmod(dir, 0o300); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(dir, 0o700) })
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new")
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("err = %v, want a directory-sync failure naming %s", err, dir)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("destination after the failed directory sync: %q, %v; want the new content", got, err)
+	}
+}
+
 func TestWriteFileAtomicFailureLeavesOldFileAndNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.csv")

@@ -71,6 +71,7 @@ type WriteSyncer interface {
 }
 
 // Options tunes a journal; the zero value (or nil) is production defaults.
+// Durability is not tunable: every record is fsynced as it is appended.
 type Options struct {
 	// Obs selects the metrics registry; nil means obs.Default().
 	Obs *obs.Registry
@@ -81,9 +82,6 @@ type Options struct {
 	// It exists for fault injection (e.g. faultinject.KillWriter crashes
 	// the stream at an exact byte); production leaves it nil.
 	WrapWriter func(WriteSyncer) WriteSyncer
-	// SyncEvery fsyncs after every Nth appended record; <= 1 means every
-	// record, the durable default.
-	SyncEvery int
 }
 
 // Key identifies one journaled site.
@@ -234,7 +232,6 @@ type Journal struct {
 	shard     *ShardInfo // nil for a whole-crawl journal
 	onDisarm  func(error)
 	wrap      func(WriteSyncer) WriteSyncer
-	syncEvery int
 	m         *journalMetrics
 
 	// replay is the resume-time map, frozen before the crawl starts, so
@@ -246,7 +243,6 @@ type Journal struct {
 	w         WriteSyncer
 	armed     bool
 	disarmErr error
-	sinceSync int
 	disarmed  bool // OnDisarm already delivered
 
 	stats struct {
@@ -277,7 +273,6 @@ func newJournal(path, epoch string, countries []string, opts *Options) (*Journal
 		countries: sortedCopy(countries),
 		onDisarm:  opts.OnDisarm,
 		wrap:      opts.WrapWriter,
-		syncEvery: opts.SyncEvery,
 		m:         newJournalMetrics(opts.Obs),
 		replay:    map[Key]Entry{},
 	}
@@ -504,9 +499,9 @@ func (j *Journal) Reuse(country, domain string) (dataset.Website, dataset.SiteOu
 }
 
 // Append journals one completed site. Each record is a single Write
-// followed (subject to SyncEvery) by an fsync, so a crash tears at most
-// the final record. Failures never surface to the crawl: the journal
-// disarms, drops later appends, and reports through Err.
+// followed by an fsync, so a crash tears at most the final record and
+// loses no record Append returned from. Failures never surface to the
+// crawl: the journal disarms, drops later appends, and reports through Err.
 func (j *Journal) Append(country string, site dataset.Website, outcome dataset.SiteOutcome) {
 	rec, err := json.Marshal(siteRecord{Country: country, Site: site, Outcome: outcome})
 	if err == nil {
@@ -527,10 +522,7 @@ func (j *Journal) Append(country string, site dataset.Website, outcome dataset.S
 	}
 	_, werr := j.w.Write(rec)
 	if werr == nil {
-		j.sinceSync++
-		if j.syncEvery <= 1 || j.sinceSync >= j.syncEvery {
-			werr = j.syncLocked()
-		}
+		werr = j.syncLocked()
 	}
 	if werr != nil {
 		j.failLocked(fmt.Errorf("checkpoint: appending record: %w", werr))
@@ -576,21 +568,15 @@ func (j *Journal) Stats() Stats {
 	}
 }
 
-// Close performs a final fsync (when armed and records are pending) and
-// releases the file.
+// Close releases the file. It does not fsync: every record was synced as
+// it was appended.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	var err error
-	if j.armed && j.sinceSync > 0 {
-		err = j.syncLocked()
-	}
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
+	err := j.f.Close()
 	j.f = nil
 	j.armed = false
 	return err
@@ -639,7 +625,6 @@ func (j *Journal) syncLocked() error {
 	if err != nil {
 		return err
 	}
-	j.sinceSync = 0
 	// The obs-side fsync count is the histogram's own observation count;
 	// the journal keeps its own tally for the cross-check.
 	j.stats.fsyncs.Add(1)

@@ -549,37 +549,51 @@ func TestObsCountersMatchJournalStats(t *testing.T) {
 
 func TestJournalRecordIsSingleWrite(t *testing.T) {
 	// The torn-write model (and KillWriter's addressing) assumes one
-	// Write call per record; count the writes to pin that invariant.
+	// Write call per record, and the crash-convergence sweeps assume each
+	// record is durable before Append returns; count writes and fsyncs to
+	// pin both.
 	path := journalPath(t)
-	var writes int
+	cw := &countingWriter{}
 	opts := &Options{WrapWriter: func(w WriteSyncer) WriteSyncer {
-		return &countingWriter{w: w, n: &writes}
+		cw.w = w
+		return cw
 	}}
 	j, err := Create(path, "2023-05", testCCs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if writes != 2 {
-		t.Fatalf("create issued %d writes, want 2 (magic, header)", writes)
+	if cw.writes != 2 || cw.syncs != 1 {
+		t.Fatalf("create issued %d writes and %d syncs, want 2 (magic, header) and 1", cw.writes, cw.syncs)
 	}
-	j.Append("TH", site("TH", "a.example", 1), okOutcome())
-	if writes != 3 {
-		t.Fatalf("append issued %d total writes, want 3 (one per record)", writes)
+	for i, dom := range []string{"a.example", "b.example"} {
+		j.Append("TH", site("TH", dom, i+1), okOutcome())
+		if want := 3 + i; cw.writes != want || cw.syncs != want-1 {
+			t.Fatalf("after append %d: %d writes and %d syncs in total, want %d and %d (one each per record)",
+				i+1, cw.writes, cw.syncs, want, want-1)
+		}
 	}
-	j.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cw.syncs != 3 {
+		t.Errorf("close issued %d syncs, want none", cw.syncs-3)
+	}
 }
 
 type countingWriter struct {
-	w WriteSyncer
-	n *int
+	w             WriteSyncer
+	writes, syncs int
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
-	*c.n++
+	c.writes++
 	return c.w.Write(p)
 }
 
-func (c *countingWriter) Sync() error { return c.w.Sync() }
+func (c *countingWriter) Sync() error {
+	c.syncs++
+	return c.w.Sync()
+}
 
 func TestBinaryFrameLayout(t *testing.T) {
 	// Freeze the wire framing: little-endian length then CRC32(payload).

@@ -16,10 +16,13 @@
 // journal is built from. A frame here is a section: by this package's own
 // convention the first payload byte is the section type — 'H' (versioned JSON
 // header), 'B' (columnar row block, shards only), 'E' (JSON end marker
-// carrying totals). Files are written temp → fsync → rename, so a store
-// never contains a torn shard: unlike the journal's append-tolerant tail,
-// ANY truncation or checksum failure here is hard corruption and is
-// reported as a *CorruptError naming the byte offset.
+// carrying totals). Every file is written whole by
+// checkpoint.WriteFileAtomic (temp → fsync → rename → directory fsync) and
+// the manifest last, so a store never contains a torn shard and a crashed
+// ingest leaves only <name>.tmp-* files that no reader opens: unlike the
+// journal's append-tolerant tail, ANY truncation or checksum failure here
+// is hard corruption and is reported as a *CorruptError naming the byte
+// offset.
 //
 // # Shard blocks
 //

@@ -417,33 +417,45 @@ func TestWriterValidation(t *testing.T) {
 	if _, err := Create(filepath.Join(dir, "inner\x00bad"), "2023-05", nil); err == nil {
 		t.Error("expected invalid dir to fail eventually") // os-level error
 	}
-	sw, err := w.Shard("US")
-	if err != nil {
+	us := &dataset.CountryList{Country: "US", Epoch: "2023-05",
+		Sites: []dataset.Website{{Domain: "a.com", Country: "US", Rank: 1}}}
+	if err := w.AppendList(us); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Shard("US"); err == nil {
-		t.Error("reopening an open shard should fail")
+	if err := w.AppendList(us); err == nil {
+		t.Error("appending a written shard again should fail")
 	}
-	if _, err := w.Shard("../evil"); err == nil {
+	if err := w.AppendList(&dataset.CountryList{Country: "../evil", Epoch: "2023-05"}); err == nil {
 		t.Error("path-escaping country code should fail")
 	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Shard("US"); err == nil {
-		t.Error("reopening a written shard should fail")
-	}
-	// A refused row fails its shard, which never reaches the manifest.
+	// A refused row refuses its list, which leaves no file behind and
+	// never reaches the manifest.
 	if err := w.AppendList(&dataset.CountryList{Country: "DE", Epoch: "2023-05",
 		Sites: []dataset.Website{{Domain: "a.com", Country: "US", Rank: 1}}}); err == nil {
 		t.Error("wrong-country row should fail")
 	}
 	if err := w.AppendList(&dataset.CountryList{Country: "JP", Epoch: "2023-05",
-		Sites: []dataset.Website{{Country: "JP", Rank: 1}}}); err == nil {
+		Sites: []dataset.Website{{Domain: "a.jp", Country: "JP", Rank: 1}, {Country: "JP", Rank: 2}}}); err == nil {
 		t.Error("empty-domain row should fail")
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "US.shard" {
+		t.Errorf("store directory holds %v, want only US.shard", entries)
+	}
+	// Close refuses while a shard is still being written.
+	w.writing["FR"] = true
+	if err := w.Close(); err == nil {
+		t.Error("Close with a shard in flight should fail")
+	}
+	delete(w.writing, "FR")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := w.AppendList(&dataset.CountryList{Country: "FR", Epoch: "2023-05"}); err == nil {
+		t.Error("appending to a closed writer should fail")
 	}
 	if _, err := Create(dir, "2023-05", nil); err == nil {
 		t.Error("Create over an existing store should refuse")

@@ -327,26 +327,27 @@ func TestCorruptBlockContents(t *testing.T) {
 		wantCorrupt(t, streamAll(t, dir), int64(off), "1 trailing bytes")
 	})
 	t.Run("empty domain", func(t *testing.T) {
-		// No writer entry point lets such a row through, so encode the
-		// block directly.
+		// No writer entry point lets such a row through, so save the rows
+		// with a domain, then encode them without it over the saved shard.
 		dir := t.TempDir()
-		w, err := Create(dir, "2023-05", testOpts(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw, err := w.Shard("US")
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows := []dataset.Website{
 			{Domain: "a.com", Country: "US", Rank: 1},
-			{Country: "US", Rank: 2},
+			{Domain: "b.com", Country: "US", Rank: 2},
 			{Domain: "c.com", Country: "US", Rank: 3},
 		}
-		if err := sw.writeBlock(rows); err != nil {
+		c := dataset.NewCorpus("2023-05")
+		c.Add(&dataset.CountryList{Country: "US", Epoch: "2023-05", Sites: rows})
+		if err := Save(dir, c, testOpts(8)); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Close(); err != nil {
+		rows[1].Domain = ""
+		var shard bytes.Buffer
+		var enc shardEncoder
+		hdr := shardHeader{Version: Version, Epoch: "2023-05", Country: "US", BlockRows: 8}
+		if err := enc.encode(&shard, hdr, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "US.shard"), shard.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		wantCorrupt(t, streamAll(t, dir), int64(len(shardMagic)), "block row 1 has empty domain")

@@ -1,7 +1,6 @@
 package corpusstore
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -18,12 +17,13 @@ import (
 	"github.com/webdep/webdep/internal/parallel"
 )
 
-// Writer streams one corpus into a store directory: shards are written
-// country by country (concurrently if the caller wants — each ShardWriter
-// is independent), encoding one block of rows at a time, and
-// the manifest is written last, atomically, by Close. A store is readable
-// only once Close succeeds; a crash mid-ingestion leaves temp files and no
-// manifest, never a half-store that Open would trust.
+// Writer streams one corpus into a store directory: each AppendList writes
+// one country's shard as a whole file (concurrently if the caller wants —
+// shards are independent), encoding one block of rows at a time, and the
+// manifest is written last by Close. Every file goes through
+// checkpoint.WriteFileAtomic, so a store is readable only once Close
+// succeeds; a crash mid-ingestion leaves temp files and no manifest, never
+// a half-store that Open would trust.
 type Writer struct {
 	dir       string
 	epoch     string
@@ -31,7 +31,7 @@ type Writer struct {
 	m         *storeMetrics
 
 	mu       sync.Mutex
-	open     map[string]*ShardWriter
+	writing  map[string]bool // shards reserved by an AppendList in flight
 	done     map[string]manifestShard
 	coverage map[string]*dataset.Coverage
 	closed   bool
@@ -64,7 +64,7 @@ func Create(dir, epoch string, opts *Options) (*Writer, error) {
 		epoch:     epoch,
 		blockRows: blockRows,
 		m:         newStoreMetrics(opts.Obs),
-		open:      map[string]*ShardWriter{},
+		writing:   map[string]bool{},
 		done:      map[string]manifestShard{},
 		coverage:  map[string]*dataset.Coverage{},
 	}, nil
@@ -73,53 +73,60 @@ func Create(dir, epoch string, opts *Options) (*Writer, error) {
 // Epoch returns the epoch the store is being written for.
 func (w *Writer) Epoch() string { return w.epoch }
 
-// Shard opens the writer for one country's shard. Each country may be
-// opened once; distinct shards may be written concurrently, but a single
-// ShardWriter is not safe for concurrent use.
-func (w *Writer) Shard(country string) (*ShardWriter, error) {
-	name, err := shardFileName(country)
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil, fmt.Errorf("corpusstore: writer already closed")
-	}
-	if _, ok := w.open[country]; ok {
-		return nil, fmt.Errorf("corpusstore: shard %s is already open", country)
-	}
-	if _, ok := w.done[country]; ok {
-		return nil, fmt.Errorf("corpusstore: shard %s was already written", country)
-	}
-	sw, err := newShardWriter(w, country, filepath.Join(w.dir, name), name)
-	if err != nil {
-		return nil, err
-	}
-	w.open[country] = sw
-	return sw, nil
-}
-
 // AppendList writes one country's list as a complete shard, encoding the
 // blocks straight from list.Sites: no row is copied on the way to disk.
+// Each country may be appended once; a refused row refuses the whole list
+// before anything is written.
 func (w *Writer) AppendList(list *dataset.CountryList) error {
-	sw, err := w.Shard(list.Country)
+	cc := list.Country
+	name, err := shardFileName(cc)
 	if err != nil {
 		return err
 	}
 	for i := range list.Sites {
-		if err := sw.check(&list.Sites[i]); err != nil {
-			return err
+		switch site := &list.Sites[i]; {
+		case site.Country != cc:
+			return fmt.Errorf("corpusstore: row for %q appended to shard %s", site.Country, cc)
+		case site.Domain == "":
+			return fmt.Errorf("corpusstore: shard %s: row with empty domain", cc)
 		}
 	}
-	for rest := list.Sites; len(rest) > 0; {
-		n := min(len(rest), w.blockRows)
-		if err := sw.writeBlock(rest[:n]); err != nil {
-			return err
-		}
-		rest = rest[n:]
+
+	w.mu.Lock()
+	_, written := w.done[cc]
+	switch {
+	case w.closed:
+		err = fmt.Errorf("corpusstore: writer already closed")
+	case written || w.writing[cc]:
+		err = fmt.Errorf("corpusstore: shard %s was already appended", cc)
+	default:
+		w.writing[cc] = true
 	}
-	return sw.Close()
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+
+	sp := obs.StartSpan(w.m.shardWriteMS)
+	var enc shardEncoder
+	hdr := shardHeader{Version: Version, Epoch: w.epoch, Country: cc, BlockRows: w.blockRows}
+	err = checkpoint.WriteFileAtomic(filepath.Join(w.dir, name), func(out io.Writer) error {
+		return enc.encode(out, hdr, list.Sites)
+	})
+	w.mu.Lock()
+	delete(w.writing, cc)
+	if err == nil {
+		w.done[cc] = manifestShard{Country: cc, File: name, Rows: enc.rows, Bytes: enc.bytes}
+	}
+	w.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("corpusstore: shard %s: %w", cc, err)
+	}
+	sp.End()
+	w.m.shardsWritten.Inc()
+	w.m.rowsWritten.Add(enc.rows)
+	w.m.bytesWritten.Add(enc.bytes)
+	return nil
 }
 
 // SetCoverage records one country's crawl coverage in the manifest.
@@ -129,36 +136,18 @@ func (w *Writer) SetCoverage(cov *dataset.Coverage) {
 	w.coverage[cov.Country] = cov
 }
 
-// finish registers a closed shard's manifest entry.
-func (w *Writer) finish(country string, ms manifestShard) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.open, country)
-	w.done[country] = ms
-}
-
-// Close finalizes any still-open shards and writes the manifest atomically.
-// Only after Close returns nil is the directory a store.
+// Close writes the manifest atomically, listing every appended shard. It
+// refuses while an AppendList is still writing. Only after Close returns
+// nil is the directory a store.
 func (w *Writer) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return fmt.Errorf("corpusstore: writer already closed")
 	}
-	stillOpen := make([]*ShardWriter, 0, len(w.open))
-	for _, sw := range w.open {
-		stillOpen = append(stillOpen, sw)
+	if len(w.writing) > 0 {
+		return fmt.Errorf("corpusstore: %d shards are still being written", len(w.writing))
 	}
-	w.mu.Unlock()
-	sort.Slice(stillOpen, func(i, j int) bool { return stillOpen[i].country < stillOpen[j].country })
-	for _, sw := range stillOpen {
-		if err := sw.Close(); err != nil {
-			return err
-		}
-	}
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.closed = true
 	man := manifest{Version: Version, Epoch: w.epoch}
 	for _, cc := range sortedKeys(w.done) {
@@ -201,177 +190,66 @@ func sortedKeys(m map[string]manifestShard) []string {
 	return out
 }
 
-// ShardWriter encodes one country's rows into a shard file, one block
-// (BlockRows sites) at a time straight from the caller's rows, so the
-// writer's own memory is bounded by the block size, not the country's
-// toplist length. Not safe for concurrent use.
-type ShardWriter struct {
-	w       *Writer
-	country string
-	path    string // final path
-	tmpPath string
-	file    string // manifest file name
-	f       *os.File
-	bw      *bufio.Writer
-	sp      obs.Span
-
+// shardEncoder encodes one shard file, one block (BlockRows sites) at a
+// time straight from the caller's rows, so its own memory is bounded by
+// the block size, not the country's toplist length. It lives for one
+// encode.
+type shardEncoder struct {
 	syms    map[string]uint32
-	nsyms   uint32
 	newSyms []string // symbols first seen in the block being encoded
+	head    []byte   // reused: a block's new-symbol list
+	cols    []byte   // reused: a block's encoded columns
 
-	total   int64
-	written int64  // bytes written through the framer
-	head    []byte // reused: a block's new-symbol list
-	cols    []byte // reused: a block's encoded columns
-	err     error
-	closed  bool
+	rows  int64
+	bytes int64 // written to out, magic included
 }
 
-func newShardWriter(w *Writer, country, path, file string) (*ShardWriter, error) {
-	f, err := os.OpenFile(path+".tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// encode writes a whole shard to out: magic, header, rows in blocks of
+// hdr.BlockRows, end marker. It does not look at what the rows hold.
+func (e *shardEncoder) encode(out io.Writer, hdr shardHeader, rows []dataset.Website) error {
+	e.syms = map[string]uint32{}
+	n, err := out.Write(shardMagic)
+	e.bytes += int64(n)
 	if err != nil {
-		return nil, err
-	}
-	sw := &ShardWriter{
-		w: w, country: country, path: path, tmpPath: path + ".tmp", file: file,
-		f: f, bw: bufio.NewWriter(f),
-		sp:   obs.StartSpan(w.m.shardWriteMS),
-		syms: map[string]uint32{},
-	}
-	if err := sw.writeRaw(shardMagic); err != nil {
-		sw.abort()
-		return nil, err
-	}
-	hdr, err := json.Marshal(shardHeader{Version: Version, Epoch: w.epoch, Country: country, BlockRows: w.blockRows})
-	if err != nil {
-		sw.abort()
-		return nil, err
-	}
-	if err := sw.writeSection(secHeader, hdr, nil); err != nil {
-		sw.abort()
-		return nil, err
-	}
-	return sw, nil
-}
-
-// check refuses a row the shard cannot take, failing the shard.
-func (sw *ShardWriter) check(site *dataset.Website) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return fmt.Errorf("corpusstore: shard %s already closed", sw.country)
-	}
-	if site.Country != sw.country {
-		return sw.fail(fmt.Errorf("corpusstore: row for %q appended to shard %s", site.Country, sw.country))
-	}
-	if site.Domain == "" {
-		return sw.fail(fmt.Errorf("corpusstore: shard %s: row with empty domain", sw.country))
-	}
-	return nil
-}
-
-// Close writes the end marker, fsyncs, and atomically renames the temp
-// file into place, registering the shard with the store's manifest.
-func (sw *ShardWriter) Close() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return fmt.Errorf("corpusstore: shard %s already closed", sw.country)
-	}
-	end, err := json.Marshal(shardEnd{Rows: sw.total, Symbols: int64(sw.nsyms)})
-	if err != nil {
-		return sw.fail(err)
-	}
-	if err := sw.writeSection(secEnd, end, nil); err != nil {
 		return err
 	}
-	if err := sw.bw.Flush(); err != nil {
-		return sw.fail(err)
-	}
-	if err := sw.f.Sync(); err != nil {
-		return sw.fail(err)
-	}
-	if err := sw.f.Close(); err != nil {
-		sw.f = nil
-		return sw.fail(err)
-	}
-	sw.f = nil
-	if err := os.Rename(sw.tmpPath, sw.path); err != nil {
-		return sw.fail(err)
-	}
-	if d, err := os.Open(filepath.Dir(sw.path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	sw.closed = true
-	sw.sp.End()
-	sw.w.m.shardsWritten.Inc()
-	sw.w.m.rowsWritten.Add(sw.total)
-	sw.w.m.bytesWritten.Add(sw.written)
-	sw.w.finish(sw.country, manifestShard{
-		Country: sw.country, File: sw.file, Rows: sw.total, Bytes: sw.written,
-	})
-	return nil
-}
-
-// fail latches the first error and removes the temp file; the shard is
-// unusable afterwards and never reaches the manifest.
-func (sw *ShardWriter) fail(err error) error {
-	if sw.err == nil {
-		sw.err = err
-		sw.abort()
-	}
-	return sw.err
-}
-
-func (sw *ShardWriter) abort() {
-	if sw.f != nil {
-		sw.f.Close()
-		sw.f = nil
-	}
-	os.Remove(sw.tmpPath)
-	sw.w.finishAbort(sw.country)
-}
-
-// finishAbort drops an aborted shard from the open set without adding a
-// manifest entry.
-func (w *Writer) finishAbort(country string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.open, country)
-}
-
-func (sw *ShardWriter) writeRaw(b []byte) error {
-	n, err := sw.bw.Write(b)
-	sw.written += int64(n)
+	h, err := json.Marshal(hdr)
 	if err != nil {
-		return sw.fail(err)
+		return err
 	}
-	return nil
+	if err := e.section(out, secHeader, h, nil); err != nil {
+		return err
+	}
+	for rest := rows; len(rest) > 0; {
+		n := min(len(rest), hdr.BlockRows)
+		if err := e.block(out, rest[:n]); err != nil {
+			return err
+		}
+		rest = rest[n:]
+	}
+	end, err := json.Marshal(shardEnd{Rows: e.rows, Symbols: int64(len(e.syms))})
+	if err != nil {
+		return err
+	}
+	return e.section(out, secEnd, end, nil)
 }
 
-// writeSection frames one section into the buffered shard file.
-func (sw *ShardWriter) writeSection(typ byte, head, body []byte) error {
-	n, err := writeSection(sw.bw, typ, head, body)
-	sw.written += int64(n)
-	if err != nil {
-		return sw.fail(fmt.Errorf("corpusstore: shard %s: %w", sw.country, err))
-	}
-	return nil
+// section frames one section to out, counting its bytes.
+func (e *shardEncoder) section(out io.Writer, typ byte, head, body []byte) error {
+	n, err := writeSection(out, typ, head, body)
+	e.bytes += int64(n)
+	return err
 }
 
 // intern returns the symbol for s, scheduling it for emission in the
 // current block's new-symbol list on first use.
-func (sw *ShardWriter) intern(s string) uint32 {
-	if id, ok := sw.syms[s]; ok {
+func (e *shardEncoder) intern(s string) uint32 {
+	if id, ok := e.syms[s]; ok {
 		return id
 	}
-	id := sw.nsyms
-	sw.nsyms++
-	sw.syms[s] = id
-	sw.newSyms = append(sw.newSyms, s)
+	id := uint32(len(e.syms))
+	e.syms[s] = id
+	e.newSyms = append(e.newSyms, s)
 	return id
 }
 
@@ -380,18 +258,18 @@ func (sw *ShardWriter) intern(s string) uint32 {
 // append growth the hint is there to avoid.
 const encodedRowHint = 80
 
-// writeBlock encodes rows as one columnar 'B' section: the symbols first
-// seen in the block, the row count, then the columns of shardColumns in
-// order. Symbols are interned in that same scan order, so equal inputs
-// always produce equal bytes. The rows are only read.
-func (sw *ShardWriter) writeBlock(rows []dataset.Website) error {
+// block encodes rows as one columnar 'B' section: the symbols first seen
+// in the block, the row count, then the columns of shardColumns in order.
+// Symbols are interned in that same scan order, so equal inputs always
+// produce equal bytes. The rows are only read.
+func (e *shardEncoder) block(out io.Writer, rows []dataset.Website) error {
 	// Symbols are assigned while the columns are encoded but are written
 	// before them, so the two halves are built apart and framed together.
-	sw.newSyms = sw.newSyms[:0]
-	if sw.cols == nil {
-		sw.cols = make([]byte, 0, len(rows)*encodedRowHint)
+	e.newSyms = e.newSyms[:0]
+	if e.cols == nil {
+		e.cols = make([]byte, 0, len(rows)*encodedRowHint)
 	}
-	cols := binary.AppendUvarint(sw.cols[:0], uint64(len(rows)))
+	cols := binary.AppendUvarint(e.cols[:0], uint64(len(rows)))
 	for c := range shardColumns {
 		col := &shardColumns[c]
 		switch col.kind {
@@ -407,7 +285,7 @@ func (sw *ShardWriter) writeBlock(rows []dataset.Website) error {
 			}
 		case kindSym:
 			for i := range rows {
-				cols = binary.AppendUvarint(cols, uint64(sw.intern(*col.str(&rows[i]))))
+				cols = binary.AppendUvarint(cols, uint64(e.intern(*col.str(&rows[i]))))
 			}
 		case kindBool:
 			start := len(cols)
@@ -419,19 +297,19 @@ func (sw *ShardWriter) writeBlock(rows []dataset.Website) error {
 			}
 		}
 	}
-	sw.cols = cols
+	e.cols = cols
 
-	head := binary.AppendUvarint(sw.head[:0], uint64(len(sw.newSyms)))
-	for _, s := range sw.newSyms {
+	head := binary.AppendUvarint(e.head[:0], uint64(len(e.newSyms)))
+	for _, s := range e.newSyms {
 		head = binary.AppendUvarint(head, uint64(len(s)))
 		head = append(head, s...)
 	}
-	sw.head = head
+	e.head = head
 
-	if err := sw.writeSection(secBlock, head, cols); err != nil {
+	if err := e.section(out, secBlock, head, cols); err != nil {
 		return err
 	}
-	sw.total += int64(len(rows))
+	e.rows += int64(len(rows))
 	return nil
 }
 

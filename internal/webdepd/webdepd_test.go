@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -355,13 +357,25 @@ func TestReloadHotSwap(t *testing.T) {
 	_, before := get(t, d, "/api/scores?layer=hosting")
 
 	// A new epoch lands (different world), plus decoys reload must skip:
-	// an in-flight atomic write and a manifest-less directory.
+	// an in-flight atomic write and a manifest-less directory — what a
+	// Save killed before its manifest's rename leaves: every shard in
+	// place and half a manifest temp file.
 	corpusB := worldCorpus(t, 12, 120, testCCs)
 	corpusB.Epoch = "2023-06"
-	if err := corpusstore.Save(root+"/gen-0002", corpusB, &corpusstore.Options{Workers: 2}); err != nil {
+	for _, gen := range []string{"gen-0002", "gen-0009.tmp", "gen-0010"} {
+		if err := corpusstore.Save(root+"/"+gen, corpusB, &corpusstore.Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashed := filepath.Join(root, "gen-0010", corpusstore.ManifestName)
+	man, err := os.ReadFile(crashed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := corpusstore.Save(root+"/gen-0009.tmp", corpusB, &corpusstore.Options{Workers: 2}); err != nil {
+	if err := os.WriteFile(crashed+".tmp-1", man[:len(man)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(crashed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -388,6 +402,9 @@ func TestReloadHotSwap(t *testing.T) {
 	}
 	if bytes.Equal(before, after) {
 		t.Error("scores unchanged across an epoch swap of a different world")
+	}
+	if want, qerr := direct(corpusB, "gen-0002", 1).render(parsePath(t, "/api/scores?layer=hosting")); qerr != nil || !bytes.Equal(after, want) {
+		t.Errorf("post-swap scores differ from a direct render of gen-0002's corpus (%v)", qerr)
 	}
 	var ls LayerScoresResponse
 	if err := json.Unmarshal(after, &ls); err != nil || ls.Epoch != "2023-06" {
