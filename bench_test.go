@@ -158,7 +158,7 @@ func BenchmarkFig4UsageEndemicity(b *testing.B) {
 	_, corpus := setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		curves := corpus.UsageCurves(countries.Hosting)
+		curves := corpus.ScoreSet().UsageCurves(countries.Hosting)
 		for _, curve := range curves {
 			_ = curve.Usage()
 			_ = curve.EndemicityRatio()
@@ -253,7 +253,7 @@ func BenchmarkFig9LayerSubregion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, layer := range countries.Layers {
-			_ = analysis.BySubregion(corpus.Scores(layer))
+			_ = analysis.BySubregion(corpus.ScoreSet().Scores(layer))
 		}
 	}
 }
@@ -469,7 +469,7 @@ func BenchmarkCorpusScoresParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				corpus.InvalidateScoringIndex()
 				for _, layer := range countries.Layers {
-					_ = corpus.Scores(layer)
+					_ = corpus.ScoreSet().Scores(layer)
 				}
 			}
 		})
@@ -494,9 +494,9 @@ func BenchmarkExperimentsSuite(b *testing.B) {
 			_ = analysis.SortedInsularity(corpus, layer)
 			_ = analysis.InsularityCDF(corpus, layer)
 			_, _ = analysis.ScoreHistogram(corpus, layer, 13)
-			_ = analysis.BySubregion(corpus.Scores(layer))
+			_ = analysis.BySubregion(corpus.ScoreSet().Scores(layer))
 		}
-		_ = corpus.UsageCurves(countries.Hosting)
+		_ = corpus.ScoreSet().UsageCurves(countries.Hosting)
 		_ = analysis.ContinentDependence(corpus, analysis.ByProviderHQ)
 		_ = analysis.ContinentDependence(corpus, analysis.ByIPGeolocation)
 		_ = analysis.ContinentDependence(corpus, analysis.ByNSGeolocation)
@@ -577,7 +577,7 @@ func BenchmarkAblationAffinityVsThreshold(b *testing.B) {
 	})
 	b.Run("threshold-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			curves := corpus.UsageCurves(countries.Hosting)
+			curves := corpus.ScoreSet().UsageCurves(countries.Hosting)
 			buckets := map[string]int{}
 			for _, curve := range curves {
 				switch {
@@ -597,7 +597,7 @@ func BenchmarkAblationAffinityVsThreshold(b *testing.B) {
 // normalized ratio the paper adopts (Section 3.3's size correction).
 func BenchmarkAblationEndemicityRatio(b *testing.B) {
 	_, corpus := setup(b)
-	curves := corpus.UsageCurves(countries.Hosting)
+	curves := corpus.ScoreSet().UsageCurves(countries.Hosting)
 	b.Run("raw-endemicity", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, curve := range curves {

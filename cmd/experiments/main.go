@@ -281,7 +281,7 @@ func (h *harness) fig1() error {
 	report.RankCurves(os.Stdout, "Figure 1: cumulative share by provider rank", corpus, countries.Hosting, present, 15)
 	fmt.Println()
 	for _, cc := range present {
-		d := corpus.DistributionOf(cc, countries.Hosting)
+		d := corpus.ScoreSet().DistributionOf(cc, countries.Hosting)
 		fmt.Printf("%s: top-5 share %.1f%%  S = %.4f\n", cc, d.TopNShare(5)*100, d.Score())
 	}
 	fmt.Println("\npaper: AZ and HK both have top-5 = 59% yet differ in S (0.1743 vs 0.1180).")
@@ -331,7 +331,7 @@ func (h *harness) fig4() error {
 	if err != nil {
 		return err
 	}
-	curves := corpus.UsageCurves(countries.Hosting)
+	curves := corpus.ScoreSet().UsageCurves(countries.Hosting)
 	global, ok := curves["Cloudflare"]
 	if !ok {
 		return fmt.Errorf("Cloudflare missing")
@@ -428,7 +428,7 @@ func (h *harness) fig9() error {
 	for _, layer := range countries.Layers {
 		report.SubregionTable(os.Stdout,
 			fmt.Sprintf("Figure 9 (%s): centralization by subregion", layer),
-			analysis.BySubregion(corpus.Scores(layer)))
+			analysis.BySubregion(corpus.ScoreSet().Scores(layer)))
 		fmt.Println()
 	}
 	return nil
@@ -629,7 +629,7 @@ func (h *harness) coverage() error {
 	worst := 0
 	worstCC := ""
 	for _, cc := range corpus.Countries() {
-		n := corpus.DistributionOf(cc, countries.Hosting).ProvidersForCoverage(0.90)
+		n := corpus.ScoreSet().DistributionOf(cc, countries.Hosting).ProvidersForCoverage(0.90)
 		if n > worst {
 			worst, worstCC = n, cc
 		}
@@ -647,7 +647,7 @@ func (h *harness) calibration() error {
 	}
 	fmt.Printf("%-8s %12s %12s %10s\n", "Layer", "max |ΔS|", "mean |ΔS|", "rho")
 	for _, layer := range countries.Layers {
-		scores := corpus.Scores(layer)
+		scores := corpus.ScoreSet().Scores(layer)
 		var xs, ys []float64
 		var maxAbs, sumAbs float64
 		n := 0
@@ -690,7 +690,7 @@ func (h *harness) tails() error {
 	fmt.Printf("%-4s %10s %10s\n", "CC", "tailShare", "S")
 	rows := analysis.SortedScores(corpus, countries.Hosting)
 	for _, row := range rows {
-		dist := corpus.DistributionOf(row.Code, countries.Hosting)
+		dist := corpus.ScoreSet().DistributionOf(row.Code, countries.Hosting)
 		var tail float64
 		for _, ps := range dist.Ranked() {
 			if ps.Count < cut {
@@ -711,7 +711,7 @@ func (h *harness) continents() error {
 	for _, layer := range countries.Layers {
 		report.SubregionTable(os.Stdout,
 			fmt.Sprintf("Centralization by continent (%s)", layer),
-			analysis.ByContinent(corpus.Scores(layer)))
+			analysis.ByContinent(corpus.ScoreSet().Scores(layer)))
 		fmt.Println()
 	}
 	fmt.Println("paper: Europe consistently least centralized in hosting/DNS but most")
@@ -726,7 +726,7 @@ func (h *harness) topProviders() error {
 	}
 	anchors := []string{"TH", "US", "IR", "BG", "LT", "JP"}
 	for _, cc := range anchors {
-		dist := corpus.DistributionOf(cc, countries.Hosting)
+		dist := corpus.ScoreSet().DistributionOf(cc, countries.Hosting)
 		if dist == nil {
 			continue
 		}
@@ -790,7 +790,7 @@ func (h *harness) transitive() error {
 		st.Nodes, st.ProviderEdges, st.SiteEdges, st.ClosureSCCs)
 	fmt.Printf("%-8s %10s %12s %10s\n", "Layer", "direct S̄", "transitive S̄", "mean Δ")
 	for _, layer := range []countries.Layer{countries.Hosting, countries.DNS, countries.CA} {
-		direct := corpus.Scores(layer)
+		direct := corpus.ScoreSet().Scores(layer)
 		trans := g.TransitiveScores(layer)
 		var dxs, txs []float64
 		for _, cc := range corpus.Countries() {
@@ -822,7 +822,7 @@ func (h *harness) interpret() error {
 	fmt.Printf("%-8s %12s %12s %12s\n", "Layer", "competitive", "moderate", "high")
 	for _, layer := range countries.Layers {
 		var comp, mod, high int
-		for _, s := range corpus.Scores(layer) {
+		for _, s := range corpus.ScoreSet().Scores(layer) {
 			switch core.Interpret(s) {
 			case core.Competitive:
 				comp++

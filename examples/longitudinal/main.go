@@ -57,8 +57,8 @@ func main() {
 
 	fmt.Println("\nPer-country movement (hosting):")
 	fmt.Printf("%-4s %9s %9s %8s %12s\n", "CC", "2023-05", "2025-05", "delta", "CF delta pts")
-	scoresA := epochA.Scores(countries.Hosting)
-	scoresB := epochB.Scores(countries.Hosting)
+	scoresA := epochA.ScoreSet().Scores(countries.Hosting)
+	scoresB := epochB.ScoreSet().Scores(countries.Hosting)
 	sorted := append([]string(nil), ccs...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return scoresB[sorted[i]]-scoresA[sorted[i]] > scoresB[sorted[j]]-scoresA[sorted[j]]

@@ -62,7 +62,7 @@ func TestSortedScoresOrdering(t *testing.T) {
 
 func TestBySubregion(t *testing.T) {
 	_, mc := measuredCorpus(t)
-	aggs := BySubregion(mc.Scores(countries.Hosting))
+	aggs := BySubregion(mc.ScoreSet().Scores(countries.Hosting))
 	if len(aggs) < 5 {
 		t.Fatalf("only %d subregions", len(aggs))
 	}
@@ -315,7 +315,7 @@ func TestSortedInsularityOrdering(t *testing.T) {
 
 func TestByContinent(t *testing.T) {
 	_, mc := measuredCorpus(t)
-	aggs := ByContinent(mc.Scores(countries.Hosting))
+	aggs := ByContinent(mc.ScoreSet().Scores(countries.Hosting))
 	if len(aggs) < 4 {
 		t.Fatalf("continents = %d", len(aggs))
 	}

@@ -74,8 +74,8 @@ type LongitudinalResult struct {
 // Longitudinal compares two corpora over the same country set.
 func Longitudinal(a, b *dataset.Corpus) (*LongitudinalResult, error) {
 	ccs := a.Countries()
-	scoresA := a.Scores(countries.Hosting)
-	scoresB := b.Scores(countries.Hosting)
+	scoresA := a.ScoreSet().Scores(countries.Hosting)
+	scoresB := b.ScoreSet().Scores(countries.Hosting)
 	xs := make([]float64, 0, len(ccs))
 	ys := make([]float64, 0, len(ccs))
 	var jaccards, deltas []float64
@@ -92,8 +92,8 @@ func Longitudinal(a, b *dataset.Corpus) (*LongitudinalResult, error) {
 		xs = append(xs, scoresA[cc])
 		ys = append(ys, scoresB[cc])
 		jaccards = append(jaccards, stats.Jaccard(a.Get(cc).Domains(), listB.Domains()))
-		cfA := a.DistributionOf(cc, countries.Hosting).Share("Cloudflare")
-		cfB := b.DistributionOf(cc, countries.Hosting).Share("Cloudflare")
+		cfA := a.ScoreSet().DistributionOf(cc, countries.Hosting).Share("Cloudflare")
+		cfB := b.ScoreSet().DistributionOf(cc, countries.Hosting).Share("Cloudflare")
 		delta := (cfB - cfA) * 100
 		res.CloudflareDelta[cc] = delta
 		deltas = append(deltas, delta)
@@ -134,7 +134,7 @@ type TLDBreakdown struct {
 // TLDBreakdowns computes every country's TLD-kind shares, sorted most
 // centralized first.
 func TLDBreakdowns(corpus *dataset.Corpus) []TLDBreakdown {
-	scores := corpus.Scores(countries.TLD)
+	scores := corpus.ScoreSet().Scores(countries.TLD)
 	out := make([]TLDBreakdown, 0, len(corpus.Lists))
 	for cc, list := range corpus.Lists {
 		shares := map[tldinfo.Kind]float64{}
@@ -173,7 +173,7 @@ type TLDStudy struct {
 // StudyTLD computes Appendix B's aggregates.
 func StudyTLD(corpus *dataset.Corpus) (*TLDStudy, error) {
 	var scores []float64
-	for _, v := range corpus.Scores(countries.TLD) {
+	for _, v := range corpus.ScoreSet().Scores(countries.TLD) {
 		scores = append(scores, v)
 	}
 	hostIns := Insularities(corpus, countries.Hosting)

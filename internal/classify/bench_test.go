@@ -26,7 +26,7 @@ func BenchmarkClassifyLayer(b *testing.B) {
 	corpus := w.Truth
 	for _, layer := range []countries.Layer{countries.Hosting, countries.DNS} {
 		b.Run(layer.String(), func(b *testing.B) {
-			corpus.Scores(layer) // build the index outside the timer
+			corpus.ScoreSet().Scores(layer) // build the index outside the timer
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

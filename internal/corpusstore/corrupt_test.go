@@ -87,7 +87,7 @@ func section(tb testing.TB, typ byte, payload []byte) []byte {
 
 // sections returns the byte offset of every framed section of a store file,
 // then the file's length.
-func sections(t *testing.T, whole []byte) []int {
+func sections(t testing.TB, whole []byte) []int {
 	t.Helper()
 	var offs []int
 	off := len(shardMagic)
@@ -104,7 +104,7 @@ func sections(t *testing.T, whole []byte) []int {
 // rewriteSection re-frames the first section of the given type with a
 // mutated payload, keeping every CRC valid so that only a semantic check
 // can reject the file. It returns the section's offset.
-func rewriteSection(t *testing.T, path string, typ byte, mutate func(payload []byte) []byte) int {
+func rewriteSection(t testing.TB, path string, typ byte, mutate func(payload []byte) []byte) int {
 	t.Helper()
 	whole, err := os.ReadFile(path)
 	if err != nil {
@@ -307,6 +307,27 @@ func TestEndMarkerMismatch(t *testing.T) {
 	}
 }
 
+// writeDuplicateNameStore saves one country whose first block interns
+// "HostA" and "HostB", then renames "HostB" in the block's symbol table,
+// every CRC kept valid: the shard names "HostA" under two IDs, which no
+// writer does. It returns the store's directory and the block's offset.
+func writeDuplicateNameStore(tb testing.TB) (dir string, off int) {
+	tb.Helper()
+	dir = tb.TempDir()
+	c := dataset.NewCorpus("2023-05")
+	c.Add(&dataset.CountryList{Country: "US", Epoch: "2023-05", Sites: []dataset.Website{
+		{Domain: "a.com", Country: "US", Rank: 1, HostProvider: "HostA", DNSProvider: "HostB"},
+		{Domain: "b.com", Country: "US", Rank: 2, HostProvider: "HostB", DNSProvider: "HostA"},
+	}})
+	if err := Save(dir, c, testOpts(8)); err != nil {
+		tb.Fatal(err)
+	}
+	off = rewriteSection(tb, filepath.Join(dir, "US.shard"), secBlock, func(p []byte) []byte {
+		return bytes.Replace(p, []byte("HostB"), []byte("HostA"), 1)
+	})
+	return dir, off
+}
+
 // TestCorruptBlockContents damages what is inside a checksum-clean block.
 // These are the checks the symbol view could most easily lose, because it
 // keeps nothing of the columns they guard: a symbol out of range in a
@@ -320,6 +341,10 @@ func TestCorruptBlockContents(t *testing.T) {
 			return p
 		})
 		wantCorrupt(t, streamAll(t, dir), int64(off), "symbol 127 out of range")
+	})
+	t.Run("symbol named twice", func(t *testing.T) {
+		dir, off := writeDuplicateNameStore(t)
+		wantCorrupt(t, streamAll(t, dir), int64(off), `symbol "HostA" is already in the shard's table`)
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
 		dir, shard := writeTestStore(t)

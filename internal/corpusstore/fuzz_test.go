@@ -40,6 +40,13 @@ func FuzzShardDecode(f *testing.F) {
 	huge = binary.AppendUvarint(huge, 1<<32)
 	hdrEnd := 16 + int(binary.LittleEndian.Uint32(shard[8:]))
 	f.Add(append(append([]byte(nil), shard[:hdrEnd]...), section(f, secBlock, huge)...))
+	// A checksum-clean shard whose symbol table names one string twice.
+	dupDir, _ := writeDuplicateNameStore(f)
+	dup, err := os.ReadFile(filepath.Join(dupDir, "US.shard"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dup)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// decode runs the input through one view and returns the rows

@@ -153,16 +153,16 @@ func (s *Store) StreamShard(cc string, fn func(*dataset.Website) error) error {
 // shardReader is the read state of one shard stream: the file's frame
 // reader and the block decoder. Scan gives each of its workers one and
 // points it at every shard the worker reads, so the read buffer, the frame
-// payload buffer, the symbol-ID columns and the scratch are allocated once
-// per worker, not once per shard.
+// payload buffer, the symbol set, the symbol-ID columns and the scratch are
+// allocated once per worker, not once per shard.
 type shardReader struct {
 	fr  *framing.Reader
 	dec shardBlockDecoder
 }
 
 // stream opens one country's shard and drives it through rd. The shard's
-// symbol table is always a fresh one: tallies keep the Names of the blocks
-// they observed.
+// symbol table is always a fresh one — tallies keep the Names of the blocks
+// they observed — and its set starts empty.
 func (s *Store) stream(cc string, rd *shardReader) error {
 	ms, ok := s.byCC[cc]
 	if !ok {
@@ -184,6 +184,7 @@ func (s *Store) stream(cc string, rd *shardReader) error {
 	}
 	fr := rd.fr
 	rd.dec.syms = nil
+	clear(rd.dec.seen)
 	want := shardHeader{Version: Version, Epoch: s.man.Epoch, Country: cc}
 	rows, err := decodeShard(fr, &want, &rd.dec)
 	if err != nil {
@@ -367,6 +368,7 @@ func decodeShard(fr *framing.Reader, want *shardHeader, dec *shardBlockDecoder) 
 type shardBlockDecoder struct {
 	country string
 	syms    []string
+	seen    map[string]struct{} // syms as a set: a shard names each string once
 
 	// The row view: every column materialised into rows, delivered one by one.
 	onRow func(*dataset.Website) error
@@ -402,11 +404,18 @@ func (d *shardBlockDecoder) block(payload []byte) (int64, error) {
 		return 0, fmt.Errorf("block grows the symbol table past %d entries", uint32(dataset.NoSymbol))
 	}
 	d.syms = slices.Grow(d.syms, int(nSyms))
+	if d.seen == nil {
+		d.seen = make(map[string]struct{})
+	}
 	for i := uint64(0); i < nSyms; i++ {
 		s, err := br.str()
 		if err != nil {
 			return 0, err
 		}
+		if _, dup := d.seen[s]; dup {
+			return 0, fmt.Errorf("symbol %q is already in the shard's table", s)
+		}
+		d.seen[s] = struct{}{}
 		d.syms = append(d.syms, s)
 	}
 

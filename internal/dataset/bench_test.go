@@ -27,7 +27,7 @@ func BenchmarkCorpusScoresCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		corpus.InvalidateScoringIndex()
 		for _, layer := range countries.Layers {
-			_ = corpus.Scores(layer)
+			_ = corpus.ScoreSet().Scores(layer)
 		}
 	}
 }
@@ -39,13 +39,13 @@ func BenchmarkCorpusScoresCold(b *testing.B) {
 func BenchmarkCorpusScoresCached(b *testing.B) {
 	corpus := benchCorpus()
 	for _, layer := range countries.Layers {
-		_ = corpus.Scores(layer) // warm
+		_ = corpus.ScoreSet().Scores(layer) // warm
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, layer := range countries.Layers {
-			_ = corpus.Scores(layer)
+			_ = corpus.ScoreSet().Scores(layer)
 		}
 	}
 }
@@ -56,12 +56,12 @@ func BenchmarkCorpusScoresCached(b *testing.B) {
 func BenchmarkDistributionOfCached(b *testing.B) {
 	corpus := benchCorpus()
 	ccs := corpus.Countries()
-	_ = corpus.Scores(countries.Hosting) // warm
+	_ = corpus.ScoreSet().Scores(countries.Hosting) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cc := range ccs {
-			d := corpus.DistributionOf(cc, countries.Hosting)
+			d := corpus.ScoreSet().DistributionOf(cc, countries.Hosting)
 			_ = d.Score()
 			_ = d.HHI()
 		}

@@ -137,10 +137,10 @@ type Corpus struct {
 	Epoch string
 	Lists map[string]*CountryList
 
-	// Workers bounds the per-country concurrency of the corpus-wide
-	// computations (Scores, Insularities, UsageMatrix); 0 means one worker
-	// per CPU. Results are identical for every worker count: each country
-	// is computed independently and merged in sorted country order.
+	// Workers bounds the per-country concurrency of the scoring index build
+	// behind ScoreSet; 0 means one worker per CPU. Results are identical
+	// for every worker count: each country is computed independently and
+	// merged in sorted country order.
 	Workers int
 
 	// CoverageByCountry carries the live crawl's measurement-loss
@@ -215,34 +215,6 @@ func (c *Corpus) TotalSites() int {
 		n += len(l.Sites)
 	}
 	return n
-}
-
-// Scores returns the centralization score per country for one layer, read
-// from the scoring index (one parallel corpus pass on first use, map reads
-// after). The returned map is the caller's to keep or modify.
-func (c *Corpus) Scores(layer countries.Layer) map[string]float64 {
-	return cloneScores(c.index().layers[layer].scores)
-}
-
-// DistributionOf returns the frozen provider distribution of one country's
-// layer from the scoring index, or nil when the country is not in the
-// corpus. The distribution is shared with every other caller and with the
-// index itself: it is safe for concurrent reads and must not be mutated
-// (use CountryList.Distribution for a private, mutable copy).
-func (c *Corpus) DistributionOf(country string, layer countries.Layer) *core.Distribution {
-	idx := c.index()
-	i, ok := idx.pos[country]
-	if !ok {
-		return nil
-	}
-	return idx.layers[layer].cols[i].dist
-}
-
-// UsageCurves converts a usage matrix into a per-provider usage curve over
-// the corpus's full country set (countries where a provider is absent
-// contribute zero, as in the paper's 150-value curves).
-func (c *Corpus) UsageCurves(layer countries.Layer) map[string]core.UsageCurve {
-	return c.index().usageCurves(layer)
 }
 
 // Validate performs structural checks a data release should pass: known

@@ -123,7 +123,7 @@ func TestCorpusBasics(t *testing.T) {
 	if c.Get("TH") == nil || c.Get("XX") != nil {
 		t.Error("Get misbehaves")
 	}
-	scores := c.Scores(countries.Hosting)
+	scores := c.ScoreSet().Scores(countries.Hosting)
 	if len(scores) != 2 {
 		t.Errorf("Scores = %v", scores)
 	}
@@ -166,7 +166,7 @@ func TestUsageMatrixAndCurves(t *testing.T) {
 		t.Error("Amazon should have no TH entry")
 	}
 
-	curves := c.UsageCurves(countries.Hosting)
+	curves := c.ScoreSet().UsageCurves(countries.Hosting)
 	cf := curves["Cloudflare"]
 	if cf.Countries() != 2 {
 		t.Fatalf("curve countries = %d", cf.Countries())

@@ -13,24 +13,26 @@ import (
 )
 
 // This file implements the corpus's columnar scoring index: every
-// corpus-wide analysis entry point (Scores, Insularities,
-// GlobalDistribution, UsageMatrix, UsageCurves, DistributionOf) reads from
-// one immutable structure extracted in a single parallel pass over the
-// website rows, instead of re-scanning the corpus per call. The index is
+// ScoreSet entry point (Scores, Insularities, GlobalDistribution,
+// UsageMatrix, UsageCurves, DistributionOf) reads from one immutable
+// structure built from one CountryTally per country — the tally a store
+// scan fills from shard blocks, here fed the corpus's rows — in a single
+// parallel pass, instead of re-scanning the corpus per call. The scoring
+// rules exist once, on symbol IDs (CountryTally.observe). The index is
 // built lazily behind a double-checked atomic pointer, so the first scoring
-// call pays one O(corpus) extraction and every later call — including the
-// dozens the experiments suite issues while regenerating Tables 1–8 and
-// Figures 1–13 — is a map read. Corpus.Add and Corpus.SetCoverage drop the
-// index, so mutate-then-score (the checkpoint-resume merge path) always
-// sees fresh numbers.
+// call pays one O(corpus) pass and every later call — including the dozens
+// the experiments suite issues while regenerating Tables 1–8 and Figures
+// 1–13 — is a map read. Corpus.Add and Corpus.SetCoverage drop the index,
+// so mutate-then-score (the checkpoint-resume merge path) always sees fresh
+// numbers.
 
 // numLayers sizes the per-layer arrays; the layers are consecutive
 // iota values starting at Hosting.
 const numLayers = int(countries.TLD) + 1
 
 // symtab interns provider names to dense uint32 symbols, one table per
-// corpus. Symbols are assigned in deterministic order (sorted country,
-// layer, rank) during the index build, so two builds of the same corpus
+// corpus. Symbols are assigned in deterministic order (layer, sorted
+// country, rank) during the index build, so two builds of the same corpus
 // produce identical tables.
 type symtab struct {
 	ids   map[string]uint32
@@ -113,50 +115,51 @@ func (c *Corpus) index() *scoringIndex {
 // place (tests, benchmarks) must call it themselves.
 func (c *Corpus) InvalidateScoringIndex() { c.scoring.Store(nil) }
 
-// rawLayer is the per-worker extraction result for one (country, layer):
-// plain string-keyed counts (interning happens later, single-threaded, so
-// the symbol table needs no locking) and the insularity tally.
-type rawLayer struct {
-	counts map[string]uint32
-	ins    core.Insularity
-}
-
-// buildIndex extracts the whole index in one parallel pass over the
-// corpus: each worker scans one country's website rows once, tallying all
-// four layers simultaneously, and builds that country's columns.
+// buildIndex builds the index in one parallel pass over the corpus: each
+// worker feeds one country's website rows to a CountryTally and builds that
+// country's columns from it.
 func (c *Corpus) buildIndex() *scoringIndex {
 	ccs := c.Countries()
-	return buildIndexFromRaws(ccs, c.Workers, func(i int) *[numLayers]rawLayer {
-		raws := extractCountry(c.Lists[ccs[i]])
-		return &raws
+	idx, err := indexTallies(ccs, c.Workers, func(i int) *CountryTally {
+		list := c.Lists[ccs[i]]
+		t := NewCountryTally(list.Country)
+		for j := range list.Sites {
+			t.Observe(&list.Sites[j])
+		}
+		return t
 	})
+	if err != nil {
+		// The column build is infallible, the context is never cancelled
+		// (the invariant TestScoringExtractionCannotFail pins down), and a
+		// RowTable names each provider once. Panicking — rather than a
+		// silent `_ =` discard — means a future fallible extraction fails
+		// loudly instead of zero-filling every score.
+		panic(fmt.Sprintf("dataset: scoring-index extraction failed: %v", err))
+	}
+	return idx
 }
 
-// buildIndexFromRaws builds the immutable index from per-country layer
-// tallies. ccs must be sorted; raw(i) returns country i's tallies. Calling
-// it and turning its tallies into the country's four columns — sort,
+// indexTallies builds the immutable index from per-country tallies. ccs
+// must be sorted; tally(i) returns country i's tally, done observing.
+// Calling it and turning the tally into the country's four columns — rank,
 // frozen Distribution, score, insularity — run on one of up to workers
 // goroutines (0 means one per core) per country. The symbol intern and the
 // global distributions run on the calling goroutine in (layer, country,
 // rank) order, so the same tallies always produce the same table — whether
-// they came from in-memory rows or a streamed shard, on any worker count.
-func buildIndexFromRaws(ccs []string, workers int, raw func(i int) *[numLayers]rawLayer) *scoringIndex {
+// they counted in-memory rows or a streamed shard, on any worker count. A
+// tally whose table names one provider under two IDs is refused.
+func indexTallies(ccs []string, workers int, tally func(i int) *CountryTally) (*scoringIndex, error) {
+	ts := make([]*CountryTally, len(ccs))
 	cols, err := parallel.Map(context.Background(), workers, len(ccs),
 		func(_ context.Context, i int) (out [numLayers]countryCol, _ error) {
-			raws := raw(i)
+			ts[i] = tally(i)
 			for l := range out {
-				buildCol(&out[l], &raws[l])
+				ts[i].buildCol(&out[l], l)
 			}
 			return out, nil
 		})
 	if err != nil {
-		// Map only fails when fn errors or the context is cancelled; the
-		// column build is infallible and the context above is never
-		// cancelled, so this branch is unreachable (the invariant
-		// TestScoringExtractionCannotFail pins down). Panicking — rather
-		// than a silent `_ =` discard — means a future fallible extraction
-		// fails loudly instead of zero-filling every score.
-		panic(fmt.Sprintf("dataset: scoring-index extraction failed: %v", err))
+		return nil, err
 	}
 	idx := &scoringIndex{
 		countries: ccs,
@@ -166,6 +169,10 @@ func buildIndexFromRaws(ccs []string, workers int, raw func(i int) *[numLayers]r
 	for i, cc := range ccs {
 		idx.pos[cc] = i
 	}
+	var (
+		placed []int // symbol -> the last column, numbered from 1, it joined
+		column int
+	)
 	for l := 0; l < numLayers; l++ {
 		ly := &idx.layers[l]
 		ly.cols = make([]countryCol, len(ccs))
@@ -174,11 +181,20 @@ func buildIndexFromRaws(ccs []string, workers int, raw func(i int) *[numLayers]r
 		var global []float64 // symbol -> the layer's corpus-wide count
 		var used []uint32    // symbols the layer counted, first use first
 		for i, cc := range ccs {
+			column++
 			col := &ly.cols[i]
 			*col = cols[i][l]
-			col.syms = make([]uint32, len(col.counts))
-			for k, ps := range col.dist.Ranked() {
-				s := idx.providers.intern(ps.Provider)
+			// The ranked tally IDs become the column's symbols in place.
+			for k, id := range col.syms {
+				name := ts[i].names[id]
+				s := idx.providers.intern(name)
+				if int(s) == len(placed) {
+					placed = append(placed, 0)
+				}
+				if placed[s] == column {
+					return nil, fmt.Errorf("dataset: tally for %q names provider %q under two IDs", ts[i].country, name)
+				}
+				placed[s] = column
 				col.syms[k] = s
 				if int(s) >= len(global) {
 					global = append(global, make([]float64, int(s)+1-len(global))...)
@@ -193,7 +209,7 @@ func buildIndexFromRaws(ccs []string, workers int, raw func(i int) *[numLayers]r
 		}
 		ly.global = globalDistribution(used, global, idx.providers)
 	}
-	return idx
+	return idx, nil
 }
 
 // globalDistribution freezes a layer's corpus-wide counts: the symbols it
@@ -214,82 +230,42 @@ func globalDistribution(used []uint32, global []float64, providers *symtab) *cor
 	return core.FromSorted(names, counts)
 }
 
-// extractCountry tallies one country's provider counts and insularity for
-// every layer in a single scan over its website rows. Sites with an empty
-// provider are skipped and the TLD layer carries no insularity tally,
-// mirroring CountryList.Distribution and CountryList.Insularity exactly.
-func extractCountry(list *CountryList) [numLayers]rawLayer {
-	var out [numLayers]rawLayer
-	initRaws(&out)
-	for i := range list.Sites {
-		observeSite(&out, list.Country, &list.Sites[i])
-	}
-	return out
-}
-
-func initRaws(out *[numLayers]rawLayer) {
-	for l := range out {
-		out[l].counts = make(map[string]uint32)
-	}
-}
-
-// observeSite folds one website row into a country's per-layer tallies —
-// the row-level unit of the corpus extraction and of CountryTally.Observe.
-// CountryTally.ObserveBlock applies the same rules to symbol IDs, which is
-// how a stored shard is scored; a rule changed here changes there too, and
-// TestObserveBlockMatchesObserve fails until it does.
-func observeSite(out *[numLayers]rawLayer, country string, w *Website) {
-	for _, layer := range countries.Layers {
-		p, pc := w.ProviderOf(layer)
-		if p == "" {
-			continue
-		}
-		raw := &out[layer]
-		raw.counts[p]++
-		if layer != countries.TLD {
-			raw.ins.Observe(country, pc)
-		}
-	}
-}
-
-// buildCol converts one raw (country, layer) tally into its columnar form,
-// all but the symbols: providers sorted by (count desc, name asc), the
-// score, and the frozen Distribution view. The sorted count vector feeds
+// buildCol ranks one layer of a tally into its column: the IDs it counted
+// sorted by (count desc, name asc) — the order Distribution.Ranked uses —
+// with their counts, the score, the insularity tally and the frozen
+// Distribution view. The column's syms are still the tally's IDs; the
+// intern turns them into symbols. The sorted count vector feeds
 // emd.CentralizationSorted through core.FromSorted, so the score is
-// bit-identical to Distribution.Score over the same tally.
-func buildCol(col *countryCol, raw *rawLayer) {
-	type providerCount struct {
-		name string
-		n    uint32
-	}
-	ranked := make([]providerCount, 0, len(raw.counts))
-	for p, n := range raw.counts {
-		ranked = append(ranked, providerCount{p, n})
-	}
-	slices.SortFunc(ranked, func(a, b providerCount) int {
-		if a.n != b.n {
-			return cmp.Compare(b.n, a.n)
+// bit-identical to Distribution.Score over the same counts.
+func (t *CountryTally) buildCol(col *countryCol, l int) {
+	counts := t.counts[l]
+	n := 0
+	for _, c := range counts {
+		if c > 0 {
+			n++
 		}
-		return strings.Compare(a.name, b.name)
+	}
+	ids := make([]uint32, 0, n)
+	for id, c := range counts {
+		if c > 0 {
+			ids = append(ids, uint32(id))
+		}
+	}
+	slices.SortFunc(ids, func(a, b uint32) int {
+		if counts[a] != counts[b] {
+			return cmp.Compare(counts[b], counts[a])
+		}
+		return strings.Compare(t.names[a], t.names[b])
 	})
-	names := make([]string, len(ranked))
-	col.counts = make([]float64, len(ranked))
-	for i, pc := range ranked {
-		names[i] = pc.name
-		col.counts[i] = float64(pc.n)
-		col.total += col.counts[i]
+	names := make([]string, n)
+	col.syms = ids
+	col.counts = make([]float64, n)
+	for k, id := range ids {
+		names[k] = t.names[id]
+		col.counts[k] = float64(counts[id])
+		col.total += col.counts[k]
 	}
 	col.dist = core.FromSorted(names, col.counts)
 	col.score = col.dist.Score()
-	col.ins = raw.ins
-}
-
-// cloneScores copies a precomputed result map so callers own their copy,
-// matching the pre-index API's semantics.
-func cloneScores(m map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	col.ins = core.Insularity{Domestic: float64(t.inside[l]), Total: float64(t.total[l])}
 }

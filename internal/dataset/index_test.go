@@ -23,7 +23,7 @@ type fullResults struct {
 func snapshot(c *Corpus) fullResults {
 	var r fullResults
 	for _, layer := range countries.Layers {
-		r.Scores = append(r.Scores, c.Scores(layer))
+		r.Scores = append(r.Scores, c.ScoreSet().Scores(layer))
 		r.Insularities = append(r.Insularities, c.ScoreSet().Insularities(layer))
 		r.GlobalScores = append(r.GlobalScores, c.ScoreSet().GlobalDistribution(layer).Score())
 		r.UsageMatrix = append(r.UsageMatrix, c.ScoreSet().UsageMatrix(layer))
@@ -59,7 +59,7 @@ func TestScoringCacheInvalidatedByAdd(t *testing.T) {
 // the index (a live crawl interleaves Add and SetCoverage per country).
 func TestScoringCacheInvalidatedBySetCoverage(t *testing.T) {
 	corpus := syntheticCorpus(5, []string{"TH", "US"}, 50)
-	_ = corpus.Scores(countries.Hosting)
+	_ = corpus.ScoreSet().Scores(countries.Hosting)
 	if corpus.scoring.Load() == nil {
 		t.Fatal("index not built by Scores")
 	}
@@ -74,7 +74,7 @@ func TestScoringCacheInvalidatedBySetCoverage(t *testing.T) {
 // invalidation before the next scoring call.
 func TestInvalidateScoringIndexAfterInPlaceMutation(t *testing.T) {
 	corpus := syntheticCorpus(7, []string{"TH", "US", "DE"}, 150)
-	before := corpus.Scores(countries.Hosting)
+	before := corpus.ScoreSet().Scores(countries.Hosting)
 
 	list := corpus.Get("TH")
 	for i := range list.Sites {
@@ -82,11 +82,11 @@ func TestInvalidateScoringIndexAfterInPlaceMutation(t *testing.T) {
 		list.Sites[i].HostProviderCountry = "US"
 	}
 	// Without invalidation the cached scores are (by design) stale.
-	if got := corpus.Scores(countries.Hosting); !reflect.DeepEqual(got, before) {
+	if got := corpus.ScoreSet().Scores(countries.Hosting); !reflect.DeepEqual(got, before) {
 		t.Fatal("in-place mutation without invalidation should still read the cache")
 	}
 	corpus.InvalidateScoringIndex()
-	after := corpus.Scores(countries.Hosting)
+	after := corpus.ScoreSet().Scores(countries.Hosting)
 	if reflect.DeepEqual(after, before) {
 		t.Fatal("invalidation did not trigger a rebuild")
 	}
@@ -118,7 +118,7 @@ func TestScoringIndexConcurrentReads(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				layer := countries.Layers[(g+r)%len(countries.Layers)]
 				li := int(layer)
-				if got := corpus.Scores(layer); !reflect.DeepEqual(got, want.Scores[li]) {
+				if got := corpus.ScoreSet().Scores(layer); !reflect.DeepEqual(got, want.Scores[li]) {
 					errs <- "Scores mismatch under concurrency"
 					return
 				}
@@ -131,7 +131,7 @@ func TestScoringIndexConcurrentReads(t *testing.T) {
 					return
 				}
 				for _, cc := range corpus.Countries() {
-					d := corpus.DistributionOf(cc, layer)
+					d := corpus.ScoreSet().DistributionOf(cc, layer)
 					_ = d.Score()
 					_ = d.Ranked()
 					_ = d.RankCurve()
@@ -175,7 +175,7 @@ func TestScoringIndexDeterministicAcrossWorkers(t *testing.T) {
 func TestIndexMatchesPerListComputation(t *testing.T) {
 	corpus := syntheticCorpus(17, []string{"TH", "IR", "US", "CZ"}, 250)
 	for _, layer := range countries.Layers {
-		scores := corpus.Scores(layer)
+		scores := corpus.ScoreSet().Scores(layer)
 		ins := corpus.ScoreSet().Insularities(layer)
 		for cc, list := range corpus.Lists {
 			if want := list.Distribution(layer).Score(); scores[cc] != want {
@@ -185,7 +185,7 @@ func TestIndexMatchesPerListComputation(t *testing.T) {
 				t.Errorf("%s/%v: indexed insularity %v != direct %v", cc, layer, ins[cc], want)
 			}
 			direct := list.Distribution(layer)
-			indexed := corpus.DistributionOf(cc, layer)
+			indexed := corpus.ScoreSet().DistributionOf(cc, layer)
 			if !reflect.DeepEqual(direct.Ranked(), indexed.Ranked()) {
 				t.Errorf("%s/%v: ranked providers diverge", cc, layer)
 			}
@@ -241,7 +241,7 @@ func TestUsageCurvesMatchUsageMatrix(t *testing.T) {
 			}
 			want[provider] = core.NewUsageCurve(vals)
 		}
-		if got := corpus.UsageCurves(layer); !reflect.DeepEqual(got, want) {
+		if got := corpus.ScoreSet().UsageCurves(layer); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: UsageCurves differ from the curves of UsageMatrix (%d vs %d providers)", layer, len(got), len(want))
 		}
 	}

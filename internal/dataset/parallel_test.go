@@ -52,7 +52,7 @@ func TestCorpusComputationsDeterministicAcrossWorkers(t *testing.T) {
 	par.Workers = 8
 
 	for _, layer := range countries.Layers {
-		if a, b := seq.Scores(layer), par.Scores(layer); !reflect.DeepEqual(a, b) {
+		if a, b := seq.ScoreSet().Scores(layer), par.ScoreSet().Scores(layer); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: Scores differ across worker counts:\n w1 %v\n w8 %v", layer, a, b)
 		}
 		if a, b := seq.ScoreSet().Insularities(layer), par.ScoreSet().Insularities(layer); !reflect.DeepEqual(a, b) {
@@ -61,7 +61,7 @@ func TestCorpusComputationsDeterministicAcrossWorkers(t *testing.T) {
 		if a, b := seq.ScoreSet().UsageMatrix(layer), par.ScoreSet().UsageMatrix(layer); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: UsageMatrix differs across worker counts", layer)
 		}
-		if a, b := seq.UsageCurves(layer), par.UsageCurves(layer); !reflect.DeepEqual(a, b) {
+		if a, b := seq.ScoreSet().UsageCurves(layer), par.ScoreSet().UsageCurves(layer); !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: UsageCurves differ across worker counts", layer)
 		}
 		a := seq.ScoreSet().GlobalDistribution(layer)
@@ -82,7 +82,7 @@ func TestCorpusComputationsStableAcrossRuns(t *testing.T) {
 	a.Workers = 4
 	b.Workers = 4
 	for _, layer := range countries.Layers {
-		if !reflect.DeepEqual(a.Scores(layer), b.Scores(layer)) {
+		if !reflect.DeepEqual(a.ScoreSet().Scores(layer), b.ScoreSet().Scores(layer)) {
 			t.Errorf("%v: Scores not reproducible", layer)
 		}
 		if !reflect.DeepEqual(a.ScoreSet().UsageMatrix(layer), b.ScoreSet().UsageMatrix(layer)) {
@@ -125,7 +125,7 @@ func TestScoreSetIndependentOfOrderAndCores(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, layer := range countries.Layers {
-			if !reflect.DeepEqual(ss.UsageCurves(layer), want.UsageCurves(layer)) {
+			if !reflect.DeepEqual(ss.UsageCurves(layer), want.ScoreSet().UsageCurves(layer)) {
 				t.Fatalf("GOMAXPROCS %d: %v usage curves differ", procs, layer)
 			}
 		}

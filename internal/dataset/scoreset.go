@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/webdep/webdep/internal/core"
@@ -10,39 +11,36 @@ import (
 
 // This file is the streaming face of the columnar scoring index: a caller
 // that cannot (or will not) materialize a corpus feeds per-country
-// CountryTally accumulators — one Website at a time (Observe), or, when it
-// already holds the rows interned, as the on-disk corpus store does in its
-// per-shard symbol tables, a block of symbol IDs at a time (ObserveBlock,
-// symbolblock.go) — and merges them into a ScoreSet, the same frozen
-// scoring surface a Corpus exposes. The merge is the code the in-memory
-// index runs, so streamed scores are bit-identical to scoring the rows in
-// memory.
+// CountryTally accumulators — as blocks of symbol IDs (ObserveBlock), as the
+// on-disk corpus store does from its per-shard symbol tables, or one Website
+// at a time (Observe), interned through the tally's own RowTable — and
+// merges them into a ScoreSet, the same frozen scoring surface a Corpus
+// exposes. A Corpus builds its index from the same tallies through the same
+// merge, so streamed scores are bit-identical to scoring the rows in memory.
 
-// CountryTally accumulates one country's per-layer provider tallies row by
-// row. It is the streaming equivalent of the index's per-country extraction
-// pass; a tally holds only the provider counts and insularity counters,
-// never the rows, so its size is bounded by the country's provider
+// CountryTally accumulates one country's per-layer provider tallies in
+// symbol IDs: dense per-symbol counts for each layer, plus each layer's
+// measured and domestic site counts. The IDs index one table: the stream's,
+// for a tally fed ObserveBlock, or the tally's own RowTable, for one fed
+// Observe. A tally takes one of the two inputs, never both. It holds only
+// counts, never the rows, so its size is bounded by the country's provider
 // diversity rather than its site count. A tally is not safe for concurrent
-// Observe calls.
+// use.
 type CountryTally struct {
 	country string
-	raws    [numLayers]rawLayer
-	ids     *idTally // rows observed as symbol IDs, not yet folded into raws
+	names   []string // the ID table as of the last observation
+	scanned int      // names already checked for empty and home
+	empty   uint32   // ID of "", the unmeasured provider
+	home    uint32   // ID of the tally's own country
+	counts  [numLayers][]uint32
+	total   [numLayers]int // rows with a measured provider
+	inside  [numLayers]int // of those, rows whose provider country is home
+	table   *RowTable      // Observe's table; nil until the first row
 }
 
 // NewCountryTally returns an empty tally for the country.
 func NewCountryTally(country string) *CountryTally {
-	t := &CountryTally{country: country}
-	initRaws(&t.raws)
-	return t
-}
-
-// Observe folds one website row into the tally: every layer's provider
-// count plus the non-TLD insularity counters, exactly as the in-memory
-// index extraction does. Rows with empty provider fields are skipped per
-// layer, mirroring how failed measurements are scored.
-func (t *CountryTally) Observe(w *Website) {
-	observeSite(&t.raws, t.country, w)
+	return &CountryTally{country: country, empty: NoSymbol, home: NoSymbol}
 }
 
 // ScoreSet is the frozen scoring surface of one corpus: per-country scores,
@@ -73,9 +71,9 @@ func (c *Corpus) ScoreSet() *ScoreSet { return &ScoreSet{idx: c.index()} }
 // the result — including the interned symbol table — is identical to
 // building a Corpus from the same rows and reading its index. Duplicate
 // countries are an error: two tallies for one country means the caller
-// split a country across shards without merging them. Tallies that observed
-// symbol blocks are folded to names here, one country per core, so they
-// must be done observing.
+// split a country across shards without merging them. So is a tally whose
+// table names one provider under two IDs. The merge reads the tallies'
+// tables, so they must be done observing.
 func BuildScoreSet(tallies []*CountryTally) (*ScoreSet, error) {
 	ordered := append([]*CountryTally(nil), tallies...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].country < ordered[j].country })
@@ -86,10 +84,11 @@ func BuildScoreSet(tallies []*CountryTally) (*ScoreSet, error) {
 		}
 		ccs[i] = t.country
 	}
-	return &ScoreSet{idx: buildIndexFromRaws(ccs, 0, func(i int) *[numLayers]rawLayer {
-		ordered[i].fold()
-		return &ordered[i].raws
-	})}, nil
+	idx, err := indexTallies(ccs, 0, func(i int) *CountryTally { return ordered[i] })
+	if err != nil {
+		return nil, err
+	}
+	return &ScoreSet{idx: idx}, nil
 }
 
 // Countries returns the set's country codes in sorted order.
@@ -100,13 +99,13 @@ func (s *ScoreSet) Countries() []string {
 // Scores returns the centralization score per country for one layer. The
 // returned map is the caller's to keep or modify.
 func (s *ScoreSet) Scores(layer countries.Layer) map[string]float64 {
-	return cloneScores(s.idx.layers[layer].scores)
+	return maps.Clone(s.idx.layers[layer].scores)
 }
 
 // Insularities returns the insularity fraction per country for one layer.
 // The returned map is the caller's.
 func (s *ScoreSet) Insularities(layer countries.Layer) map[string]float64 {
-	return cloneScores(s.idx.layers[layer].insular)
+	return maps.Clone(s.idx.layers[layer].insular)
 }
 
 // DistributionOf returns the frozen provider distribution of one country's
@@ -127,21 +126,10 @@ func (s *ScoreSet) GlobalDistribution(layer countries.Layer) *core.Distribution 
 }
 
 // UsageMatrix returns each provider's usage percentage per country for one
-// layer. The nested maps are built fresh per call.
+// layer, built fresh per call from the columnar count vectors in sorted
+// country order.
 func (s *ScoreSet) UsageMatrix(layer countries.Layer) map[string]map[string]float64 {
-	return s.idx.usageMatrix(layer)
-}
-
-// UsageCurves converts the layer's usage matrix into per-provider usage
-// curves over the set's full country list (absent countries contribute
-// zero, as in the paper's 150-value curves).
-func (s *ScoreSet) UsageCurves(layer countries.Layer) map[string]core.UsageCurve {
-	return s.idx.usageCurves(layer)
-}
-
-// usageMatrix builds the provider → country → percent map from the index's
-// columnar count vectors in sorted country order.
-func (idx *scoringIndex) usageMatrix(layer countries.Layer) map[string]map[string]float64 {
+	idx := s.idx
 	ly := &idx.layers[layer]
 	matrix := make(map[string]map[string]float64)
 	for i, cc := range idx.countries {
@@ -162,11 +150,13 @@ func (idx *scoringIndex) usageMatrix(layer countries.Layer) map[string]map[strin
 	return matrix
 }
 
-// usageCurves fills each provider's per-country percentages (usageMatrix's
-// values, zero where a country never saw the provider) straight from the
-// columnar count vectors, one slice per symbol the layer uses, with no
-// nested maps in between.
-func (idx *scoringIndex) usageCurves(layer countries.Layer) map[string]core.UsageCurve {
+// UsageCurves converts the layer's usage matrix into per-provider usage
+// curves over the set's full country list (absent countries contribute
+// zero, as in the paper's 150-value curves). It fills each provider's
+// per-country percentages straight from the columnar count vectors, one
+// slice per symbol the layer uses, with no nested maps in between.
+func (s *ScoreSet) UsageCurves(layer countries.Layer) map[string]core.UsageCurve {
+	idx := s.idx
 	ly := &idx.layers[layer]
 	bySym := make([][]float64, len(idx.providers.names))
 	providers := 0

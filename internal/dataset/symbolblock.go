@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"github.com/webdep/webdep/internal/countries"
 )
@@ -49,49 +51,93 @@ var layerSymbols = [numLayers]struct{ provider, country SymbolColumn }{
 	countries.TLD:     {SymTLD, NumSymbolColumns},
 }
 
-// idTally is a CountryTally's accumulator for rows observed as symbol IDs:
-// dense per-symbol counts indexed by the stream's IDs, folded into the
-// name-keyed rawLayer tallies once the stream is done.
-type idTally struct {
-	names   []string // the stream's table as of the last block
-	scanned int      // names already checked for empty and home
-	empty   uint32   // ID of "", the unmeasured provider
-	home    uint32   // ID of the tally's own country
-	counts  [numLayers][]uint32
-	total   [numLayers]int
-	inside  [numLayers]int // rows whose provider country is home
+// RowTable interns Website rows for a tally: each row's seven SymbolColumn
+// fields become a one-row SymbolBlock over the table's own names, IDs in
+// first-seen order. The table only grows, so the blocks one RowTable hands
+// out form one stream, as a store shard's do, and each name has one ID. The
+// zero value is ready to use; the returned block is reused by the next
+// call. A RowTable is not safe for concurrent use.
+type RowTable struct {
+	ids   map[string]uint32
+	block SymbolBlock
 }
 
-// ObserveBlock folds a block of interned rows into the tally. It applies
-// the rules Observe applies to a Website — an empty provider is skipped per
-// layer, the TLD layer carries no insularity, a site is domestic only when
-// the tally has a country and the provider's country equals it — on IDs
-// instead of strings; TestObserveBlockMatchesObserve holds the two equal.
-// Every block given to one tally must come from the same stream.
-func (t *CountryTally) ObserveBlock(b *SymbolBlock) {
+// Block interns w's symbol fields and returns them as a one-row block.
+func (t *RowTable) Block(w *Website) *SymbolBlock {
 	if t.ids == nil {
-		t.ids = &idTally{empty: NoSymbol, home: NoSymbol}
-	}
-	ids := t.ids
-	ids.names = b.Names
-	for ; ids.scanned < len(b.Names); ids.scanned++ {
-		switch b.Names[ids.scanned] {
-		case "":
-			ids.empty = uint32(ids.scanned)
-		case t.country:
-			ids.home = uint32(ids.scanned)
+		t.ids = make(map[string]uint32)
+		for c := range t.block.Cols {
+			t.block.Cols[c] = make([]uint32, 1)
 		}
 	}
-	for l := range ids.counts {
-		counts := ids.counts[l]
+	for c, s := range [NumSymbolColumns]string{
+		SymHostProvider: w.HostProvider, SymHostProviderCountry: w.HostProviderCountry,
+		SymDNSProvider: w.DNSProvider, SymDNSProviderCountry: w.DNSProviderCountry,
+		SymCAOwner: w.CAOwner, SymCAOwnerCountry: w.CAOwnerCountry,
+		SymTLD: w.TLD,
+	} {
+		id, ok := t.ids[s]
+		if !ok {
+			id = uint32(len(t.block.Names))
+			t.ids[s] = id
+			t.block.Names = append(t.block.Names, s)
+		}
+		t.block.Cols[c][0] = id
+	}
+	return &t.block
+}
+
+// Observe folds one website row into the tally: the tally's RowTable
+// interns it, and the one-row block that makes is observed under the same
+// rules as a stored shard's blocks.
+func (t *CountryTally) Observe(w *Website) {
+	if t.table == nil {
+		if t.names != nil {
+			panic(fmt.Sprintf("dataset: tally for %q observed symbol blocks, then a Website row; a tally takes one kind of input", t.country))
+		}
+		t.table = new(RowTable)
+	}
+	t.observe(t.table.Block(w))
+}
+
+// ObserveBlock folds a block of interned rows into the tally. Every block
+// given to one tally must come from the same stream, whose table only
+// grows; a block whose table does not extend the last one, or a block after
+// Website rows, panics rather than mix two ID tables.
+func (t *CountryTally) ObserveBlock(b *SymbolBlock) {
+	if t.table != nil {
+		panic(fmt.Sprintf("dataset: tally for %q observed Website rows, then a symbol block; a tally takes one kind of input", t.country))
+	}
+	if len(b.Names) < len(t.names) || !slices.Equal(b.Names[:len(t.names)], t.names) {
+		panic(fmt.Sprintf("dataset: tally for %q observed blocks from two streams; every block given to one tally must come from the same stream", t.country))
+	}
+	t.observe(b)
+}
+
+// observe applies the scoring rules to a block over the tally's table: an
+// empty provider is not counted, the TLD layer carries no insularity, and
+// a site is domestic only when the tally has a country and the provider's
+// country equals it.
+func (t *CountryTally) observe(b *SymbolBlock) {
+	t.names = b.Names
+	for ; t.scanned < len(b.Names); t.scanned++ {
+		switch b.Names[t.scanned] {
+		case "":
+			t.empty = uint32(t.scanned)
+		case t.country:
+			t.home = uint32(t.scanned)
+		}
+	}
+	for l := range t.counts {
+		counts := t.counts[l]
 		if len(counts) < len(b.Names) {
 			counts = append(counts, make([]uint32, len(b.Names)-len(counts))...)
-			ids.counts[l] = counts
+			t.counts[l] = counts
 		}
 		providers := b.Cols[layerSymbols[l].provider]
 		if countries.Layer(l) == countries.TLD {
 			for _, p := range providers {
-				if p != ids.empty {
+				if p != t.empty {
 					counts[p]++
 				}
 			}
@@ -100,36 +146,16 @@ func (t *CountryTally) ObserveBlock(b *SymbolBlock) {
 		homes := b.Cols[layerSymbols[l].country]
 		total, inside := 0, 0
 		for i, p := range providers {
-			if p == ids.empty {
+			if p == t.empty {
 				continue
 			}
 			counts[p]++
 			total++
-			if homes[i] == ids.home {
+			if homes[i] == t.home {
 				inside++
 			}
 		}
-		ids.total[l] += total
-		ids.inside[l] += inside
-	}
-}
-
-// fold moves the ID-keyed counts into the name-keyed tallies Observe
-// writes, after which the tally no longer depends on the stream's table.
-func (t *CountryTally) fold() {
-	ids := t.ids
-	if ids == nil {
-		return
-	}
-	t.ids = nil
-	for l := range ids.counts {
-		raw := &t.raws[l]
-		for id, n := range ids.counts[l] {
-			if n > 0 {
-				raw.counts[ids.names[id]] += n
-			}
-		}
-		raw.ins.Total += float64(ids.total[l])
-		raw.ins.Domestic += float64(ids.inside[l])
+		t.total[l] += total
+		t.inside[l] += inside
 	}
 }

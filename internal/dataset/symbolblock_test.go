@@ -3,6 +3,8 @@ package dataset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -34,9 +36,9 @@ func blockOf(ids map[string]uint32, names *[]string, rows []Website) *SymbolBloc
 	return b
 }
 
-// TestObserveBlockMatchesObserve holds the tally's two representations of
-// the skip rules equal: the same rows observed as Websites and as blocks of
-// symbol IDs must leave identical tallies. The rows are drawn so that IDs
+// TestObserveBlockMatchesObserve: rows observed as Websites (interned
+// through the tally's RowTable) and as blocks of symbol IDs over one growing
+// stream table must give the same score set. The rows are drawn so that IDs
 // collide with the rules — empty providers, empty provider countries,
 // providers and TLDs named like the country — over blocks small enough
 // that "" and the country first appear in a late block, and for a tally
@@ -63,29 +65,110 @@ func TestObserveBlockMatchesObserve(t *testing.T) {
 				}
 				byBlock.ObserveBlock(blockOf(ids, &table, rows))
 			}
-			byBlock.fold()
-			if !reflect.DeepEqual(byBlock.raws, byRow.raws) {
-				t.Fatalf("country %q seed %d: block tally\n %+v\nrow tally\n %+v", country, seed, byBlock.raws, byRow.raws)
+			fromRows, err := BuildScoreSet([]*CountryTally{byRow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromBlocks, err := BuildScoreSet([]*CountryTally{byBlock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromBlocks, fromRows) {
+				t.Fatalf("country %q seed %d: block tally\n %+v\nrow tally\n %+v", country, seed, fromBlocks.idx, fromRows.idx)
 			}
 		}
 	}
 }
 
-// TestObserveAfterBlocks: rows and blocks may feed one tally, and folding
-// is idempotent — BuildScoreSet may run it again.
-func TestObserveAfterBlocks(t *testing.T) {
-	row := Website{Country: "US", HostProvider: "Hetzner", HostProviderCountry: "US", TLD: "com"}
-	want := NewCountryTally("US")
-	want.Observe(&row)
-	want.Observe(&row)
+// TestTallyRefusesMixedTables: a tally's IDs index one table, so feeding
+// it rows and blocks, or blocks from two streams, must fail loudly rather
+// than count one table's IDs under another's names. A block whose table
+// extends the last one is the same stream and is taken.
+func TestTallyRefusesMixedTables(t *testing.T) {
+	rows := []Website{{HostProvider: "HostA", HostProviderCountry: "US", DNSProvider: "DNSX", TLD: "com"}}
+	other := []Website{{HostProvider: "DNSX", HostProviderCountry: "DE", DNSProvider: "HostA", TLD: "com"}}
+	stream := func(rows []Website) *SymbolBlock {
+		var names []string
+		return blockOf(map[string]uint32{}, &names, rows)
+	}
+	for name, feed := range map[string]func(*CountryTally){
+		"rows then a block": func(tl *CountryTally) { tl.Observe(&rows[0]); tl.ObserveBlock(stream(rows)) },
+		"a block then rows": func(tl *CountryTally) { tl.ObserveBlock(stream(rows)); tl.Observe(&rows[0]) },
+		"two streams":       func(tl *CountryTally) { tl.ObserveBlock(stream(rows)); tl.ObserveBlock(stream(other)) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `tally for "US"`) {
+					t.Errorf("%s: recovered %q, want a panic naming the tally", name, msg)
+				}
+			}()
+			feed(NewCountryTally("US"))
+		}()
+	}
 
-	got := NewCountryTally("US")
-	ids, table := map[string]uint32{}, []string(nil)
-	got.ObserveBlock(blockOf(ids, &table, []Website{row}))
-	got.Observe(&row)
-	got.fold()
-	got.fold()
-	if !reflect.DeepEqual(got.raws, want.raws) {
-		t.Fatalf("mixed tally %+v, want %+v", got.raws, want.raws)
+	ids, names := map[string]uint32{}, []string(nil)
+	tl := NewCountryTally("US")
+	tl.ObserveBlock(blockOf(ids, &names, rows))
+	tl.ObserveBlock(blockOf(ids, &names, other))
+	if got := tl.total[0]; got != 2 {
+		t.Fatalf("one stream in two blocks counted %d hosted rows, want 2", got)
+	}
+}
+
+// TestBuildScoreSetRefusesDuplicateNames: a stream's table names each
+// symbol once — a store writer makes it so and the store's decoder refuses
+// a shard that does not — but a tally cannot tell. The index build must
+// refuse a table that names one provider under two IDs rather than put the
+// provider in one column twice.
+func TestBuildScoreSetRefusesDuplicateNames(t *testing.T) {
+	tl := NewCountryTally("US")
+	tl.ObserveBlock(&SymbolBlock{
+		Names: []string{"", "HostA", "HostA"},
+		Cols: [NumSymbolColumns][]uint32{
+			SymHostProvider: {1, 2}, SymHostProviderCountry: {0, 0},
+			SymDNSProvider: {0, 0}, SymDNSProviderCountry: {0, 0},
+			SymCAOwner: {0, 0}, SymCAOwnerCountry: {0, 0}, SymTLD: {0, 0},
+		},
+	})
+	_, err := BuildScoreSet([]*CountryTally{tl})
+	if err == nil || !strings.Contains(err.Error(), `"HostA" under two IDs`) {
+		t.Fatalf("BuildScoreSet = %v, want the duplicate name refused", err)
+	}
+}
+
+// TestRowTableIsOneStream: the blocks a RowTable hands out form one stream
+// — each block's Names extends the last one's — and a string keeps its ID
+// in every column and every later block.
+func TestRowTableIsOneStream(t *testing.T) {
+	var rt RowTable
+	rows := []Website{
+		{HostProvider: "HostA", HostProviderCountry: "US", DNSProvider: "HostA", TLD: "com"},
+		{HostProvider: "DNSX", HostProviderCountry: "DE", CAOwner: "US", CAOwnerCountry: "US", TLD: "de"},
+		{HostProvider: "HostA", HostProviderCountry: "US", DNSProvider: "DNSX", TLD: "com"},
+	}
+	var last []string
+	for i := range rows {
+		b := rt.Block(&rows[i])
+		if b.Rows() != 1 {
+			t.Fatalf("row %d: block of %d rows, want 1", i, b.Rows())
+		}
+		if len(b.Names) < len(last) || !slices.Equal(b.Names[:len(last)], last) {
+			t.Fatalf("row %d: table %q does not extend %q", i, b.Names, last)
+		}
+		last = append([]string(nil), b.Names...)
+		w := &rows[i]
+		for c, want := range [NumSymbolColumns]string{
+			SymHostProvider: w.HostProvider, SymHostProviderCountry: w.HostProviderCountry,
+			SymDNSProvider: w.DNSProvider, SymDNSProviderCountry: w.DNSProviderCountry,
+			SymCAOwner: w.CAOwner, SymCAOwnerCountry: w.CAOwnerCountry, SymTLD: w.TLD,
+		} {
+			if got := b.Names[b.Cols[c][0]]; got != want {
+				t.Fatalf("row %d column %d: ID names %q, want %q", i, c, got, want)
+			}
+		}
+	}
+	if want := []string{"HostA", "US", "", "com", "DNSX", "DE", "de"}; !reflect.DeepEqual(last, want) {
+		t.Fatalf("table %q, want each string once in first-seen order %q", last, want)
 	}
 }

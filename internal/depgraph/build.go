@@ -15,15 +15,15 @@ import (
 )
 
 // This file is the graph construction path: a one-pass parallel
-// extraction into per-country tallies (the same shape as the columnar
-// scoring index and the streamed CountryTally), followed by a merge whose
-// serial part is the symbol intern — ranking and summing run on workers —
-// and the transitive closure over the merged edges. A tally counts symbol
-// IDs — a store stream's, or, for Website rows, its own — so the skip rules
-// exist once, on IDs. Because a Tally is a pure fold over website rows, the
-// same rows produce the same graph whether they came from in-memory lists,
-// a streamed store shard, or any worker count — the permutation-invariance
-// property tests pin this down.
+// extraction into per-country tallies (the same shape as the streamed
+// dataset.CountryTally), followed by a merge whose serial part is the
+// symbol intern — ranking and summing run on workers — and the transitive
+// closure over the merged edges. A tally counts symbol IDs — a store
+// stream's, or, for Website rows, its dataset.RowTable's — so the skip
+// rules exist once, on IDs. Because a Tally is a pure fold over website
+// rows, the same rows produce the same graph whether they came from
+// in-memory lists, a streamed store shard, or any worker count — the
+// permutation-invariance property tests pin this down.
 
 // pairKind enumerates the observed provider co-occurrence kinds the
 // edge inference draws from.
@@ -38,9 +38,9 @@ const (
 // provider site counts in dense per-symbol slices, and provider
 // co-occurrences and provider-country observations keyed by the two IDs
 // packed into a uint64 (first<<32 | second). The IDs index one table: the
-// stream's, for a tally fed ObserveBlock, or the tally's own intern, for one
-// fed Observe. A tally takes one of the two inputs, never both, and is not
-// safe for concurrent use.
+// stream's, for a tally fed ObserveBlock, or the tally's own RowTable, for
+// one fed Observe. A tally takes one of the two inputs, never both, and is
+// not safe for concurrent use.
 type Tally struct {
 	country string
 	rows    int64
@@ -49,10 +49,8 @@ type Tally struct {
 	empty   uint32   // ID of "", the unmeasured provider or country
 	counts  [numGraphLayers][]int64
 	pairs   [numPairKinds]map[uint64]int64
-	homes   map[uint64]int64 // pack(provider, observed country) -> observations
-
-	own map[string]uint32   // Observe's intern; nil until the first row
-	row dataset.SymbolBlock // Observe's one-row block, reused
+	homes   map[uint64]int64  // pack(provider, observed country) -> observations
+	table   *dataset.RowTable // Observe's table; nil until the first row
 }
 
 // NewTally returns an empty tally for one country.
@@ -64,42 +62,20 @@ func NewTally(country string) *Tally {
 	return t
 }
 
-// Observe folds one website row into the tally: it interns the row's three
-// providers and their countries into the tally's own table and applies
-// ObserveBlock's rules to the one-row block that makes. Empty provider
-// fields are skipped per layer — the same rule the scoring extraction
-// applies — so a layer's measured total in the graph equals the scoring
-// index's distribution mass for that (country, layer).
+// Observe folds one website row into the tally: the tally's RowTable
+// interns the row's seven symbol fields, and ObserveBlock's rules are
+// applied to the one-row block that makes. Empty provider fields are
+// skipped per layer — the same rule the scoring tally applies — so a
+// layer's measured total in the graph equals the scoring index's
+// distribution mass for that (country, layer).
 func (t *Tally) Observe(w *dataset.Website) {
-	if t.own == nil {
+	if t.table == nil {
 		if t.names != nil {
 			panic(fmt.Sprintf("depgraph: tally for %q observed symbol blocks, then a Website row; a tally takes one kind of input", t.country))
 		}
-		t.own = make(map[string]uint32)
-		for _, c := range graphSymbols {
-			t.row.Cols[c.provider] = make([]uint32, 1)
-			t.row.Cols[c.country] = make([]uint32, 1)
-		}
+		t.table = new(dataset.RowTable)
 	}
-	for l, c := range graphSymbols {
-		p, pc := w.ProviderOf(graphLayers[l])
-		t.row.Cols[c.provider][0] = t.intern(p)
-		t.row.Cols[c.country][0] = t.intern(pc)
-	}
-	t.row.Names = t.names
-	t.observe(&t.row)
-}
-
-// intern returns the tally's own ID for a name, assigning the next one on
-// first use.
-func (t *Tally) intern(name string) uint32 {
-	id, ok := t.own[name]
-	if !ok {
-		id = uint32(len(t.names))
-		t.own[name] = id
-		t.names = append(t.names, name)
-	}
-	return id
+	t.observe(t.table.Block(w))
 }
 
 // graphSymbols maps each graph layer to its provider and provider-country
@@ -124,7 +100,7 @@ func pack(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
 // grows; a block whose table does not extend the last one, or a block after
 // Website rows, panics rather than mix two ID tables.
 func (t *Tally) ObserveBlock(b *dataset.SymbolBlock) {
-	if t.own != nil {
+	if t.table != nil {
 		panic(fmt.Sprintf("depgraph: tally for %q observed Website rows, then a symbol block; a tally takes one kind of input", t.country))
 	}
 	if len(b.Names) < len(t.names) || !slices.Equal(b.Names[:len(t.names)], t.names) {

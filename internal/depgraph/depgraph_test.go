@@ -384,7 +384,7 @@ func TestNoEdgesTransitiveEqualsDirect(t *testing.T) {
 	}
 	for _, cc := range g.Countries() {
 		for _, layer := range graphLayers {
-			direct := c.DistributionOf(cc, layer).Score()
+			direct := c.ScoreSet().DistributionOf(cc, layer).Score()
 			trans := g.TransitiveDistribution(cc, layer).Score()
 			if direct != trans {
 				t.Fatalf("%s %v: transitive score %v != direct %v", cc, layer, trans, direct)

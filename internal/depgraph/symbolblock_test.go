@@ -1,9 +1,13 @@
 package depgraph
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -11,6 +15,7 @@ import (
 
 	"github.com/webdep/webdep/internal/corpusstore"
 	"github.com/webdep/webdep/internal/dataset"
+	"github.com/webdep/webdep/internal/framing"
 	"github.com/webdep/webdep/internal/obs"
 )
 
@@ -191,9 +196,10 @@ func TestTallyRefusesMixedTables(t *testing.T) {
 }
 
 // TestMergeRefusesDuplicateNames: a stream's table names each symbol once
-// when a store writer made it, but the decoder does not check, so a crafted
-// shard can name one provider under two IDs. The merge must refuse that
-// tally rather than put the provider in one column twice.
+// — a store writer makes it so and the store's decoder refuses a shard that
+// does not — but a tally cannot tell. The merge must refuse a tally whose
+// table names one provider under two IDs rather than put the provider in
+// one column twice.
 func TestMergeRefusesDuplicateNames(t *testing.T) {
 	tl := NewTally("US")
 	tl.ObserveBlock(&dataset.SymbolBlock{
@@ -207,6 +213,68 @@ func TestMergeRefusesDuplicateNames(t *testing.T) {
 	_, err := FromTallies([]*Tally{tl}, &Options{Obs: obs.NewRegistry()})
 	if err == nil || !strings.Contains(err.Error(), `"HostA" under two IDs`) {
 		t.Fatalf("FromTallies = %v, want the duplicate name refused", err)
+	}
+}
+
+// TestDuplicateNameShardRefusedOnEveryRoute: a checksum-clean shard whose
+// symbol table names one provider under two IDs gets one answer from every
+// reader — Store.Score, Store.Load, FromStore and ScanStore all return the
+// decoder's *CorruptError, at the block's offset — never a score from one
+// route and a refusal from another.
+func TestDuplicateNameShardRefusedOnEveryRoute(t *testing.T) {
+	corpus := handCorpus(t, map[string][]dataset.Website{"US": {
+		site("HostA", "US", "HostB", "US", "", ""),
+		site("HostB", "US", "HostA", "US", "", ""),
+	}})
+	dir := filepath.Join(t.TempDir(), "corpus.store")
+	if err := corpusstore.Save(dir, corpus, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Re-frame the one block with "HostB" renamed "HostA" in its table.
+	path := filepath.Join(dir, "US.shard")
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 8 // the magic
+	for whole[off+8] != 'B' {
+		off += 8 + int(binary.LittleEndian.Uint32(whole[off:]))
+	}
+	end := off + 8 + int(binary.LittleEndian.Uint32(whole[off:]))
+	var shard bytes.Buffer
+	shard.Write(whole[:off])
+	if _, err := framing.Write(&shard, len(whole), bytes.Replace(whole[off+8:end], []byte("HostB"), []byte("HostA"), 1)); err != nil {
+		t.Fatal(err)
+	}
+	shard.Write(whole[end:])
+	if err := os.WriteFile(path, shard.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := corpusstore.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{Obs: obs.NewRegistry()}
+	var first *corpusstore.CorruptError
+	for name, route := range map[string]func() error{
+		"Store.Score": func() error { _, err := st.Score(); return err },
+		"Store.Load":  func() error { _, err := st.Load(); return err },
+		"FromStore":   func() error { _, err := FromStore(st, opts); return err },
+		"ScanStore":   func() error { _, _, err := ScanStore(st, opts); return err },
+	} {
+		var ce *corpusstore.CorruptError
+		if err := route(); !errors.As(err, &ce) {
+			t.Fatalf("%s = %v, want a *CorruptError", name, err)
+		}
+		if ce.Offset != int64(off) || !strings.Contains(ce.Reason, `symbol "HostA" is already in the shard's table`) {
+			t.Errorf("%s refused at %d with %q, want the duplicate named at the block, %d", name, ce.Offset, ce.Reason, off)
+		}
+		if first == nil {
+			first = ce
+		} else if *ce != *first {
+			t.Errorf("%s refused with %v, another route with %v", name, ce, first)
+		}
 	}
 }
 

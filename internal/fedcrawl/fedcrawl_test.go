@@ -131,7 +131,7 @@ func assertFedConverged(t *testing.T, label string, ccs []string, want, got *dat
 		}
 	}
 	for _, layer := range countries.Layers {
-		ws, gs := want.Scores(layer), got.Scores(layer)
+		ws, gs := want.ScoreSet().Scores(layer), got.ScoreSet().Scores(layer)
 		for cc, v := range ws {
 			if gs[cc] != v {
 				t.Fatalf("%s: %v score for %s = %v, fault-free run says %v", label, layer, cc, gs[cc], v)

@@ -105,7 +105,7 @@ func ftAssertConverged(t *testing.T, label string, want, got *dataset.Corpus) {
 		}
 	}
 	for _, layer := range countries.Layers {
-		ws, gs := want.Scores(layer), got.Scores(layer)
+		ws, gs := want.ScoreSet().Scores(layer), got.ScoreSet().Scores(layer)
 		for cc, v := range ws {
 			if gs[cc] != v {
 				t.Fatalf("%s: %v score for %s = %v, fault-free run says %v", label, layer, cc, gs[cc], v)

@@ -165,7 +165,7 @@ func assertConverged(t *testing.T, label string, want, got *dataset.Corpus) {
 		}
 	}
 	for _, layer := range []countries.Layer{countries.Hosting, countries.DNS, countries.CA, countries.TLD} {
-		ws, gs := want.Scores(layer), got.Scores(layer)
+		ws, gs := want.ScoreSet().Scores(layer), got.ScoreSet().Scores(layer)
 		for cc, v := range ws {
 			if gs[cc] != v {
 				t.Fatalf("%s: %v score for %s = %v, fault-free run says %v", label, layer, cc, gs[cc], v)

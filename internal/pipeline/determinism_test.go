@@ -52,8 +52,8 @@ func TestMeasureWorldDeterministicAcrossWorkers(t *testing.T) {
 	// Scores and the other corpus-wide computations must be bit-identical
 	// too, at every worker count of the scoring pool itself.
 	for _, layer := range countries.Layers {
-		seqScores := seq.Scores(layer)
-		parScores := par.Scores(layer)
+		seqScores := seq.ScoreSet().Scores(layer)
+		parScores := par.ScoreSet().Scores(layer)
 		for cc, v := range seqScores {
 			if parScores[cc] != v {
 				t.Errorf("%v score for %s: %v sequential, %v parallel", layer, cc, v, parScores[cc])

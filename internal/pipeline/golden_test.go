@@ -86,7 +86,7 @@ func measureGolden(t *testing.T, workers int) *goldenFile {
 		Classes:            make(map[string]map[string]string),
 	}
 	for _, layer := range countries.Layers {
-		for cc, score := range corpus.Scores(layer) {
+		for cc, score := range corpus.ScoreSet().Scores(layer) {
 			if g.Scores[cc] == nil {
 				g.Scores[cc] = make(map[string]string)
 			}

@@ -128,7 +128,7 @@ func TestCrawlConvergesUnderTransientLoss(t *testing.T) {
 
 	// Scores derived from the two corpora must agree exactly.
 	for _, layer := range []countries.Layer{countries.Hosting, countries.DNS, countries.CA} {
-		want, got := baseline.Scores(layer), faulty.Scores(layer)
+		want, got := baseline.ScoreSet().Scores(layer), faulty.ScoreSet().Scores(layer)
 		for cc, v := range want {
 			if got[cc] != v {
 				t.Errorf("%v score for %s: %v under faults, %v fault-free", layer, cc, got[cc], v)

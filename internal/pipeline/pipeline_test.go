@@ -51,7 +51,7 @@ func TestMeasuredScoresMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, layer := range countries.Layers {
-		for cc, got := range measured.Scores(layer) {
+		for cc, got := range measured.ScoreSet().Scores(layer) {
 			c, _ := countries.ByCode(cc)
 			if want := c.PaperScore[layer]; math.Abs(got-want) > 0.012 {
 				t.Errorf("%s %v: measured %v, paper %v", cc, layer, got, want)

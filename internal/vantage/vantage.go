@@ -117,8 +117,8 @@ func Validate(w *worldgen.World, primary *dataset.Corpus, opts Options) (*Result
 		probe.Add(p.EnrichCountry(cc, probe.Epoch, perturbed))
 	}
 
-	primaryScores := primary.Scores(countries.Hosting)
-	probeScores := probe.Scores(countries.Hosting)
+	primaryScores := primary.ScoreSet().Scores(countries.Hosting)
+	probeScores := probe.ScoreSet().Scores(countries.Hosting)
 	var xs, ys []float64
 	for _, cc := range w.Config.Countries {
 		xs = append(xs, primaryScores[cc])

@@ -47,7 +47,7 @@ func TestBuildValidCorpus(t *testing.T) {
 func TestRealizedScoresMatchPaper(t *testing.T) {
 	w := buildSmall(t)
 	for _, layer := range countries.Layers {
-		scores := w.Truth.Scores(layer)
+		scores := w.Truth.ScoreSet().Scores(layer)
 		for cc, got := range scores {
 			c, _ := countries.ByCode(cc)
 			want := c.PaperScore[layer]
@@ -258,7 +258,7 @@ func TestNextEpochChurnAndDrift(t *testing.T) {
 	}
 
 	// Brazil rises to ≈0.2354, Russia falls to ≈0.0499.
-	scores := next.Truth.Scores(countries.Hosting)
+	scores := next.Truth.ScoreSet().Scores(countries.Hosting)
 	if math.Abs(scores["BR"]-0.2354) > 0.01 {
 		t.Errorf("BR epoch-2 score = %v, want ≈0.2354", scores["BR"])
 	}
