@@ -2,10 +2,12 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -85,5 +87,72 @@ func TestWriteFileAtomicFailureLeavesOldFileAndNoTemp(t *testing.T) {
 		if strings.Contains(e.Name(), ".tmp-") {
 			t.Errorf("temp file %s left behind", e.Name())
 		}
+	}
+}
+
+// TestBatchCommitsConcurrentWrites writes files from many goroutines into
+// one batch; once Commit returns, every file is in place under its name
+// with its content and no temp file is left.
+func TestBatchCommitsConcurrentWrites(t *testing.T) {
+	dir := t.TempDir()
+	b := NewBatch(dir)
+	const writers, each = 8, 16
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				name := fmt.Sprintf("f-%d-%d", g, i)
+				if err := b.WriteFile(name, func(w io.Writer) error {
+					_, err := io.WriteString(w, name)
+					return err
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != writers*each {
+		t.Fatalf("directory holds %d entries, want %d", len(entries), writers*each)
+	}
+	for _, e := range entries {
+		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil || string(got) != e.Name() {
+			t.Errorf("%s holds %q, %v; want its own name", e.Name(), got, err)
+		}
+	}
+}
+
+// TestBatchFailureSticks: once a file fails, the batch refuses further
+// files without running their writers, Commit returns the first failure,
+// and no temp file is left.
+func TestBatchFailureSticks(t *testing.T) {
+	dir := t.TempDir()
+	b := NewBatch(dir)
+	boom := errors.New("boom")
+	if err := b.WriteFile("a", func(w io.Writer) error {
+		io.WriteString(w, "half a file")
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("WriteFile = %v, want the writer's failure", err)
+	}
+	ran := false
+	if err := b.WriteFile("b", func(io.Writer) error { ran = true; return nil }); !errors.Is(err, boom) || ran {
+		t.Fatalf("WriteFile after a failure = %v (writer ran: %v), want the first failure at once", err, ran)
+	}
+	if err := b.Commit(); !errors.Is(err, boom) {
+		t.Fatalf("Commit = %v, want the first failure", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("directory after a failed batch holds %v, %v; want nothing", entries, err)
 	}
 }

@@ -16,13 +16,14 @@
 // journal is built from. A frame here is a section: by this package's own
 // convention the first payload byte is the section type — 'H' (versioned JSON
 // header), 'B' (columnar row block, shards only), 'E' (JSON end marker
-// carrying totals). Every file is written whole by
-// checkpoint.WriteFileAtomic (temp → fsync → rename → directory fsync) and
-// the manifest last, so a store never contains a torn shard and a crashed
-// ingest leaves only <name>.tmp-* files that no reader opens: unlike the
-// journal's append-tolerant tail, ANY truncation or checksum failure here
-// is hard corruption and is reported as a *CorruptError naming the byte
-// offset.
+// carrying totals). Every file is written whole (temp → fsync → rename):
+// the shards as one checkpoint.Batch that Writer.Close commits with one
+// directory fsync, and only then the manifest, by
+// checkpoint.WriteFileAtomic. A store therefore never contains a torn
+// shard, and a crashed ingest leaves shards and <name>.tmp-* files but no
+// manifest, which no reader opens: unlike the journal's append-tolerant
+// tail, ANY truncation or checksum failure here is hard corruption and is
+// reported as a *CorruptError naming the byte offset.
 //
 // # Shard blocks
 //

@@ -3,12 +3,15 @@ package corpusstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/webdep/webdep/internal/countries"
@@ -438,13 +441,6 @@ func TestWriterValidation(t *testing.T) {
 		Sites: []dataset.Website{{Domain: "a.jp", Country: "JP", Rank: 1}, {Country: "JP", Rank: 2}}}); err == nil {
 		t.Error("empty-domain row should fail")
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "US.shard" {
-		t.Errorf("store directory holds %v, want only US.shard", entries)
-	}
 	// Close refuses while a shard is still being written.
 	w.writing["FR"] = true
 	if err := w.Close(); err == nil {
@@ -453,6 +449,11 @@ func TestWriterValidation(t *testing.T) {
 	delete(w.writing, "FR")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// A shard is renamed into place by Close's commit, so only after Close
+	// does the directory hold exactly the written shard and the manifest.
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, []string{"US.shard", ManifestName}) {
+		t.Errorf("store directory holds %v, want only US.shard and %s", got, ManifestName)
 	}
 	if err := w.AppendList(&dataset.CountryList{Country: "FR", Epoch: "2023-05"}); err == nil {
 		t.Error("appending to a closed writer should fail")
@@ -467,6 +468,56 @@ func TestWriterValidation(t *testing.T) {
 	if got := st.Countries(); !reflect.DeepEqual(got, []string{"US"}) {
 		t.Fatalf("failed shards must not reach the manifest; got %v", got)
 	}
+}
+
+// TestCloseReportsFailedShardCommit: a non-empty directory squatting on
+// DE.shard's name lets AppendList write the shard's bytes but makes the
+// background rename fail. Close must report it by name, write no manifest
+// and leave no temp file, so the directory never opens as a store.
+func TestCloseReportsFailedShardCommit(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "DE.shard", "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c := testCorpus(5, []string{"DE", "US"}, 20)
+	w, err := Create(dir, c.Epoch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range c.Countries() {
+		if err := w.AppendList(c.Get(cc)); err != nil {
+			t.Fatalf("AppendList(%s) = %v; its bytes were written, so it should succeed", cc, err)
+		}
+	}
+	err = w.Close()
+	if err == nil || !strings.Contains(err.Error(), "DE.shard") {
+		t.Fatalf("Close = %v, want a failure naming DE.shard", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("manifest after a failed commit: %v, want none", err)
+	}
+	if _, err := Open(dir, nil); err == nil {
+		t.Fatal("Open accepted a store whose commit failed")
+	}
+	for _, name := range dirNames(t, dir) {
+		if strings.Contains(name, ".tmp-") {
+			t.Errorf("temp file %s left behind", name)
+		}
+	}
+}
+
+// dirNames lists dir's entries by name, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 func TestOpenMissingManifest(t *testing.T) {

@@ -18,22 +18,27 @@ import (
 )
 
 // Writer streams one corpus into a store directory: each AppendList writes
-// one country's shard as a whole file (concurrently if the caller wants —
-// shards are independent), encoding one block of rows at a time, and the
-// manifest is written last by Close. Every file goes through
-// checkpoint.WriteFileAtomic, so a store is readable only once Close
-// succeeds; a crash mid-ingestion leaves temp files and no manifest, never
-// a half-store that Open would trust.
+// one country's shard (concurrently if the caller wants — shards are
+// independent), encoding one block of rows at a time, and Close commits
+// them all and writes the manifest last. The shards are one
+// checkpoint.Batch: AppendList returns once its shard's bytes are written,
+// and the fsyncs and renames run in the background until Close waits for
+// them and fsyncs the directory once. Only then is the manifest written
+// with checkpoint.WriteFileAtomic, so a store is readable only once Close
+// succeeds; a crash mid-ingestion leaves shards and temp files but no
+// manifest, never a half-store that Open would trust.
 type Writer struct {
 	dir       string
 	epoch     string
 	blockRows int
 	m         *storeMetrics
+	shards    *checkpoint.Batch
 
 	mu       sync.Mutex
 	writing  map[string]bool // shards reserved by an AppendList in flight
 	done     map[string]manifestShard
 	coverage map[string]*dataset.Coverage
+	free     []*shardEncoder // encoders idle between AppendList calls
 	closed   bool
 }
 
@@ -64,6 +69,7 @@ func Create(dir, epoch string, opts *Options) (*Writer, error) {
 		epoch:     epoch,
 		blockRows: blockRows,
 		m:         newStoreMetrics(opts.Obs),
+		shards:    checkpoint.NewBatch(dir),
 		writing:   map[string]bool{},
 		done:      map[string]manifestShard{},
 		coverage:  map[string]*dataset.Coverage{},
@@ -75,8 +81,10 @@ func (w *Writer) Epoch() string { return w.epoch }
 
 // AppendList writes one country's list as a complete shard, encoding the
 // blocks straight from list.Sites: no row is copied on the way to disk.
-// Each country may be appended once; a refused row refuses the whole list
-// before anything is written.
+// It returns once the shard's bytes are written, so the caller may reuse
+// list; the shard is durable only after Close. Each country may be
+// appended once; a refused row refuses the whole list before anything is
+// written.
 func (w *Writer) AppendList(list *dataset.CountryList) error {
 	cc := list.Country
 	name, err := shardFileName(cc)
@@ -92,6 +100,7 @@ func (w *Writer) AppendList(list *dataset.CountryList) error {
 		}
 	}
 
+	var enc *shardEncoder
 	w.mu.Lock()
 	_, written := w.done[cc]
 	switch {
@@ -101,6 +110,11 @@ func (w *Writer) AppendList(list *dataset.CountryList) error {
 		err = fmt.Errorf("corpusstore: shard %s was already appended", cc)
 	default:
 		w.writing[cc] = true
+		if n := len(w.free); n > 0 {
+			enc, w.free = w.free[n-1], w.free[:n-1]
+		} else {
+			enc = new(shardEncoder)
+		}
 	}
 	w.mu.Unlock()
 	if err != nil {
@@ -108,15 +122,16 @@ func (w *Writer) AppendList(list *dataset.CountryList) error {
 	}
 
 	sp := obs.StartSpan(w.m.shardWriteMS)
-	var enc shardEncoder
 	hdr := shardHeader{Version: Version, Epoch: w.epoch, Country: cc, BlockRows: w.blockRows}
-	err = checkpoint.WriteFileAtomic(filepath.Join(w.dir, name), func(out io.Writer) error {
+	err = w.shards.WriteFile(name, func(out io.Writer) error {
 		return enc.encode(out, hdr, list.Sites)
 	})
+	rows, size := enc.rows, enc.bytes
 	w.mu.Lock()
 	delete(w.writing, cc)
+	w.free = append(w.free, enc)
 	if err == nil {
-		w.done[cc] = manifestShard{Country: cc, File: name, Rows: enc.rows, Bytes: enc.bytes}
+		w.done[cc] = manifestShard{Country: cc, File: name, Rows: rows, Bytes: size}
 	}
 	w.mu.Unlock()
 	if err != nil {
@@ -124,8 +139,8 @@ func (w *Writer) AppendList(list *dataset.CountryList) error {
 	}
 	sp.End()
 	w.m.shardsWritten.Inc()
-	w.m.rowsWritten.Add(enc.rows)
-	w.m.bytesWritten.Add(enc.bytes)
+	w.m.rowsWritten.Add(rows)
+	w.m.bytesWritten.Add(size)
 	return nil
 }
 
@@ -136,9 +151,11 @@ func (w *Writer) SetCoverage(cov *dataset.Coverage) {
 	w.coverage[cov.Country] = cov
 }
 
-// Close writes the manifest atomically, listing every appended shard. It
-// refuses while an AppendList is still writing. Only after Close returns
-// nil is the directory a store.
+// Close commits the store: it waits until every appended shard is fsynced
+// and renamed, fsyncs the directory once, and only then writes the
+// manifest atomically, listing every appended shard. It refuses while an
+// AppendList is still writing, and writes no manifest if any shard failed.
+// Only after Close returns nil is the directory a store.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -149,6 +166,10 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("corpusstore: %d shards are still being written", len(w.writing))
 	}
 	w.closed = true
+	w.free = nil
+	if err := w.shards.Commit(); err != nil {
+		return fmt.Errorf("corpusstore: committing shards: %w", err)
+	}
 	man := manifest{Version: Version, Epoch: w.epoch}
 	for _, cc := range sortedKeys(w.done) {
 		man.Shards = append(man.Shards, w.done[cc])
@@ -192,8 +213,9 @@ func sortedKeys(m map[string]manifestShard) []string {
 
 // shardEncoder encodes one shard file, one block (BlockRows sites) at a
 // time straight from the caller's rows, so its own memory is bounded by
-// the block size, not the country's toplist length. It lives for one
-// encode.
+// the block size, not the country's toplist length. A Writer reuses it
+// across shards: encode resets its symbols and totals and keeps its
+// buffers.
 type shardEncoder struct {
 	syms    map[string]uint32
 	newSyms []string // symbols first seen in the block being encoded
@@ -207,7 +229,12 @@ type shardEncoder struct {
 // encode writes a whole shard to out: magic, header, rows in blocks of
 // hdr.BlockRows, end marker. It does not look at what the rows hold.
 func (e *shardEncoder) encode(out io.Writer, hdr shardHeader, rows []dataset.Website) error {
-	e.syms = map[string]uint32{}
+	if e.syms == nil {
+		e.syms = map[string]uint32{}
+	} else {
+		clear(e.syms)
+	}
+	e.rows, e.bytes = 0, 0
 	n, err := out.Write(shardMagic)
 	e.bytes += int64(n)
 	if err != nil {

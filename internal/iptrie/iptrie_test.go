@@ -1,8 +1,10 @@
 package iptrie
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -129,65 +131,137 @@ func TestEmptyTrie(t *testing.T) {
 	}
 }
 
+// TestRandomizedAgainstLinearScanProperty checks lookups against a linear
+// longest-match scan over a map of the prefixes inserted so far, in both
+// families, with inserts interleaved with lookups (each insert changes the
+// table the next lookup flattens), values replaced, every prefix length
+// from /0 to the family's width, and addresses clustered near the bottom
+// and top of the address space so prefixes nest, touch and reach the top.
 func TestRandomizedAgainstLinearScanProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		type entry struct {
-			p netip.Prefix
-			v int
-		}
 		tr := New[int]()
-		var entries []entry
-		for i := 0; i < 30; i++ {
-			bits := 8 * (1 + rng.Intn(3)) // /8, /16, /24
-			raw := [4]byte{byte(rng.Intn(8)), byte(rng.Intn(4)), byte(rng.Intn(4)), 0}
-			p, err := netip.AddrFrom4(raw).Prefix(bits)
-			if err != nil {
-				return false
-			}
-			// Skip duplicate prefixes: insert replaces, which would break
-			// the linear scan's first-match bookkeeping below.
-			dup := false
-			for _, e := range entries {
-				if e.p == p {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			if err := tr.Insert(p, i); err != nil {
-				return false
-			}
-			entries = append(entries, entry{p, i})
-		}
-		for trial := 0; trial < 50; trial++ {
-			addr := netip.AddrFrom4([4]byte{
-				byte(rng.Intn(8)), byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256)),
-			})
-			// Linear reference: longest matching prefix wins.
+		ref := map[netip.Prefix]int{}
+		check := func(addr netip.Addr) bool {
 			bestBits, bestVal, found := -1, 0, false
-			for _, e := range entries {
-				if e.p.Contains(addr) && e.p.Bits() > bestBits {
-					bestBits, bestVal, found = e.p.Bits(), e.v, true
+			for p, v := range ref {
+				if p.Contains(addr) && p.Bits() > bestBits {
+					bestBits, bestVal, found = p.Bits(), v, true
 				}
 			}
 			got, ok := tr.Lookup(addr)
 			if ok != found || (found && got != bestVal) {
+				t.Logf("seed %d: Lookup(%v) = %d/%v, want %d/%v", seed, addr, got, ok, bestVal, found)
 				return false
+			}
+			if addr.Is4() {
+				if got6, ok6 := tr.Lookup(netip.AddrFrom16(addr.As16())); ok6 != ok || got6 != got {
+					t.Logf("seed %d: 4-in-6 %v looked up apart from %v", seed, netip.AddrFrom16(addr.As16()), addr)
+					return false
+				}
+			}
+			return true
+		}
+		for step := 0; step < 120; step++ {
+			addr := clusteredAddr(rng)
+			if rng.Intn(3) == 0 {
+				var p netip.Prefix
+				if rng.Intn(4) == 0 && len(ref) > 0 {
+					for p = range ref { // replace an existing prefix's value
+						break
+					}
+				} else {
+					var err error
+					if p, err = addr.Prefix(rng.Intn(addr.BitLen() + 1)); err != nil {
+						return false
+					}
+				}
+				if err := tr.Insert(p, step); err != nil {
+					return false
+				}
+				ref[p] = step
+				if tr.Len() != len(ref) {
+					t.Logf("seed %d: Len = %d, want %d", seed, tr.Len(), len(ref))
+					return false
+				}
+				continue
+			}
+			for i := 0; i < 4; i++ {
+				if !check(clusteredAddr(rng)) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// clusteredAddr draws an IPv4 or IPv6 address near one of a few anchors,
+// the lowest and highest addresses among them, with a random number of low
+// bits randomized.
+func clusteredAddr(rng *rand.Rand) netip.Addr {
+	if rng.Intn(2) == 0 {
+		anchors := []uint32{0, ^uint32(0), 0x0a000000, 0x0a010000, 0xc0a80100}
+		a := anchors[rng.Intn(len(anchors))] ^ rng.Uint32()&(^uint32(0)>>rng.Intn(33))
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], a)
+		return netip.AddrFrom4(b)
+	}
+	anchors := [][2]uint64{{0, 0}, {^uint64(0), ^uint64(0)}, {0x20010db8 << 32, 0}, {0x20010db8<<32 | 1, ^uint64(0)}}
+	a := anchors[rng.Intn(len(anchors))]
+	if bits := rng.Intn(129); bits < 64 {
+		a[0] ^= rng.Uint64() & (^uint64(0) >> bits)
+		a[1] ^= rng.Uint64()
+	} else {
+		a[1] ^= rng.Uint64() & (^uint64(0) >> (bits - 64))
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], a[0])
+	binary.BigEndian.PutUint64(b[8:], a[1])
+	addr := netip.AddrFrom16(b)
+	if addr.Is4In6() {
+		return addr.Unmap() // the v4 half draws these
+	}
+	return addr
 }
 
 func mustInsert[V any](t *testing.T, tr *Trie[V], cidr string, v V) {
 	t.Helper()
 	if err := tr.InsertString(cidr, v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentFirstLookups: the first lookups after an insert build the
+// lookup form; run under -race, concurrent ones must neither race nor see
+// a half-built table.
+func TestConcurrentFirstLookups(t *testing.T) {
+	tr := New[string]()
+	mustInsert(t, tr, "10.0.0.0/8", "big")
+	mustInsert(t, tr, "10.1.0.0/16", "mid")
+	mustInsert(t, tr, "2001:db8::/32", "v6net")
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if v, ok := tr.LookupString("10.1.2.3"); !ok || v != "mid" {
+					t.Errorf("v4 lookup: %q %v", v, ok)
+				}
+				if v, ok := tr.LookupString("2001:db8::1"); !ok || v != "v6net" {
+					t.Errorf("v6 lookup: %q %v", v, ok)
+				}
+			}()
+		}
+		wg.Wait()
+		mustInsert(t, tr, "10.1.0.0/16", "replaced")
+		if v, _ := tr.LookupString("10.1.2.3"); v != "replaced" {
+			t.Fatalf("lookup after a replacing insert: %q", v)
+		}
+		mustInsert(t, tr, "10.1.0.0/16", "mid")
 	}
 }

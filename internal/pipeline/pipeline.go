@@ -40,9 +40,9 @@ type Pipeline struct {
 	Anycast *anycast.Set
 	Owners  *capki.OwnerDB
 
-	// Workers bounds how many countries MeasureWorld enriches at once;
-	// 0 means one worker per CPU. The measured corpus is identical for
-	// every worker count.
+	// Workers bounds how many countries MeasureWorld and
+	// MeasureWorldToStore enrich at once; 0 means one worker per CPU. The
+	// measured corpus (and store) is identical for every worker count.
 	Workers int
 
 	// Obs selects the metrics registry the pipeline's stage timings record
@@ -72,19 +72,33 @@ func FromWorld(w *worldgen.World) *Pipeline {
 // Sites whose host IP cannot be attributed keep empty provider fields,
 // matching how failed measurements surface in the paper's data.
 func (p *Pipeline) EnrichCountry(cc, epoch string, raw []worldgen.RawSite) *dataset.CountryList {
-	list := &dataset.CountryList{Country: cc, Epoch: epoch, Sites: make([]dataset.Website, len(raw))}
+	list := &dataset.CountryList{}
+	p.enrichInto(list, cc, epoch, raw)
+	return list
+}
+
+// enrichInto is EnrichCountry into list, reusing its Sites array when it
+// is large enough. Every row is zeroed before it is filled, so nothing of
+// the list's previous country survives.
+func (p *Pipeline) enrichInto(list *dataset.CountryList, cc, epoch string, raw []worldgen.RawSite) {
+	list.Country, list.Epoch = cc, epoch
+	if cap(list.Sites) < len(raw) {
+		list.Sites = make([]dataset.Website, len(raw))
+	}
+	list.Sites = list.Sites[:len(raw)]
 	for i := range raw {
 		site, w := &raw[i], &list.Sites[i]
-		w.Domain = site.Domain
-		w.Country = cc
-		w.Rank = site.Rank
-		w.TLD = tldinfo.Extract(site.Domain)
-		w.Language = site.Language
+		*w = dataset.Website{
+			Domain:   site.Domain,
+			Country:  cc,
+			Rank:     site.Rank,
+			TLD:      tldinfo.Extract(site.Domain),
+			Language: site.Language,
+		}
 		p.annotateHost(w, site.HostIP)
 		p.annotateNS(w, site.NSIP)
 		p.annotateCA(w, site.IssuerOrg)
 	}
-	return list
 }
 
 func (p *Pipeline) annotateHost(w *dataset.Website, ip netip.Addr) {

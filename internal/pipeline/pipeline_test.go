@@ -2,9 +2,13 @@ package pipeline
 
 import (
 	"math"
+	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/webdep/webdep/internal/countries"
+	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/worldgen"
 )
 
@@ -122,5 +126,43 @@ func TestEnrichHandlesUnattributableSites(t *testing.T) {
 	}
 	if s.TLD != "com" {
 		t.Errorf("TLD = %q", s.TLD)
+	}
+}
+
+// TestEnrichIntoReusedListMatchesFresh enriches one country into a list and
+// then a shorter second country into the same list. The result must equal
+// a fresh EnrichCountry of the second country: its rows with no host IP,
+// no nameserver IP or no issuer sit where the first country's rows had
+// all three, so a field left over from the first would show.
+func TestEnrichIntoReusedListMatchesFresh(t *testing.T) {
+	w := buildWorld(t, "TH", "US")
+	p := FromWorld(w)
+	epoch := w.Config.Epoch
+	list := &dataset.CountryList{}
+	p.enrichInto(list, "TH", epoch, w.Raw["TH"])
+	for i := 0; i < 4; i++ {
+		if s := list.Sites[i]; s.HostIP == "" || s.HostProvider == "" || s.NSIP == "" || s.DNSProvider == "" || s.CAOwner == "" {
+			t.Fatalf("TH row %d is not fully attributed, so it cannot show a stale field: %+v", i, s)
+		}
+	}
+	first := &list.Sites[0]
+
+	b := slices.Clone(w.Raw["US"][:50])
+	b[0].HostIP = netip.Addr{}
+	b[1].NSIP = netip.Addr{}
+	b[2].IssuerOrg = ""
+	b[3].HostIP, b[3].NSIP, b[3].IssuerOrg = netip.Addr{}, netip.Addr{}, ""
+	p.enrichInto(list, "US", epoch, b)
+	if &list.Sites[0] != first {
+		t.Fatal("the second enrichment did not reuse the list's rows")
+	}
+	if want := p.EnrichCountry("US", epoch, b); !reflect.DeepEqual(list, want) {
+		for i := range want.Sites {
+			if list.Sites[i] != want.Sites[i] {
+				t.Errorf("row %d: reused %+v, fresh %+v", i, list.Sites[i], want.Sites[i])
+			}
+		}
+		t.Fatalf("reused list (%s, %d rows) differs from a fresh one (%s, %d rows)",
+			list.Country, len(list.Sites), want.Country, len(want.Sites))
 	}
 }

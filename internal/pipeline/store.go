@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/webdep/webdep/internal/corpusstore"
+	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/parallel"
 	"github.com/webdep/webdep/internal/worldgen"
@@ -15,6 +16,8 @@ import (
 // from the world, enriched, and appended to that country's shard, so at
 // most one country per worker is ever resident — the path that lets a
 // million-site world be measured and scored inside a fixed memory budget.
+// Each worker enriches into one reused list: AppendList returns once the
+// shard's bytes are written, so the rows are free for the next country.
 // The rows written are identical to MeasureWorld's corpus for the same
 // world. The caller still owns st and must Close it to finalize the
 // manifest.
@@ -28,6 +31,9 @@ func (p *Pipeline) MeasureWorldToStore(w *worldgen.World, st *corpusstore.Writer
 	enriched := reg.Counter("pipeline.countries_enriched")
 
 	ccs := w.Config.Countries
+	// At most this many countries are enriched at once, so the channel
+	// never fills.
+	idle := make(chan *dataset.CountryList, min(parallel.Workers(p.Workers), len(ccs)))
 	err := parallel.ForEachIndexed(context.Background(), p.Workers, len(ccs),
 		func(_ context.Context, i int) error {
 			cc := ccs[i]
@@ -43,8 +49,15 @@ func (p *Pipeline) MeasureWorldToStore(w *worldgen.World, st *corpusstore.Writer
 			if len(raw) == 0 {
 				return fmt.Errorf("pipeline: world has no raw sites for %s", cc)
 			}
+			var list *dataset.CountryList
+			select {
+			case list = <-idle:
+			default:
+				list = new(dataset.CountryList)
+			}
+			defer func() { idle <- list }()
 			sp := obs.StartSpan(enrichMS)
-			list := p.EnrichCountry(cc, w.Config.Epoch, raw)
+			p.enrichInto(list, cc, w.Config.Epoch, raw)
 			sp.End()
 			enriched.Inc()
 			return st.AppendList(list)
