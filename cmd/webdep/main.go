@@ -647,7 +647,7 @@ func measureFederated(ctx context.Context, o out, w *worldgen.World, f *crawl, w
 			return nil, err
 		}
 		defer ep.Close()
-		cfg.NewLive = liveFactory(w, ep, workers)
+		cfg.Dispatch = fedcrawl.Local(cfg, liveFactory(w, ep, workers))
 	}
 	if f.Federate >= 2 {
 		// With at least two vantages available, probe every shard from a

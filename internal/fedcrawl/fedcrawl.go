@@ -88,26 +88,16 @@ type Config struct {
 	// wave, so a directory left behind by a dead coordinator resumes: only
 	// the keys without a complete durable record are re-dispatched.
 	Dir string
-	// NewLive builds a worker's crawler. Called once per (worker, wave);
-	// the coordinator installs the worker's shard journal as its
-	// checkpoint. Required unless Dispatch is set.
-	NewLive func(worker string) *pipeline.Live
-	// Dispatch, when non-nil, replaces in-process crawling entirely: the
-	// coordinator hands each wave assignment to it — typically a transport
-	// client that ships the jobs to a remote vantage and admits the
-	// returned journal artifact into Dir — instead of running NewLive
-	// itself. The contract mirrors runWorker's: return nil once the
-	// worker's journal for (worker, gen) is durably in Dir (the next scan
-	// judges completeness from the file, never from the return value); an
-	// error wrapping ErrWorkerDead to declare the worker permanently dead
-	// (its keys re-dispatch to survivors); the context's error when the
-	// wave was cancelled out from under it; any other error fails the
-	// federation.
+	// Dispatch runs one worker's wave assignment. Required: Local crawls
+	// in this process, a fedtransport Client ships the jobs to a remote
+	// vantage; both end in CrawlShard and return in its contract. nil
+	// means the worker's journal for (worker, gen) is durably in Dir (the
+	// next scan judges completeness from the file, never from the return
+	// value); an error wrapping ErrWorkerDead declares the worker
+	// permanently dead (its keys re-dispatch to survivors); the context's
+	// error means the wave was cancelled out from under it; any other
+	// error fails the federation.
 	Dispatch func(ctx context.Context, worker string, gen int, jobs []pipeline.SiteJob) error
-	// WrapJournal, when non-nil, wraps each worker journal's writer — the
-	// fault-injection seam (e.g. faultinject.KillWriter kills one worker
-	// at an exact journal byte). Production leaves it nil.
-	WrapJournal func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer
 	// ShardRetries bounds how many times one shard may be RE-dispatched
 	// after its first dispatch (covering worker deaths, stragglers, and
 	// residual transient loss). 0 means the default of 3; negative means
@@ -200,7 +190,6 @@ type Coordinator struct {
 	shards  []Shard
 	budgets []*resilience.Budget
 	workers []string
-	index   map[string]int
 	m       *fedMetrics
 
 	mu         sync.Mutex
@@ -226,8 +215,8 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("fedcrawl: config needs at least one worker, got %d", cfg.Workers)
 	case cfg.Dir == "":
 		return nil, fmt.Errorf("fedcrawl: config needs a journal directory")
-	case cfg.NewLive == nil && cfg.Dispatch == nil:
-		return nil, fmt.Errorf("fedcrawl: config needs a Live factory or a Dispatch transport")
+	case cfg.Dispatch == nil:
+		return nil, fmt.Errorf("fedcrawl: config needs a Dispatch")
 	case cfg.Replicate < 0:
 		return nil, fmt.Errorf("fedcrawl: negative replication %d", cfg.Replicate)
 	}
@@ -235,7 +224,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		shards:     Partition(cfg.Countries, cfg.DomainsOf, cfg.Workers),
 		m:          newFedMetrics(cfg.reg()),
-		index:      map[string]int{},
 		dead:       map[string]bool{},
 		dispatched: map[int]int{},
 	}
@@ -243,12 +231,13 @@ func New(cfg Config) (*Coordinator, error) {
 		c.budgets = append(c.budgets, resilience.NewBudget(cfg.retries()))
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		name := fmt.Sprintf("w%d", i)
-		c.workers = append(c.workers, name)
-		c.index[name] = i
+		c.workers = append(c.workers, workerName(i))
 	}
 	return c, nil
 }
+
+// workerName is the name of the worker at shard index i.
+func workerName(i int) string { return fmt.Sprintf("w%d", i) }
 
 // Stats snapshots the coordinator's accounting.
 func (c *Coordinator) Stats() Stats {
@@ -365,7 +354,13 @@ func (c *Coordinator) scanMissing() (map[int][]pipeline.SiteJob, int, error) {
 // (or into a range where every future wave's names are absurd).
 const maxJournalGen = 1_000_000_000
 
-// genFromName extracts the generation from a coordinator-named shard
+// JournalName is the file name of worker's generation-gen shard journal in
+// the coordinator's directory; genFromName is its inverse.
+func JournalName(worker string, gen int) string {
+	return fmt.Sprintf("%s-g%d.journal", worker, gen)
+}
+
+// genFromName extracts the generation from a JournalName-named shard
 // journal ("<worker>-g<gen>.journal"); 0 when the name carries none or the
 // suffix is not a plain bounded decimal. Parsing is deliberately stricter
 // than strconv.Atoi: digits only (no sign, no spaces), at most nine of
@@ -512,81 +507,23 @@ func (c *Coordinator) runWave(ctx context.Context, gen int, missing map[int][]pi
 	return ctx.Err()
 }
 
-// createShard is the journal-creation seam; tests swap it to inject
-// creation failures.
-var createShard = checkpoint.CreateShard
-
-// ErrWorkerDead is the sentinel a Dispatch transport wraps to declare a
-// remote worker permanently dead — retries exhausted, circuit open, or a
-// forged/disarmed artifact. The coordinator treats it exactly like a
-// journal disarm: the worker is killed and its assignment forfeits to the
-// survivors, never failing the federation outright.
+// ErrWorkerDead is the sentinel a Dispatch wraps to declare a worker
+// permanently dead — its journal disarmed or could not be created, or a
+// transport exhausted its retries, found the circuit open, or was handed a
+// forged artifact. The coordinator kills the worker and forfeits its
+// assignment to the survivors, never failing the federation outright.
 var ErrWorkerDead = errors.New("fedcrawl: worker dead")
 
-// runWorker crawls one worker's wave assignment into a fresh shard
-// journal. A journal disarm — a torn write, a dead disk, an injected
-// kill — marks the worker dead and cancels its crawl, exactly as if the
-// worker process had been killed; whatever it journaled before the tear
-// stays durable for the merge. A worker that cannot even create its
-// journal dies the same way: it forfeits the wave's assignment to the
-// survivors instead of failing the whole federation. The returned
-// interrupted flag reports that the crawl was cut short by wave-level
-// cancellation (the straggler deadline or the caller), as opposed to
-// finishing or dying on its own.
+// runWorker hands one worker's wave assignment to Dispatch and reads the
+// outcome: a nil return means the worker's journal landed durably in Dir
+// (the next scan verifies that independently); ErrWorkerDead is permanent
+// death, the assignment forfeited to the survivors; a context error is
+// cancellation, where a detached transport delivery may still admit its
+// artifact later; anything else fails the federation, because the worker
+// saw evidence it could neither retry nor attribute to itself. The
+// returned interrupted flag reports that the wave context — the straggler
+// deadline or the caller — cut the crawl short.
 func (c *Coordinator) runWorker(ctx context.Context, worker string, gen int, jobs []pipeline.SiteJob) (interrupted bool, err error) {
-	if c.cfg.Dispatch != nil {
-		return c.dispatchRemote(ctx, worker, gen, jobs)
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	opts := &checkpoint.Options{
-		Obs: c.cfg.reg(),
-		OnDisarm: func(error) {
-			c.killWorker(worker)
-			cancel()
-		},
-	}
-	if c.cfg.WrapJournal != nil {
-		opts.WrapWriter = func(ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-			return c.cfg.WrapJournal(worker, gen, ws)
-		}
-	}
-	path := filepath.Join(c.cfg.Dir, fmt.Sprintf("%s-g%d.journal", worker, gen))
-	sh := &checkpoint.ShardInfo{Worker: worker, Index: c.index[worker], Total: c.cfg.Workers, Gen: gen}
-	j, err := createShard(path, c.cfg.Epoch, c.cfg.Countries, sh, opts)
-	if err != nil {
-		c.killWorker(worker)
-		return false, nil
-	}
-	defer j.Close()
-	live := c.cfg.NewLive(worker)
-	if live.Obs == nil {
-		live.Obs = c.cfg.reg()
-	}
-	live.Checkpoint = j
-	_, _, err = live.CrawlJobs(wctx, c.cfg.Epoch, c.cfg.Countries, jobs)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// ctx here is the wave context: its cancellation (not a disarm's
-		// worker-local cancel) is what distinguishes an interrupted wave
-		// from a worker dying mid-crawl.
-		return ctx.Err() != nil, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("fedcrawl: worker %s: %w", worker, err)
-	}
-	return false, nil
-}
-
-// dispatchRemote hands one worker's wave assignment to the transport. The
-// outcome mapping mirrors the in-process path exactly: a nil return means
-// the worker's journal landed durably in Dir (the next scan verifies that
-// independently); ErrWorkerDead is this transport's journal disarm —
-// permanent death, assignment forfeited to the survivors; a context error
-// is wave cancellation (straggler deadline or caller), where a detached
-// transport delivery may still admit the artifact later; anything else
-// fails the federation, because the transport saw evidence it could
-// neither retry nor attribute to one worker.
-func (c *Coordinator) dispatchRemote(ctx context.Context, worker string, gen int, jobs []pipeline.SiteJob) (interrupted bool, err error) {
 	err = c.cfg.Dispatch(ctx, worker, gen, jobs)
 	switch {
 	case err == nil:

@@ -141,14 +141,39 @@ func assertFedConverged(t *testing.T, label string, ccs []string, want, got *dat
 }
 
 func fedConfig(w *worldgen.World, dir string, workers int, factory func(string) *pipeline.Live) Config {
-	return Config{
+	cfg := Config{
 		Epoch:     fedEpoch,
 		Countries: fedCCs,
 		DomainsOf: func(cc string) []string { return w.Truth.Get(cc).Domains() },
 		Workers:   workers,
 		Dir:       dir,
-		NewLive:   factory,
 		Obs:       obs.NewRegistry(),
+	}
+	cfg.Dispatch = Local(cfg, factory)
+	return cfg
+}
+
+// journalWrap wraps a journal's writer, as checkpoint.Options.WrapWriter.
+type journalWrap = func(checkpoint.WriteSyncer) checkpoint.WriteSyncer
+
+// firstGen is the journal fault seam the suite shares: a worker named in
+// wraps writes its generation-1 journal through its wrapper, and every
+// other journal is left alone.
+func firstGen(cfg Config, wraps map[string]journalWrap) func(Assignment) *checkpoint.Options {
+	return func(a Assignment) *checkpoint.Options {
+		o := &checkpoint.Options{Obs: cfg.Obs}
+		if a.Gen == 1 {
+			o.WrapWriter = wraps[a.Worker]
+		}
+		return o
+	}
+}
+
+// killAt kills a journal after the given number of complete writes plus
+// extra bytes of the next one.
+func killAt(writes int, extra int64) journalWrap {
+	return func(ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
+		return faultinject.NewKillWriter(ws, writes, extra, nil)
 	}
 }
 
@@ -178,12 +203,9 @@ func TestFederatedKillPointSweep(t *testing.T) {
 		for _, extra := range []int64{0, 3} {
 			label := "kill=" + itoa(kill) + "+" + itoa(int(extra)) + "b"
 			cfg := fedConfig(w, t.TempDir(), 3, factory)
-			cfg.WrapJournal = func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-				if worker == "w1" && gen == 1 {
-					return faultinject.NewKillWriter(ws, kill, extra, nil)
-				}
-				return ws
-			}
+			cfg.Dispatch = local(cfg, factory, firstGen(cfg, map[string]journalWrap{
+				"w1": killAt(kill, extra),
+			}))
 			c, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -234,21 +256,17 @@ func TestFederatedFixedKillSmoke(t *testing.T) {
 	tlsProxy := proxyFor(t, ep.TLSAddr, faultinject.Plan{}, loss)
 
 	dir := t.TempDir()
-	cfg := fedConfig(w, dir, 3, lossyFactory(w, dnsProxy.Addr, tlsProxy.Addr))
+	factory := lossyFactory(w, dnsProxy.Addr, tlsProxy.Addr)
+	cfg := fedConfig(w, dir, 3, factory)
 	cfg.Replicate = 1
 	// Kill w1 three bytes into its fifth write (a mid-record tear) AND w2
 	// at its seventh write boundary: with both the primary and the replica
 	// vantage of some shards dead, convergence must come from re-dispatch
 	// to the lone survivor.
-	cfg.WrapJournal = func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-		if gen == 1 && worker == "w1" {
-			return faultinject.NewKillWriter(ws, 4, 3, nil)
-		}
-		if gen == 1 && worker == "w2" {
-			return faultinject.NewKillWriter(ws, 6, 0, nil)
-		}
-		return ws
-	}
+	cfg.Dispatch = local(cfg, factory, firstGen(cfg, map[string]journalWrap{
+		"w1": killAt(4, 3),
+		"w2": killAt(6, 0),
+	}))
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -417,16 +435,19 @@ func TestFederatedJournalCreateFailureIsWorkerDeath(t *testing.T) {
 	w, ep := fedWorld(t)
 	want := baseline(t, w, ep, fedCCs)
 
-	orig := createShard
-	createShard = func(path, epoch string, ccs []string, sh *checkpoint.ShardInfo, opts *checkpoint.Options) (*checkpoint.Journal, error) {
-		if sh.Worker == "w1" {
-			return nil, errors.New("injected journal-creation failure")
+	factory := lossyFactory(w, ep.DNSAddr, ep.TLSAddr)
+	cfg := fedConfig(w, t.TempDir(), 2, factory)
+	// w1 journals into a directory that does not exist: every journal it
+	// tries to create fails.
+	missing := cfg
+	missing.Dir = filepath.Join(cfg.Dir, "missing")
+	good, bad := cfg.Dispatch, Local(missing, factory)
+	cfg.Dispatch = func(ctx context.Context, worker string, gen int, jobs []pipeline.SiteJob) error {
+		if worker == "w1" {
+			return bad(ctx, worker, gen, jobs)
 		}
-		return orig(path, epoch, ccs, sh, opts)
+		return good(ctx, worker, gen, jobs)
 	}
-	defer func() { createShard = orig }()
-
-	cfg := fedConfig(w, t.TempDir(), 2, lossyFactory(w, ep.DNSAddr, ep.TLSAddr))
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -554,27 +575,27 @@ func TestFederatedBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Epoch:     fedEpoch,
-		Countries: []string{"TH", "CZ"},
-		DomainsOf: func(cc string) []string { return w.Truth.Get(cc).Domains() },
-		Workers:   1,
-		Dir:       t.TempDir(),
-		NewLive: func(worker string) *pipeline.Live {
-			// Both probe paths point at a dead port: every field of every
-			// probe is transiently lost, so no key ever completes.
-			dns := resolver.NewClient("127.0.0.1:1")
-			dns.Timeout = 10 * time.Millisecond
-			return &pipeline.Live{
-				Pipeline: pipeline.FromWorld(w),
-				DNS:      dns,
-				Scanner:  tlsscan.New(w.Owners),
-				TLSAddr:  "127.0.0.1:1",
-				Workers:  2,
-			}
-		},
+		Epoch:        fedEpoch,
+		Countries:    []string{"TH", "CZ"},
+		DomainsOf:    func(cc string) []string { return w.Truth.Get(cc).Domains() },
+		Workers:      1,
+		Dir:          t.TempDir(),
 		ShardRetries: 2,
 		Obs:          obs.NewRegistry(),
 	}
+	cfg.Dispatch = Local(cfg, func(worker string) *pipeline.Live {
+		// Both probe paths point at a dead port: every field of every
+		// probe is transiently lost, so no key ever completes.
+		dns := resolver.NewClient("127.0.0.1:1")
+		dns.Timeout = 10 * time.Millisecond
+		return &pipeline.Live{
+			Pipeline: pipeline.FromWorld(w),
+			DNS:      dns,
+			Scanner:  tlsscan.New(w.Owners),
+			TLSAddr:  "127.0.0.1:1",
+			Workers:  2,
+		}
+	})
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -661,16 +682,14 @@ func TestFederatedStragglerRedispatch(t *testing.T) {
 		DomainsOf:      func(cc string) []string { return w.Truth.Get(cc).Domains() },
 		Workers:        2,
 		Dir:            t.TempDir(),
-		NewLive:        factory,
 		StragglerAfter: 400 * time.Millisecond,
-		WrapJournal: func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-			if worker == "w1" && gen == 1 {
-				return &slowWriter{WriteSyncer: ws, delay: 300 * time.Millisecond}
-			}
-			return ws
-		},
-		Obs: obs.NewRegistry(),
+		Obs:            obs.NewRegistry(),
 	}
+	cfg.Dispatch = local(cfg, factory, firstGen(cfg, map[string]journalWrap{
+		"w1": func(ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
+			return &slowWriter{WriteSyncer: ws, delay: 300 * time.Millisecond}
+		},
+	}))
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

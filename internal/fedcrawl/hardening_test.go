@@ -47,6 +47,8 @@ func TestGenFromNameHostileFilenames(t *testing.T) {
 		// contain "-g".
 		{"w-g2-g5.journal", 5},
 		{"w-g2-gx.journal", 0},
+		// The coordinator's own names parse back.
+		{JournalName("w3", 7), 7},
 	}
 	for _, tc := range cases {
 		if got := genFromName(tc.path); got != tc.want {

@@ -226,16 +226,21 @@ func (c *Client) Close() {
 // waves, so late-landing journals are picked up, never lost and never
 // double-counted.
 func (c *Client) dispatch(ctx context.Context, worker string, gen int, jobs []pipeline.SiteJob) error {
-	if _, ok := c.index[worker]; !ok {
+	index, ok := c.index[worker]
+	if !ok {
 		return fmt.Errorf("fedtransport: dispatch for unknown worker %q", worker)
 	}
 	c.stats.dispatches.Add(1)
 	c.m.dispatches.Inc()
+	a := fedcrawl.Assignment{
+		Worker: worker, Index: index, Total: len(c.cfg.Workers), Gen: gen,
+		Epoch: c.cfg.Epoch, Countries: c.cfg.Countries, Jobs: jobs,
+	}
 	res := make(chan error, 1)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		res <- c.deliver(c.lifeCtx, worker, gen, jobs)
+		res <- c.deliver(c.lifeCtx, a)
 	}()
 	select {
 	case err := <-res:
@@ -247,23 +252,16 @@ func (c *Client) dispatch(ctx context.Context, worker string, gen int, jobs []pi
 	}
 }
 
-// deliver runs the full assignment → artifact → admission exchange under
-// the resilience policy and maps the outcome onto fedcrawl's Dispatch
-// contract: nil (journal admitted, worker fine), an error wrapping
+// deliver runs one assignment's full request → artifact → admission
+// exchange under the resilience policy and maps the outcome onto
+// fedcrawl's Dispatch contract: nil (journal admitted, worker fine), an error wrapping
 // fedcrawl.ErrWorkerDead (worker is done — retries exhausted, circuit
 // open, a permanent refusal, or a signed disarm), a context error
 // (cancelled), or a bare error for coordinator-side failures that must
 // fail the federation rather than forfeit a shard.
-func (c *Client) deliver(ctx context.Context, worker string, gen int, jobs []pipeline.SiteJob) error {
-	body, err := json.Marshal(Assignment{
-		Worker:    worker,
-		Index:     c.index[worker],
-		Total:     len(c.cfg.Workers),
-		Gen:       gen,
-		Epoch:     c.cfg.Epoch,
-		Countries: c.cfg.Countries,
-		Jobs:      jobs,
-	})
+func (c *Client) deliver(ctx context.Context, a fedcrawl.Assignment) error {
+	worker, gen := a.Worker, a.Gen
+	body, err := json.Marshal(a)
 	if err != nil {
 		return err
 	}
@@ -351,7 +349,7 @@ func (c *Client) fetch(ctx context.Context, worker string, gen int, body []byte,
 // atomic temp-write-fsync-rename every other journal goes through: the
 // merge directory never holds a half-admitted artifact.
 func (c *Client) admit(worker string, gen int, art *Artifact) error {
-	path := filepath.Join(c.cfg.Dir, fmt.Sprintf("%s-g%d.journal", worker, gen))
+	path := filepath.Join(c.cfg.Dir, fedcrawl.JournalName(worker, gen))
 	return checkpoint.WriteFileAtomic(path, func(w io.Writer) error {
 		_, err := w.Write(art.Journal)
 		return err

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,8 +143,22 @@ func ftPolicy(reg *obs.Registry) *resilience.Policy {
 	}
 }
 
+// journalWrap wraps a journal's writer, as checkpoint.Options.WrapWriter.
+type journalWrap = func(checkpoint.WriteSyncer) checkpoint.WriteSyncer
+
+// killAt kills a journal after the given number of complete writes plus
+// extra bytes of the next one.
+func killAt(writes int, extra int64) journalWrap {
+	return func(ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
+		return faultinject.NewKillWriter(ws, writes, extra, nil)
+	}
+}
+
+// ftFederate wires a federation over workers whose wires follow plan. A
+// worker named in wraps writes its generation-1 journal through its
+// wrapper; every other journal is left alone.
 func ftFederate(t *testing.T, w *worldgen.World, ep *liveworld.Endpoints, workers []string,
-	plan faultinject.HTTPPlan, wrap func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer) *ftFederation {
+	plan faultinject.HTTPPlan, wraps map[string]journalWrap) *ftFederation {
 	t.Helper()
 	f := &ftFederation{
 		dir:     t.TempDir(),
@@ -154,12 +170,15 @@ func ftFederate(t *testing.T, w *worldgen.World, ep *liveworld.Endpoints, worker
 	for _, worker := range workers {
 		key := []byte("key-" + worker)
 		f.keys[worker] = key
-		v, err := ServeVantage("127.0.0.1:0", VantageConfig{
-			Key:         key,
-			NewLive:     ftFactory(w, ep),
-			Obs:         obs.NewRegistry(),
-			WrapJournal: wrap,
-		})
+		vreg := obs.NewRegistry()
+		v, err := serveVantage("127.0.0.1:0", VantageConfig{Key: key, NewLive: ftFactory(w, ep), Obs: vreg},
+			func(a fedcrawl.Assignment) *checkpoint.Options {
+				o := &checkpoint.Options{Obs: vreg}
+				if a.Gen == 1 {
+					o.WrapWriter = wraps[a.Worker]
+				}
+				return o
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,13 +289,8 @@ func TestTransportKillPointSweep(t *testing.T) {
 		for kill := 0; kill <= totalWrites; kill += stride {
 			for _, extra := range []int64{0, 3} {
 				label := fmt.Sprintf("%s/kill=%d+%db", pat.name, kill, extra)
-				wrap := func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-					if worker == "w1" && gen == 1 {
-						return faultinject.NewKillWriter(ws, kill, extra, nil)
-					}
-					return ws
-				}
-				f := ftFederate(t, w, ep, []string{"w0", "w1", "w2"}, pat.plan, wrap)
+				f := ftFederate(t, w, ep, []string{"w0", "w1", "w2"}, pat.plan,
+					map[string]journalWrap{"w1": killAt(kill, extra)})
 				res := f.run(t, label)
 				ftAssertConverged(t, label, want, res.Corpus)
 				if n := res.Merge.MergeRefusalsForeign + res.Merge.MergeRefusalsCorrupt; n != 0 {
@@ -303,13 +317,7 @@ func TestTransportFixedFaultSmoke(t *testing.T) {
 		ResetMod:  3, ResetModUnder: 1,
 		TruncateMod: 2, TruncateModUnder: 1, TruncateBytes: 64,
 	}
-	wrap := func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-		if worker == "w1" && gen == 1 {
-			return faultinject.NewKillWriter(ws, 4, 3, nil)
-		}
-		return ws
-	}
-	f := ftFederate(t, w, ep, []string{"w0", "w1", "w2"}, plan, wrap)
+	f := ftFederate(t, w, ep, []string{"w0", "w1", "w2"}, plan, map[string]journalWrap{"w1": killAt(4, 3)})
 	res := f.run(t, "fixed-fault")
 	ftAssertConverged(t, "fixed-fault", want, res.Corpus)
 
@@ -500,15 +508,19 @@ func TestTransportDetachedArrival(t *testing.T) {
 }
 
 // TestTransportAssignmentAuthentication: a vantage only works for the
-// holder of its key — unsigned or missigned assignments are refused with
-// 403 and counted, and a client with the wrong key loses that worker but
+// holder of its key, and only on an assignment with a valid shard
+// identity. Unsigned or missigned assignments are refused with 403 and
+// counted, malformed ones with 400, all before any journal exists; a
+// client whose assignment is refused loses that worker after one attempt,
 // not the federation.
 func TestTransportAssignmentAuthentication(t *testing.T) {
 	w, ep := ftWorld(t)
 	reg := obs.NewRegistry()
+	scratch := t.TempDir()
 	v, err := ServeVantage("127.0.0.1:0", VantageConfig{
 		Key:     []byte("right-key"),
 		NewLive: ftFactory(w, ep),
+		Dir:     scratch,
 		Obs:     reg,
 	})
 	if err != nil {
@@ -528,27 +540,70 @@ func TestTransportAssignmentAuthentication(t *testing.T) {
 		t.Errorf("bad_signatures = %d, want 1", got)
 	}
 
-	// A client that signs with the wrong key: the vantage's 403 is
-	// authoritative, the worker is declared dead after one attempt.
-	dir := t.TempDir()
-	creg := obs.NewRegistry()
-	client, err := NewClient(ClientConfig{
-		Workers: []string{"w0"},
-		URL:     map[string]string{"w0": "http://" + v.Addr},
-		Key:     map[string][]byte{"w0": []byte("wrong-key")},
-		Dir:     dir, Epoch: artEpoch, Countries: ftCCs,
-		Policy: ftPolicy(creg), Obs: creg,
-	})
+	cases := []struct {
+		name   string
+		key    string
+		mutate func(a *fedcrawl.Assignment)
+		code   int
+	}{
+		{"wrong key", "wrong-key", func(*fedcrawl.Assignment) {}, http.StatusForbidden},
+		{"index past total", "right-key", func(a *fedcrawl.Assignment) { a.Index = a.Total }, http.StatusBadRequest},
+		{"negative index", "right-key", func(a *fedcrawl.Assignment) { a.Index = -1 }, http.StatusBadRequest},
+		{"no countries", "right-key", func(a *fedcrawl.Assignment) { a.Countries = nil }, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		creg := obs.NewRegistry()
+		client, err := NewClient(ClientConfig{
+			Workers: []string{"w0"},
+			URL:     map[string]string{"w0": "http://" + v.Addr},
+			Key:     map[string][]byte{"w0": []byte(tc.key)},
+			Dir:     t.TempDir(), Epoch: artEpoch, Countries: ftCCs,
+			Policy: ftPolicy(creg), Obs: creg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(client.Close)
+		a := fedcrawl.Assignment{Worker: "w0", Index: 0, Total: 1, Gen: 1, Epoch: artEpoch, Countries: ftCCs}
+		tc.mutate(&a)
+		// The vantage's refusal is authoritative: the worker is declared
+		// dead after one attempt.
+		err = client.deliver(context.Background(), a)
+		if !errors.Is(err, fedcrawl.ErrWorkerDead) {
+			t.Fatalf("%s: dispatch returned %v, want a worker death", tc.name, err)
+		}
+		if want := fmt.Sprintf("answered %d", tc.code); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: dispatch error %q, want the vantage to have %s", tc.name, err, want)
+		}
+		if p := client.Policy().Stats(); p.Attempts != 1 {
+			t.Errorf("%s: policy attempts = %d; a %d is permanent and must not be retried", tc.name, p.Attempts, tc.code)
+		}
+	}
+	if got := reg.Counter("fedtransport.vantage.assignments").Value(); got != 0 {
+		t.Errorf("vantage accepted %d refused assignments", got)
+	}
+	if files, _ := os.ReadDir(scratch); len(files) != 0 {
+		t.Errorf("refused assignments left journals in the vantage's scratch directory: %v", files)
+	}
+}
+
+// TestServeVantageFailureRemovesScratchDir: a vantage that cannot listen
+// leaves no private scratch directory behind.
+func TestServeVantageFailureRemovesScratchDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(client.Close)
-	err = client.dispatch(context.Background(), "w0", 1, nil)
-	if !errors.Is(err, fedcrawl.ErrWorkerDead) {
-		t.Fatalf("missigned dispatch returned %v, want a worker death", err)
+	defer ln.Close()
+	live := func() *pipeline.Live { return nil }
+	if v, err := ServeVantage(ln.Addr().String(), VantageConfig{Key: []byte("k"), NewLive: live}); err == nil {
+		v.Close()
+		t.Fatal("vantage started on an address already bound")
 	}
-	if p := client.Policy().Stats(); p.Attempts != 1 {
-		t.Errorf("policy attempts = %d; a 403 is permanent and must not be retried", p.Attempts)
+	if files, _ := os.ReadDir(tmp); len(files) != 0 {
+		t.Errorf("failed ServeVantage left %v in TMPDIR", files)
 	}
 }
 

@@ -1,7 +1,6 @@
 package fedtransport
 
 import (
-	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"github.com/webdep/webdep/internal/checkpoint"
+	"github.com/webdep/webdep/internal/fedcrawl"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/pipeline"
 )
@@ -28,19 +28,6 @@ const sigHeader = "X-Webdep-Signature"
 
 // maxAssignmentBytes bounds a shard-assignment request body.
 const maxAssignmentBytes = 1 << 26
-
-// Assignment is the coordinator's signed dispatch to one vantage: crawl
-// these jobs for this campaign, journal them under this shard identity,
-// ship the journal back signed.
-type Assignment struct {
-	Worker    string             `json:"worker"`
-	Index     int                `json:"index"`
-	Total     int                `json:"total"`
-	Gen       int                `json:"gen"`
-	Epoch     string             `json:"epoch"`
-	Countries []string           `json:"countries"`
-	Jobs      []pipeline.SiteJob `json:"jobs"`
-}
 
 // signBody is the shared assignment-signing primitive: hex HMAC-SHA256
 // over the exact request body bytes.
@@ -55,19 +42,16 @@ type VantageConfig struct {
 	// Key signs every artifact this vantage ships and authenticates the
 	// assignments it accepts. Required.
 	Key []byte
-	// NewLive builds the vantage's crawl pipeline, exactly as fedcrawl's
-	// in-process workers do. The vantage owns the returned Live and sets
-	// its Checkpoint. Required.
+	// NewLive builds the crawler for one assignment, which the vantage
+	// runs through fedcrawl.CrawlShard, the same job fedcrawl.Local runs in
+	// process. CrawlShard owns the returned Live's Checkpoint (and its Obs,
+	// when nil). Required.
 	NewLive func() *pipeline.Live
 	// Dir is the scratch directory for in-progress shard journals. Empty
 	// means a private temp directory, removed on Close.
 	Dir string
 	// Obs selects the metrics registry (nil means obs.Default()).
 	Obs *obs.Registry
-	// WrapJournal, when non-nil, wraps each shard journal's WriteSyncer —
-	// the same fault-injection seam fedcrawl's in-process workers expose,
-	// so tests can kill a REMOTE vantage at an exact journal offset.
-	WrapJournal func(worker string, gen int, ws checkpoint.WriteSyncer) checkpoint.WriteSyncer
 }
 
 func (cfg *VantageConfig) reg() *obs.Registry {
@@ -93,6 +77,7 @@ type VantageServer struct {
 	done    chan struct{}
 	seq     atomic.Int64
 	tempDir string
+	opts    func(fedcrawl.Assignment) *checkpoint.Options
 
 	assignments   *obs.Counter
 	badSignatures *obs.Counter
@@ -103,16 +88,30 @@ type VantageServer struct {
 // ServeVantage starts a vantage worker on addr ("host:port", with ":0"
 // picking a free port).
 func ServeVantage(addr string, cfg VantageConfig) (*VantageServer, error) {
+	return serveVantage(addr, cfg, func(fedcrawl.Assignment) *checkpoint.Options {
+		return &checkpoint.Options{Obs: cfg.reg()}
+	})
+}
+
+// serveVantage is ServeVantage with the journal options chosen per
+// assignment, the seam fault tests use to wrap one (worker, gen) journal's
+// writer.
+func serveVantage(addr string, cfg VantageConfig, opts func(fedcrawl.Assignment) *checkpoint.Options) (*VantageServer, error) {
 	if len(cfg.Key) == 0 {
 		return nil, fmt.Errorf("fedtransport: vantage needs a signing key")
 	}
 	if cfg.NewLive == nil {
 		return nil, fmt.Errorf("fedtransport: vantage needs a Live factory")
 	}
-	v := &VantageServer{cfg: cfg, done: make(chan struct{})}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("fedtransport: vantage listener: %w", err)
+	}
+	v := &VantageServer{cfg: cfg, done: make(chan struct{}), ln: ln, Addr: ln.Addr().String(), opts: opts}
 	if cfg.Dir == "" {
 		dir, err := os.MkdirTemp("", "webdep-vantage-*")
 		if err != nil {
+			ln.Close()
 			return nil, fmt.Errorf("fedtransport: vantage scratch dir: %w", err)
 		}
 		v.cfg.Dir = dir
@@ -124,12 +123,6 @@ func ServeVantage(addr string, cfg VantageConfig) (*VantageServer, error) {
 	v.artifacts = reg.Counter("fedtransport.vantage.artifacts")
 	v.disarms = reg.Counter("fedtransport.vantage.disarms")
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fedtransport: vantage listener: %w", err)
-	}
-	v.ln = ln
-	v.Addr = ln.Addr().String()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /crawl", v.handleCrawl)
 	v.srv = &http.Server{Handler: mux}
@@ -166,33 +159,44 @@ func (v *VantageServer) handleCrawl(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fedtransport: assignment signature does not verify", http.StatusForbidden)
 		return
 	}
-	var a Assignment
+	var a fedcrawl.Assignment
 	if err := json.Unmarshal(body, &a); err != nil {
 		http.Error(w, "fedtransport: undecodable assignment: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if a.Worker == "" || a.Epoch == "" || a.Gen < 1 || a.Total < 1 {
-		http.Error(w, "fedtransport: assignment is missing its shard identity", http.StatusBadRequest)
+	// A malformed identity is the coordinator's mistake, not the wire's:
+	// refuse it before any journal exists, with a status it will not retry.
+	if a.Worker == "" || a.Epoch == "" || a.Gen < 1 || a.Total < 1 ||
+		a.Index < 0 || a.Index >= a.Total || len(a.Countries) == 0 {
+		http.Error(w, "fedtransport: assignment has no valid shard identity", http.StatusBadRequest)
 		return
 	}
 	v.assignments.Inc()
 
-	path, meta, err := v.crawl(r.Context(), a)
-	if path != "" {
-		defer os.Remove(path)
-	}
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The coordinator hung up; there is nobody to answer.
-			return
-		}
-		http.Error(w, "fedtransport: crawl failed: "+err.Error(), http.StatusInternalServerError)
+	// Scratch names carry a per-request sequence so a retried dispatch of
+	// the same (worker, gen) never collides with a crawl still draining.
+	path := filepath.Join(v.cfg.Dir, fmt.Sprintf("%s-g%d-r%d.journal", a.Worker, a.Gen, v.seq.Add(1)))
+	defer os.Remove(path)
+	meta := Meta{Worker: a.Worker, Gen: a.Gen, Epoch: a.Epoch, Countries: a.Countries}
+	crawlErr := fedcrawl.CrawlShard(r.Context(), path, a, v.cfg.NewLive(), v.opts(a))
+	switch {
+	case errors.Is(crawlErr, fedcrawl.ErrWorkerDead):
+		// The journal died under the crawl. Whatever prefix reached disk is
+		// durable and signed; the disarm flag tells the coordinator this
+		// worker is done for good.
+		meta.Disarmed = true
+	case r.Context().Err() != nil:
+		// The coordinator hung up; there is nobody to answer.
+		return
+	case crawlErr != nil:
+		http.Error(w, "fedtransport: crawl failed: "+crawlErr.Error(), http.StatusInternalServerError)
 		return
 	}
 
 	f, err := os.Open(path)
 	if err != nil {
-		http.Error(w, "fedtransport: reading journal: "+err.Error(), http.StatusInternalServerError)
+		// The journal was never created: there is no prefix to sign.
+		http.Error(w, "fedtransport: no journal to ship: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	defer f.Close()
@@ -221,57 +225,4 @@ func artifactSize(meta Meta, journalLen int64) int64 {
 	meta.Version = metaVersion
 	mb, _ := json.Marshal(meta)
 	return int64(len(artifactMagic)) + 8 + int64(len(mb)) + 8 + journalLen + macSize
-}
-
-// crawl runs one assignment through a fresh shard journal in the scratch
-// directory and returns the journal path plus the signed meta describing
-// it. It mirrors fedcrawl's in-process worker exactly: a journal disarm
-// cancels the crawl and is reported — not an error, because the durable
-// prefix is still worth shipping — while any other crawl failure is.
-func (v *VantageServer) crawl(ctx context.Context, a Assignment) (string, Meta, error) {
-	meta := Meta{Worker: a.Worker, Gen: a.Gen, Epoch: a.Epoch, Countries: a.Countries}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	opts := &checkpoint.Options{
-		Obs:      v.cfg.reg(),
-		OnDisarm: func(error) { cancel() },
-	}
-	if v.cfg.WrapJournal != nil {
-		opts.WrapWriter = func(ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-			return v.cfg.WrapJournal(a.Worker, a.Gen, ws)
-		}
-	}
-	// Scratch names carry a per-request sequence so a retried dispatch of
-	// the same (worker, gen) never collides with a crawl still draining.
-	path := filepath.Join(v.cfg.Dir, fmt.Sprintf("%s-g%d-r%d.journal", a.Worker, a.Gen, v.seq.Add(1)))
-	sh := &checkpoint.ShardInfo{Worker: a.Worker, Index: a.Index, Total: a.Total, Gen: a.Gen}
-	j, err := checkpoint.CreateShard(path, a.Epoch, a.Countries, sh, opts)
-	if err != nil {
-		return "", meta, err
-	}
-	live := v.cfg.NewLive()
-	if live.Obs == nil {
-		live.Obs = v.cfg.reg()
-	}
-	live.Checkpoint = j
-	_, _, crawlErr := live.CrawlJobs(cctx, a.Epoch, a.Countries, a.Jobs)
-	disarmed := j.Err() != nil
-	closeErr := j.Close()
-	if disarmed {
-		// The journal died under the crawl. Whatever prefix reached disk is
-		// durable and signed; the disarm flag tells the coordinator this
-		// worker is done for good.
-		meta.Disarmed = true
-		return path, meta, nil
-	}
-	if crawlErr != nil {
-		if errors.Is(crawlErr, context.Canceled) || errors.Is(crawlErr, context.DeadlineExceeded) {
-			return path, meta, ctx.Err()
-		}
-		return path, meta, crawlErr
-	}
-	if closeErr != nil {
-		return path, meta, closeErr
-	}
-	return path, meta, nil
 }
