@@ -706,7 +706,7 @@ func newTransportClient(w *worldgen.World, f *crawl) (*fedtransport.Client, erro
 }
 
 // openJournal creates or resumes the crawl's journal at
-// <checkpoint dir>/<epoch>.journal. A fresh run refuses to truncate an
+// <checkpoint dir>/<epoch>.journal. A fresh run refuses to replace an
 // existing journal — the operator either resumes it or removes it.
 func openJournal(o out, f *crawl, w *worldgen.World) (*checkpoint.Journal, error) {
 	if err := os.MkdirAll(f.Checkpoint, 0o755); err != nil {

@@ -12,8 +12,11 @@
 // The first record is a versioned JSON header carrying the crawl's epoch
 // and country set; every later record is one completed site keyed by
 // (country, domain) and carrying the full dataset.Website plus its
-// dataset.SiteOutcome. Appends are one Write call per record, so a crash
-// tears at most the final record.
+// dataset.SiteOutcome. A journal is born whole: Create writes the magic
+// and header through WriteFileAtomic, as a compaction writes a whole
+// journal, and only then opens the file for appending. The append path
+// carries site records only, one Write call each, so a crash tears at
+// most the final record.
 //
 // # Recovery semantics
 //
@@ -22,9 +25,12 @@
 // (the journal is compacted to a clean file, counted in the truncations
 // stat). A checksum failure anywhere BEFORE the last record is hard
 // corruption: discarding it would also discard the good records after it,
-// so Resume refuses with a *CorruptError naming the byte offset. A journal
-// torn before its header survived (or an empty file) resumes as a fresh
-// journal: nothing was durably recorded, so nothing can be skipped.
+// so Resume refuses with a *CorruptError naming the byte offset. This
+// build never leaves a journal torn before its header, but an older
+// build's crash or hand damage can; such a file (or an empty one) is
+// still tolerated and resumes as a fresh journal, rewritten whole like
+// any compaction: nothing was durably recorded, so nothing can be
+// skipped.
 //
 // # Degradation
 //
@@ -78,9 +84,11 @@ type Options struct {
 	// OnDisarm, when non-nil, is called exactly once — outside the
 	// journal's lock — if checkpointing disarms after a write failure.
 	OnDisarm func(error)
-	// WrapWriter, when non-nil, wraps the journal's append-path writer.
-	// It exists for fault injection (e.g. faultinject.KillWriter crashes
-	// the stream at an exact byte); production leaves it nil.
+	// WrapWriter, when non-nil, wraps the journal's append-path writer,
+	// which carries site records only: the header is written whole before
+	// the wrapper sees a byte, so a kill point's write count counts
+	// records. It exists for fault injection (e.g. faultinject.KillWriter
+	// crashes the stream at an exact byte); production leaves it nil.
 	WrapWriter func(WriteSyncer) WriteSyncer
 }
 
@@ -279,9 +287,13 @@ func newJournal(path, epoch string, countries []string, opts *Options) (*Journal
 	return j, nil
 }
 
-// attach points the journal at its file, applying the fault-injection
-// wrapper to the append path.
-func (j *Journal) attach(f *os.File) {
+// open attaches the journal to its complete file for appending, applying
+// the fault-injection wrapper to the append path.
+func (j *Journal) open() error {
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
 	j.f = f
 	j.w = WriteSyncer(f)
 	if j.wrap != nil {
@@ -289,12 +301,16 @@ func (j *Journal) attach(f *os.File) {
 	}
 	j.armed = true
 	j.m.armed.Set(1)
+	return nil
 }
 
-// Create starts a fresh journal for the crawl, truncating any existing
-// file at path. The magic and header are written (and fsynced) before
-// Create returns; if that first write fails the journal comes back
-// disarmed — the crawl can proceed, it just is not restartable.
+// Create starts a fresh journal for the crawl, replacing any existing
+// file at path. The magic and header are written whole through
+// WriteFileAtomic (temp, fsync, rename, directory fsync) before the file
+// is opened for appending, so Create returns either an error or an armed
+// journal whose file already holds its complete header. The append path
+// (and Options.WrapWriter) sees only the site records, so a kill point's
+// write count is a record count.
 func Create(path, epoch string, countries []string, opts *Options) (*Journal, error) {
 	return create(path, epoch, countries, nil, opts)
 }
@@ -321,38 +337,31 @@ func create(path, epoch string, countries []string, shard *ShardInfo, opts *Opti
 		return nil, err
 	}
 	j.shard = shard
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := writeJournalFile(path, j.headerRecord(), nil); err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	j.attach(f)
-	j.writeHeaderLocked()
-	cb, cberr := j.takeDisarmLocked()
-	j.mu.Unlock()
-	if cb != nil {
-		cb(cberr)
+	if err := j.open(); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
 
-// Resume reopens an existing journal, recovers a torn tail, validates the
-// header against the crawl's epoch and country set, and loads the replay
-// map. A journal recorded for a different epoch or country set is an
-// error — results from another campaign must never merge silently. A
-// journal torn before its header survived resumes as a fresh journal.
+// Resume reads an existing journal, validates the header against the
+// crawl's epoch and country set, and loads the replay map. A journal
+// recorded for a different epoch or country set is an error — results
+// from another campaign must never merge silently. A missing or torn
+// header, a torn tail and superseded duplicates are all healed by one
+// atomic rewrite (counted as a compaction) before the journal is opened
+// for appending; a journal torn before its header survived resumes as a
+// fresh journal.
 func Resume(path, epoch string, countries []string, opts *Options) (*Journal, error) {
 	j, err := newJournal(path, epoch, countries, opts)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open journal for resume: %w", err)
-	}
 	sawHeader := false // false when the header itself was torn or absent
 	dupes := false
-	info, err := walkFile(f,
+	info, err := StreamSites(path,
 		func(h JournalInfo) error {
 			sawHeader = true
 			// Version first: a journal another format version wrote is
@@ -378,7 +387,6 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 			return nil
 		})
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	j.stats.recordsReplayed.Add(info.Sites)
@@ -387,56 +395,18 @@ func Resume(path, epoch string, countries []string, opts *Options) (*Journal, er
 		j.stats.truncations.Add(1)
 		j.m.truncations.Inc()
 	}
-
-	j.mu.Lock()
-	defer func() {
-		cb, cberr := j.takeDisarmLocked()
-		j.mu.Unlock()
-		if cb != nil {
-			cb(cberr)
-		}
-	}()
-	switch {
-	case !sawHeader:
-		// Nothing durable survived (empty file or a tear inside the
-		// magic/header): start the journal over in place.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		j.attach(f)
-		j.writeHeaderLocked()
-	case info.Truncated || dupes:
-		// Drop the torn tail and superseded duplicates by atomically
-		// rewriting the journal: write-temp → fsync → rename. In-place
-		// truncation would also work for the tail, but the rewrite handles
-		// both cases and never exposes a half-recovered file.
-		f.Close()
+	if !sawHeader || info.Truncated || dupes {
+		// A missing or torn header, a torn tail and superseded duplicates
+		// all heal the same way: atomically rewrite the journal from what
+		// survived, so no half-recovered file is ever exposed.
 		if err := writeJournalFile(path, j.headerRecord(), j.replay); err != nil {
 			return nil, fmt.Errorf("checkpoint: compacting recovered journal: %w", err)
 		}
 		j.stats.compactions.Add(1)
 		j.m.compactions.Inc()
-		nf, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-			nf.Close()
-			return nil, err
-		}
-		j.attach(nf)
-	default:
-		// Clean journal: append after the last record.
-		if _, err := f.Seek(0, io.SeekEnd); err != nil {
-			f.Close()
-			return nil, err
-		}
-		j.attach(f)
+	}
+	if err := j.open(); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
@@ -633,30 +603,6 @@ func (j *Journal) syncLocked() error {
 
 func (j *Journal) headerRecord() header {
 	return header{Version: Version, Epoch: j.epoch, Countries: j.countries, Shard: j.shard}
-}
-
-// writeHeaderLocked writes magic + header through the (possibly wrapped)
-// append path: two Write calls, then an fsync. Failures disarm.
-func (j *Journal) writeHeaderLocked() {
-	if _, err := j.w.Write(magic); err != nil {
-		j.failLocked(fmt.Errorf("checkpoint: writing magic: %w", err))
-		return
-	}
-	payload, err := json.Marshal(j.headerRecord())
-	if err == nil {
-		payload, err = record(payload)
-	}
-	if err != nil {
-		j.failLocked(err)
-		return
-	}
-	if _, err := j.w.Write(payload); err != nil {
-		j.failLocked(fmt.Errorf("checkpoint: writing header: %w", err))
-		return
-	}
-	if err := j.syncLocked(); err != nil {
-		j.failLocked(fmt.Errorf("checkpoint: syncing header: %w", err))
-	}
 }
 
 // writeJournalFile writes a complete journal (magic, header, one record

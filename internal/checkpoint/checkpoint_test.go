@@ -441,8 +441,9 @@ func TestJournalDisarmsOnWriteErrorAndCrawlContinues(t *testing.T) {
 	opts := &Options{
 		OnDisarm: func(err error) { disarms++; disarmErr = err },
 		WrapWriter: func(w WriteSyncer) WriteSyncer {
-			// Kill after magic + header + one record.
-			return faultinject.NewKillWriter(w, 3, 0, nil)
+			// Kill after one record: the header is written whole by
+			// Create, never through the append path.
+			return faultinject.NewKillWriter(w, 1, 0, nil)
 		},
 	}
 	j, err := Create(path, "2023-05", testCCs, opts)
@@ -562,21 +563,21 @@ func TestJournalRecordIsSingleWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cw.writes != 2 || cw.syncs != 1 {
-		t.Fatalf("create issued %d writes and %d syncs, want 2 (magic, header) and 1", cw.writes, cw.syncs)
+	if cw.writes != 0 || cw.syncs != 0 {
+		t.Fatalf("create issued %d writes and %d syncs on the append path, want none (the header is written whole)", cw.writes, cw.syncs)
 	}
 	for i, dom := range []string{"a.example", "b.example"} {
 		j.Append("TH", site("TH", dom, i+1), okOutcome())
-		if want := 3 + i; cw.writes != want || cw.syncs != want-1 {
+		if want := 1 + i; cw.writes != want || cw.syncs != want {
 			t.Fatalf("after append %d: %d writes and %d syncs in total, want %d and %d (one each per record)",
-				i+1, cw.writes, cw.syncs, want, want-1)
+				i+1, cw.writes, cw.syncs, want, want)
 		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if cw.syncs != 3 {
-		t.Errorf("close issued %d syncs, want none", cw.syncs-3)
+	if cw.syncs != 2 {
+		t.Errorf("close issued %d syncs, want none", cw.syncs-2)
 	}
 }
 

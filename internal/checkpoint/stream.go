@@ -46,17 +46,9 @@ func StreamSites(path string,
 ) (*JournalInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open journal for streaming: %w", err)
+		return nil, fmt.Errorf("checkpoint: open journal: %w", err)
 	}
 	defer f.Close()
-	return walkFile(f, onHeader, onSite)
-}
-
-// walkFile walks an open journal file from its current position.
-func walkFile(f *os.File,
-	onHeader func(JournalInfo) error,
-	onSite func(country string, site dataset.Website, outcome dataset.SiteOutcome) error,
-) (*JournalInfo, error) {
 	fr, err := framing.NewFileReader(f, maxRecordBytes, framing.TolerateTornTail)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -64,8 +56,8 @@ func walkFile(f *os.File,
 	return walk(fr, onHeader, onSite)
 }
 
-// walk is the journal walker every reader goes through — Resume,
-// InspectBytes, StreamSites and, over that, the Merger: the magic, the
+// walk is the journal walker every reader goes through — InspectBytes,
+// StreamSites and, over that, Resume and the Merger: the magic, the
 // header record, then site records, from a tail-tolerant framing.Reader.
 //
 // Any well-formed prefix is delivered; a torn or checksum-corrupt FINAL

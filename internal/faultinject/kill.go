@@ -16,10 +16,12 @@ var ErrKilled = errors.New("faultinject: write stream killed at kill point")
 // landing the kill mid-record for length-prefixed journal formats — and
 // from then on fails every Write and Sync with ErrKilled.
 //
-// The checkpoint journal issues exactly one Write per record, so
-// (AfterWrites, ExtraBytes) addresses any journal offset: a whole-record
-// boundary with ExtraBytes zero, or an arbitrary torn write inside record
-// AfterWrites+1 otherwise. Decisions are deterministic functions of the
+// The checkpoint journal's append path carries only site records, one
+// Write each (the magic and header are written whole before it opens), so
+// (AfterWrites, ExtraBytes) addresses any offset past the header:
+// AfterWrites counts records, and the kill lands on a whole-record
+// boundary with ExtraBytes zero, or as an arbitrary torn write inside
+// record AfterWrites+1 otherwise. Decisions are deterministic functions of the
 // write sequence, in the spirit of the proxies' Plan.
 type KillWriter struct {
 	mu        sync.Mutex

@@ -278,7 +278,8 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 		// loop counter: one past the highest generation already durable. A
 		// rebuilt coordinator resuming a half-finished directory therefore
 		// never reuses a crashed run's journal names — reusing one would
-		// truncate records scanMissing just counted as complete.
+		// replace a file holding records scanMissing just counted as
+		// complete.
 		if err := c.runWave(ctx, maxGen+1, missing); err != nil {
 			return nil, err
 		}
@@ -301,10 +302,14 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 // counters) and returns, per shard, the jobs with no complete — non-lost —
 // durable record, plus the highest journal generation present. The
 // generation is taken from both shard headers and file names, so even a
-// journal torn before its header survived (which holds no durable records
-// but still occupies its name) pushes the next wave past it. A
-// mid-file-corrupt or foreign journal in the directory fails the scan: the
-// coordinator must not quietly crawl around evidence of corruption.
+// journal torn before its header survived pushes the next wave past it:
+// this build's journals are born with their header whole, but such a
+// file can still arrive from an older vantage or from hand damage, and it
+// holds no durable records yet occupies its name. Only "*.journal" names
+// are scanned, so the temp file a crash leaves while a journal is being
+// born ("<name>.journal.tmp-*") is never read. A mid-file-corrupt or
+// foreign journal in the directory fails the scan: the coordinator must
+// not quietly crawl around evidence of corruption.
 func (c *Coordinator) scanMissing() (map[int][]pipeline.SiteJob, int, error) {
 	g := checkpoint.NewMerger(c.cfg.Epoch, c.cfg.Countries, &checkpoint.Options{Obs: obs.NewRegistry()})
 	paths, err := filepath.Glob(filepath.Join(c.cfg.Dir, "*.journal"))

@@ -192,9 +192,10 @@ func TestFederatedKillPointSweep(t *testing.T) {
 	tlsProxy := proxyFor(t, ep.TLSAddr, faultinject.Plan{}, loss)
 	factory := lossyFactory(w, dnsProxy.Addr, tlsProxy.Addr)
 
-	// w1's first-wave journal writes: magic + header + one per assigned
-	// site. Sweeping one past the end covers the "kill never fires" edge.
-	totalWrites := 2 + 2*len(fedCCs)
+	// w1's first-wave journal writes: one per assigned site (the header is
+	// written whole, outside the append path). Sweeping one past the end
+	// covers the "kill never fires" edge.
+	totalWrites := 2 * len(fedCCs)
 	stride := 1
 	if testing.Short() {
 		stride = 3
@@ -243,7 +244,7 @@ func itoa(n int) string {
 }
 
 // TestFederatedFixedKillSmoke is the CI smoke variant: one worker killed
-// three bytes into its fifth journal write (a torn mid-record tear), one
+// three bytes into its third journal write (a torn mid-record tear), one
 // replica vantage per shard, full convergence plus the accounting
 // cross-checks — coordinator stats against the fedcrawl.* obs counters,
 // and the reported disagreement against an independent re-merge.
@@ -259,13 +260,13 @@ func TestFederatedFixedKillSmoke(t *testing.T) {
 	factory := lossyFactory(w, dnsProxy.Addr, tlsProxy.Addr)
 	cfg := fedConfig(w, dir, 3, factory)
 	cfg.Replicate = 1
-	// Kill w1 three bytes into its fifth write (a mid-record tear) AND w2
-	// at its seventh write boundary: with both the primary and the replica
+	// Kill w1 three bytes into its third write (a mid-record tear) AND w2
+	// at its fifth write boundary: with both the primary and the replica
 	// vantage of some shards dead, convergence must come from re-dispatch
 	// to the lone survivor.
 	cfg.Dispatch = local(cfg, factory, firstGen(cfg, map[string]journalWrap{
-		"w1": killAt(4, 3),
-		"w2": killAt(6, 0),
+		"w1": killAt(2, 3),
+		"w2": killAt(4, 0),
 	}))
 	c, err := New(cfg)
 	if err != nil {
@@ -495,6 +496,43 @@ func TestMergeRefusesAllHeaderlessJournals(t *testing.T) {
 	}
 }
 
+// TestFederatedRunsPastHeaderlessJournal: a shard journal torn inside its
+// magic is no longer a crash this build's Create can leave, but one can
+// still arrive from an older vantage or from hand damage. Planted in the
+// coordinator's directory before Run, it must not stop the run from
+// converging, and its name must still push the first wave's generation
+// past it.
+func TestFederatedRunsPastHeaderlessJournal(t *testing.T) {
+	w, ep := fedWorld(t)
+	want := baseline(t, w, ep, fedCCs)
+
+	dir := t.TempDir()
+	planted := filepath.Join(dir, "w1-g1.journal")
+	if err := os.WriteFile(planted, []byte("WDEP"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(fedConfig(w, dir, 3, lossyFactory(w, ep.DNSAddr, ep.TLSAddr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertFedConverged(t, "headerless-leftover", fedCCs, want, res.Corpus)
+	if len(res.Journals) < 2 {
+		t.Fatalf("merged journals %v, want the planted one plus the wave's", res.Journals)
+	}
+	for _, p := range res.Journals {
+		if p != planted && genFromName(p) <= 1 {
+			t.Errorf("wave journaled %s at generation %d, want past the planted generation 1", p, genFromName(p))
+		}
+	}
+	if got, err := os.ReadFile(planted); err != nil || string(got) != "WDEP" {
+		t.Errorf("planted journal now holds %d bytes (%v), want its 4 bytes untouched", len(got), err)
+	}
+}
+
 // TestFederatedRefusesCorruptAndForeignJournals: both the coordinator's
 // scan and the standalone merge must fail the WHOLE operation with a typed
 // *checkpoint.CorruptError when the directory holds a mid-file-corrupt or
@@ -672,7 +710,7 @@ func TestFederatedStragglerRedispatch(t *testing.T) {
 			DNS:            dns,
 			Scanner:        tlsscan.New(w.Owners),
 			TLSAddr:        ep.TLSAddr,
-			Workers:        2,
+			Workers:        1,
 			DetectLanguage: true,
 		}
 	}
@@ -687,7 +725,9 @@ func TestFederatedStragglerRedispatch(t *testing.T) {
 	}
 	cfg.Dispatch = local(cfg, factory, firstGen(cfg, map[string]journalWrap{
 		"w1": func(ws checkpoint.WriteSyncer) checkpoint.WriteSyncer {
-			return &slowWriter{WriteSyncer: ws, delay: 300 * time.Millisecond}
+			// One crawl worker and a per-record stall past StragglerAfter:
+			// w1's first record alone outlasts the wave deadline.
+			return &slowWriter{WriteSyncer: ws, delay: 600 * time.Millisecond}
 		},
 	}))
 	c, err := New(cfg)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"github.com/webdep/webdep/internal/checkpoint"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/pipeline"
 )
@@ -63,7 +65,9 @@ func TestGenFromNameHostileFilenames(t *testing.T) {
 // when whole. Both the final merge and the coordinator's durable-state
 // scan must ignore in-flight temp files entirely — never merge them,
 // never refuse them as corrupt, never dispatch differently because of
-// them.
+// them. The same holds for the residue of a crash while a journal was
+// being born: checkpoint.Create writes the header into a temp file of
+// the same shape, and a crash before the rename leaves it behind whole.
 func TestScanIgnoresInflightTempFiles(t *testing.T) {
 	w, ep := fedWorld(t)
 	want := baseline(t, w, ep, fedCCs)
@@ -75,6 +79,10 @@ func TestScanIgnoresInflightTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Merge(dir, fedEpoch, fedCCs, obs.NewRegistry())
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,6 +99,15 @@ func TestScanIgnoresInflightTempFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Plant a birth residue: a valid shard journal of this very campaign,
+	// header whole, under the temp name its rename never reached. Read as
+	// a journal it would be accepted and counted.
+	sh := &checkpoint.ShardInfo{Worker: "w1", Index: 1, Total: 2, Gen: 3}
+	born, err := checkpoint.CreateShard(filepath.Join(dir, "w1-g3.journal.tmp-424242"), fedEpoch, fedCCs, sh, &checkpoint.Options{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	born.Close()
 
 	reg := obs.NewRegistry()
 	res, err := Merge(dir, fedEpoch, fedCCs, reg)
@@ -101,6 +118,10 @@ func TestScanIgnoresInflightTempFiles(t *testing.T) {
 		t.Fatalf("merge refused %d in-flight temp files as journals", n)
 	}
 	assertFedConverged(t, "tmp-ignore", fedCCs, want, res.Corpus)
+	if res.Stats != clean.Stats || strings.Join(res.Journals, ",") != strings.Join(clean.Journals, ",") {
+		t.Errorf("temp files moved the merge: stats %+v over %v, want %+v over %v",
+			res.Stats, res.Journals, clean.Stats, clean.Journals)
+	}
 
 	// The coordinator's scan must reach the same verdict: the directory is
 	// complete, so a resumed coordinator dispatches nothing.

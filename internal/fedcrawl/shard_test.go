@@ -90,8 +90,8 @@ func TestCrawlShardOutcomes(t *testing.T) {
 		},
 		{
 			name: "killed mid-crawl",
-			// Magic, header, one record, then three bytes of the second.
-			wrap: func(func()) journalWrap { return killAt(3, 3) },
+			// One record, then three bytes of the second.
+			wrap: func(func()) journalWrap { return killAt(1, 3) },
 			check: func(t *testing.T, err error, path string) {
 				if !errors.Is(err, ErrWorkerDead) {
 					t.Fatalf("disarmed journal returned %v, want ErrWorkerDead", err)

@@ -277,10 +277,11 @@ func TestTransportKillPointSweep(t *testing.T) {
 		{"5xx", faultinject.HTTPPlan{Fail5xxMod: 2, Fail5xxModUnder: 1}},
 	}
 
-	// w1's first-generation journal: magic + header + one write per
-	// assigned site (two countries × one middle shard of 2 sites each).
-	// Sweeping one past the end covers the "kill never fires" edge.
-	totalWrites := 2 + 2*len(ftCCs)
+	// w1's first-generation journal: one write per assigned site (two
+	// countries × one middle shard of 2 sites each); the header is written
+	// whole, outside the append path. Sweeping one past the end covers the
+	// "kill never fires" edge.
+	totalWrites := 2 * len(ftCCs)
 	stride := 1
 	if testing.Short() {
 		stride = 3
@@ -303,7 +304,7 @@ func TestTransportKillPointSweep(t *testing.T) {
 
 // TestTransportFixedFaultSmoke is the CI smoke variant (fixed seed, one
 // run): drops, truncated bodies, and connection resets on every vantage's
-// wire at once, w1 killed three bytes into its fifth journal write — full
+// wire at once, w1 killed three bytes into its third journal write — full
 // convergence plus exact dual-recording of the client's accounting in the
 // fedtransport.* obs counters.
 func TestTransportFixedFaultSmoke(t *testing.T) {
@@ -317,7 +318,7 @@ func TestTransportFixedFaultSmoke(t *testing.T) {
 		ResetMod:  3, ResetModUnder: 1,
 		TruncateMod: 2, TruncateModUnder: 1, TruncateBytes: 64,
 	}
-	f := ftFederate(t, w, ep, []string{"w0", "w1", "w2"}, plan, map[string]journalWrap{"w1": killAt(4, 3)})
+	f := ftFederate(t, w, ep, []string{"w0", "w1", "w2"}, plan, map[string]journalWrap{"w1": killAt(2, 3)})
 	res := f.run(t, "fixed-fault")
 	ftAssertConverged(t, "fixed-fault", want, res.Corpus)
 
