@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -119,15 +120,26 @@ type Owner struct {
 }
 
 // OwnerDB maps issuer organizations to CA owners — the CCADB substitute.
-// The zero value is empty and usable.
+// The zero value is empty and usable. Lookups read an immutable map
+// through one atomic load, so concurrent enrichment workers share no
+// written cache line; Register, which only world building calls, publishes
+// a copy with the new entry.
 type OwnerDB struct {
-	mu     sync.RWMutex
-	owners map[string]Owner
+	mu     sync.Mutex // serializes Register's copy-on-write
+	owners atomic.Pointer[map[string]Owner]
 }
 
 // NewOwnerDB returns an empty database.
 func NewOwnerDB() *OwnerDB {
-	return &OwnerDB{owners: make(map[string]Owner)}
+	return &OwnerDB{}
+}
+
+// snapshot returns the published map, nil before the first Register.
+func (db *OwnerDB) snapshot() map[string]Owner {
+	if m := db.owners.Load(); m != nil {
+		return *m
+	}
+	return nil
 }
 
 // Register records that certificates issued under the given organization
@@ -135,10 +147,13 @@ func NewOwnerDB() *OwnerDB {
 func (db *OwnerDB) Register(issuerOrg string, owner Owner) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.owners == nil {
-		db.owners = make(map[string]Owner)
+	old := db.snapshot()
+	next := make(map[string]Owner, len(old)+1)
+	for org, o := range old {
+		next[org] = o
 	}
-	db.owners[issuerOrg] = owner
+	next[issuerOrg] = owner
+	db.owners.Store(&next)
 }
 
 // RegisterAuthority is a convenience that maps an Authority's issuing
@@ -154,14 +169,13 @@ func (db *OwnerDB) OwnerOf(leaf *x509.Certificate) (Owner, bool) {
 	if leaf == nil {
 		return Owner{}, false
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	owners := db.snapshot()
 	for _, org := range leaf.Issuer.Organization {
-		if o, ok := db.owners[org]; ok {
+		if o, ok := owners[org]; ok {
 			return o, true
 		}
 	}
-	if o, ok := db.owners[leaf.Issuer.CommonName]; ok {
+	if o, ok := owners[leaf.Issuer.CommonName]; ok {
 		return o, true
 	}
 	return Owner{}, false
@@ -169,7 +183,5 @@ func (db *OwnerDB) OwnerOf(leaf *x509.Certificate) (Owner, bool) {
 
 // Len reports the number of registered issuer organizations.
 func (db *OwnerDB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.owners)
+	return len(db.snapshot())
 }

@@ -2,6 +2,9 @@ package capki
 
 import (
 	"crypto/x509"
+	"crypto/x509/pkix"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -120,5 +123,37 @@ func TestOwnerDBZeroValue(t *testing.T) {
 	db.Register("X", Owner{Name: "X Org", Country: "US"})
 	if db.Len() != 1 {
 		t.Error("zero-value OwnerDB unusable")
+	}
+}
+
+// TestOwnerDBConcurrentRegister: lookups racing Register see either the
+// old or the new map, never a torn one, and every registration lands.
+func TestOwnerDBConcurrentRegister(t *testing.T) {
+	var db OwnerDB
+	db.Register("Base", Owner{Name: "Base", Country: "US"})
+	base := &x509.Certificate{Issuer: pkix.Name{Organization: []string{"Base"}}}
+	const writers, perWriter = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				db.Register(fmt.Sprintf("CA %d-%d", w, i), Owner{Name: "X", Country: "DE"})
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if o, ok := db.OwnerOf(base); !ok || o.Name != "Base" {
+					t.Errorf("lookup during Register = %+v %v", o, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := db.Len(), 1+writers*perWriter; got != want {
+		t.Errorf("Len = %d, want %d", got, want)
 	}
 }

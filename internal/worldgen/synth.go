@@ -3,7 +3,6 @@ package worldgen
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"github.com/webdep/webdep/internal/emd"
 )
@@ -41,10 +40,11 @@ func synthesizeCounts(profile []Weighted, total int, targetS float64) ([]int, er
 	}
 
 	lo, hi := 0.05, 8.0
+	var r realizer
 	var counts []int
 	for iter := 0; iter < 60; iter++ {
 		tau := (lo + hi) / 2
-		counts = realize(weights, total, tau)
+		counts = r.realize(weights, total, tau)
 		s := emd.CentralizationInts(counts)
 		if math.Abs(s-targetS) < 1e-5 {
 			return counts, nil
@@ -116,49 +116,104 @@ func synthesizeWithGroups(profile []Weighted, total int, targetS float64, groups
 	return counts, nil
 }
 
+// remainder is one entry's fractional count in largest-remainder
+// rounding.
+type remainder struct {
+	idx  int
+	frac float64
+}
+
+// before is largest-remainder rounding's total order: larger fractions
+// first, ties to the lower index.
+func (a remainder) before(b remainder) bool {
+	return a.frac > b.frac || (a.frac == b.frac && a.idx < b.idx)
+}
+
+// realizer holds realize's scratch, reused across one calibration's
+// bisection steps. The counts realize returns are that scratch too, valid
+// until the next call.
+type realizer struct {
+	tilted []float64
+	counts []int
+	rems   []remainder
+}
+
 // realize converts tilted weights into integer counts summing exactly to
 // total, using largest-remainder rounding. Providers rounding to zero are
 // dropped from the tail (smallest weights first), mirroring how a country
 // simply has no sites on its most marginal providers.
-func realize(weights []float64, total int, tau float64) []int {
+func (r *realizer) realize(weights []float64, total int, tau float64) []int {
 	n := len(weights)
-	tilted := make([]float64, n)
+	if cap(r.tilted) < n {
+		r.tilted, r.counts, r.rems = make([]float64, n), make([]int, n), make([]remainder, n)
+	}
+	tilted, counts, rems := r.tilted[:n], r.counts[:n], r.rems[:n]
 	var z float64
 	for i, w := range weights {
 		tilted[i] = math.Pow(w, tau)
 		z += tilted[i]
 	}
-	counts := make([]int, n)
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, n)
 	assigned := 0
 	for i, t := range tilted {
 		exact := t / z * float64(total)
 		counts[i] = int(exact)
 		assigned += counts[i]
-		rems[i] = rem{i, exact - float64(counts[i])}
+		rems[i] = remainder{i, exact - float64(counts[i])}
 	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].frac != rems[b].frac {
-			return rems[a].frac > rems[b].frac
+	// The k = total − assigned largest remainders get one more site each.
+	// Should rounding error leave k ≥ n, every entry gets k/n first and
+	// the order deals the rest.
+	k := total - assigned
+	if k >= n {
+		for i := range counts {
+			counts[i] += k / n
 		}
-		return rems[a].idx < rems[b].idx
-	})
-	for i := 0; assigned < total; i++ {
-		counts[rems[i%n].idx]++
-		assigned++
+		k %= n
+	}
+	if k <= 0 {
+		return counts
+	}
+	selectTop(rems, k)
+	for _, rm := range rems[:k] {
+		counts[rm.idx]++
 	}
 	return counts
+}
+
+// selectTop reorders rems so its first k entries are the k that come
+// first under before, in no particular order among themselves.
+func selectTop(rems []remainder, k int) {
+	lo, hi := 0, len(rems)
+	for lo < k && k < hi {
+		// Partition rems[lo:hi] around its middle entry, parked at hi-1.
+		mid := lo + (hi-lo)/2
+		rems[mid], rems[hi-1] = rems[hi-1], rems[mid]
+		p := lo
+		for i := lo; i < hi-1; i++ {
+			if rems[i].before(rems[hi-1]) {
+				rems[p], rems[i] = rems[i], rems[p]
+				p++
+			}
+		}
+		rems[p], rems[hi-1] = rems[hi-1], rems[p]
+		// rems[:p] now all come before rems[p], and rems[p+1:] after it.
+		if k <= p {
+			hi = p
+		} else {
+			lo = p + 1
+		}
+	}
 }
 
 // expandAssignments turns a count vector into a per-site assignment slice
 // of profile indices, shuffled deterministically by the provided rng-like
 // permutation function.
 func expandAssignments(counts []int, shuffle func(n int, swap func(i, j int))) []int {
-	var out []int
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	out := make([]int, 0, total)
 	for idx, c := range counts {
 		for k := 0; k < c; k++ {
 			out = append(out, idx)

@@ -8,17 +8,21 @@
 package worldgen
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/webdep/webdep/internal/anycast"
 	"github.com/webdep/webdep/internal/capki"
 	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/geoip"
+	"github.com/webdep/webdep/internal/parallel"
 	"github.com/webdep/webdep/internal/pfx2as"
 	"github.com/webdep/webdep/internal/tldinfo"
 )
@@ -102,20 +106,16 @@ type World struct {
 }
 
 // Build generates a world from the configuration, materializing every
-// country's raw sites and ground truth.
+// country's raw sites and ground truth. Countries are generated
+// concurrently; each is seeded on its own, so the world is byte-identical
+// at any GOMAXPROCS.
 func Build(cfg Config) (*World, error) {
 	w, err := BuildShell(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, cc := range w.Config.Countries {
-		country, ok := countries.ByCode(cc)
-		if !ok {
-			return nil, fmt.Errorf("worldgen: unknown country %q", cc)
-		}
-		if err := w.generateCountry(country, w.Config.Epoch, nil); err != nil {
-			return nil, fmt.Errorf("worldgen: %s: %w", cc, err)
-		}
+	if err := w.generate(); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
@@ -191,6 +191,28 @@ func (w *World) GenerateCountry(cc string) ([]RawSite, *dataset.CountryList, err
 		return nil, nil, fmt.Errorf("worldgen: %s: %w", cc, err)
 	}
 	return raw, list, nil
+}
+
+// generate runs GenerateCountry for every configured country on the
+// default worker pool, then fills Raw and Truth in config order.
+func (w *World) generate() error {
+	type country struct {
+		raw  []RawSite
+		list *dataset.CountryList
+	}
+	ccs := w.Config.Countries
+	built, err := parallel.Map(context.Background(), 0, len(ccs), func(_ context.Context, i int) (country, error) {
+		raw, list, err := w.GenerateCountry(ccs[i])
+		return country{raw, list}, err
+	})
+	if err != nil {
+		return err
+	}
+	for i, cc := range ccs {
+		w.Raw[cc] = built[i].raw
+		w.Truth.Add(built[i].list)
+	}
+	return nil
 }
 
 // registerInfrastructure loads the address plan into the geolocation,
@@ -302,18 +324,6 @@ func (w *World) prevCloudflareShare(prev []RawSite) float64 {
 	return float64(cf) / float64(len(prev))
 }
 
-// generateCountry builds one country's toplist for one epoch and appends
-// it to the world.
-func (w *World) generateCountry(c countries.Country, epoch string, adj *epochAdjust) error {
-	raw, list, err := w.buildCountry(c, epoch, adj)
-	if err != nil {
-		return err
-	}
-	w.Raw[c.Code] = raw
-	w.Truth.Add(list)
-	return nil
-}
-
 // buildCountry generates one country's raw sites and enriched list without
 // touching the world's retained state, so it can serve both the retaining
 // Build path and the streaming GenerateCountry path (and run concurrently
@@ -391,12 +401,12 @@ func (w *World) buildCountry(c countries.Country, epoch string, adj *epochAdjust
 	// paper's bundling observation), then leftovers are dealt out.
 	dnsAssign := correlateDNS(hostProfile, hostAssign, dnsProfile, dnsCounts)
 
-	list := &dataset.CountryList{Country: c.Code, Epoch: epoch}
+	hostPs, dnsPs := w.providersOf(hostProfile), w.providersOf(dnsProfile)
+	list := &dataset.CountryList{Country: c.Code, Epoch: epoch, Sites: make([]dataset.Website, 0, total)}
 	raw := make([]RawSite, 0, total)
 	for i := 0; i < total; i++ {
-		hostP := w.ProviderByName[hostProfile[hostAssign[i]].Name]
-		dnsP := w.ProviderByName[dnsProfile[dnsAssign[i]].Name]
-		ca := w.caByName(caProfile[caAssign[i]].Name)
+		hostP, dnsP := hostPs[hostAssign[i]], dnsPs[dnsAssign[i]]
+		ca := w.CAs[caAssign[i]]
 		domain := domains[i]
 		// The recorded TLD comes from the domain itself: retained epoch-2
 		// domains keep their original TLD regardless of the fresh draw.
@@ -426,20 +436,25 @@ func (w *World) buildCountry(c countries.Country, epoch string, adj *epochAdjust
 	return raw, list, nil
 }
 
+// providersOf resolves each profile entry to its provider.
+func (w *World) providersOf(profile []Weighted) []*Provider {
+	out := make([]*Provider, len(profile))
+	for i, p := range profile {
+		out[i] = w.ProviderByName[p.Name]
+	}
+	return out
+}
+
 // servingContinent decides where a provider serves this country's users
 // from. Anycast networks usually have a POP on the user's continent —
 // except in Africa, where the paper observes most content geolocating to
 // North America and Europe. Unicast providers serve from their H.Q.
 func (w *World) servingContinent(p *Provider, c countries.Country, rng *rand.Rand) string {
-	hq, _ := countries.ByCode(p.Country)
 	if !p.Anycast {
+		hq, _ := countries.ByCode(p.Country)
 		return hq.Continent
 	}
-	localPOP := map[string]float64{
-		"NA": 0.90, "EU": 0.85, "AS": 0.70, "SA": 0.60, "OC": 0.60, "AF": 0.15,
-	}[c.Continent]
-	r := rng.Float64()
-	if r < localPOP {
+	if rng.Float64() < localPOPShare[c.Continent] {
 		return c.Continent
 	}
 	// Fall back to the big POP continents.
@@ -449,13 +464,10 @@ func (w *World) servingContinent(p *Provider, c countries.Country, rng *rand.Ran
 	return "EU"
 }
 
-func (w *World) caByName(name string) CAInfo {
-	for _, ca := range w.CAs {
-		if ca.Name == name {
-			return ca
-		}
-	}
-	return CAInfo{Name: name}
+// localPOPShare is, per user continent, the chance an anycast network
+// serves that continent's users from a local POP.
+var localPOPShare = map[string]float64{
+	"NA": 0.90, "EU": 0.85, "AS": 0.70, "SA": 0.60, "OC": 0.60, "AF": 0.15,
 }
 
 func domainHash(domain string) uint32 {
@@ -478,7 +490,23 @@ func (w *World) domainsFor(c countries.Country, epoch string, tldAssign []int, a
 		prev = adj.prev[c.Code]
 		keep = adj.keepFraction
 	}
+	// The country code keeps domains globally unique: the live DNS zones
+	// are shared across countries, so two lists must never claim the same
+	// name with different infrastructure.
+	mid := "-" + strings.ToLower(c.Code) + "-" + strings.ReplaceAll(epoch, "-", "") + "-"
 	used := make(map[string]bool, total)
+	var buf []byte
+	// name draws a stem and spells "stem-cc-epoch-NNNN[x].tld" for site i,
+	// NNNN zero-padded to at least four digits.
+	name := func(i int, suffix, tld string) string {
+		buf = append(append(buf[:0], siteStems[rng.Intn(len(siteStems))]...), mid...)
+		for p := 1000; p > 1 && i < p; p /= 10 {
+			buf = append(buf, '0')
+		}
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(append(append(buf, suffix...), '.'), tld...)
+		return string(buf)
+	}
 	for i := 0; i < total; i++ {
 		if prev != nil && i < len(prev) && rng.Float64() < keep {
 			d := prev[i].Domain
@@ -489,38 +517,14 @@ func (w *World) domainsFor(c countries.Country, epoch string, tldAssign []int, a
 			}
 		}
 		tld := tldProfile[tldAssign[i]].Name
-		// The country code keeps domains globally unique: the live DNS
-		// zones are shared across countries, so two lists must never claim
-		// the same name with different infrastructure.
-		ccTag := lowerCC(c.Code)
-		name := fmt.Sprintf("%s-%s-%s-%04d.%s", siteStems[rng.Intn(len(siteStems))], ccTag, epochTag(epoch), i, tld)
-		for used[name] {
-			name = fmt.Sprintf("%s-%s-%s-%04dx.%s", siteStems[rng.Intn(len(siteStems))], ccTag, epochTag(epoch), i, tld)
+		d := name(i, "", tld)
+		for used[d] {
+			d = name(i, "x", tld)
 		}
-		out[i] = name
-		used[name] = true
+		out[i] = d
+		used[d] = true
 	}
 	return out
-}
-
-func lowerCC(cc string) string {
-	b := []byte(cc)
-	for i := range b {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
-	}
-	return string(b)
-}
-
-func epochTag(epoch string) string {
-	tag := make([]byte, 0, len(epoch))
-	for i := 0; i < len(epoch); i++ {
-		if epoch[i] != '-' {
-			tag = append(tag, epoch[i])
-		}
-	}
-	return string(tag)
 }
 
 var siteStems = []string{
@@ -640,7 +644,8 @@ func sortedDepCountries(deps map[string]float64) []string {
 // re-crawl) derived from an existing world: hosting centralization drifts
 // slightly (ρ≈0.98), Brazil and Russia move per Section 5.4, Cloudflare's
 // base weight grows nearly everywhere, and toplists churn to a Jaccard
-// similarity near 0.37.
+// similarity near 0.37. Like Build, it generates countries concurrently
+// and its bytes do not depend on GOMAXPROCS.
 func BuildNextEpoch(w *World, epoch string) (*World, error) {
 	cfg := w.Config
 	cfg.Epoch = epoch
@@ -681,14 +686,8 @@ func BuildNextEpoch(w *World, epoch string) (*World, error) {
 		prev:         w.Raw,
 	}
 	next.adj = adj
-	for _, cc := range cfg.Countries {
-		country, ok := countries.ByCode(cc)
-		if !ok {
-			return nil, fmt.Errorf("worldgen: unknown country %q", cc)
-		}
-		if err := next.generateCountry(country, epoch, adj); err != nil {
-			return nil, fmt.Errorf("worldgen: %s: %w", cc, err)
-		}
+	if err := next.generate(); err != nil {
+		return nil, err
 	}
 	return next, nil
 }
@@ -859,13 +858,13 @@ func (w *World) dnsProfile(c countries.Country, cfMul float64) ([]Weighted, []sh
 	return out, groups
 }
 
-// caProfile assembles a country's CA weights from the global universe plus
-// the country-specific boosts.
+// caProfile assembles a country's CA weights from the world's CAs plus the
+// country-specific boosts, entry i weighting w.CAs[i].
 func (w *World) caProfile(c countries.Country) []Weighted {
 	boosts := caCountryBoost[c.Code]
 	le := leBoost(c)
-	out := make([]Weighted, 0, len(caUniverse))
-	for _, ca := range caUniverse {
+	out := make([]Weighted, 0, len(w.CAs))
+	for _, ca := range w.CAs {
 		wgt := ca.weight
 		if ca.Name == "Let's Encrypt" {
 			wgt *= le
