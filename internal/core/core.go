@@ -80,7 +80,7 @@ func FromSorted(providers []string, counts []float64) *Distribution {
 		}
 		d.ranked[i] = ProviderShare{Provider: p, Count: n, Share: share}
 	}
-	d.score = emd.CentralizationSorted(d.sorted)
+	d.score = emd.Centralization(d.sorted)
 	d.hhi = hhiOf(d.sorted, total)
 	d.frozen = true
 	return d
@@ -132,7 +132,7 @@ func (d *Distribution) freeze() {
 	for i := range d.ranked {
 		d.sorted[i] = d.ranked[i].Count
 	}
-	d.score = emd.CentralizationSorted(d.sorted)
+	d.score = emd.Centralization(d.sorted)
 	d.hhi = hhiOf(d.sorted, d.total)
 	d.frozen = true
 }

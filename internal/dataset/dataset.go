@@ -219,9 +219,10 @@ func (c *Corpus) TotalSites() int {
 
 // Validate performs structural checks a data release should pass: known
 // country codes, nonempty domains, ranks within bounds. It returns the
-// first problem found.
+// first problem found, visiting countries in sorted order.
 func (c *Corpus) Validate() error {
-	for cc, l := range c.Lists {
+	for _, cc := range c.Countries() {
+		l := c.Lists[cc]
 		if l.Country != cc {
 			return fmt.Errorf("dataset: list keyed %q has country %q", cc, l.Country)
 		}

@@ -216,6 +216,21 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNamesFirstCountryInOrder: with two bad countries, the
+// problem Validate reports is the first in sorted country order on every
+// call, never whichever country a map iteration happens to visit first.
+func TestValidateNamesFirstCountryInOrder(t *testing.T) {
+	c := NewCorpus("2023-05")
+	c.Add(&CountryList{Country: "US", Sites: []Website{{Domain: "", Country: "US", Rank: 1}}})
+	c.Add(&CountryList{Country: "DE", Sites: []Website{{Domain: "a.de", Country: "DE", Rank: 0}}})
+	for i := 0; i < 50; i++ {
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), "DE row 0 has rank 0") {
+			t.Fatalf("call %d: Validate = %v, want DE's rank named first", i, err)
+		}
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	list := sampleList()
 	var buf bytes.Buffer

@@ -230,15 +230,12 @@ func globalDistribution(used []uint32, global []float64, providers *symtab) *cor
 	return core.FromSorted(names, counts)
 }
 
-// buildCol ranks one layer of a tally into its column: the IDs it counted
-// sorted by (count desc, name asc) — the order Distribution.Ranked uses —
-// with their counts, the score, the insularity tally and the frozen
-// Distribution view. The column's syms are still the tally's IDs; the
-// intern turns them into symbols. The sorted count vector feeds
-// emd.CentralizationSorted through core.FromSorted, so the score is
-// bit-identical to Distribution.Score over the same counts.
-func (t *CountryTally) buildCol(col *countryCol, l int) {
-	counts := t.counts[l]
+// Ranked returns the IDs the tally counted at the layer, sorted by (count
+// desc, name asc) — the order Distribution.Ranked uses, and the order the
+// scoring index and the dependency graph intern providers in. The slice is
+// the caller's.
+func (t *CountryTally) Ranked(layer countries.Layer) []uint32 {
+	counts := t.counts[layer]
 	n := 0
 	for _, c := range counts {
 		if c > 0 {
@@ -257,12 +254,22 @@ func (t *CountryTally) buildCol(col *countryCol, l int) {
 		}
 		return strings.Compare(t.names[a], t.names[b])
 	})
-	names := make([]string, n)
-	col.syms = ids
-	col.counts = make([]float64, n)
-	for k, id := range ids {
+	return ids
+}
+
+// buildCol turns one layer of a tally into its column: the Ranked IDs
+// with their counts, the score, the insularity tally and the frozen
+// Distribution view. The column's syms are still the tally's IDs; the
+// intern turns them into symbols. The sorted count vector feeds
+// emd.Centralization through core.FromSorted, so the score is
+// bit-identical to Distribution.Score over the same counts.
+func (t *CountryTally) buildCol(col *countryCol, l int) {
+	col.syms = t.Ranked(countries.Layer(l))
+	names := make([]string, len(col.syms))
+	col.counts = make([]float64, len(col.syms))
+	for k, id := range col.syms {
 		names[k] = t.names[id]
-		col.counts[k] = float64(counts[id])
+		col.counts[k] = float64(t.counts[l][id])
 		col.total += col.counts[k]
 	}
 	col.dist = core.FromSorted(names, col.counts)

@@ -24,8 +24,9 @@ import (
 // for a tally fed ObserveBlock, or the tally's own RowTable, for one fed
 // Observe. A tally takes one of the two inputs, never both. It holds only
 // counts, never the rows, so its size is bounded by the country's provider
-// diversity rather than its site count. A tally is not safe for concurrent
-// use.
+// diversity rather than its site count. It is the one provider count:
+// depgraph's graph tally holds one and reads its counts, ranking and table
+// rather than keeping its own. A tally is not safe for concurrent use.
 type CountryTally struct {
 	country string
 	names   []string // the ID table as of the last observation
@@ -41,6 +42,22 @@ type CountryTally struct {
 // NewCountryTally returns an empty tally for the country.
 func NewCountryTally(country string) *CountryTally {
 	return &CountryTally{country: country, empty: NoSymbol, home: NoSymbol}
+}
+
+// Country returns the tally's country.
+func (t *CountryTally) Country() string { return t.country }
+
+// Names returns the tally's ID table as of the last observation.
+func (t *CountryTally) Names() []string { return t.names }
+
+// Empty returns the ID of "", the unmeasured provider or country, or
+// NoSymbol while the table has no "".
+func (t *CountryTally) Empty() uint32 { return t.empty }
+
+// Count returns how many rows the tally counted under provider id at the
+// layer; id must be in the table.
+func (t *CountryTally) Count(layer countries.Layer, id uint32) int {
+	return int(t.counts[layer][id])
 }
 
 // ScoreSet is the frozen scoring surface of one corpus: per-country scores,

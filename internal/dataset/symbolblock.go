@@ -89,15 +89,18 @@ func (t *RowTable) Block(w *Website) *SymbolBlock {
 
 // Observe folds one website row into the tally: the tally's RowTable
 // interns it, and the one-row block that makes is observed under the same
-// rules as a stored shard's blocks.
-func (t *CountryTally) Observe(w *Website) {
+// rules as a stored shard's blocks. It returns that block, for a caller
+// that counts more of the row over the same IDs; the next call reuses it.
+func (t *CountryTally) Observe(w *Website) *SymbolBlock {
 	if t.table == nil {
 		if t.names != nil {
 			panic(fmt.Sprintf("dataset: tally for %q observed symbol blocks, then a Website row; a tally takes one kind of input", t.country))
 		}
 		t.table = new(RowTable)
 	}
-	t.observe(t.table.Block(w))
+	b := t.table.Block(w)
+	t.observe(b)
+	return b
 }
 
 // ObserveBlock folds a block of interned rows into the tally. Every block

@@ -1,12 +1,9 @@
 package depgraph
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 
 	"github.com/webdep/webdep/internal/corpusstore"
 	"github.com/webdep/webdep/internal/dataset"
@@ -15,14 +12,14 @@ import (
 )
 
 // This file is the graph construction path: a one-pass parallel
-// extraction into per-country tallies (the same shape as the streamed
-// dataset.CountryTally), followed by a merge whose serial part is the
-// symbol intern — ranking and summing run on workers — and the transitive
-// closure over the merged edges. A tally counts symbol IDs — a store
-// stream's, or, for Website rows, its dataset.RowTable's — so the skip
-// rules exist once, on IDs. Because a Tally is a pure fold over website
-// rows, the same rows produce the same graph whether they came from
-// in-memory lists, a streamed store shard, or any worker count — the
+// extraction into per-country tallies, followed by a merge whose serial
+// part is the symbol intern — ranking and summing run on workers — and the
+// transitive closure over the merged edges. A graph tally counts on top of
+// the scoring tally, dataset.CountryTally: that tally owns the ID table,
+// the per-layer provider counts and the skip rules, and the graph adds only
+// pair and home evidence over the same IDs. Because a Tally is a pure fold
+// over website rows, the same rows produce the same graph whether they came
+// from in-memory lists, a streamed store shard, or any worker count — the
 // permutation-invariance property tests pin this down.
 
 // pairKind enumerates the observed provider co-occurrence kinds the
@@ -34,49 +31,33 @@ const (
 	numPairKinds
 )
 
-// Tally accumulates one country's graph evidence in symbol IDs: per-layer
-// provider site counts in dense per-symbol slices, and provider
-// co-occurrences and provider-country observations keyed by the two IDs
-// packed into a uint64 (first<<32 | second). The IDs index one table: the
-// stream's, for a tally fed ObserveBlock, or the tally's own RowTable, for
-// one fed Observe. A tally takes one of the two inputs, never both, and is
-// not safe for concurrent use.
+// Tally accumulates one country's graph evidence: its scoring tally, which
+// counts each layer's providers, plus the rows it saw, provider
+// co-occurrences and provider-country observations keyed by the two IDs of
+// the scoring tally's table packed into a uint64 (first<<32 | second). A
+// tally takes Website rows or blocks of one stream, never both, and is not
+// safe for concurrent use.
 type Tally struct {
-	country string
-	rows    int64
-	names   []string // the ID table as of the last observation
-	scanned int      // names already checked for empty
-	empty   uint32   // ID of "", the unmeasured provider or country
-	counts  [numGraphLayers][]int64
-	pairs   [numPairKinds]map[uint64]int64
-	homes   map[uint64]int64  // pack(provider, observed country) -> observations
-	table   *dataset.RowTable // Observe's table; nil until the first row
+	scores *dataset.CountryTally
+	rows   int64
+	pairs  [numPairKinds]map[uint64]int64
+	homes  map[uint64]int64 // pack(provider, observed country) -> observations
 }
 
 // NewTally returns an empty tally for one country.
 func NewTally(country string) *Tally {
-	t := &Tally{country: country, empty: dataset.NoSymbol, homes: make(map[uint64]int64)}
+	t := &Tally{scores: dataset.NewCountryTally(country), homes: make(map[uint64]int64)}
 	for k := range t.pairs {
 		t.pairs[k] = make(map[uint64]int64)
 	}
 	return t
 }
 
-// Observe folds one website row into the tally: the tally's RowTable
-// interns the row's seven symbol fields, and ObserveBlock's rules are
-// applied to the one-row block that makes. Empty provider fields are
-// skipped per layer — the same rule the scoring tally applies — so a
-// layer's measured total in the graph equals the scoring index's
-// distribution mass for that (country, layer).
-func (t *Tally) Observe(w *dataset.Website) {
-	if t.table == nil {
-		if t.names != nil {
-			panic(fmt.Sprintf("depgraph: tally for %q observed symbol blocks, then a Website row; a tally takes one kind of input", t.country))
-		}
-		t.table = new(dataset.RowTable)
-	}
-	t.observe(t.table.Block(w))
-}
+// Observe folds one website row into the tally: the scoring tally interns
+// and counts it, and the graph's evidence is read from the one-row block
+// that makes. A layer's measured total in the graph is therefore the
+// scoring index's distribution mass for that (country, layer).
+func (t *Tally) Observe(w *dataset.Website) { t.observe(t.scores.Observe(w)) }
 
 // graphSymbols maps each graph layer to its provider and provider-country
 // columns in a dataset.SymbolBlock.
@@ -95,44 +76,23 @@ var pairLayers = [numPairKinds]struct{ from, to int }{
 
 func pack(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
 
-// ObserveBlock folds a block of interned rows into the tally. Every block
-// given to one tally must come from the same stream, whose table only
-// grows; a block whose table does not extend the last one, or a block after
-// Website rows, panics rather than mix two ID tables.
+// ObserveBlock folds a block of interned rows into the tally. The scoring
+// tally counts it first, and panics on a block from a second stream or
+// after Website rows.
 func (t *Tally) ObserveBlock(b *dataset.SymbolBlock) {
-	if t.table != nil {
-		panic(fmt.Sprintf("depgraph: tally for %q observed Website rows, then a symbol block; a tally takes one kind of input", t.country))
-	}
-	if len(b.Names) < len(t.names) || !slices.Equal(b.Names[:len(t.names)], t.names) {
-		panic(fmt.Sprintf("depgraph: tally for %q observed blocks from two streams; every block given to one tally must come from the same stream", t.country))
-	}
+	t.scores.ObserveBlock(b)
 	t.observe(b)
 }
 
-// observe applies the tally's rules to a block over its table: an empty
-// provider is not counted, a home needs a provider and a country, a pair
-// needs both ends.
+// observe adds the graph's evidence from a block the scoring tally has
+// counted: a home needs a provider and a country, a pair needs both ends.
 func (t *Tally) observe(b *dataset.SymbolBlock) {
-	t.names = b.Names
-	for ; t.scanned < len(b.Names); t.scanned++ {
-		if b.Names[t.scanned] == "" {
-			t.empty = uint32(t.scanned)
-		}
-	}
+	empty := t.scores.Empty()
 	t.rows += int64(b.Rows())
-	for l := range t.counts {
-		counts := t.counts[l]
-		if len(counts) < len(b.Names) {
-			counts = append(counts, make([]int64, len(b.Names)-len(counts))...)
-			t.counts[l] = counts
-		}
-		homes := b.Cols[graphSymbols[l].country]
-		for i, p := range b.Cols[graphSymbols[l].provider] {
-			if p == t.empty {
-				continue
-			}
-			counts[p]++
-			if homes[i] != t.empty {
+	for _, cols := range graphSymbols {
+		homes := b.Cols[cols.country]
+		for i, p := range b.Cols[cols.provider] {
+			if p != empty && homes[i] != empty {
 				t.homes[pack(p, homes[i])]++
 			}
 		}
@@ -140,38 +100,11 @@ func (t *Tally) observe(b *dataset.SymbolBlock) {
 	for k, kind := range pairLayers {
 		pairs, to := t.pairs[k], b.Cols[graphSymbols[kind.to].provider]
 		for i, from := range b.Cols[graphSymbols[kind.from].provider] {
-			if from != t.empty && to[i] != t.empty {
+			if from != empty && to[i] != empty {
 				pairs[pack(from, to[i])]++
 			}
 		}
 	}
-}
-
-// ranked returns, per layer, the IDs the tally counted, sorted (count
-// descending, name ascending) — the order the graph interns them in.
-func (t *Tally) ranked() (out [numGraphLayers][]uint32) {
-	for l, counts := range t.counts {
-		n := 0
-		for _, c := range counts {
-			if c > 0 {
-				n++
-			}
-		}
-		ids := make([]uint32, 0, n)
-		for id, c := range counts {
-			if c > 0 {
-				ids = append(ids, uint32(id))
-			}
-		}
-		slices.SortFunc(ids, func(a, b uint32) int {
-			if counts[a] != counts[b] {
-				return cmp.Compare(counts[b], counts[a])
-			}
-			return strings.Compare(t.names[a], t.names[b])
-		})
-		out[l] = ids
-	}
-	return out
 }
 
 // Build constructs the graph from an in-memory corpus in one parallel
@@ -214,7 +147,7 @@ func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
 	sp := obs.StartSpan(m.buildMS)
-	tallies, err := scanTallies(st, opts.Workers, nil)
+	tallies, err := scanTallies(st, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -222,19 +155,23 @@ func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
 }
 
 // ScanStore is FromStore and Store.Score in one decode: every block feeds
-// the country's scoring tally and its graph tally, so a caller that wants
-// both surfaces — the serving daemon, score -spof — reads the store once.
-// The two serial tails, the graph merge and the scoring index build, read
-// disjoint tallies and run side by side when opts.Workers allows. Both
-// results are bit-identical to the separate calls at any worker count.
+// the country's one tally, whose scoring tally counts the providers the
+// graph and the scores share, so a caller that wants both surfaces — the
+// serving daemon, score -spof — reads and counts the store once. The two
+// serial tails, the graph merge and the scoring index build, only read the
+// tallies and run side by side when opts.Workers allows. Both results are
+// bit-identical to the separate calls at any worker count.
 func ScanStore(st *corpusstore.Store, opts *Options) (*dataset.ScoreSet, *Graph, error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
 	sp := obs.StartSpan(m.buildMS)
-	scores := make([]*dataset.CountryTally, len(st.Countries()))
-	tallies, err := scanTallies(st, opts.Workers, scores)
+	tallies, err := scanTallies(st, opts.Workers)
 	if err != nil {
 		return nil, nil, err
+	}
+	scores := make([]*dataset.CountryTally, len(tallies))
+	for i, t := range tallies {
+		scores[i] = t.scores
 	}
 	var (
 		ss *dataset.ScoreSet
@@ -254,23 +191,13 @@ func ScanStore(st *corpusstore.Store, opts *Options) (*dataset.ScoreSet, *Graph,
 	return ss, g, nil
 }
 
-// scanTallies fills one graph tally per country, aligned with
-// st.Countries(), from one Store.Scan. A non-nil scores is filled the same
-// way with scoring tallies fed from the same blocks.
-func scanTallies(st *corpusstore.Store, workers int, scores []*dataset.CountryTally) ([]*Tally, error) {
+// scanTallies fills one tally per country, aligned with st.Countries(),
+// from one Store.Scan.
+func scanTallies(st *corpusstore.Store, workers int) ([]*Tally, error) {
 	tallies := make([]*Tally, len(st.Countries()))
 	err := st.Scan(workers, func(i int, cc string) func(*dataset.SymbolBlock) {
-		t := NewTally(cc)
-		tallies[i] = t
-		if scores == nil {
-			return t.ObserveBlock
-		}
-		s := dataset.NewCountryTally(cc)
-		scores[i] = s
-		return func(b *dataset.SymbolBlock) {
-			s.ObserveBlock(b)
-			t.ObserveBlock(b)
-		}
+		tallies[i] = NewTally(cc)
+		return tallies[i].ObserveBlock
 	})
 	if err != nil {
 		return nil, err
@@ -325,16 +252,18 @@ func (b *best) offer(id uint32, n int64, names []string) {
 // reach the result.
 func merge(tallies []*Tally, workers int, m *metrics) (*Graph, error) {
 	ts := append([]*Tally(nil), tallies...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].country < ts[j].country })
+	sort.Slice(ts, func(i, j int) bool { return ts[i].scores.Country() < ts[j].scores.Country() })
 	for i, t := range ts {
-		if i > 0 && t.country == ts[i-1].country {
-			return nil, fmt.Errorf("depgraph: duplicate tally for country %q", t.country)
+		if i > 0 && t.scores.Country() == ts[i-1].scores.Country() {
+			return nil, fmt.Errorf("depgraph: duplicate tally for country %q", t.scores.Country())
 		}
 	}
 	ctx := context.Background()
 	ranked := make([][numGraphLayers][]uint32, len(ts))
 	err := parallel.ForEachIndexed(ctx, workers, len(ts), func(_ context.Context, i int) error {
-		ranked[i] = ts[i].ranked()
+		for l, layer := range graphLayers {
+			ranked[i][l] = ts[i].scores.Ranked(layer)
+		}
 		return nil
 	})
 	if err != nil {
@@ -359,25 +288,26 @@ func merge(tallies []*Tally, workers int, m *metrics) (*Graph, error) {
 		column int
 	)
 	for i, t := range ts {
-		g.countries[i] = t.country
-		g.pos[t.country] = i
+		cc, names := t.scores.Country(), t.scores.Names()
+		g.countries[i] = cc
+		g.pos[cc] = i
 		rows += t.rows
-		local[i] = make([]uint32, len(t.names))
-		for l := 0; l < numGraphLayers; l++ {
+		local[i] = make([]uint32, len(names))
+		for l, layer := range graphLayers {
 			column++
 			// The ranked local IDs become the column's symbols in place.
 			col := siteCol{syms: ranked[i][l], counts: make([]int64, len(ranked[i][l]))}
 			for k, id := range col.syms {
-				s := g.intern(t.names[id])
+				s := g.intern(names[id])
 				if int(s) == len(placed) {
 					placed = append(placed, 0)
 				}
 				if placed[s] == column {
-					return nil, fmt.Errorf("depgraph: tally for %q names provider %q under two IDs", t.country, t.names[id])
+					return nil, fmt.Errorf("depgraph: tally for %q names provider %q under two IDs", cc, names[id])
 				}
 				placed[s] = column
 				local[i][id] = s
-				n := t.counts[l][id]
+				n := int64(t.scores.Count(layer, id))
 				col.syms[k], col.counts[k] = s, n
 				col.total += n
 			}
@@ -464,8 +394,9 @@ func homes(ts []*Tally, local [][]uint32, nodes int) []string {
 		sum   = make(map[uint64]int64)
 	)
 	for i, t := range ts {
+		tnames := t.scores.Names()
 		for key, n := range t.homes {
-			country := t.names[uint32(key)]
+			country := tnames[uint32(key)]
 			c, ok := ids[country]
 			if !ok {
 				c = uint32(len(names))

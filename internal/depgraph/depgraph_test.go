@@ -260,10 +260,13 @@ func TestFromStoreMatchesCorpusBuild(t *testing.T) {
 	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 2, 8} {
-			scores := make([]*dataset.CountryTally, len(st.Countries()))
-			tallies, err := scanTallies(st, workers, scores)
+			tallies, err := scanTallies(st, workers)
 			if err != nil {
 				t.Fatal(err)
+			}
+			scores := make([]*dataset.CountryTally, len(tallies))
+			for i, tl := range tallies {
+				scores[i] = tl.scores
 			}
 			rng.Shuffle(len(tallies), func(i, j int) { tallies[i], tallies[j] = tallies[j], tallies[i] })
 			rng.Shuffle(len(scores), func(i, j int) { scores[i], scores[j] = scores[j], scores[i] })

@@ -178,7 +178,7 @@ func (g *Graph) TransitiveScores(layer countries.Layer) map[string]float64 {
 			mass[q] = 0
 		}
 		slices.SortFunc(sorted, func(a, b float64) int { return cmp.Compare(b, a) })
-		out[cc] = emd.CentralizationSorted(sorted)
+		out[cc] = emd.Centralization(sorted)
 	}
 	return out
 }

@@ -263,37 +263,28 @@ func Centralization(counts []float64) float64 {
 	return sumSq - 1/c
 }
 
-// CentralizationSorted computes 𝒮 over a count vector that is already
-// known to hold only positive counts (any order is accepted, but callers
-// hold vectors sorted nonincreasing — the form the scoring index caches).
-// It is the zero-allocation hot path behind Distribution.Score: two passes
-// over the input, no copies, no sorting. The result is bit-identical to
-// Centralization on the same slice, because both accumulate the total and
-// the sum of squared shares in slice order.
-func CentralizationSorted(counts []float64) float64 {
+// CentralizationInts is Centralization over integer website counts, the
+// natural form produced by the measurement pipeline. It converts each count
+// in place of a float copy, so it allocates nothing, and accumulates in the
+// same order as Centralization: the bits are the same.
+func CentralizationInts(counts []int) float64 {
 	var c float64
 	for _, a := range counts {
-		c += a
+		if a > 0 {
+			c += float64(a)
+		}
 	}
 	if c == 0 {
 		return 0
 	}
 	var sumSq float64
 	for _, a := range counts {
-		share := a / c
-		sumSq += share * share
+		if a > 0 {
+			share := float64(a) / c
+			sumSq += share * share
+		}
 	}
 	return sumSq - 1/c
-}
-
-// CentralizationInts is Centralization over integer website counts, the
-// natural form produced by the measurement pipeline.
-func CentralizationInts(counts []int) float64 {
-	fs := make([]float64, len(counts))
-	for i, a := range counts {
-		fs[i] = float64(a)
-	}
-	return Centralization(fs)
 }
 
 // ReferenceEMD computes 𝒮 through the general solver rather than the closed

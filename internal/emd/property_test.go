@@ -144,3 +144,28 @@ func TestClosedFormMatchesSolverRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestCentralizationIntsMatchesFloatBits: the integer form converts each
+// count where it reads it rather than into a float copy, and must give the
+// bits Centralization gives over that copy — zero counts included, which
+// both skip — without allocating.
+func TestCentralizationIntsMatchesFloatBits(t *testing.T) {
+	rng := newRand()
+	for trial := 0; trial < propertyTrials; trial++ {
+		fs := randomCounts(rng, 60, 5000)
+		counts := make([]int, len(fs))
+		for i := range fs {
+			if rng.Intn(3) == 0 {
+				fs[i] = 0
+			}
+			counts[i] = int(fs[i])
+		}
+		got, want := CentralizationInts(counts), Centralization(fs)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: CentralizationInts %v, Centralization %v for %v", trial, got, want, counts)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { CentralizationInts(counts) }); allocs != 0 {
+			t.Fatalf("trial %d: CentralizationInts allocates %v times, want 0", trial, allocs)
+		}
+	}
+}

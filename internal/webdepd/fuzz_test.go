@@ -7,7 +7,8 @@ import (
 
 // FuzzQueryParse is the hostile-input gate for the daemon's front door:
 // for any path and query string, ParseQuery must never panic, every
-// rejection must be a well-formed 4xx, and every accepted query must
+// rejection must be a well-formed 4xx whose message echoes at most a
+// clipped piece of the input, and every accepted query must
 // satisfy the invariants the cache keys and renderers rely on.
 func FuzzQueryParse(f *testing.F) {
 	f.Add("/api/scores", "")
@@ -24,6 +25,9 @@ func FuzzQueryParse(f *testing.F) {
 	f.Add("/api/scores", "layer=hosting&layer=dns")
 	f.Add("/api/spof", "n=-1&n=2")
 	f.Add("/api/what-if", "provider="+strings.Repeat("A", 300))
+	f.Add("/api/scores", strings.Repeat("k", 4096)+"=1")
+	f.Add("/api/scores", strings.Repeat("k", 4096)+"=%ZZ")
+	f.Add("/api/"+strings.Repeat("p", 4096), "")
 	f.Add("", "")
 
 	f.Fuzz(func(t *testing.T, path, rawQuery string) {
@@ -34,6 +38,9 @@ func FuzzQueryParse(f *testing.F) {
 			}
 			if qerr.Msg == "" {
 				t.Fatalf("ParseQuery(%q, %q): empty rejection message", path, rawQuery)
+			}
+			if len(qerr.Msg) > 256 {
+				t.Fatalf("ParseQuery(%q, %q): %d-byte rejection message echoes unbounded input", path, rawQuery, len(qerr.Msg))
 			}
 			return
 		}

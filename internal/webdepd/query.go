@@ -99,7 +99,7 @@ func (q Query) Key() string {
 func ParseQuery(path, rawQuery string) (Query, *QueryError) {
 	name, ok := strings.CutPrefix(path, "/api/")
 	if !ok || name == "" || strings.ContainsRune(name, '/') {
-		return Query{}, notFound("unknown endpoint %q", path)
+		return Query{}, notFound("unknown endpoint %q", clip(path))
 	}
 
 	var q Query
@@ -113,7 +113,7 @@ func ParseQuery(path, rawQuery string) (Query, *QueryError) {
 		k, v, _ := strings.Cut(pair, "=")
 		v, err := unescape(v)
 		if err != nil {
-			return Query{}, badRequest("parameter %s: undecodable value", k)
+			return Query{}, badRequest("parameter %s: undecodable value", clip(k))
 		}
 		var dst *string
 		switch k {
@@ -126,7 +126,7 @@ func ParseQuery(path, rawQuery string) (Query, *QueryError) {
 		case "n":
 			dst = &n
 		default:
-			return Query{}, badRequest("unknown parameter %q", k)
+			return Query{}, badRequest("unknown parameter %q", clip(k))
 		}
 		if *dst != "" {
 			return Query{}, badRequest("parameter %s repeated", k)
@@ -253,7 +253,7 @@ func ParseQuery(path, rawQuery string) (Query, *QueryError) {
 		return q, nil
 
 	default:
-		return Query{}, notFound("unknown endpoint %q", path)
+		return Query{}, notFound("unknown endpoint %q", clip(path))
 	}
 }
 

@@ -8,7 +8,7 @@
 // read model of exactly that: the frozen scoring surface
 // (dataset.ScoreSet), the provider dependency graph, the coverage
 // accounting and the site count. A store is turned into one by a single
-// symbol-ID scan feeding both tallies (depgraph.ScanStore); an in-memory
+// symbol-ID scan feeding one tally per country (depgraph.ScanStore); an in-memory
 // corpus by its scoring index and depgraph.Build, once, at Start. The
 // renderers have one code path and cannot tell which source it was, and
 // the resident set is O(providers × countries), not O(sites).
