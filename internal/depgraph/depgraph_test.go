@@ -238,9 +238,10 @@ func TestFromStoreMatchesCorpusBuild(t *testing.T) {
 	want := Build(corpus, &Options{Obs: obs.NewRegistry()})
 	equalGraphs(t, fromStore, want)
 
-	// The combined scan feeds both tallies from one decode; neither may
-	// notice the other, whether the graph merge and the index build that
-	// follow run one after the other (one worker) or side by side.
+	// The combined scan feeds each block to one tally per country, and
+	// that tally's scoring tally also feeds the score set; the graph merge
+	// and the index build over those tallies may not notice each other,
+	// whether they run one after the other (one worker) or side by side.
 	for _, workers := range []int{1, 2, 8} {
 		scores, scanned, err := ScanStore(st, &Options{Workers: workers, Obs: obs.NewRegistry()})
 		if err != nil {

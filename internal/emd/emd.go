@@ -243,31 +243,17 @@ func Solve(supply, demand []float64, cost [][]float64) (*Plan, error) {
 // website) under the ground distance d_ij = (a_i − 1)/C. Counts must be
 // nonnegative; zero-count providers contribute nothing. It returns 0 for an
 // empty or all-zero distribution.
-func Centralization(counts []float64) float64 {
-	var c float64
-	for _, a := range counts {
-		if a > 0 {
-			c += a
-		}
-	}
-	if c == 0 {
-		return 0
-	}
-	var sumSq float64
-	for _, a := range counts {
-		if a > 0 {
-			share := a / c
-			sumSq += share * share
-		}
-	}
-	return sumSq - 1/c
-}
+func Centralization(counts []float64) float64 { return closedForm(counts) }
 
 // CentralizationInts is Centralization over integer website counts, the
-// natural form produced by the measurement pipeline. It converts each count
-// in place of a float copy, so it allocates nothing, and accumulates in the
-// same order as Centralization: the bits are the same.
-func CentralizationInts(counts []int) float64 {
+// natural form produced by the measurement pipeline. It allocates nothing
+// and its bits equal Centralization's over the float copy.
+func CentralizationInts(counts []int) float64 { return closedForm(counts) }
+
+// closedForm is the one body of 𝒮 for both count types: converting each
+// count as it is read and accumulating in slice order gives the same bits
+// whichever type holds the counts.
+func closedForm[T int | float64](counts []T) float64 {
 	var c float64
 	for _, a := range counts {
 		if a > 0 {

@@ -110,7 +110,8 @@ func parsePath(t testing.TB, path string) Query {
 // against an independently measured corpus — the cache can never change
 // what is served, only how fast — whichever source the daemon was started
 // over. The store leg is the gate that the read model one Store.Scan builds
-// (symbol IDs, both tallies from one decode) is the one built from rows:
+// (symbol IDs, one tally per country whose scoring tally also feeds the
+// score set) is the one built from rows:
 // its reference never touches a store.
 func TestEndpointsCrossCheck(t *testing.T) {
 	root := t.TempDir()
