@@ -264,7 +264,7 @@ func BenchmarkFig10InsularitySubregion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, layer := range countries.Layers {
-			_ = analysis.BySubregion(analysis.Insularities(corpus, layer))
+			_ = analysis.BySubregion(corpus.ScoreSet().Insularities(layer))
 		}
 	}
 }

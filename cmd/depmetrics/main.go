@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/webdep/webdep/internal/core"
@@ -37,7 +38,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, path := range flag.Args() {
-		if err := report(path, *epoch, layer, *topN); err != nil {
+		if err := report(os.Stdout, path, *epoch, layer, *topN); err != nil {
 			fmt.Fprintf(os.Stderr, "depmetrics: %s: %v\n", path, err)
 			os.Exit(1)
 		}
@@ -53,7 +54,7 @@ func parseLayer(name string) (countries.Layer, error) {
 	return 0, fmt.Errorf("unknown layer %q (want hosting, dns, ca, or tld)", name)
 }
 
-func report(path, epoch string, layer countries.Layer, topN int) error {
+func report(w io.Writer, path, epoch string, layer countries.Layer, topN int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -66,14 +67,14 @@ func report(path, epoch string, layer countries.Layer, topN int) error {
 	dist := list.Distribution(layer)
 	ins := list.Insularity(layer)
 
-	fmt.Printf("%s (%s layer, %d sites, %d providers)\n",
+	fmt.Fprintf(w, "%s (%s layer, %d sites, %d providers)\n",
 		list.Country, layer, int(dist.Total()), dist.NumProviders())
-	fmt.Printf("  centralization S = %.4f (%s)   HHI = %.4f\n",
+	fmt.Fprintf(w, "  centralization S = %.4f (%s)   HHI = %.4f\n",
 		dist.Score(), core.Interpret(dist.Score()), dist.HHI())
-	fmt.Printf("  top-%d share = %.1f%%   90%% coverage needs %d providers   insularity = %.1f%%\n",
+	fmt.Fprintf(w, "  top-%d share = %.1f%%   90%% coverage needs %d providers   insularity = %.1f%%\n",
 		topN, dist.TopNShare(topN)*100, dist.ProvidersForCoverage(0.90), ins.Fraction()*100)
 	for i, ps := range dist.Top(topN) {
-		fmt.Printf("  #%d %-28s %6.1f%%\n", i+1, ps.Provider, ps.Share*100)
+		fmt.Fprintf(w, "  #%d %-28s %6.1f%%\n", i+1, ps.Provider, ps.Share*100)
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/webdep/webdep/internal/countries"
@@ -25,7 +28,7 @@ func TestReportOnCSV(t *testing.T) {
 	list := &dataset.CountryList{Country: "TH", Epoch: "x", Sites: []dataset.Website{
 		{Domain: "a.th", Country: "TH", Rank: 1, HostProvider: "Cloudflare", HostProviderCountry: "US", TLD: "th"},
 		{Domain: "b.th", Country: "TH", Rank: 2, HostProvider: "Cloudflare", HostProviderCountry: "US", TLD: "th"},
-		{Domain: "c.th", Country: "TH", Rank: 3, HostProvider: "ThaiHost", HostProviderCountry: "TH", TLD: "th"},
+		{Domain: "c.com", Country: "TH", Rank: 3, HostProvider: "ThaiHost", HostProviderCountry: "TH", TLD: "com"},
 	}}
 	path := filepath.Join(t.TempDir(), "TH.csv")
 	f, err := os.Create(path)
@@ -37,10 +40,18 @@ func TestReportOnCSV(t *testing.T) {
 	}
 	f.Close()
 
-	if err := report(path, "x", countries.Hosting, 3); err != nil {
-		t.Fatalf("report: %v", err)
+	// One of three sites is hosted in Thailand; two of three are .th, and a
+	// ccTLD is insular to its owner.
+	for layer, want := range map[countries.Layer]string{countries.Hosting: "insularity = 33.3%", countries.TLD: "insularity = 66.7%"} {
+		var out bytes.Buffer
+		if err := report(&out, path, "x", layer, 3); err != nil {
+			t.Fatalf("report: %v", err)
+		}
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("%v report lacks %q:\n%s", layer, want, out.String())
+		}
 	}
-	if err := report(filepath.Join(t.TempDir(), "missing.csv"), "x", countries.Hosting, 3); err == nil {
+	if err := report(io.Discard, filepath.Join(t.TempDir(), "missing.csv"), "x", countries.Hosting, 3); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -442,7 +442,7 @@ func (h *harness) fig10() error {
 	for _, layer := range countries.Layers {
 		report.SubregionTable(os.Stdout,
 			fmt.Sprintf("Figure 10 (%s): insularity by subregion", layer),
-			analysis.BySubregion(analysis.Insularities(corpus, layer)))
+			analysis.BySubregion(corpus.ScoreSet().Insularities(layer)))
 		fmt.Println()
 	}
 	return nil

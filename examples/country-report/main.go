@@ -55,9 +55,7 @@ func main() {
 		fmt.Printf("--- %s layer ---\n", layer)
 		fmt.Printf("  centralization S = %.4f (%s; paper: %.4f)\n",
 			dist.Score(), core.Interpret(dist.Score()), country.PaperScore[layer])
-		if layer != countries.TLD {
-			fmt.Printf("  insularity       = %.1f%%\n", list.Insularity(layer).Fraction()*100)
-		}
+		fmt.Printf("  insularity       = %.1f%%\n", list.Insularity(layer).Fraction()*100)
 		fmt.Printf("  providers        = %d (90%% of sites on %d)\n",
 			dist.NumProviders(), dist.ProvidersForCoverage(0.90))
 		for i, ps := range dist.Top(5) {

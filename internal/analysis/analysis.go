@@ -17,12 +17,10 @@ import (
 	"sort"
 
 	"github.com/webdep/webdep/internal/classify"
-	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/parallel"
 	"github.com/webdep/webdep/internal/stats"
-	"github.com/webdep/webdep/internal/tldinfo"
 )
 
 // CountryScore pairs a country with a metric value.
@@ -35,9 +33,17 @@ type CountryScore struct {
 }
 
 // SortedScores returns per-country centralization for a layer, most
-// centralized first (the paper's Tables 5–8 and Figures 5/17–19).
+// centralized first (the paper's Tables 5–8 and Figures 5/17–19), in the
+// order the scoring surface fixed when it was built.
 func SortedScores(src dataset.Scored, layer countries.Layer) []CountryScore {
-	return sortCountryValues(src.ScoreSet().Scores(layer))
+	ss := src.ScoreSet()
+	ranked := ss.Ranking(layer)
+	out := make([]CountryScore, len(ranked))
+	for i, cc := range ranked {
+		st, _ := ss.Standing(cc, layer)
+		out[i] = countryScore(cc, st.Score)
+	}
+	return out
 }
 
 // SortedInsularity returns per-country insularity for a layer, most insular
@@ -45,40 +51,15 @@ func SortedScores(src dataset.Scored, layer countries.Layer) []CountryScore {
 // site is insular when its TLD's home country is the list's country (.com
 // counts as insular to the U.S.).
 func SortedInsularity(src dataset.Scored, layer countries.Layer) []CountryScore {
-	return sortCountryValues(Insularities(src, layer))
+	return sortCountryValues(src.ScoreSet().Insularities(layer))
 }
 
-// Insularities computes per-country insularity for any layer, handling the
-// TLD layer's ccTLD semantics. The TLD path reads the scoring index's
-// per-country TLD count columns — O(distinct TLDs) instead of O(sites),
-// with identical tallies since the per-TLD counts are exact integers.
-func Insularities(src dataset.Scored, layer countries.Layer) map[string]float64 {
-	ss := src.ScoreSet()
-	if layer != countries.TLD {
-		return ss.Insularities(layer)
-	}
-	ccs := ss.Countries()
-	out := make(map[string]float64, len(ccs))
-	for _, cc := range ccs {
-		var ins core.Insularity
-		for _, ps := range ss.DistributionOf(cc, countries.TLD).Ranked() {
-			ins.Total += ps.Count
-			if home := tldinfo.InsularTo(ps.Provider); home != "" && home == cc {
-				ins.Domestic += ps.Count
-			}
-		}
-		out[cc] = ins.Fraction()
-	}
-	return out
-}
-
+// sortCountryValues orders per-country values as the paper's tables do:
+// value descending, then country code ascending.
 func sortCountryValues(vals map[string]float64) []CountryScore {
 	out := make([]CountryScore, 0, len(vals))
 	for cc, v := range vals {
-		c, _ := countries.ByCode(cc)
-		out = append(out, CountryScore{
-			Code: cc, Name: c.Name, Region: c.Region, Continent: c.Continent, Value: v,
-		})
+		out = append(out, countryScore(cc, v))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Value != out[j].Value {
@@ -87,6 +68,11 @@ func sortCountryValues(vals map[string]float64) []CountryScore {
 		return out[i].Code < out[j].Code
 	})
 	return out
+}
+
+func countryScore(cc string, v float64) CountryScore {
+	c, _ := countries.ByCode(cc)
+	return CountryScore{Code: cc, Name: c.Name, Region: c.Region, Continent: c.Continent, Value: v}
 }
 
 // RegionAggregate is one subregion's summary for a layer.
@@ -191,7 +177,7 @@ func SummarizeLayer(src dataset.Scored, layer countries.Layer) LayerSummary {
 	sum.Variance = stats.Variance(xs)
 	sum.Median = stats.Median(xs)
 	sum.GlobalTop = ss.GlobalDistribution(layer).Score()
-	insularities := Insularities(ss, layer)
+	insularities := ss.Insularities(layer)
 	ins := make([]float64, 0, len(ccs))
 	for _, cc := range ccs {
 		ins = append(ins, insularities[cc])
@@ -223,7 +209,7 @@ func SummarizeLayers(src dataset.Scored) []LayerSummary {
 // InsularityCDF returns the empirical CDF of a layer's insularity across
 // countries (Figure 11).
 func InsularityCDF(src dataset.Scored, layer countries.Layer) *stats.ECDF {
-	vals := Insularities(src, layer)
+	vals := src.ScoreSet().Insularities(layer)
 	xs := make([]float64, 0, len(vals))
 	for _, v := range vals {
 		xs = append(xs, v)
@@ -349,7 +335,7 @@ func ClassCorrelations(src dataset.Scored, cls *classify.Result) ([]Correlation,
 	xl := classify.ClassShares(ss, countries.Hosting, cls, classify.XLGlobal)
 	lg := classify.ClassShares(ss, countries.Hosting, cls, classify.LGlobal, classify.LGlobalRegion)
 	lr := classify.ClassShares(ss, countries.Hosting, cls, classify.LRegional)
-	ins := Insularities(ss, countries.Hosting)
+	ins := ss.Insularities(countries.Hosting)
 
 	specs := []struct {
 		label    string

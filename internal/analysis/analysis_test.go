@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/webdep/webdep/internal/classify"
@@ -104,9 +105,60 @@ func TestSummarizeLayerHeadlines(t *testing.T) {
 	}
 }
 
+// TestScoreSetRankMatchesSortedScores holds the country order the scoring
+// surface fixes at build time to sorting each layer's scores per call, on
+// a corpus whose countries tie: DE, FR and GB share one distribution shape
+// under different providers, and JP and US one provider each.
+func TestScoreSetRankMatchesSortedScores(t *testing.T) {
+	c := dataset.NewCorpus("ties")
+	lists := map[string][]string{
+		"DE": {"A", "A", "B"},
+		"FR": {"C", "D", "C"},
+		"GB": {"E", "E", "F"},
+		"JP": {"G"},
+		"US": {"H"},
+		"TH": {"A", "B", "C", "D"},
+	}
+	for cc, hosts := range lists {
+		l := &dataset.CountryList{Country: cc}
+		for i, h := range hosts {
+			l.Sites = append(l.Sites, dataset.Website{Country: cc, Rank: i + 1, HostProvider: h, HostProviderCountry: cc, TLD: "com"})
+		}
+		c.Add(l)
+	}
+	ss := c.ScoreSet()
+	for _, layer := range countries.Layers {
+		want := sortCountryValues(ss.Scores(layer))
+		got := SortedScores(ss, layer)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: SortedScores %v, want %v", layer, got, want)
+		}
+		ins := ss.Insularities(layer)
+		for i, row := range want {
+			st, ok := ss.Standing(row.Code, layer)
+			if !ok || st.Rank != i+1 || st.Of != len(want) || st.Score != row.Value || st.Insularity != ins[row.Code] {
+				t.Fatalf("%v: Standing(%s) = %+v, %v; want rank %d of %d, score %v, insularity %v",
+					layer, row.Code, st, ok, i+1, len(want), row.Value, ins[row.Code])
+			}
+		}
+	}
+	hosting, ties := SortedScores(ss, countries.Hosting), 0
+	for i := 1; i < len(hosting); i++ {
+		if hosting[i].Value == hosting[i-1].Value {
+			ties++
+		}
+	}
+	if ties < 3 {
+		t.Fatalf("hosting has %d tied neighbours, want at least 3: %v", ties, hosting)
+	}
+	if _, ok := ss.Standing("ZZ", countries.Hosting); ok {
+		t.Fatal("Standing found a country the set does not hold")
+	}
+}
+
 func TestInsularityTLDSemantics(t *testing.T) {
 	_, mc := measuredCorpus(t)
-	ins := Insularities(mc, countries.TLD)
+	ins := mc.ScoreSet().Insularities(countries.TLD)
 	// The US counts .com as insular, so it must be highly insular at the
 	// TLD layer.
 	if ins["US"] < 0.5 {
@@ -114,7 +166,7 @@ func TestInsularityTLDSemantics(t *testing.T) {
 	}
 	// Countries are more insular at the TLD layer than hosting on average
 	// (Figure 11).
-	host := Insularities(mc, countries.Hosting)
+	host := mc.ScoreSet().Insularities(countries.Hosting)
 	var tldSum, hostSum float64
 	for cc := range ins {
 		tldSum += ins[cc]

@@ -176,8 +176,9 @@ func StudyTLD(corpus *dataset.Corpus) (*TLDStudy, error) {
 	for _, v := range corpus.ScoreSet().Scores(countries.TLD) {
 		scores = append(scores, v)
 	}
-	hostIns := Insularities(corpus, countries.Hosting)
-	tldIns := Insularities(corpus, countries.TLD)
+	ss := corpus.ScoreSet()
+	hostIns := ss.Insularities(countries.Hosting)
+	tldIns := ss.Insularities(countries.TLD)
 	ccs := corpus.Countries()
 	xs := make([]float64, len(ccs))
 	ys := make([]float64, len(ccs))

@@ -367,11 +367,11 @@ func directRenders(t *testing.T, st *corpusstore.Store, label string, sites int6
 
 	all := webdepd.AllScoresResponse{Epoch: epoch, Layers: map[string]webdepd.LayerScores{}}
 	for _, l := range countries.Layers {
-		all.Layers[l.String()] = webdepd.LayerScores{Scores: ss.Scores(l), Insularity: analysis.Insularities(ss, l)}
+		all.Layers[l.String()] = webdepd.LayerScores{Scores: ss.Scores(l), Insularity: ss.Insularities(l)}
 	}
 	out["/api/scores"] = [][]byte{body(all)}
 	out["/api/scores?layer=tld"] = [][]byte{body(webdepd.LayerScoresResponse{
-		Epoch: epoch, Layer: "tld", Scores: ss.Scores(countries.TLD), Insularity: analysis.Insularities(ss, countries.TLD),
+		Epoch: epoch, Layer: "tld", Scores: ss.Scores(countries.TLD), Insularity: ss.Insularities(countries.TLD),
 	})}
 
 	cc := ccs[len(ccs)/2]

@@ -12,6 +12,7 @@ import (
 
 	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
+	"github.com/webdep/webdep/internal/tldinfo"
 )
 
 // Website is one enriched toplist row. String fields are empty when the
@@ -99,18 +100,21 @@ func (c *CountryList) Distribution(layer countries.Layer) *core.Distribution {
 }
 
 // Insularity computes the layer's insularity for the country: the fraction
-// of measured sites whose provider is based in the same country. The TLD
-// layer is intentionally not supported here (TLD insularity needs ccTLD
-// semantics; see the tldinfo package) and returns a zero tally.
+// of measured sites whose dependence at the layer is based in the same
+// country. For hosting, DNS and CA that is the provider's country. A TLD has
+// no operator country, so the TLD layer counts a site as domestic when the
+// country its TLD is insular to (tldinfo.InsularTo: a ccTLD's owner, the
+// U.S. for .com, no one for other gTLDs) is the list's country. The scoring
+// index applies the same rule (CountryTally.buildCol).
 func (c *CountryList) Insularity(layer countries.Layer) core.Insularity {
 	var ins core.Insularity
-	if layer == countries.TLD {
-		return ins
-	}
 	for i := range c.Sites {
 		p, pc := c.Sites[i].ProviderOf(layer)
 		if p == "" {
 			continue
+		}
+		if layer == countries.TLD {
+			pc = tldinfo.InsularTo(p)
 		}
 		ins.Observe(c.Country, pc)
 	}

@@ -91,9 +91,11 @@ func TestInsularity(t *testing.T) {
 	if got := l.Insularity(countries.CA).Fraction(); got != 0 {
 		t.Errorf("ca insularity = %v, want 0", got)
 	}
-	// TLD insularity is defined elsewhere; this accessor returns zero.
-	if got := l.Insularity(countries.TLD).Fraction(); got != 0 {
-		t.Errorf("tld insularity via dataset = %v, want 0", got)
+	// A site is TLD-insular when its TLD is insular to the list's country:
+	// three of the four rows are .th (the dead one's TLD is still known),
+	// and .com is insular to the U.S., not Thailand.
+	if got := l.Insularity(countries.TLD).Fraction(); got != 0.75 {
+		t.Errorf("tld insularity via dataset = %v, want 0.75", got)
 	}
 }
 

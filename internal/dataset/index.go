@@ -10,6 +10,7 @@ import (
 	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/parallel"
+	"github.com/webdep/webdep/internal/tldinfo"
 )
 
 // This file implements the corpus's columnar scoring index: every
@@ -68,6 +69,7 @@ type countryCol struct {
 	total  float64
 	score  float64
 	ins    core.Insularity
+	rank   int                // 1-based place in the layer's ranked order
 	dist   *core.Distribution // frozen; shared with every caller
 }
 
@@ -80,6 +82,9 @@ type layerIndex struct {
 	scores  map[string]float64
 	insular map[string]float64
 	global  *core.Distribution // frozen merge of every country's column
+	// ranked holds country indices by score descending, then country code
+	// ascending: the paper's table order, fixed once per index.
+	ranked []int
 }
 
 // scoringIndex is the complete immutable index. After build it is only
@@ -208,6 +213,20 @@ func indexTallies(ccs []string, workers int, tally func(i int) *CountryTally) (*
 			ly.insular[cc] = col.ins.Fraction()
 		}
 		ly.global = globalDistribution(used, global, idx.providers)
+		ly.ranked = make([]int, len(ccs))
+		for i := range ly.ranked {
+			ly.ranked[i] = i
+		}
+		// ccs is sorted, so equal scores order by index, which is by code.
+		slices.SortFunc(ly.ranked, func(a, b int) int {
+			if sa, sb := ly.cols[a].score, ly.cols[b].score; sa != sb {
+				return cmp.Compare(sb, sa)
+			}
+			return cmp.Compare(a, b)
+		})
+		for r, i := range ly.ranked {
+			ly.cols[i].rank = r + 1
+		}
 	}
 	return idx, nil
 }
@@ -274,5 +293,16 @@ func (t *CountryTally) buildCol(col *countryCol, l int) {
 	}
 	col.dist = core.FromSorted(names, col.counts)
 	col.score = col.dist.Score()
-	col.ins = core.Insularity{Domestic: float64(t.inside[l]), Total: float64(t.total[l])}
+	if countries.Layer(l) != countries.TLD {
+		col.ins = core.Insularity{Domestic: float64(t.inside[l]), Total: float64(t.total[l])}
+		return
+	}
+	// The TLD rule of CountryList.Insularity, applied once per distinct TLD
+	// rather than per row, summed in rank order.
+	for k, name := range names {
+		col.ins.Total += col.counts[k]
+		if t.country != "" && tldinfo.InsularTo(name) == t.country {
+			col.ins.Domestic += col.counts[k]
+		}
+	}
 }

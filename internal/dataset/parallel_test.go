@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/webdep/webdep/internal/countries"
 )
 
 // syntheticCorpus builds a deterministic multi-country corpus with enough
-// provider variety to make the scoring paths nontrivial.
+// provider and TLD variety to make the scoring paths nontrivial.
 func syntheticCorpus(seed int64, ccs []string, sitesPer int) *Corpus {
 	rng := rand.New(rand.NewSource(seed))
 	providers := []struct{ name, country string }{
@@ -33,7 +34,9 @@ func syntheticCorpus(seed int64, ccs []string, sitesPer int) *Corpus {
 				HostProvider: host.name, HostProviderCountry: hostCountry,
 				DNSProvider: dns.name, DNSProviderCountry: dns.country,
 				CAOwner: "Let's Encrypt", CAOwnerCountry: "US",
-				TLD: "com",
+				// The country's own ccTLD, .com (insular to the U.S.), a
+				// gTLD insular to no one, and an unmeasured TLD, in turn.
+				TLD: [...]string{strings.ToLower(cc), "com", "org", ""}[i%4],
 			})
 		}
 		corpus.Add(list)

@@ -125,6 +125,38 @@ func (s *ScoreSet) Insularities(layer countries.Layer) map[string]float64 {
 	return maps.Clone(s.idx.layers[layer].insular)
 }
 
+// Standing is one country's place at one layer of a ScoreSet.
+type Standing struct {
+	Score      float64
+	Insularity float64
+	// Rank is the country's 1-based place in Ranking's order; Of is how
+	// many countries were ranked.
+	Rank, Of int
+}
+
+// Standing returns a country's score, insularity and rank at the layer, or
+// false when the country is not in the set.
+func (s *ScoreSet) Standing(country string, layer countries.Layer) (Standing, bool) {
+	i, ok := s.idx.pos[country]
+	if !ok {
+		return Standing{}, false
+	}
+	col := &s.idx.layers[layer].cols[i]
+	return Standing{Score: col.score, Insularity: col.ins.Fraction(), Rank: col.rank, Of: len(s.idx.countries)}, true
+}
+
+// Ranking returns the set's countries at the layer, most centralized
+// first: score descending, then country code ascending. The order is fixed
+// when the set is built; the slice is the caller's.
+func (s *ScoreSet) Ranking(layer countries.Layer) []string {
+	ranked := s.idx.layers[layer].ranked
+	out := make([]string, len(ranked))
+	for r, i := range ranked {
+		out[r] = s.idx.countries[i]
+	}
+	return out
+}
+
 // DistributionOf returns the frozen provider distribution of one country's
 // layer, or nil when the country is not in the set. The distribution is
 // shared: safe for concurrent reads, not to be mutated.

@@ -118,9 +118,10 @@ func (t *CountryTally) ObserveBlock(b *SymbolBlock) {
 }
 
 // observe applies the scoring rules to a block over the tally's table: an
-// empty provider is not counted, the TLD layer carries no insularity, and
-// a site is domestic only when the tally has a country and the provider's
-// country equals it.
+// empty provider is not counted, and a site is domestic only when the tally
+// has a country and the provider's country equals it. The TLD layer has no
+// provider-country column; buildCol applies its insularity rule to the
+// counted TLDs.
 func (t *CountryTally) observe(b *SymbolBlock) {
 	t.names = b.Names
 	for ; t.scanned < len(b.Names); t.scanned++ {

@@ -349,6 +349,7 @@ func merge(tallies []*Tally, workers int, m *metrics) (*Graph, error) {
 
 	var sccs int
 	g.closure, sccs = closureOf(g.edges)
+	g.rankSPOFs()
 
 	g.stats.RowsScanned.Store(rows)
 	g.stats.Nodes.Store(int64(len(g.names)))

@@ -25,7 +25,8 @@
 // On top of the graph sit the transitive closure (computed once per
 // build via SCC condensation, cycle-safe), the what-if engine
 // (Simulate / AuditSimulate), ranked single-point-of-failure tables
-// (TopSPOFs), and per-country transitive dependence distributions that
+// (TopSPOFs, whose order is computed once per build, after the closure),
+// and per-country transitive dependence distributions that
 // reuse core.Distribution so transitive scores are directly comparable
 // to the paper's direct scores. With no provider edges the transitive
 // distribution IS the direct distribution, bit for bit.
@@ -82,6 +83,7 @@ type Graph struct {
 
 	edges   [][]uint32 // sym -> sorted, deduplicated direct dependencies
 	closure []bitset   // sym -> reachable set including self (shared per SCC)
+	spofs   []SPOF     // every provider in TopSPOFs order, built with the closure
 
 	cols       [numGraphLayers][]siteCol // per layer, aligned with countries
 	layerTotal [numGraphLayers]int64     // corpus-wide measured bindings per layer

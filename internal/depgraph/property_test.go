@@ -14,8 +14,9 @@ import (
 // removal oracle on the corpus the graph was built from.
 
 // cloneWithEdge returns a graph identical to g plus one extra provider
-// edge from -> to, with the closure recomputed. Stats and metrics are
-// deliberately fresh: the clone exists only to compare impact numbers.
+// edge from -> to, with the closure and the SPOF order recomputed the way
+// the merge computes them. Stats and metrics are deliberately fresh: the
+// clone exists only to compare impact numbers.
 func cloneWithEdge(g *Graph, from, to uint32) *Graph {
 	g2 := &Graph{
 		countries:  g.countries,
@@ -33,6 +34,7 @@ func cloneWithEdge(g *Graph, from, to uint32) *Graph {
 	}
 	g2.edges[from] = dedupSorted(append(g2.edges[from], to))
 	g2.closure, _ = closureOf(g2.edges)
+	g2.rankSPOFs()
 	return g2
 }
 
@@ -64,8 +66,19 @@ func TestBlastRadiusMonotonicity(t *testing.T) {
 		base[p] = imp
 	}
 
+	radius := make([]int64, n)
+	for _, s := range g.TopSPOFs(0) {
+		radius[s.Sym] = s.Radius
+	}
+
 	for _, inj := range injections {
 		g2 := cloneWithEdge(g, inj[0], inj[1])
+		for _, s := range g2.TopSPOFs(0) {
+			if s.Radius < radius[s.Sym] {
+				t.Fatalf("edge %s->%s shrank %s's SPOF radius: %d < %d",
+					g.NameOf(inj[0]), g.NameOf(inj[1]), s.Provider, s.Radius, radius[s.Sym])
+			}
+		}
 		for p := uint32(0); p < n; p++ {
 			imp, err := g2.Simulate(g2.NameOf(p))
 			if err != nil {

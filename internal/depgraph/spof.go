@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 
 	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
@@ -36,8 +37,23 @@ type SPOF struct {
 // corpus-wide. Equal radii order deterministically by provider symbol,
 // then name — never by map or goroutine scheduling order — so report
 // output is stable across worker counts. n <= 0 or n beyond the node
-// count returns every provider.
+// count returns every provider. The order is built with the graph
+// (rankSPOFs), so a call copies the first n entries and nothing else; the
+// slice is the caller's.
 func (g *Graph) TopSPOFs(n int) []SPOF {
+	if n <= 0 || n > len(g.spofs) {
+		n = len(g.spofs)
+	}
+	out := make([]SPOF, n)
+	copy(out, g.spofs)
+	return out
+}
+
+// rankSPOFs computes every provider's blast radius from the site columns
+// and the closure, and stores the providers in TopSPOFs order: radius
+// descending, then symbol, then name. A blast radius is a property of the
+// immutable graph, so the merge calls this once, after the closure.
+func (g *Graph) rankSPOFs() {
 	nodes := len(g.names)
 	// weight[l][p]: provider p's direct site bindings at layer l.
 	var weight [numGraphLayers][]int64
@@ -57,17 +73,20 @@ func (g *Graph) TopSPOFs(n int) []SPOF {
 		radius[l] = make([]int64, nodes)
 	}
 	for p := 0; p < nodes; p++ {
-		for _, q := range g.closure[p].members() {
-			for l := 0; l < numGraphLayers; l++ {
-				radius[l][q] += weight[l][p]
+		for wi, w := range g.closure[p] {
+			for ; w != 0; w &= w - 1 {
+				q := wi*64 + bits.TrailingZeros64(w)
+				for l := 0; l < numGraphLayers; l++ {
+					radius[l][q] += weight[l][p]
+				}
 			}
 		}
 	}
 	grand := g.layerTotal[0] + g.layerTotal[1] + g.layerTotal[2]
-	out := make([]SPOF, nodes)
-	for q := 0; q < nodes; q++ {
+	g.spofs = make([]SPOF, nodes)
+	for q := range g.spofs {
 		r := radius[0][q] + radius[1][q] + radius[2][q]
-		out[q] = SPOF{
+		g.spofs[q] = SPOF{
 			Provider: g.names[q],
 			Country:  g.home[q],
 			Sym:      uint32(q),
@@ -78,19 +97,15 @@ func (g *Graph) TopSPOFs(n int) []SPOF {
 			CA:       frac(radius[2][q], g.layerTotal[2]),
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Radius != out[j].Radius {
-			return out[i].Radius > out[j].Radius
+	slices.SortFunc(g.spofs, func(a, b SPOF) int {
+		if a.Radius != b.Radius {
+			return cmp.Compare(b.Radius, a.Radius)
 		}
-		if out[i].Sym != out[j].Sym {
-			return out[i].Sym < out[j].Sym
+		if a.Sym != b.Sym {
+			return cmp.Compare(a.Sym, b.Sym)
 		}
-		return out[i].Provider < out[j].Provider
+		return strings.Compare(a.Provider, b.Provider)
 	})
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
 }
 
 func frac(num, den int64) float64 {

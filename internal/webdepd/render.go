@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"github.com/webdep/webdep/internal/analysis"
 	"github.com/webdep/webdep/internal/classify"
 	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/dataset"
@@ -165,7 +164,7 @@ func (g *generation) renderAllScores() ([]byte, *QueryError) {
 	for _, layer := range countries.Layers {
 		resp.Layers[layer.String()] = LayerScores{
 			Scores:     g.scores.Scores(layer),
-			Insularity: analysis.Insularities(g.scores, layer),
+			Insularity: g.scores.Insularities(layer),
 		}
 	}
 	return marshal(resp)
@@ -176,30 +175,23 @@ func (g *generation) renderLayerScores(layer countries.Layer) ([]byte, *QueryErr
 		Epoch:      g.epoch,
 		Layer:      layer.String(),
 		Scores:     g.scores.Scores(layer),
-		Insularity: analysis.Insularities(g.scores, layer),
+		Insularity: g.scores.Insularities(layer),
 	})
 }
 
 func (g *generation) renderCountryScore(layer countries.Layer, cc string) ([]byte, *QueryError) {
-	if g.scores.DistributionOf(cc, layer) == nil {
+	st, ok := g.scores.Standing(cc, layer)
+	if !ok {
 		return nil, notFound("country %s is not in the served corpus", cc)
-	}
-	sorted := analysis.SortedScores(g.scores, layer)
-	rank := 0
-	for i := range sorted {
-		if sorted[i].Code == cc {
-			rank = i + 1
-			break
-		}
 	}
 	return marshal(CountryScoreResponse{
 		Epoch:      g.epoch,
 		Layer:      layer.String(),
 		Country:    cc,
-		Score:      g.scores.Scores(layer)[cc],
-		Insularity: analysis.Insularities(g.scores, layer)[cc],
-		Rank:       rank,
-		Of:         len(sorted),
+		Score:      st.Score,
+		Insularity: st.Insularity,
+		Rank:       st.Rank,
+		Of:         st.Of,
 	})
 }
 
@@ -232,10 +224,10 @@ func (g *generation) renderCoverage() ([]byte, *QueryError) {
 }
 
 // renderClasses takes the layer's classes from the read model, which
-// clusters once however many generations share it, counts which way it went,
-// and renders the census and every country's shares.
+// clusters and tallies the shares once however many generations share it,
+// counts which way it went, and marshals them.
 func (g *generation) renderClasses(layer countries.Layer) ([]byte, *QueryError) {
-	res, carried, err := g.classify(layer)
+	c, carried, err := g.classify(layer)
 	if err != nil {
 		return nil, &QueryError{Status: http.StatusInternalServerError,
 			Msg: fmt.Sprintf("classifying %s providers: %v", layer, err)}
@@ -244,21 +236,11 @@ func (g *generation) renderClasses(layer countries.Layer) ([]byte, *QueryError) 
 		g.m.carried.Inc()
 	} else {
 		g.m.clustered.Inc()
-		if res.Iterations > 0 && !res.Converged {
+		if c.res.Iterations > 0 && !c.res.Converged {
 			g.m.capped.Inc()
 		}
 	}
-	ccs := g.scores.Countries()
-	resp := ClassesResponse{
-		Epoch:  g.epoch,
-		Layer:  layer.String(),
-		Counts: res.Counts(),
-		Shares: make(map[string]map[classify.Class]float64, len(ccs)),
-	}
-	for _, cc := range ccs {
-		resp.Shares[cc] = classify.CountryBreakdownIndexed(g.scores, cc, layer, res)
-	}
-	return marshal(resp)
+	return marshal(ClassesResponse{Epoch: g.epoch, Layer: layer.String(), Counts: c.counts, Shares: c.shares})
 }
 
 func (g *generation) renderSPOF(n int) ([]byte, *QueryError) {

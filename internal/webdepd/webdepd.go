@@ -104,31 +104,47 @@ type model struct {
 	manifest os.FileInfo // the store's manifest as the load found it; nil for Config.Corpus
 
 	mu      sync.Mutex
-	classes map[countries.Layer]*classify.Result // a layer's provider classes, once some generation has asked
+	classes map[countries.Layer]*classes // a layer's provider classes, once some generation has asked
 }
 
-// classify returns the layer's provider classes, clustering the first time
-// a generation over this model asks; carried says a sibling's or this one's
-// earlier render already had. A classify.Result is immutable once returned.
-// The lock is not held across the kernel: two generations that ask together
-// both cluster, to equal results. Only a success is remembered.
-func (m *model) classify(layer countries.Layer) (res *classify.Result, carried bool, err error) {
+// classes is one layer's provider classification as /api/classes serves
+// it: the result, its census and every country's share of measured sites
+// per class. All three are computed together, on the first successful
+// clustering, and only read afterwards.
+type classes struct {
+	res    *classify.Result
+	counts map[classify.Class]int
+	shares map[string]map[classify.Class]float64
+}
+
+// classify returns the layer's provider classes, clustering and tallying
+// the shares the first time a generation over this model asks; carried
+// says a sibling's or this one's earlier render already had. The lock is
+// not held across the kernel: two generations that ask together both
+// cluster, to equal results. Only a success is remembered.
+func (m *model) classify(layer countries.Layer) (c *classes, carried bool, err error) {
 	m.mu.Lock()
-	res = m.classes[layer]
+	c = m.classes[layer]
 	m.mu.Unlock()
-	if res != nil {
-		return res, true, nil
+	if c != nil {
+		return c, true, nil
 	}
-	if res, err = classify.Layer(m.scores, layer, classify.DefaultOptions()); err != nil {
+	res, err := classify.Layer(m.scores, layer, classify.DefaultOptions())
+	if err != nil {
 		return nil, false, err
+	}
+	ccs := m.scores.Countries()
+	c = &classes{res: res, counts: res.Counts(), shares: make(map[string]map[classify.Class]float64, len(ccs))}
+	for _, cc := range ccs {
+		c.shares[cc] = classify.CountryBreakdownIndexed(m.scores, cc, layer, res)
 	}
 	m.mu.Lock()
 	if m.classes == nil {
-		m.classes = make(map[countries.Layer]*classify.Result, len(countries.Layers))
+		m.classes = make(map[countries.Layer]*classes, len(countries.Layers))
 	}
-	m.classes[layer] = res
+	m.classes[layer] = c
 	m.mu.Unlock()
-	return res, false, nil
+	return c, false, nil
 }
 
 // serve wraps a read model as the generation with swap id.
