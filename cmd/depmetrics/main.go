@@ -32,7 +32,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: depmetrics [-layer L] [-top N] file.csv...")
 		os.Exit(2)
 	}
-	layer, err := parseLayer(*layerName)
+	layer, err := parseFlags(*layerName, *topN)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "depmetrics:", err)
 		os.Exit(2)
@@ -45,7 +45,11 @@ func main() {
 	}
 }
 
-func parseLayer(name string) (countries.Layer, error) {
+// parseFlags resolves -layer and checks -top; its error is a usage error.
+func parseFlags(name string, topN int) (countries.Layer, error) {
+	if topN < 0 {
+		return 0, fmt.Errorf("-top needs a provider count of 0 or more, got %d", topN)
+	}
 	for _, layer := range countries.Layers {
 		if layer.String() == name {
 			return layer, nil

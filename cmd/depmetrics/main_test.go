@@ -14,13 +14,18 @@ import (
 
 func TestParseLayer(t *testing.T) {
 	for _, name := range []string{"hosting", "dns", "ca", "tld"} {
-		layer, err := parseLayer(name)
+		layer, err := parseFlags(name, 0)
 		if err != nil || layer.String() != name {
-			t.Errorf("parseLayer(%q) = %v, %v", name, layer, err)
+			t.Errorf("parseFlags(%q, 0) = %v, %v", name, layer, err)
 		}
 	}
-	if _, err := parseLayer("bogus"); err == nil {
+	if _, err := parseFlags("bogus", 5); err == nil {
 		t.Error("bogus layer accepted")
+	}
+	// A negative -top is a usage error too, not a slice-bounds panic in
+	// the report.
+	if _, err := parseFlags("hosting", -1); err == nil || !strings.Contains(err.Error(), "-top") {
+		t.Errorf("-top -1 accepted: %v", err)
 	}
 }
 

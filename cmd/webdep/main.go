@@ -386,8 +386,8 @@ func bindMerge(fs *flag.FlagSet, c *common) (body, func() error) {
 
 // bindScore exports and scores an existing on-disk corpus store without
 // building a world: CSVs are written one country at a time (only one list
-// is ever resident), and summary and graph come from symbol-ID scans — the
-// corpus is never materialized — and when both are asked for, from one scan.
+// is ever resident), and summary and graph come from one symbol-ID scan —
+// the corpus is never materialized.
 func bindScore(fs *flag.FlagSet, c *common) (body, func() error) {
 	r := bindReport(fs)
 	return func(ctx context.Context, o out) error {
@@ -400,29 +400,7 @@ func bindScore(fs *flag.FlagSet, c *common) (body, func() error) {
 		if err := writeCSVs(o, r.Out, st.Epoch(), st.Countries(), st.ReadList); err != nil {
 			return err
 		}
-		var (
-			ss    *dataset.ScoreSet
-			g     *depgraph.Graph
-			gopts = &depgraph.Options{Workers: c.Workers}
-		)
-		switch {
-		case r.Summary && r.wantGraph():
-			ss, g, err = depgraph.ScanStore(st, gopts)
-		case r.Summary:
-			ss, err = st.Score()
-		case r.wantGraph():
-			g, err = depgraph.FromStore(st, gopts)
-		}
-		if err != nil {
-			return err
-		}
-		if ss != nil {
-			printSummary(o.stdout, ss, st.Coverage())
-		}
-		if g != nil {
-			return blastRadius(o, g, r)
-		}
-		return nil
+		return summarize(o, st, st.Coverage(), r, c.Workers)
 	}, nil
 }
 
@@ -762,12 +740,43 @@ func emit(o out, corpus *dataset.Corpus, r *reporting, store string, workers int
 	if coverage != "" {
 		report.CoverageTable(o.stderr, coverage, corpus)
 	}
+	return summarize(o, corpus, corpus.CoverageByCountry, r, workers)
+}
+
+// summarize prints the surfaces r asks for — the score summary, the SPOF
+// ranking, a what-if impact — from one scan of src, in memory or on disk:
+// the graph's scan counts the scores too, so a summary beside -spof or
+// -what-if costs no second one. An unknown -what-if provider is a usage
+// error, not an empty table.
+func summarize(o out, src dataset.Source, coverage map[string]*dataset.Coverage, r *reporting, workers int) error {
+	var (
+		ss  *dataset.ScoreSet
+		g   *depgraph.Graph
+		err error
+	)
+	switch {
+	case r.wantGraph():
+		ss, g, err = depgraph.Scan(src, &depgraph.Options{Workers: workers})
+	case r.Summary:
+		ss, err = dataset.ScanScores(src, workers)
+	}
+	if err != nil {
+		return err
+	}
 	if r.Summary {
-		printSummary(o.stdout, corpus.ScoreSet(), corpus.CoverageByCountry)
+		printSummary(o.stdout, ss, coverage)
 	}
-	if r.wantGraph() {
-		return blastRadius(o, depgraph.Build(corpus, &depgraph.Options{Workers: workers}), r)
+	if r.SPOF {
+		report.SPOFTable(o.stdout, "single points of failure (top 10)", g.TopSPOFs(10))
 	}
+	if r.WhatIf == "" {
+		return nil
+	}
+	imp, err := g.Simulate(r.WhatIf)
+	if err != nil {
+		return err
+	}
+	report.ImpactTable(o.stdout, fmt.Sprintf("what-if: %s fails", r.WhatIf), imp)
 	return nil
 }
 
@@ -814,23 +823,6 @@ func exportZones(o out, dir string, w *worldgen.World) error {
 		}
 	}
 	o.logf("wrote %d zone files to %s\n", len(zones), zoneDir)
-	return nil
-}
-
-// blastRadius renders the dependency-graph surfaces behind -spof and
-// -what-if. An unknown -what-if provider is a usage error, not an empty
-// table.
-func blastRadius(o out, g *depgraph.Graph, r *reporting) error {
-	if r.SPOF {
-		report.SPOFTable(o.stdout, "single points of failure (top 10)", g.TopSPOFs(10))
-	}
-	if r.WhatIf != "" {
-		imp, err := g.Simulate(r.WhatIf)
-		if err != nil {
-			return err
-		}
-		report.ImpactTable(o.stdout, fmt.Sprintf("what-if: %s fails", r.WhatIf), imp)
-	}
 	return nil
 }
 

@@ -160,7 +160,7 @@ func equalScoreSets(t *testing.T, streamed, mem *dataset.ScoreSet) {
 
 // savedScore saves a corpus and scores it from disk, twice: through Score,
 // and through a Scan whose every block goes to the country's tally and to
-// a second observer — the shape of depgraph.ScanStore, which this package
+// a second observer — the shape of depgraph.Scan, which this package
 // cannot import (depgraph's own store tests and TestGoldenSPOFThroughStore
 // hold the graph half). The second observer must see every row and must
 // not change what the tally sees.

@@ -240,15 +240,11 @@ func (s *Store) Load() (*dataset.Corpus, error) {
 	return c, nil
 }
 
-// Scan decodes every shard once in its symbol view: the seven provider
-// columns as shard-local symbol IDs next to the shard's name table, with no
-// Website and no per-row string built, under the same parser and every
-// check StreamShard makes, on every column. Up to workers countries are
-// read at a time (0 means one per core), each country's blocks in stored
-// order. observe is called once per country — concurrently, i indexing
-// Countries() — and returns the function that country's blocks are handed
-// to; whatever it accumulates into must be private to the country. The
-// block is reused across calls; its name table is the shard's own. Each
+// Scan is the dataset.Source contract over the store: it decodes every
+// shard once in its symbol view — the seven provider columns as shard-local
+// symbol IDs next to the shard's own name table, with no Website and no
+// per-row string built — under the same parser and every check StreamShard
+// makes, on every column, each country's blocks in stored order. Each
 // worker reads all its shards through one shardReader, handed from a
 // finished shard to the next through a channel private to this call: two
 // scans share no buffer, and a finished scan keeps none.
@@ -274,20 +270,12 @@ func (s *Store) Scan(workers int, observe func(i int, cc string) func(*dataset.S
 }
 
 // Score streams every shard's symbol columns into per-country tallies and
-// merges them into a ScoreSet — the same frozen surface an in-memory Corpus
-// exposes, with bit-identical numbers, while holding only one decoded
-// block per concurrent shard plus the tallies themselves.
+// merges them into a ScoreSet (dataset.ScanScores, as a Corpus builds its
+// index) — the same frozen surface, with bit-identical numbers, while
+// holding only one decoded block per concurrent shard plus the tallies.
 func (s *Store) Score() (*dataset.ScoreSet, error) {
 	sp := obs.StartSpan(s.m.scoreMS)
-	tallies := make([]*dataset.CountryTally, len(s.byCC))
-	err := s.Scan(s.workers, func(i int, cc string) func(*dataset.SymbolBlock) {
-		tallies[i] = dataset.NewCountryTally(cc)
-		return tallies[i].ObserveBlock
-	})
-	if err != nil {
-		return nil, err
-	}
-	ss, err := dataset.BuildScoreSet(tallies)
+	ss, err := dataset.ScanScores(s, s.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -16,8 +16,8 @@ import (
 // This file implements the corpus's columnar scoring index: every
 // ScoreSet entry point (Scores, Insularities, GlobalDistribution,
 // UsageMatrix, UsageCurves, DistributionOf) reads from one immutable
-// structure built from one CountryTally per country — the tally a store
-// scan fills from shard blocks, here fed the corpus's rows — in a single
+// structure built from one CountryTally per country — filled by one
+// Corpus.Scan, through the ScanScores a store's Score uses — in a single
 // parallel pass, instead of re-scanning the corpus per call. The scoring
 // rules exist once, on symbol IDs (CountryTally.observe). The index is
 // built lazily behind a double-checked atomic pointer, so the first scoring
@@ -97,9 +97,9 @@ type scoringIndex struct {
 	layers    [numLayers]layerIndex
 }
 
-// index returns the corpus's scoring index, building it on first use.
-// Concurrent callers during a build serialize on buildMu; the fast path
-// after a build is one atomic load.
+// index returns the corpus's scoring index, building it on first use from
+// one scan of the corpus's own rows. Concurrent callers during a build
+// serialize on buildMu; the fast path after a build is one atomic load.
 func (c *Corpus) index() *scoringIndex {
 	if idx := c.scoring.Load(); idx != nil {
 		return idx
@@ -109,9 +109,16 @@ func (c *Corpus) index() *scoringIndex {
 	if idx := c.scoring.Load(); idx != nil {
 		return idx
 	}
-	idx := c.buildIndex()
-	c.scoring.Store(idx)
-	return idx
+	ss, err := ScanScores(c, c.Workers)
+	if err != nil {
+		// A corpus scan cannot fail and a RowTable names each provider
+		// once. Panicking — rather than a silent `_ =` discard — means a
+		// future fallible extraction fails loudly instead of zero-filling
+		// every score.
+		panic(fmt.Sprintf("dataset: scoring-index extraction failed: %v", err))
+	}
+	c.scoring.Store(ss.idx)
+	return ss.idx
 }
 
 // InvalidateScoringIndex drops the cached scoring index so the next
@@ -120,44 +127,18 @@ func (c *Corpus) index() *scoringIndex {
 // place (tests, benchmarks) must call it themselves.
 func (c *Corpus) InvalidateScoringIndex() { c.scoring.Store(nil) }
 
-// buildIndex builds the index in one parallel pass over the corpus: each
-// worker feeds one country's website rows to a CountryTally and builds that
-// country's columns from it.
-func (c *Corpus) buildIndex() *scoringIndex {
-	ccs := c.Countries()
-	idx, err := indexTallies(ccs, c.Workers, func(i int) *CountryTally {
-		list := c.Lists[ccs[i]]
-		t := NewCountryTally(list.Country)
-		for j := range list.Sites {
-			t.Observe(&list.Sites[j])
-		}
-		return t
-	})
-	if err != nil {
-		// The column build is infallible, the context is never cancelled
-		// (the invariant TestScoringExtractionCannotFail pins down), and a
-		// RowTable names each provider once. Panicking — rather than a
-		// silent `_ =` discard — means a future fallible extraction fails
-		// loudly instead of zero-filling every score.
-		panic(fmt.Sprintf("dataset: scoring-index extraction failed: %v", err))
-	}
-	return idx
-}
-
-// indexTallies builds the immutable index from per-country tallies. ccs
-// must be sorted; tally(i) returns country i's tally, done observing.
-// Calling it and turning the tally into the country's four columns — rank,
-// frozen Distribution, score, insularity — run on one of up to workers
-// goroutines (0 means one per core) per country. The symbol intern and the
-// global distributions run on the calling goroutine in (layer, country,
-// rank) order, so the same tallies always produce the same table — whether
-// they counted in-memory rows or a streamed shard, on any worker count. A
-// tally whose table names one provider under two IDs is refused.
-func indexTallies(ccs []string, workers int, tally func(i int) *CountryTally) (*scoringIndex, error) {
-	ts := make([]*CountryTally, len(ccs))
-	cols, err := parallel.Map(context.Background(), workers, len(ccs),
+// indexTallies builds a ScoreSet from per-country tallies, done observing,
+// in sorted country order with no country twice. Turning a tally into the
+// country's four columns — rank, frozen Distribution, score, insularity —
+// runs on one of up to workers goroutines (0 means one per core) per
+// country. The symbol intern and the global distributions run on the
+// calling goroutine in (layer, country, rank) order, so the same tallies
+// always produce the same table — whether they counted in-memory rows or a
+// streamed shard, on any worker count. A tally whose table names one
+// provider under two IDs is refused.
+func indexTallies(ts []*CountryTally, workers int) (*ScoreSet, error) {
+	cols, err := parallel.Map(context.Background(), workers, len(ts),
 		func(_ context.Context, i int) (out [numLayers]countryCol, _ error) {
-			ts[i] = tally(i)
 			for l := range out {
 				ts[i].buildCol(&out[l], l)
 			}
@@ -166,13 +147,11 @@ func indexTallies(ccs []string, workers int, tally func(i int) *CountryTally) (*
 	if err != nil {
 		return nil, err
 	}
-	idx := &scoringIndex{
-		countries: ccs,
-		pos:       make(map[string]int, len(ccs)),
-		providers: newSymtab(),
-	}
-	for i, cc := range ccs {
-		idx.pos[cc] = i
+	ccs := make([]string, len(ts))
+	idx := &scoringIndex{countries: ccs, pos: make(map[string]int, len(ts)), providers: newSymtab()}
+	for i, t := range ts {
+		ccs[i] = t.country
+		idx.pos[t.country] = i
 	}
 	var (
 		placed []int // symbol -> the last column, numbered from 1, it joined
@@ -228,7 +207,7 @@ func indexTallies(ccs []string, workers int, tally func(i int) *CountryTally) (*
 			ly.cols[i].rank = r + 1
 		}
 	}
-	return idx, nil
+	return &ScoreSet{idx: idx}, nil
 }
 
 // globalDistribution freezes a layer's corpus-wide counts: the symbols it

@@ -196,7 +196,7 @@ func TestIndexMatchesPerListComputation(t *testing.T) {
 	}
 }
 
-// TestScoringExtractionCannotFail pins the invariant buildIndex relies on
+// TestScoringExtractionCannotFail pins the invariant the index build relies on
 // when it panics instead of propagating parallel.Map's error: with a
 // background (never-cancelled) context and an infallible fn, Map returns a
 // nil error at every worker count. A fallible fn, by contrast, does

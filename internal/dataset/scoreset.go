@@ -94,18 +94,28 @@ func (c *Corpus) ScoreSet() *ScoreSet { return &ScoreSet{idx: c.index()} }
 func BuildScoreSet(tallies []*CountryTally) (*ScoreSet, error) {
 	ordered := append([]*CountryTally(nil), tallies...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].country < ordered[j].country })
-	ccs := make([]string, len(ordered))
-	for i, t := range ordered {
-		if i > 0 && ccs[i-1] == t.country {
-			return nil, fmt.Errorf("dataset: duplicate tally for country %s", t.country)
+	for i := 1; i < len(ordered); i++ {
+		if ordered[i-1].country == ordered[i].country {
+			return nil, fmt.Errorf("dataset: duplicate tally for country %s", ordered[i].country)
 		}
-		ccs[i] = t.country
 	}
-	idx, err := indexTallies(ccs, 0, func(i int) *CountryTally { return ordered[i] })
+	return indexTallies(ordered, 0)
+}
+
+// ScanScores scans src once into one CountryTally per country and merges
+// them into a ScoreSet, up to workers countries at a time (0 means one per
+// core) in the scan and in the merge. It is how a Corpus builds its index
+// and how Store.Score reads a store, so the two are bit-identical.
+func ScanScores(src Source, workers int) (*ScoreSet, error) {
+	tallies := make([]*CountryTally, len(src.Countries()))
+	err := src.Scan(workers, func(i int, cc string) func(*SymbolBlock) {
+		tallies[i] = NewCountryTally(cc)
+		return tallies[i].ObserveBlock
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &ScoreSet{idx: idx}, nil
+	return indexTallies(tallies, workers)
 }
 
 // Countries returns the set's country codes in sorted order.

@@ -1,11 +1,13 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
 
 	"github.com/webdep/webdep/internal/countries"
+	"github.com/webdep/webdep/internal/parallel"
 )
 
 // SymbolColumn names one of the interned provider columns a SymbolBlock
@@ -52,7 +54,7 @@ var layerSymbols = [numLayers]struct{ provider, country SymbolColumn }{
 }
 
 // RowTable interns Website rows for a tally: each row's seven SymbolColumn
-// fields become a one-row SymbolBlock over the table's own names, IDs in
+// fields become one row of a SymbolBlock over the table's own names, IDs in
 // first-seen order. The table only grows, so the blocks one RowTable hands
 // out form one stream, as a store shard's do, and each name has one ID. The
 // zero value is ready to use; the returned block is reused by the next
@@ -64,12 +66,35 @@ type RowTable struct {
 
 // Block interns w's symbol fields and returns them as a one-row block.
 func (t *RowTable) Block(w *Website) *SymbolBlock {
+	if len(t.block.Cols[0]) != 1 {
+		t.resize(1)
+	}
+	t.intern(0, w)
+	return &t.block
+}
+
+// Rows interns every row of ws, in order, and returns them as one block.
+func (t *RowTable) Rows(ws []Website) *SymbolBlock {
+	t.resize(len(ws))
+	for i := range ws {
+		t.intern(i, &ws[i])
+	}
+	return &t.block
+}
+
+// resize makes the block n rows long, reusing its columns where they fit.
+func (t *RowTable) resize(n int) {
 	if t.ids == nil {
 		t.ids = make(map[string]uint32)
-		for c := range t.block.Cols {
-			t.block.Cols[c] = make([]uint32, 1)
-		}
 	}
+	for c, col := range t.block.Cols {
+		t.block.Cols[c] = slices.Grow(col[:0], n)[:n]
+	}
+}
+
+// intern writes w's symbol IDs into row i of the block, naming each string
+// not yet in the table with the next ID.
+func (t *RowTable) intern(i int, w *Website) {
 	for c, s := range [NumSymbolColumns]string{
 		SymHostProvider: w.HostProvider, SymHostProviderCountry: w.HostProviderCountry,
 		SymDNSProvider: w.DNSProvider, SymDNSProviderCountry: w.DNSProviderCountry,
@@ -82,9 +107,33 @@ func (t *RowTable) Block(w *Website) *SymbolBlock {
 			t.ids[s] = id
 			t.block.Names = append(t.block.Names, s)
 		}
-		t.block.Cols[c][0] = id
+		t.block.Cols[c][i] = id
 	}
-	return &t.block
+}
+
+// Source is a corpus the tallies read as symbol blocks: a Corpus in memory
+// or a corpus store on disk. Scan hands each country's rows, in order, as
+// blocks of one stream, to the function observe returns for it; observe is
+// called once per country — concurrently, up to workers at a time (0 means
+// one per core), i indexing the sorted Countries() — and what it
+// accumulates into must be the country's own. A block is reused.
+type Source interface {
+	Countries() []string
+	Scan(workers int, observe func(i int, cc string) func(*SymbolBlock)) error
+}
+
+// Scan is the Source contract over the corpus's rows: each list, under its
+// key in Lists, is interned by a RowTable of its own into one block, and a
+// list with no sites hands over none, as an empty shard does. It never fails.
+func (c *Corpus) Scan(workers int, observe func(i int, cc string) func(*SymbolBlock)) error {
+	ccs := c.Countries()
+	return parallel.ForEachIndexed(context.Background(), workers, len(ccs), func(_ context.Context, i int) error {
+		block := observe(i, ccs[i])
+		if sites := c.Lists[ccs[i]].Sites; len(sites) > 0 {
+			block(new(RowTable).Rows(sites))
+		}
+		return nil
+	})
 }
 
 // Observe folds one website row into the tally: the tally's RowTable

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -170,5 +171,70 @@ func TestRowTableIsOneStream(t *testing.T) {
 	}
 	if want := []string{"HostA", "US", "", "com", "DNSX", "DE", "de"}; !reflect.DeepEqual(last, want) {
 		t.Fatalf("table %q, want each string once in first-seen order %q", last, want)
+	}
+}
+
+// TestCorpusScanContract holds Corpus.Scan to the Source contract a store's
+// Scan keeps: observe once per country, in Countries() order; each
+// country's blocks one stream whose IDs name its rows, in order; every row
+// counted once, in fewer blocks than rows; and a country with no sites
+// observed but handed nothing, as an empty shard is.
+func TestCorpusScanContract(t *testing.T) {
+	withEmpty := syntheticCorpus(3, []string{"TH", "US"}, 40)
+	withEmpty.Add(&CountryList{Country: "JP", Epoch: withEmpty.Epoch})
+	for name, corpus := range map[string]*Corpus{
+		"three countries": syntheticCorpus(7, []string{"TH", "IR", "US"}, 120),
+		"one country":     syntheticCorpus(5, []string{"CZ"}, 9),
+		"a zero-site one": withEmpty,
+		"no countries":    NewCorpus("2023-05"),
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			ccs := corpus.Countries()
+			var (
+				calls  = make([]int, len(ccs))
+				blocks = make([]int, len(ccs))
+				rows   = make([]int, len(ccs))
+				bad    = make([]string, len(ccs))
+			)
+			err := corpus.Scan(workers, func(i int, cc string) func(*SymbolBlock) {
+				calls[i]++
+				if cc != ccs[i] {
+					bad[i] = fmt.Sprintf("observe(%d, %q), want %q", i, cc, ccs[i])
+				}
+				var last []string
+				sites := corpus.Lists[cc].Sites
+				return func(b *SymbolBlock) {
+					if len(b.Names) < len(last) || !slices.Equal(b.Names[:len(last)], last) {
+						bad[i] = fmt.Sprintf("table %q does not extend %q", b.Names, last)
+					}
+					last = slices.Clone(b.Names)
+					for r := 0; r < b.Rows(); r++ {
+						w := &sites[rows[i]+r]
+						if b.Names[b.Cols[SymHostProvider][r]] != w.HostProvider || b.Names[b.Cols[SymTLD][r]] != w.TLD {
+							bad[i] = fmt.Sprintf("row %d does not name %s's row %d", r, cc, rows[i]+r)
+						}
+					}
+					blocks[i]++
+					rows[i] += b.Rows()
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s, %d workers: Scan = %v", name, workers, err)
+			}
+			total, delivered := 0, 0
+			for i, cc := range ccs {
+				if calls[i] != 1 || bad[i] != "" {
+					t.Errorf("%s, %d workers, %s: observed %d times; %s", name, workers, cc, calls[i], bad[i])
+				}
+				total += rows[i]
+				delivered += blocks[i]
+				if n := len(corpus.Lists[cc].Sites); rows[i] != n || (n == 0 && blocks[i] != 0) || (n > 1 && blocks[i] >= n) {
+					t.Errorf("%s, %d workers, %s: %d rows in %d blocks, want its %d rows in fewer blocks", name, workers, cc, rows[i], blocks[i], n)
+				}
+			}
+			if total != corpus.TotalSites() || (total > 1 && delivered >= total) {
+				t.Errorf("%s, %d workers: %d rows in %d blocks, want TotalSites %d in fewer", name, workers, total, delivered, corpus.TotalSites())
+			}
+		}
 	}
 }

@@ -107,35 +107,17 @@ func (t *Tally) observe(b *dataset.SymbolBlock) {
 	}
 }
 
-// Build constructs the graph from an in-memory corpus in one parallel
-// pass over the rows (one tally per country) plus a deterministic merge.
+// Build constructs the graph from an in-memory corpus: one Corpus.Scan
+// into one tally per country, plus a deterministic merge.
 func Build(c *dataset.Corpus, opts *Options) *Graph {
-	opts = opts.orDefault()
-	m := newMetrics(opts.Obs)
-	sp := obs.StartSpan(m.buildMS)
-	ccs := c.Countries()
-	tallies, err := parallel.Map(context.Background(), opts.Workers, len(ccs),
-		func(_ context.Context, i int) (*Tally, error) {
-			t := NewTally(ccs[i])
-			list := c.Lists[ccs[i]]
-			for j := range list.Sites {
-				t.Observe(&list.Sites[j])
-			}
-			return t, nil
-		})
+	_, g, err := scan(c, opts, false)
 	if err != nil {
-		// The extraction is infallible and the context is never cancelled;
-		// mirror the scoring index's loud-failure stance rather than
-		// returning a zero graph.
-		panic(fmt.Sprintf("depgraph: corpus extraction failed: %v", err))
+		// A corpus scan cannot fail, and its blocks name each provider
+		// once, so the merge cannot refuse these tallies; mirror the
+		// scoring index's loud-failure stance rather than returning a
+		// zero graph.
+		panic(fmt.Sprintf("depgraph: corpus build failed: %v", err))
 	}
-	g, err := merge(tallies, opts.Workers, m)
-	if err != nil {
-		// A corpus keys lists by country and a tally's own table names
-		// each provider once, so the merge cannot refuse these tallies.
-		panic(fmt.Sprintf("depgraph: corpus merge failed: %v", err))
-	}
-	sp.End()
 	return g
 }
 
@@ -144,39 +126,40 @@ func Build(c *dataset.Corpus, opts *Options) *Graph {
 // the only resident state, never the corpus or a row of it. The result is
 // bit-identical to Build over the materialized rows.
 func FromStore(st *corpusstore.Store, opts *Options) (*Graph, error) {
-	opts = opts.orDefault()
-	m := newMetrics(opts.Obs)
-	sp := obs.StartSpan(m.buildMS)
-	tallies, err := scanTallies(st, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return mergeTimed(tallies, opts.Workers, m, sp)
+	_, g, err := scan(st, opts, false)
+	return g, err
 }
 
-// ScanStore is FromStore and Store.Score in one decode: every block feeds
-// the country's one tally, whose scoring tally counts the providers the
-// graph and the scores share, so a caller that wants both surfaces — the
-// serving daemon, score -spof — reads and counts the store once. The two
-// serial tails, the graph merge and the scoring index build, only read the
-// tallies and run side by side when opts.Workers allows. Both results are
-// bit-identical to the separate calls at any worker count.
-func ScanStore(st *corpusstore.Store, opts *Options) (*dataset.ScoreSet, *Graph, error) {
+// Scan is the graph build and dataset.ScanScores in one pass over src:
+// every block feeds the country's one tally, whose scoring tally counts the
+// providers the graph and the scores share, so a caller that wants both
+// surfaces — the serving daemon, webdep's summary beside -spof — reads and
+// counts the corpus once, in memory or on disk. The two serial tails, the
+// graph merge and the scoring index build, only read the tallies and run
+// side by side when opts.Workers allows. Both results are bit-identical to
+// the separate calls at any worker count.
+func Scan(src dataset.Source, opts *Options) (*dataset.ScoreSet, *Graph, error) {
+	return scan(src, opts, true)
+}
+
+// scan is one scan of src into tallies, then the graph merge and, when
+// withScores, the score-set build beside it.
+func scan(src dataset.Source, opts *Options, withScores bool) (ss *dataset.ScoreSet, g *Graph, err error) {
 	opts = opts.orDefault()
 	m := newMetrics(opts.Obs)
 	sp := obs.StartSpan(m.buildMS)
-	tallies, err := scanTallies(st, opts.Workers)
+	tallies, err := scanTallies(src, opts.Workers)
 	if err != nil {
 		return nil, nil, err
+	}
+	if !withScores {
+		g, err = mergeTimed(tallies, opts.Workers, m, sp)
+		return nil, g, err
 	}
 	scores := make([]*dataset.CountryTally, len(tallies))
 	for i, t := range tallies {
 		scores[i] = t.scores
 	}
-	var (
-		ss *dataset.ScoreSet
-		g  *Graph
-	)
 	err = parallel.ForEachIndexed(context.Background(), opts.Workers, 2, func(_ context.Context, i int) (err error) {
 		if i == 0 {
 			g, err = mergeTimed(tallies, opts.Workers, m, sp)
@@ -191,11 +174,11 @@ func ScanStore(st *corpusstore.Store, opts *Options) (*dataset.ScoreSet, *Graph,
 	return ss, g, nil
 }
 
-// scanTallies fills one tally per country, aligned with st.Countries(),
-// from one Store.Scan.
-func scanTallies(st *corpusstore.Store, workers int) ([]*Tally, error) {
-	tallies := make([]*Tally, len(st.Countries()))
-	err := st.Scan(workers, func(i int, cc string) func(*dataset.SymbolBlock) {
+// scanTallies fills one tally per country, aligned with src.Countries(),
+// from one src.Scan.
+func scanTallies(src dataset.Source, workers int) ([]*Tally, error) {
+	tallies := make([]*Tally, len(src.Countries()))
+	err := src.Scan(workers, func(i int, cc string) func(*dataset.SymbolBlock) {
 		tallies[i] = NewTally(cc)
 		return tallies[i].ObserveBlock
 	})

@@ -241,14 +241,17 @@ func TestFromStoreMatchesCorpusBuild(t *testing.T) {
 	// The combined scan feeds each block to one tally per country, and
 	// that tally's scoring tally also feeds the score set; the graph merge
 	// and the index build over those tallies may not notice each other,
-	// whether they run one after the other (one worker) or side by side.
+	// whether they run one after the other (one worker) or side by side,
+	// nor tell a store's blocks from the corpus's own.
 	for _, workers := range []int{1, 2, 8} {
-		scores, scanned, err := ScanStore(st, &Options{Workers: workers, Obs: obs.NewRegistry()})
-		if err != nil {
-			t.Fatalf("ScanStore with %d workers: %v", workers, err)
+		for name, src := range map[string]dataset.Source{"store": st, "corpus": corpus} {
+			scores, scanned, err := Scan(src, &Options{Workers: workers, Obs: obs.NewRegistry()})
+			if err != nil {
+				t.Fatalf("Scan of the %s with %d workers: %v", name, workers, err)
+			}
+			equalGraphs(t, scanned, want)
+			equalScores(t, scores, corpus.ScoreSet())
 		}
-		equalGraphs(t, scanned, want)
-		equalScores(t, scores, corpus.ScoreSet())
 	}
 
 	// Both merges rank on workers and intern on the caller: the same

@@ -64,7 +64,7 @@ func TestFromStoreMatchesBuildOnHostileCorpora(t *testing.T) {
 		}
 		want := Build(corpus, &Options{Obs: obs.NewRegistry()})
 		equalGraphs(t, got, want)
-		scores, scanned, err := ScanStore(st, &Options{Obs: obs.NewRegistry()})
+		scores, scanned, err := Scan(st, &Options{Obs: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestMergeRefusesDuplicateNames(t *testing.T) {
 
 // TestDuplicateNameShardRefusedOnEveryRoute: a checksum-clean shard whose
 // symbol table names one provider under two IDs gets one answer from every
-// reader — Store.Score, Store.Load, FromStore and ScanStore all return the
+// reader — Store.Score, Store.Load, FromStore and Scan all return the
 // decoder's *CorruptError, at the block's offset — never a score from one
 // route and a refusal from another.
 func TestDuplicateNameShardRefusedOnEveryRoute(t *testing.T) {
@@ -261,7 +261,7 @@ func TestDuplicateNameShardRefusedOnEveryRoute(t *testing.T) {
 		"Store.Score": func() error { _, err := st.Score(); return err },
 		"Store.Load":  func() error { _, err := st.Load(); return err },
 		"FromStore":   func() error { _, err := FromStore(st, opts); return err },
-		"ScanStore":   func() error { _, _, err := ScanStore(st, opts); return err },
+		"Scan":        func() error { _, _, err := Scan(st, opts); return err },
 	} {
 		var ce *corpusstore.CorruptError
 		if err := route(); !errors.As(err, &ce) {

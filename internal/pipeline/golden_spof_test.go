@@ -160,7 +160,7 @@ func TestGoldenSPOF(t *testing.T) {
 // SAME frozen fixture, never regenerated: the graph built by streaming
 // shards from an on-disk store must be indistinguishable from the graph
 // built from the materialized corpus — alone (FromStore) or beside the
-// scoring tally in the combined scan the daemon loads through (ScanStore),
+// scoring tally in the combined scan the daemon loads through (depgraph.Scan),
 // whose scores are held to the golden score file in the same breath.
 func TestGoldenSPOFThroughStore(t *testing.T) {
 	st := storeGolden(t, 0)
@@ -170,7 +170,7 @@ func TestGoldenSPOFThroughStore(t *testing.T) {
 	}
 	compareSPOFFiles(t, spofFileFrom(g), "store-streamed build")
 
-	ss, g, err := depgraph.ScanStore(st, &depgraph.Options{Obs: obs.NewRegistry()})
+	ss, g, err := depgraph.Scan(st, &depgraph.Options{Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

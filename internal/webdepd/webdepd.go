@@ -7,11 +7,11 @@
 // function of per-(country, layer) provider counts, so a generation is a
 // read model of exactly that: the frozen scoring surface
 // (dataset.ScoreSet), the provider dependency graph, the coverage
-// accounting and the site count. A store is turned into one by a single
-// symbol-ID scan feeding one tally per country (depgraph.ScanStore); an in-memory
-// corpus by its scoring index and depgraph.Build, once, at Start. The
-// renderers have one code path and cannot tell which source it was, and
-// the resident set is O(providers × countries), not O(sites).
+// accounting and the site count. A source — a store, or an in-memory corpus
+// at Start — is turned into one by a single symbol-ID scan feeding one
+// tally per country (depgraph.Scan). The renderers have one code path and
+// cannot tell which source it was, and the resident set is
+// O(providers × countries), not O(sites).
 //
 // The perf core is a pre-serialized response cache. Every endpoint's JSON
 // body is a pure function of the generation, so it is rendered to bytes
@@ -154,15 +154,13 @@ func (d *Daemon) serve(m *model, id int64) *generation {
 	return g
 }
 
-// corpusModel snapshots an in-memory corpus. The scoring surface and the
-// graph are frozen copies by construction; the coverage map is mutated in
-// place by SetCoverage, and its values by a crawl still running, so both
-// are copied.
-func corpusModel(c *dataset.Corpus, label string, workers int) *model {
-	m := &model{
+// corpusModel snapshots an in-memory corpus, scanning its rows once into
+// both surfaces, as a store is. The scoring surface and the graph are frozen
+// copies by construction; the coverage map is mutated in place by
+// SetCoverage, and its values by a crawl still running, so both are copied.
+func corpusModel(c *dataset.Corpus, label string, workers int) (m *model, err error) {
+	m = &model{
 		label: label, epoch: c.Epoch,
-		scores:   c.ScoreSet(),
-		graph:    depgraph.Build(c, &depgraph.Options{Workers: workers}),
 		coverage: make(map[string]*dataset.Coverage, len(c.CoverageByCountry)),
 		sites:    c.TotalSites(),
 	}
@@ -170,7 +168,8 @@ func corpusModel(c *dataset.Corpus, label string, workers int) *model {
 		own := *cov
 		m.coverage[cc] = &own
 	}
-	return m
+	m.scores, m.graph, err = depgraph.Scan(c, &depgraph.Options{Workers: workers})
+	return m, err
 }
 
 // metrics holds the daemon's SLO surfaces, pre-resolved so the hit path
@@ -251,14 +250,13 @@ func Start(addr string, cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{storeRoot: cfg.StoreRoot, workers: cfg.Workers, m: newMetrics(reg)}
 
-	var m *model
+	load := d.loadModel
 	if cfg.Corpus != nil {
-		m = corpusModel(cfg.Corpus, "memory", cfg.Workers)
-	} else {
-		var err error
-		if m, err = d.loadModel(nil); err != nil {
-			return nil, err
-		}
+		load = func(*model) (*model, error) { return corpusModel(cfg.Corpus, "memory", cfg.Workers) }
+	}
+	m, err := load(nil)
+	if err != nil {
+		return nil, err
 	}
 	d.gen.Store(d.serve(m, 0))
 
@@ -342,7 +340,7 @@ func (d *Daemon) reload() (*generation, error) {
 // otherwise it scans the store, once, into both surfaces. The manifest's
 // coverage map is immutable after Open and its row counts are cross-checked
 // against the decoded rows by the scan, so both are used as they are.
-func (d *Daemon) loadModel(serving *model) (*model, error) {
+func (d *Daemon) loadModel(serving *model) (m *model, err error) {
 	dir, label, err := corpusstore.LatestGeneration(d.storeRoot)
 	if err != nil {
 		return nil, err
@@ -361,17 +359,14 @@ func (d *Daemon) loadModel(serving *model) (*model, error) {
 	if err != nil {
 		return nil, err
 	}
-	scores, graph, err := depgraph.ScanStore(st, &depgraph.Options{Workers: d.workers})
-	if err != nil {
-		return nil, err
-	}
-	return &model{
+	m = &model{
 		label: label, epoch: st.Epoch(),
-		scores: scores, graph: graph,
 		coverage: st.Coverage(),
 		sites:    int(st.TotalSites()),
 		manifest: manifest,
-	}, nil
+	}
+	m.scores, m.graph, err = depgraph.Scan(st, &depgraph.Options{Workers: d.workers})
+	return m, err
 }
 
 // sameFile says two stats of a store's manifest saw one file, unmodified. A

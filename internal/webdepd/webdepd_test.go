@@ -68,7 +68,11 @@ func get(t testing.TB, d *Daemon, path string) (int, []byte) {
 // under test.
 func direct(c *dataset.Corpus, label string, id int64) *generation {
 	d := &Daemon{m: newMetrics(obs.NewRegistry())}
-	return d.serve(corpusModel(c, label, 0), id)
+	m, err := corpusModel(c, label, 0)
+	if err != nil {
+		panic(err)
+	}
+	return d.serve(m, id)
 }
 
 var testCCs = []string{"US", "DE", "JP", "IN"}
