@@ -246,3 +246,22 @@ func TestUsageCurvesMatchUsageMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestEachScoreWalksTheMapsInOrder holds EachScore to Scores and
+// Insularities: every country once, in sorted order, with the same values.
+func TestEachScoreWalksTheMapsInOrder(t *testing.T) {
+	ss := syntheticCorpus(11, []string{"US", "TH", "DE", "CZ", "IR"}, 120).ScoreSet()
+	for _, layer := range countries.Layers {
+		scores, ins := ss.Scores(layer), ss.Insularities(layer)
+		var walked []string
+		ss.EachScore(layer, func(cc string, score, insularity float64) {
+			walked = append(walked, cc)
+			if score != scores[cc] || insularity != ins[cc] {
+				t.Errorf("%s %s: EachScore gives (%v, %v), the maps (%v, %v)", layer, cc, score, insularity, scores[cc], ins[cc])
+			}
+		})
+		if want := ss.Countries(); !reflect.DeepEqual(walked, want) {
+			t.Errorf("%s: EachScore walks %v, want %v", layer, walked, want)
+		}
+	}
+}

@@ -135,6 +135,16 @@ func (s *ScoreSet) Insularities(layer countries.Layer) map[string]float64 {
 	return maps.Clone(s.idx.layers[layer].insular)
 }
 
+// EachScore calls fn with every country's score and insularity at the
+// layer, in sorted country order — the entries of Scores and Insularities,
+// read from the index's columns with no map built or sorted.
+func (s *ScoreSet) EachScore(layer countries.Layer, fn func(country string, score, insularity float64)) {
+	cols := s.idx.layers[layer].cols
+	for i, cc := range s.idx.countries {
+		fn(cc, cols[i].score, cols[i].ins.Fraction())
+	}
+}
+
 // Standing is one country's place at one layer of a ScoreSet.
 type Standing struct {
 	Score      float64

@@ -53,10 +53,10 @@ func BenchmarkCachedHitParallel(b *testing.B) {
 }
 
 // BenchmarkColdRender prices what a cache miss pays, one sub-benchmark per
-// query shape of a dashboard: the render from the read model and the JSON
-// encode. The classes shape is the carried one — the read model already
-// holds the clustering, as after a reload of an unchanged store. The
-// hit/miss ratio of these and BenchmarkCachedHit is the cache's value.
+// query shape of a dashboard: the body appended from the read model. The
+// classes shape is the carried one — the read model already holds the
+// clustering, as after a reload of an unchanged store. The hit/miss ratio
+// of these and BenchmarkCachedHit is the cache's value.
 func BenchmarkColdRender(b *testing.B) {
 	corpus := worldCorpus(b, 42, 400, []string{"US", "DE", "JP", "IN", "BR", "FR"})
 	g := direct(corpus, "memory", 0)
@@ -68,6 +68,9 @@ func BenchmarkColdRender(b *testing.B) {
 		{"spof-10", "/api/spof", "n=10"},
 		{"classes-carried", "/api/classes", "layer=hosting"},
 		{"what-if", "/api/what-if", "provider=" + url.QueryEscape(top)},
+		{"rankcurve", "/api/rankcurve", "layer=hosting&country=DE"},
+		{"coverage", "/api/coverage", ""},
+		{"epoch", "/api/epoch", ""},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			q, qerr := ParseQuery(shape.path, shape.query)

@@ -1,6 +1,9 @@
 package webdepd
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -68,6 +71,45 @@ func FuzzQueryParse(f *testing.F) {
 		}
 		if key := q.Key(); key == "" || len(key) > maxProviderLen+20 {
 			t.Fatalf("cache key %q out of bounds", key)
+		}
+	})
+}
+
+// FuzzBodyWriter holds the body writer's strings and floats to
+// encoding/json's: for any string and any finite float, the bytes appended
+// are json.Marshal's, and a non-finite float is a 500, not bytes. The seeds
+// are the oracle test's escaping and format-boundary cases, so plain go test
+// runs them.
+func FuzzBodyWriter(f *testing.F) {
+	for i, s := range escapeNames {
+		f.Add(s, boundaryFloats[i%len(boundaryFloats)])
+	}
+	for _, v := range boundaryFloats {
+		f.Add("plain", v)
+	}
+	f.Add("", math.NaN())
+	f.Add("US", math.Inf(1))
+	f.Add("DE", math.Inf(-1))
+
+	f.Fuzz(func(t *testing.T, s string, v float64) {
+		w := newBody()
+		w.str(s)
+		w.float(v)
+		got, qerr := w.finish()
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			if qerr == nil || qerr.Status != 500 {
+				t.Fatalf("%v: got body %q, error %v; want a 500", v, got, qerr)
+			}
+			return
+		}
+		if qerr != nil {
+			t.Fatalf("(%q, %v): %v", s, v, qerr)
+		}
+		js, _ := json.Marshal(s)
+		jf, _ := json.Marshal(v)
+		want := append(append(append(js, ','), jf...), '\n')
+		if !bytes.Equal(got, want) {
+			t.Fatalf("(%q, %v): got %s, want %s", s, v, got, want)
 		}
 	})
 }

@@ -1,9 +1,9 @@
 package webdepd
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 
 	"github.com/webdep/webdep/internal/classify"
 	"github.com/webdep/webdep/internal/countries"
@@ -19,11 +19,24 @@ import (
 // an in-memory corpus and from a store, and re-renders from an
 // independently measured corpus, and the bytes must match.
 //
-// Determinism: bodies are produced by encoding/json over structs and
-// maps. Go marshals map keys in sorted order, and every float in the read
+// Determinism: bodies are appended by a bodyWriter straight from the read
+// model, not produced by encoding/json, but byte for byte as encoding/json
+// would marshal the *Response type below: struct members in declaration
+// order, map members in sorted key order, strings escaped and floats
+// formatted by its rules. The read model keeps its columns in that order —
+// the scoring index's countries are sorted, the classes memo sorts its
+// census and shares once — so a render walks them, and sorts only the
+// coverage map's codes. TestBodiesMatchEncodingJSON holds every shape to
+// encoding/json's marshalling of the filled type. Every float in the read
 // model is a deterministic pure function of the rows (the golden-corpus
 // invariant), so one corpus renders one byte sequence whichever source it
 // was built from.
+//
+// The *Response types are the decode contract: clients and the benchmark
+// unmarshal bodies into them, and the tests marshal them as the reference
+// encoding. A fixed-shape renderer fills its type and writes it member by
+// member; the scores and classes renderers write their maps' members from
+// the read model's ordered columns, so only the tests build those maps.
 
 // LayerScores is one layer's per-country metrics inside an all-layers
 // scores response.
@@ -147,36 +160,61 @@ func (g *generation) render(q Query) ([]byte, *QueryError) {
 	}
 }
 
-// marshal encodes a response body. Marshal failures are a programming
-// error (every response type is JSON-encodable), surfaced as a 500 rather
-// than a panic so one bad render cannot take the daemon down.
-func marshal(v any) ([]byte, *QueryError) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, &QueryError{Status: http.StatusInternalServerError,
-			Msg: fmt.Sprintf("encoding response: %v", err)}
-	}
-	return append(b, '\n'), nil
-}
-
 func (g *generation) renderAllScores() ([]byte, *QueryError) {
-	resp := AllScoresResponse{Epoch: g.epoch, Layers: make(map[string]LayerScores, len(countries.Layers))}
-	for _, layer := range countries.Layers {
-		resp.Layers[layer.String()] = LayerScores{
-			Scores:     g.scores.Scores(layer),
-			Insularity: g.scores.Insularities(layer),
-		}
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(g.epoch)
+	w.key("layers")
+	w.open('{')
+	for _, layer := range layersByName {
+		w.key(layer.String())
+		w.open('{')
+		g.writeScores(w, layer)
+		w.close('}')
 	}
-	return marshal(resp)
+	w.close('}')
+	w.close('}')
+	return w.finish()
 }
 
 func (g *generation) renderLayerScores(layer countries.Layer) ([]byte, *QueryError) {
-	return marshal(LayerScoresResponse{
-		Epoch:      g.epoch,
-		Layer:      layer.String(),
-		Scores:     g.scores.Scores(layer),
-		Insularity: g.scores.Insularities(layer),
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(g.epoch)
+	w.key("layer")
+	w.str(layer.String())
+	g.writeScores(w, layer)
+	w.close('}')
+	return w.finish()
+}
+
+// layersByName is countries.Layers in name order, the order encoding/json
+// writes AllScoresResponse.Layers in.
+var layersByName = func() []countries.Layer {
+	ls := append([]countries.Layer(nil), countries.Layers...)
+	sort.Slice(ls, func(i, j int) bool { return ls[i].String() < ls[j].String() })
+	return ls
+}()
+
+// writeScores writes a layer's "scores" and "insularity" members, each
+// country's value in the index's sorted country order.
+func (g *generation) writeScores(w *bodyWriter, layer countries.Layer) {
+	w.key("scores")
+	w.open('{')
+	g.scores.EachScore(layer, func(cc string, score, _ float64) {
+		w.key(cc)
+		w.float(score)
 	})
+	w.close('}')
+	w.key("insularity")
+	w.open('{')
+	g.scores.EachScore(layer, func(cc string, _, insularity float64) {
+		w.key(cc)
+		w.float(insularity)
+	})
+	w.close('}')
 }
 
 func (g *generation) renderCountryScore(layer countries.Layer, cc string) ([]byte, *QueryError) {
@@ -184,15 +222,26 @@ func (g *generation) renderCountryScore(layer countries.Layer, cc string) ([]byt
 	if !ok {
 		return nil, notFound("country %s is not in the served corpus", cc)
 	}
-	return marshal(CountryScoreResponse{
-		Epoch:      g.epoch,
-		Layer:      layer.String(),
-		Country:    cc,
-		Score:      st.Score,
-		Insularity: st.Insularity,
-		Rank:       st.Rank,
-		Of:         st.Of,
-	})
+	r := CountryScoreResponse{Epoch: g.epoch, Layer: layer.String(), Country: cc,
+		Score: st.Score, Insularity: st.Insularity, Rank: st.Rank, Of: st.Of}
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(r.Epoch)
+	w.key("layer")
+	w.str(r.Layer)
+	w.key("country")
+	w.str(r.Country)
+	w.key("score")
+	w.float(r.Score)
+	w.key("insularity")
+	w.float(r.Insularity)
+	w.key("rank")
+	w.int(int64(r.Rank))
+	w.key("of")
+	w.int(int64(r.Of))
+	w.close('}')
+	return w.finish()
 }
 
 func (g *generation) renderRankCurve(layer countries.Layer, cc string) ([]byte, *QueryError) {
@@ -200,32 +249,83 @@ func (g *generation) renderRankCurve(layer countries.Layer, cc string) ([]byte, 
 	if dist == nil {
 		return nil, notFound("country %s is not in the served corpus", cc)
 	}
-	curve := dist.RankCurve()
-	if curve == nil {
-		curve = []float64{}
+	r := RankCurveResponse{Epoch: g.epoch, Layer: layer.String(), Country: cc, Curve: dist.RankCurve()}
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(r.Epoch)
+	w.key("layer")
+	w.str(r.Layer)
+	w.key("country")
+	w.str(r.Country)
+	w.key("curve")
+	w.open('[')
+	for _, v := range r.Curve {
+		w.float(v)
 	}
-	return marshal(RankCurveResponse{
-		Epoch:   g.epoch,
-		Layer:   layer.String(),
-		Country: cc,
-		Curve:   curve,
-	})
+	w.close(']')
+	w.close('}')
+	return w.finish()
 }
 
 func (g *generation) renderCoverage() ([]byte, *QueryError) {
-	resp := CoverageResponse{Epoch: g.epoch, Countries: g.coverage, Degraded: dataset.Degraded(g.coverage)}
-	if resp.Countries == nil {
-		resp.Countries = map[string]*dataset.Coverage{}
+	r := CoverageResponse{Epoch: g.epoch, Countries: g.coverage, Degraded: dataset.Degraded(g.coverage)}
+	ccs := make([]string, 0, len(r.Countries))
+	for cc := range r.Countries {
+		ccs = append(ccs, cc)
 	}
-	if resp.Degraded == nil {
-		resp.Degraded = []string{}
+	sort.Strings(ccs)
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(r.Epoch)
+	w.key("countries")
+	w.open('{')
+	for _, cc := range ccs {
+		w.key(cc)
+		writeCoverage(w, r.Countries[cc])
 	}
-	return marshal(resp)
+	w.close('}')
+	w.key("degraded")
+	w.open('[')
+	for _, cc := range r.Degraded {
+		w.str(cc)
+	}
+	w.close(']')
+	w.close('}')
+	return w.finish()
+}
+
+// writeCoverage writes a dataset.Coverage as encoding/json does a struct
+// without tags: every field under its Go name.
+func writeCoverage(w *bodyWriter, c *dataset.Coverage) {
+	w.open('{')
+	w.key("Country")
+	w.str(c.Country)
+	w.key("Sites")
+	w.int(int64(c.Sites))
+	for _, f := range []struct {
+		name string
+		fc   *dataset.FieldCoverage
+	}{{"Host", &c.Host}, {"NS", &c.NS}, {"CA", &c.CA}, {"Language", &c.Language}} {
+		w.key(f.name)
+		w.open('{')
+		w.key("OK")
+		w.int(int64(f.fc.OK))
+		w.key("Empty")
+		w.int(int64(f.fc.Empty))
+		w.key("Lost")
+		w.int(int64(f.fc.Lost))
+		w.close('}')
+	}
+	w.key("Degraded")
+	w.bool(c.Degraded)
+	w.close('}')
 }
 
 // renderClasses takes the layer's classes from the read model, which
-// clusters and tallies the shares once however many generations share it,
-// counts which way it went, and marshals them.
+// clusters, tallies and orders the shares once however many generations
+// share it, counts which way it went, and writes them.
 func (g *generation) renderClasses(layer countries.Layer) ([]byte, *QueryError) {
 	c, carried, err := g.classify(layer)
 	if err != nil {
@@ -240,15 +340,67 @@ func (g *generation) renderClasses(layer countries.Layer) ([]byte, *QueryError) 
 			g.m.capped.Inc()
 		}
 	}
-	return marshal(ClassesResponse{Epoch: g.epoch, Layer: layer.String(), Counts: c.counts, Shares: c.shares})
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(g.epoch)
+	w.key("layer")
+	w.str(layer.String())
+	w.key("counts")
+	w.open('{')
+	for _, e := range c.counts {
+		w.key(string(e.class))
+		w.int(int64(e.v))
+	}
+	w.close('}')
+	w.key("shares")
+	w.open('{')
+	for _, cs := range c.shares {
+		w.key(cs.country)
+		w.open('{')
+		for _, e := range cs.shares {
+			w.key(string(e.class))
+			w.float(e.v)
+		}
+		w.close('}')
+	}
+	w.close('}')
+	w.close('}')
+	return w.finish()
 }
 
 func (g *generation) renderSPOF(n int) ([]byte, *QueryError) {
-	top := g.graph.TopSPOFs(n)
-	if top == nil {
-		top = []depgraph.SPOF{}
+	r := SPOFResponse{Epoch: g.epoch, Top: g.graph.TopSPOFs(n)}
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(r.Epoch)
+	w.key("top")
+	w.open('[')
+	for i := range r.Top {
+		s := &r.Top[i]
+		w.open('{')
+		w.key("provider")
+		w.str(s.Provider)
+		w.key("country")
+		w.str(s.Country)
+		w.key("sym")
+		w.int(int64(s.Sym))
+		w.key("radius")
+		w.int(s.Radius)
+		w.key("share")
+		w.float(s.Share)
+		w.key("hosting")
+		w.float(s.Hosting)
+		w.key("dns")
+		w.float(s.DNS)
+		w.key("ca")
+		w.float(s.CA)
+		w.close('}')
 	}
-	return marshal(SPOFResponse{Epoch: g.epoch, Top: top})
+	w.close(']')
+	w.close('}')
+	return w.finish()
 }
 
 func (g *generation) renderWhatIf(provider string) ([]byte, *QueryError) {
@@ -256,15 +408,66 @@ func (g *generation) renderWhatIf(provider string) ([]byte, *QueryError) {
 	if err != nil {
 		return nil, notFound("%v", err)
 	}
-	return marshal(WhatIfResponse{Epoch: g.epoch, Impact: imp})
+	r := WhatIfResponse{Epoch: g.epoch, Impact: imp}
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(r.Epoch)
+	w.key("impact")
+	w.open('{')
+	w.key("provider")
+	w.str(r.Impact.Provider)
+	w.key("countries")
+	w.open('[')
+	for i := range r.Impact.Countries {
+		ci := &r.Impact.Countries[i]
+		w.open('{')
+		w.key("country")
+		w.str(ci.Country)
+		w.key("layers")
+		writeLayerImpacts(w, &ci.Layers)
+		w.close('}')
+	}
+	w.close(']')
+	w.key("total")
+	writeLayerImpacts(w, &r.Impact.Total)
+	w.close('}')
+	w.close('}')
+	return w.finish()
+}
+
+func writeLayerImpacts(w *bodyWriter, li *depgraph.LayerImpacts) {
+	w.open('{')
+	for _, l := range []struct {
+		name string
+		li   *depgraph.LayerImpact
+	}{{"hosting", &li.Hosting}, {"dns", &li.DNS}, {"ca", &li.CA}} {
+		w.key(l.name)
+		w.open('{')
+		w.key("measured")
+		w.int(l.li.Measured)
+		w.key("lost")
+		w.int(l.li.Lost)
+		w.close('}')
+	}
+	w.close('}')
 }
 
 func (g *generation) renderEpoch() ([]byte, *QueryError) {
-	return marshal(EpochResponse{
-		Epoch:      g.epoch,
-		Generation: g.label,
-		Swap:       g.id,
-		Countries:  len(g.scores.Countries()),
-		Sites:      g.sites,
-	})
+	r := EpochResponse{Epoch: g.epoch, Generation: g.label, Swap: g.id,
+		Countries: len(g.scores.Countries()), Sites: g.sites}
+	w := newBody()
+	w.open('{')
+	w.key("epoch")
+	w.str(r.Epoch)
+	w.key("generation")
+	w.str(r.Generation)
+	w.key("swap")
+	w.int(r.Swap)
+	w.key("countries")
+	w.int(int64(r.Countries))
+	w.key("sites")
+	w.int(int64(r.Sites))
+	w.close('}')
+	return w.finish()
 }

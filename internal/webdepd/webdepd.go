@@ -47,6 +47,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,12 +111,36 @@ type model struct {
 
 // classes is one layer's provider classification as /api/classes serves
 // it: the result, its census and every country's share of measured sites
-// per class. All three are computed together, on the first successful
-// clustering, and only read afterwards.
+// per class, the census and each country's shares in class-name order and
+// the countries in code order — ClassesResponse's map members in the order
+// encoding/json writes them. All three are computed together, on the first
+// successful clustering, and only read afterwards.
 type classes struct {
 	res    *classify.Result
-	counts map[classify.Class]int
-	shares map[string]map[classify.Class]float64
+	counts []classValue[int]
+	shares []countryShares
+}
+
+// classValue is one class's member of a census or a country's shares.
+type classValue[V int | float64] struct {
+	class classify.Class
+	v     V
+}
+
+// countryShares is one country's share of measured sites per class.
+type countryShares struct {
+	country string
+	shares  []classValue[float64]
+}
+
+// byClass returns m's members sorted by class name.
+func byClass[V int | float64](m map[classify.Class]V) []classValue[V] {
+	out := make([]classValue[V], 0, len(m))
+	for c, v := range m {
+		out = append(out, classValue[V]{c, v})
+	}
+	slices.SortFunc(out, func(a, b classValue[V]) int { return strings.Compare(string(a.class), string(b.class)) })
+	return out
 }
 
 // classify returns the layer's provider classes, clustering and tallying
@@ -133,10 +159,10 @@ func (m *model) classify(layer countries.Layer) (c *classes, carried bool, err e
 	if err != nil {
 		return nil, false, err
 	}
-	ccs := m.scores.Countries()
-	c = &classes{res: res, counts: res.Counts(), shares: make(map[string]map[classify.Class]float64, len(ccs))}
-	for _, cc := range ccs {
-		c.shares[cc] = classify.CountryBreakdownIndexed(m.scores, cc, layer, res)
+	ccs := m.scores.Countries() // sorted
+	c = &classes{res: res, counts: byClass(res.Counts()), shares: make([]countryShares, len(ccs))}
+	for i, cc := range ccs {
+		c.shares[i] = countryShares{cc, byClass(classify.CountryBreakdownIndexed(m.scores, cc, layer, res))}
 	}
 	m.mu.Lock()
 	if m.classes == nil {
