@@ -75,13 +75,8 @@ type countryCol struct {
 
 // layerIndex is one layer's slice of the index.
 type layerIndex struct {
-	cols []countryCol // aligned with scoringIndex.countries
-	// scores and insular are the precomputed per-country result maps;
-	// accessors hand out clones so callers keep today's ownership
-	// semantics.
-	scores  map[string]float64
-	insular map[string]float64
-	global  *core.Distribution // frozen merge of every country's column
+	cols   []countryCol       // aligned with scoringIndex.countries
+	global *core.Distribution // frozen merge of every country's column
 	// ranked holds country indices by score descending, then country code
 	// ascending: the paper's table order, fixed once per index.
 	ranked []int
@@ -160,11 +155,9 @@ func indexTallies(ts []*CountryTally, workers int) (*ScoreSet, error) {
 	for l := 0; l < numLayers; l++ {
 		ly := &idx.layers[l]
 		ly.cols = make([]countryCol, len(ccs))
-		ly.scores = make(map[string]float64, len(ccs))
-		ly.insular = make(map[string]float64, len(ccs))
 		var global []float64 // symbol -> the layer's corpus-wide count
 		var used []uint32    // symbols the layer counted, first use first
-		for i, cc := range ccs {
+		for i := range ccs {
 			column++
 			col := &ly.cols[i]
 			*col = cols[i][l]
@@ -188,8 +181,6 @@ func indexTallies(ts []*CountryTally, workers int) (*ScoreSet, error) {
 				}
 				global[s] += col.counts[k]
 			}
-			ly.scores[cc] = col.score
-			ly.insular[cc] = col.ins.Fraction()
 		}
 		ly.global = globalDistribution(used, global, idx.providers)
 		ly.ranked = make([]int, len(ccs))

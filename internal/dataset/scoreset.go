@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"github.com/webdep/webdep/internal/core"
@@ -126,13 +125,17 @@ func (s *ScoreSet) Countries() []string {
 // Scores returns the centralization score per country for one layer. The
 // returned map is the caller's to keep or modify.
 func (s *ScoreSet) Scores(layer countries.Layer) map[string]float64 {
-	return maps.Clone(s.idx.layers[layer].scores)
+	out := make(map[string]float64, len(s.idx.countries))
+	s.EachScore(layer, func(cc string, score, _ float64) { out[cc] = score })
+	return out
 }
 
 // Insularities returns the insularity fraction per country for one layer.
 // The returned map is the caller's.
 func (s *ScoreSet) Insularities(layer countries.Layer) map[string]float64 {
-	return maps.Clone(s.idx.layers[layer].insular)
+	out := make(map[string]float64, len(s.idx.countries))
+	s.EachScore(layer, func(cc string, _, ins float64) { out[cc] = ins })
+	return out
 }
 
 // EachScore calls fn with every country's score and insularity at the

@@ -80,8 +80,8 @@ func BenchmarkGraphFromStore(b *testing.B) {
 
 func BenchmarkSimulate(b *testing.B) {
 	g := Build(benchCorpus(b), &Options{Obs: obs.NewRegistry()})
-	// Simulate the worst SPOF: the widest dependents set, so the bench
-	// covers the expensive path.
+	// Simulate the worst SPOF: the most dependents, so the bench shows a
+	// simulation's cost does not grow with them.
 	worst := g.TopSPOFs(1)[0].Provider
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -23,12 +23,14 @@
 //     name ascending); a provider is never its own dependency.
 //
 // On top of the graph sit the transitive closure (computed once per
-// build via SCC condensation, cycle-safe), the what-if engine
-// (Simulate / AuditSimulate), ranked single-point-of-failure tables
-// (TopSPOFs, whose order is computed once per build, after the closure),
-// and per-country transitive dependence distributions that
-// reuse core.Distribution so transitive scores are directly comparable
-// to the paper's direct scores. With no provider edges the transitive
+// build via SCC condensation, cycle-safe), every provider's blast radius
+// per (country, layer) and the ranked single-point-of-failure order
+// (computed together once per build, after the closure), the what-if
+// engine (Simulate reads one provider's blast radii; AuditSimulate
+// recomputes them by brute force), the SPOF tables TopSPOFs hands out,
+// and per-country transitive dependence distributions that reuse
+// core.Distribution so transitive scores are directly comparable to the
+// paper's direct scores. With no provider edges the transitive
 // distribution IS the direct distribution, bit for bit.
 //
 // A Graph is immutable after construction and safe for concurrent use;
@@ -84,6 +86,7 @@ type Graph struct {
 	edges   [][]uint32 // sym -> sorted, deduplicated direct dependencies
 	closure []bitset   // sym -> reachable set including self (shared per SCC)
 	spofs   []SPOF     // every provider in TopSPOFs order, built with the closure
+	blast   blastTable // every provider's loss per (country, layer), built with spofs
 
 	cols       [numGraphLayers][]siteCol // per layer, aligned with countries
 	layerTotal [numGraphLayers]int64     // corpus-wide measured bindings per layer

@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 // countries, self-referential providers, duplicate rows — through the
 // tally/merge path and checks the structural invariants that the rest of
 // the engine assumes: no panics, no dangling symbol references, exact
-// row/edge accounting, closure soundness, and agreement with the
-// corpus-backed Build path.
+// row/edge accounting, closure soundness, agreement with the
+// corpus-backed Build path, and every provider's simulation equal to the
+// audit oracle's brute-force rescore.
 //
 // Input format: newline-separated rows of up to five '|'-separated
 // fields: country|host|dns|ca|hostCountry. Missing fields are empty.
@@ -223,10 +225,12 @@ func FuzzGraphBuild(f *testing.F) {
 			}
 		}
 
-		// Simulate stays sane on whatever the graph contains: lost never
-		// exceeds measured, and the audit oracle agrees.
-		for p := uint32(0); p < n && p < 4; p++ {
-			imp, err := g.Simulate(g.NameOf(p))
+		// Simulate stays sane on whatever the graph contains — lost never
+		// exceeds measured — and the audit oracle agrees with it, through
+		// JSON, for every provider.
+		for p := uint32(0); p < n; p++ {
+			name := g.NameOf(p)
+			imp, err := g.Simulate(name)
 			if err != nil {
 				t.Fatalf("Simulate: %v", err)
 			}
@@ -235,6 +239,21 @@ func FuzzGraphBuild(f *testing.F) {
 				if li.Lost < 0 || li.Lost > li.Measured {
 					t.Fatalf("impact out of range: %+v", li)
 				}
+			}
+			audit, err := g.AuditSimulate(corpus, name)
+			if err != nil {
+				t.Fatalf("AuditSimulate: %v", err)
+			}
+			got, err := json.Marshal(imp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(audit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Simulate(%q) diverges from the audit:\n got: %s\nwant: %s", name, got, want)
 			}
 		}
 	})

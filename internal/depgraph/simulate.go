@@ -60,38 +60,33 @@ type Impact struct {
 // Simulate answers "provider fails — what breaks, where?": for every
 // country and layer, the number of measured site-layer bindings whose
 // provider transitively depends on the failed one (including the failed
-// provider itself). It reads only the graph's immutable columns and
-// closure, so concurrent simulations are safe.
+// provider itself). The measured counts are the site columns' totals and
+// the losses are the provider's row of the blast table, built with the
+// SPOF order, so a simulation costs one pass over the countries and at
+// most one entry per (country, layer) whatever the number of dependents.
+// It only reads the immutable graph, so concurrent simulations are safe.
 func (g *Graph) Simulate(provider string) (*Impact, error) {
 	x, ok := g.ids[provider]
 	if !ok {
 		return nil, fmt.Errorf("depgraph: unknown provider %q", provider)
 	}
 	sp := obs.StartSpan(g.m.simulateMS)
-	// dependents = every provider whose transitive closure contains x.
-	dependents := newBitset(len(g.names))
-	for p := range g.names {
-		if g.closure[p].has(x) {
-			dependents.set(uint32(p))
-		}
-	}
 	imp := &Impact{Provider: provider, Countries: make([]CountryImpact, len(g.countries))}
 	for i, cc := range g.countries {
 		ci := &imp.Countries[i]
 		ci.Country = cc
 		for l := 0; l < numGraphLayers; l++ {
-			col := &g.cols[l][i]
-			li := ci.Layers.at(l)
-			li.Measured = col.total
-			for k, s := range col.syms {
-				if dependents.has(s) {
-					li.Lost += col.counts[k]
-				}
-			}
-			tl := imp.Total.at(l)
-			tl.Measured += li.Measured
-			tl.Lost += li.Lost
+			ci.Layers.at(l).Measured = g.cols[l][i].total
 		}
+	}
+	for l := 0; l < numGraphLayers; l++ {
+		imp.Total.at(l).Measured = g.layerTotal[l]
+	}
+	cols, lost := g.blast.row(x)
+	for k, c := range cols {
+		l := int(c % numGraphLayers)
+		imp.Countries[c/numGraphLayers].Layers.at(l).Lost = lost[k]
+		imp.Total.at(l).Lost += lost[k]
 	}
 	sp.End()
 	g.stats.Simulations.Add(1)

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/webdep/webdep/internal/core"
 	"github.com/webdep/webdep/internal/countries"
@@ -49,63 +48,214 @@ func (g *Graph) TopSPOFs(n int) []SPOF {
 	return out
 }
 
-// rankSPOFs computes every provider's blast radius from the site columns
-// and the closure, and stores the providers in TopSPOFs order: radius
-// descending, then symbol, then name. A blast radius is a property of the
+// blastTable is every provider's blast radius broken down by (country,
+// layer) column, built with the SPOF order. Row s, provider s's losses,
+// is entries off[s] to off[s+1] of col and lost: the columns where its
+// failure loses a binding — col = country*numGraphLayers + layer, in
+// ascending order — and how many it loses there. A zero column is absent,
+// so a row has at most numGraphLayers entries per country.
+type blastTable struct {
+	off  []int
+	col  []uint32
+	lost []int64
+}
+
+// row returns provider s's entries.
+func (b *blastTable) row(s uint32) ([]uint32, []int64) {
+	lo, hi := b.off[s], b.off[s+1]
+	return b.col[lo:hi], b.lost[lo:hi]
+}
+
+// rankSPOFs builds the blast table from the site columns and the closure,
+// and stores the providers in TopSPOFs order (rankOrder), each radius
+// summed from the provider's row. A blast radius is a property of the
 // immutable graph, so the merge calls this once, after the closure.
+//
+// Row q is the sum of its dependents' postings: when q fails, every
+// provider p whose closure holds q loses all of its direct bindings. The
+// postings (p's direct bindings per column) are the site columns
+// transposed, and the dependents lists are the closure inverted, both in
+// ascending order, so a provider with no dependent but itself copies its
+// posting, and any other sums into a dense column vector read back in
+// column order through a bitset of the columns it touched.
 func (g *Graph) rankSPOFs() {
-	nodes := len(g.names)
-	// weight[l][p]: provider p's direct site bindings at layer l.
-	var weight [numGraphLayers][]int64
-	for l := range weight {
-		weight[l] = make([]int64, nodes)
-		for i := range g.cols[l] {
-			col := &g.cols[l][i]
-			for k, s := range col.syms {
-				weight[l][s] += col.counts[k]
-			}
+	nodes, ncols := len(g.names), len(g.countries)*numGraphLayers
+	postCol, postN, postOff := g.postings()
+	depOff, deps := dependents(g.closure)
+
+	// A row has at most one entry per column and per posting entry of its
+	// dependents, so the table never outgrows this.
+	size := 0
+	for q := 0; q < nodes; q++ {
+		n := 0
+		for _, p := range deps[depOff[q]:depOff[q+1]] {
+			n += postOff[p+1] - postOff[p]
 		}
+		size += min(n, ncols)
 	}
-	// radius[l][q]: bindings lost at layer l when q fails — every
-	// provider p with q in its closure contributes its direct weight.
-	var radius [numGraphLayers][]int64
-	for l := range radius {
-		radius[l] = make([]int64, nodes)
+	t := blastTable{
+		off:  make([]int, nodes+1),
+		col:  make([]uint32, 0, size),
+		lost: make([]int64, 0, size),
 	}
-	for p := 0; p < nodes; p++ {
-		for wi, w := range g.closure[p] {
-			for ; w != 0; w &= w - 1 {
-				q := wi*64 + bits.TrailingZeros64(w)
-				for l := 0; l < numGraphLayers; l++ {
-					radius[l][q] += weight[l][p]
+	acc := make([]int64, ncols)
+	touched := newBitset(ncols)
+	radius := make([][numGraphLayers]int64, nodes)
+	for q := range radius {
+		if d := deps[depOff[q]:depOff[q+1]]; len(d) == 1 {
+			lo, hi := postOff[q], postOff[q+1]
+			t.col = append(t.col, postCol[lo:hi]...)
+			t.lost = append(t.lost, postN[lo:hi]...)
+		} else {
+			for _, p := range d {
+				for j := postOff[p]; j < postOff[p+1]; j++ {
+					acc[postCol[j]] += postN[j]
+					touched.set(postCol[j])
 				}
 			}
+			for wi, w := range touched {
+				for ; w != 0; w &= w - 1 {
+					c := wi*64 + bits.TrailingZeros64(w)
+					t.col = append(t.col, uint32(c))
+					t.lost = append(t.lost, acc[c])
+					acc[c] = 0
+				}
+				touched[wi] = 0
+			}
+		}
+		t.off[q+1] = len(t.col)
+		cols, lost := t.row(uint32(q))
+		for k, c := range cols {
+			radius[q][c%numGraphLayers] += lost[k]
 		}
 	}
+	g.blast = t
+
+	order := rankOrder(radius)
 	grand := g.layerTotal[0] + g.layerTotal[1] + g.layerTotal[2]
 	g.spofs = make([]SPOF, nodes)
-	for q := range g.spofs {
-		r := radius[0][q] + radius[1][q] + radius[2][q]
-		g.spofs[q] = SPOF{
+	for i, o := range order {
+		q, r := o.q, radius[o.q]
+		g.spofs[i] = SPOF{
 			Provider: g.names[q],
 			Country:  g.home[q],
-			Sym:      uint32(q),
-			Radius:   r,
-			Share:    frac(r, grand),
-			Hosting:  frac(radius[0][q], g.layerTotal[0]),
-			DNS:      frac(radius[1][q], g.layerTotal[1]),
-			CA:       frac(radius[2][q], g.layerTotal[2]),
+			Sym:      q,
+			Radius:   o.r,
+			Share:    frac(o.r, grand),
+			Hosting:  frac(r[0], g.layerTotal[0]),
+			DNS:      frac(r[1], g.layerTotal[1]),
+			CA:       frac(r[2], g.layerTotal[2]),
 		}
 	}
-	slices.SortFunc(g.spofs, func(a, b SPOF) int {
-		if a.Radius != b.Radius {
-			return cmp.Compare(b.Radius, a.Radius)
+}
+
+// postings transposes the site columns: provider p's direct bindings are
+// entries off[p] to off[p+1] of col and n, by column ascending.
+func (g *Graph) postings() (col []uint32, n []int64, off []int) {
+	off = make([]int, len(g.names)+1)
+	for l := range g.cols {
+		for i := range g.cols[l] {
+			for _, s := range g.cols[l][i].syms {
+				off[s+1]++
+			}
 		}
-		if a.Sym != b.Sym {
-			return cmp.Compare(a.Sym, b.Sym)
+	}
+	for s := range g.names {
+		off[s+1] += off[s]
+	}
+	col, n = make([]uint32, off[len(g.names)]), make([]int64, off[len(g.names)])
+	// off[s] is provider s's fill cursor until every column is placed;
+	// then off[s] has reached the old off[s+1], so a shift restores it.
+	for i := range g.countries {
+		for l := range g.cols {
+			sc := &g.cols[l][i]
+			c := uint32(i*numGraphLayers + l)
+			for k, s := range sc.syms {
+				col[off[s]], n[off[s]] = c, sc.counts[k]
+				off[s]++
+			}
 		}
-		return strings.Compare(a.Provider, b.Provider)
-	})
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	return col, n, off
+}
+
+// dependents inverts a closure: the providers whose closure holds q are
+// entries off[q] to off[q+1] of deps, in ascending order. Every provider is
+// its own dependent.
+func dependents(closure []bitset) (off []int, deps []uint32) {
+	n := len(closure)
+	off = make([]int, n+1)
+	// One pass over the bitsets lists every closure's members, p's ending
+	// at ends[p], and counts each member's dependents.
+	var members []uint32
+	ends := make([]int, n)
+	for p := range closure {
+		for wi, w := range closure[p] {
+			for ; w != 0; w &= w - 1 {
+				q := wi*64 + bits.TrailingZeros64(w)
+				members = append(members, uint32(q))
+				off[q+1]++
+			}
+		}
+		ends[p] = len(members)
+	}
+	for q := 0; q < n; q++ {
+		off[q+1] += off[q]
+	}
+	deps = make([]uint32, len(members))
+	// As in postings, off[q] is q's fill cursor, then shifted back.
+	j := 0
+	for p, end := range ends {
+		for ; j < end; j++ {
+			q := members[j]
+			deps[off[q]] = uint32(p)
+			off[q]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	return off, deps
+}
+
+// ranked is one provider's place in the SPOF order: its radius and symbol.
+type ranked struct {
+	r int64
+	q uint32
+}
+
+// rankOrder returns the providers by total radius descending, then symbol
+// ascending: an LSD radix sort on the radius bytes, up to the largest
+// radius's top byte. The input is in symbol order and every pass is
+// stable, so equal radii keep their symbols ascending. Symbols are unique,
+// so this is a total order and a name never breaks a tie. Radii are sums
+// of counts, never negative.
+func rankOrder(radius [][numGraphLayers]int64) []ranked {
+	order := make([]ranked, len(radius))
+	var most int64
+	for q, r := range radius {
+		order[q] = ranked{r[0] + r[1] + r[2], uint32(q)}
+		most = max(most, order[q].r)
+	}
+	tmp := make([]ranked, len(order))
+	for shift := 0; shift < 64 && most>>shift != 0; shift += 8 {
+		// A digit is 255 minus the radius byte, so larger radii go first.
+		var start [257]int
+		for _, o := range order {
+			start[256-int(o.r>>shift&0xff)]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, o := range order {
+			d := 255 - int(o.r>>shift&0xff)
+			tmp[start[d]] = o
+			start[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
 }
 
 func frac(num, den int64) float64 {
