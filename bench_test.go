@@ -253,7 +253,7 @@ func BenchmarkFig9LayerSubregion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, layer := range countries.Layers {
-			_ = analysis.BySubregion(corpus.ScoreSet().Scores(layer))
+			_ = analysis.BySubregion(analysis.SortedScores(corpus, layer))
 		}
 	}
 }
@@ -264,7 +264,7 @@ func BenchmarkFig10InsularitySubregion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, layer := range countries.Layers {
-			_ = analysis.BySubregion(corpus.ScoreSet().Insularities(layer))
+			_ = analysis.BySubregion(analysis.SortedInsularity(corpus, layer))
 		}
 	}
 }
@@ -494,7 +494,7 @@ func BenchmarkExperimentsSuite(b *testing.B) {
 			_ = analysis.SortedInsularity(corpus, layer)
 			_ = analysis.InsularityCDF(corpus, layer)
 			_, _ = analysis.ScoreHistogram(corpus, layer, 13)
-			_ = analysis.BySubregion(corpus.ScoreSet().Scores(layer))
+			_ = analysis.BySubregion(analysis.SortedScores(corpus, layer))
 		}
 		_ = corpus.ScoreSet().UsageCurves(countries.Hosting)
 		_ = analysis.ContinentDependence(corpus, analysis.ByProviderHQ)

@@ -289,17 +289,21 @@ func (h *harness) fig1() error {
 }
 
 func (h *harness) fig2() error {
-	countryA := []int{7, 5, 4, 3, 2, 1, 1, 1, 1}
-	countryB := []int{10, 6, 3, 2, 1, 1, 1, 1}
 	fmt.Println("Figure 2: worked EMD example (25 websites each)")
-	for name, counts := range map[string][]int{"Country A": countryA, "Country B": countryB} {
-		closed := emd.CentralizationInts(counts)
-		exact, err := emd.ReferenceEMD(counts)
+	for _, c := range []struct {
+		name   string
+		counts []int
+	}{
+		{"Country A", []int{7, 5, 4, 3, 2, 1, 1, 1, 1}},
+		{"Country B", []int{10, 6, 3, 2, 1, 1, 1, 1}},
+	} {
+		closed := emd.CentralizationInts(c.counts)
+		exact, err := emd.ReferenceEMD(c.counts)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  %s: counts %v  closed-form S = %.4f  exact transportation EMD = %.4f\n",
-			name, counts, closed, exact)
+			c.name, c.counts, closed, exact)
 	}
 	fmt.Println("  paper reports EMD 0.28 (A) vs 0.32 (B): B is more centralized, as here.")
 	return nil
@@ -428,7 +432,7 @@ func (h *harness) fig9() error {
 	for _, layer := range countries.Layers {
 		report.SubregionTable(os.Stdout,
 			fmt.Sprintf("Figure 9 (%s): centralization by subregion", layer),
-			analysis.BySubregion(corpus.ScoreSet().Scores(layer)))
+			analysis.BySubregion(analysis.SortedScores(corpus, layer)))
 		fmt.Println()
 	}
 	return nil
@@ -442,7 +446,7 @@ func (h *harness) fig10() error {
 	for _, layer := range countries.Layers {
 		report.SubregionTable(os.Stdout,
 			fmt.Sprintf("Figure 10 (%s): insularity by subregion", layer),
-			analysis.BySubregion(corpus.ScoreSet().Insularities(layer)))
+			analysis.BySubregion(analysis.SortedInsularity(corpus, layer)))
 		fmt.Println()
 	}
 	return nil
@@ -647,30 +651,25 @@ func (h *harness) calibration() error {
 	}
 	fmt.Printf("%-8s %12s %12s %10s\n", "Layer", "max |ΔS|", "mean |ΔS|", "rho")
 	for _, layer := range countries.Layers {
-		scores := corpus.ScoreSet().Scores(layer)
 		var xs, ys []float64
 		var maxAbs, sumAbs float64
-		n := 0
-		for cc, got := range scores {
+		corpus.ScoreSet().EachScore(layer, func(cc string, got, _ float64) {
 			c, ok := countries.ByCode(cc)
 			if !ok {
-				continue
+				return
 			}
 			want := c.PaperScore[layer]
 			d := math.Abs(got - want)
-			if d > maxAbs {
-				maxAbs = d
-			}
+			maxAbs = math.Max(maxAbs, d)
 			sumAbs += d
-			n++
 			xs = append(xs, got)
 			ys = append(ys, want)
-		}
+		})
 		rho, err := stats.Pearson(xs, ys)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-8s %12.5f %12.5f %10.5f\n", layer, maxAbs, sumAbs/float64(n), rho)
+		fmt.Printf("%-8s %12.5f %12.5f %10.5f\n", layer, maxAbs, sumAbs/float64(len(xs)), rho)
 	}
 	fmt.Println("\nmeasured through the full enrichment pipeline; deviations are integer")
 	fmt.Println("quantization at the configured toplist length plus profile-shape limits.")
@@ -711,7 +710,7 @@ func (h *harness) continents() error {
 	for _, layer := range countries.Layers {
 		report.SubregionTable(os.Stdout,
 			fmt.Sprintf("Centralization by continent (%s)", layer),
-			analysis.ByContinent(corpus.ScoreSet().Scores(layer)))
+			analysis.ByContinent(analysis.SortedScores(corpus, layer)))
 		fmt.Println()
 	}
 	fmt.Println("paper: Europe consistently least centralized in hosting/DNS but most")
@@ -790,13 +789,12 @@ func (h *harness) transitive() error {
 		st.Nodes, st.ProviderEdges, st.SiteEdges, st.ClosureSCCs)
 	fmt.Printf("%-8s %10s %12s %10s\n", "Layer", "direct S̄", "transitive S̄", "mean Δ")
 	for _, layer := range []countries.Layer{countries.Hosting, countries.DNS, countries.CA} {
-		direct := corpus.ScoreSet().Scores(layer)
 		trans := g.TransitiveScores(layer)
 		var dxs, txs []float64
-		for _, cc := range corpus.Countries() {
-			dxs = append(dxs, direct[cc])
+		corpus.ScoreSet().EachScore(layer, func(cc string, direct, _ float64) {
+			dxs = append(dxs, direct)
 			txs = append(txs, trans[cc])
-		}
+		})
 		dm, tm := stats.Mean(dxs), stats.Mean(txs)
 		fmt.Printf("%-8s %10.4f %12.4f %+10.4f\n", layer, dm, tm, tm-dm)
 	}
@@ -822,7 +820,7 @@ func (h *harness) interpret() error {
 	fmt.Printf("%-8s %12s %12s %12s\n", "Layer", "competitive", "moderate", "high")
 	for _, layer := range countries.Layers {
 		var comp, mod, high int
-		for _, s := range corpus.ScoreSet().Scores(layer) {
+		corpus.ScoreSet().EachScore(layer, func(_ string, s, _ float64) {
 			switch core.Interpret(s) {
 			case core.Competitive:
 				comp++
@@ -831,7 +829,7 @@ func (h *harness) interpret() error {
 			default:
 				high++
 			}
-		}
+		})
 		fmt.Printf("%-8s %12d %12d %12d\n", layer, comp, mod, high)
 	}
 	fmt.Println("\nDOJ bands: competitive <0.10, moderately concentrated 0.10-0.18, highly >0.18.")

@@ -71,8 +71,10 @@ func TestTinyWorldExperiments(t *testing.T) {
 	}
 	h := newHarness(3, 200, false, []string{"TH", "IR", "US", "CZ", "AZ", "HK", "RU", "SK"}, 4)
 	for _, id := range []string{
-		"summary", "fig1", "table5", "fig9", "fig11", "casestudies",
-		"coverage", "interpret", "calibration", "tails", "tld", "vantage",
+		"summary", "fig1", "fig2", "table5", "fig9", "fig10", "fig11", "fig12",
+		"fig13", "fig16", "casestudies", "continents", "correlations",
+		"coverage", "interpret", "calibration", "tails", "tld", "transitive",
+		"longitudinal", "vantage",
 	} {
 		if err := h.experiments[id].run(); err != nil {
 			t.Errorf("%s: %v", id, err)

@@ -57,15 +57,20 @@ func main() {
 
 	fmt.Println("\nPer-country movement (hosting):")
 	fmt.Printf("%-4s %9s %9s %8s %12s\n", "CC", "2023-05", "2025-05", "delta", "CF delta pts")
-	scoresA := epochA.ScoreSet().Scores(countries.Hosting)
-	scoresB := epochB.ScoreSet().Scores(countries.Hosting)
-	sorted := append([]string(nil), ccs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return scoresB[sorted[i]]-scoresA[sorted[i]] > scoresB[sorted[j]]-scoresA[sorted[j]]
-	})
-	for _, cc := range sorted {
+	type move struct {
+		cc   string
+		a, b float64
+	}
+	moves := make([]move, len(ccs))
+	for i, cc := range ccs {
+		a, _ := epochA.ScoreSet().Standing(cc, countries.Hosting)
+		b, _ := epochB.ScoreSet().Standing(cc, countries.Hosting)
+		moves[i] = move{cc, a.Score, b.Score}
+	}
+	sort.SliceStable(moves, func(i, j int) bool { return moves[i].b-moves[i].a > moves[j].b-moves[j].a })
+	for _, m := range moves {
 		fmt.Printf("%-4s %9.4f %9.4f %+8.4f %+12.1f\n",
-			cc, scoresA[cc], scoresB[cc], scoresB[cc]-scoresA[cc], res.CloudflareDelta[cc])
+			m.cc, m.a, m.b, m.b-m.a, res.CloudflareDelta[m.cc])
 	}
 }
 

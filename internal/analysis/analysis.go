@@ -9,6 +9,13 @@
 // which. One that takes a *dataset.Corpus reads website rows (continents
 // of serving IPs, languages, the second epoch's lists) and says so by its
 // signature.
+//
+// Per-country values are read through the ScoreSet's ordered accessors —
+// EachScore (sorted country order), Ranking and Standing — or the sorted
+// CountryScore rows SortedScores and SortedInsularity build from them;
+// BySubregion and ByContinent take those rows. No analysis ranges over a
+// score map, so every floating-point reduction runs in one fixed country
+// order and a seeded run gives the same bits on every call.
 package analysis
 
 import (
@@ -51,23 +58,23 @@ func SortedScores(src dataset.Scored, layer countries.Layer) []CountryScore {
 // site is insular when its TLD's home country is the list's country (.com
 // counts as insular to the U.S.).
 func SortedInsularity(src dataset.Scored, layer countries.Layer) []CountryScore {
-	return sortCountryValues(src.ScoreSet().Insularities(layer))
+	var out []CountryScore
+	src.ScoreSet().EachScore(layer, func(cc string, _, ins float64) {
+		out = append(out, countryScore(cc, ins))
+	})
+	sortCountryValues(out)
+	return out
 }
 
-// sortCountryValues orders per-country values as the paper's tables do:
+// sortCountryValues orders per-country rows as the paper's tables do:
 // value descending, then country code ascending.
-func sortCountryValues(vals map[string]float64) []CountryScore {
-	out := make([]CountryScore, 0, len(vals))
-	for cc, v := range vals {
-		out = append(out, countryScore(cc, v))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
+func sortCountryValues(rows []CountryScore) {
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Value != rows[j].Value {
+			return rows[i].Value > rows[j].Value
 		}
-		return out[i].Code < out[j].Code
+		return rows[i].Code < rows[j].Code
 	})
-	return out
 }
 
 func countryScore(cc string, v float64) CountryScore {
@@ -84,58 +91,42 @@ type RegionAggregate struct {
 	Countries int
 }
 
-// BySubregion aggregates a per-country metric into UN-subregion summaries
-// (Figures 9 and 10).
-func BySubregion(vals map[string]float64) []RegionAggregate {
-	type acc struct {
-		continent string
-		xs        []float64
-	}
-	regions := map[string]*acc{}
-	for cc, v := range vals {
-		c, _ := countries.ByCode(cc)
-		a := regions[c.Region]
-		if a == nil {
-			a = &acc{continent: c.Continent}
-			regions[c.Region] = a
-		}
-		a.xs = append(a.xs, v)
-	}
-	out := make([]RegionAggregate, 0, len(regions))
-	for region, a := range regions {
-		out = append(out, RegionAggregate{
-			Region:    region,
-			Continent: a.continent,
-			Mean:      stats.Mean(a.xs),
-			Min:       stats.Min(a.xs),
-			Max:       stats.Max(a.xs),
-			Countries: len(a.xs),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Mean > out[j].Mean })
-	return out
+// BySubregion aggregates per-country rows (SortedScores or
+// SortedInsularity) into UN-subregion summaries (Figures 9 and 10).
+func BySubregion(rows []CountryScore) []RegionAggregate {
+	return aggregate(rows, func(r CountryScore) string { return r.Region })
 }
 
-// ByContinent aggregates a per-country metric into continent summaries
-// (the color-coding of Figures 5 and 17–19).
-func ByContinent(vals map[string]float64) []RegionAggregate {
-	perContinent := map[string][]float64{}
-	for cc, v := range vals {
-		c, _ := countries.ByCode(cc)
-		perContinent[c.Continent] = append(perContinent[c.Continent], v)
+// ByContinent aggregates per-country rows into continent summaries (the
+// color-coding of Figures 5 and 17–19).
+func ByContinent(rows []CountryScore) []RegionAggregate {
+	return aggregate(rows, func(r CountryScore) string { return r.Continent })
+}
+
+// aggregate groups rows by key, reducing each group in input order, and
+// sorts the groups by mean descending, then name ascending, so the same
+// rows give the same bytes on every call.
+func aggregate(rows []CountryScore, key func(CountryScore) string) []RegionAggregate {
+	var out []RegionAggregate
+	groups := map[string][]float64{}
+	for _, r := range rows {
+		k := key(r)
+		if _, ok := groups[k]; !ok {
+			out = append(out, RegionAggregate{Region: k, Continent: r.Continent})
+		}
+		groups[k] = append(groups[k], r.Value)
 	}
-	out := make([]RegionAggregate, 0, len(perContinent))
-	for continent, xs := range perContinent {
-		out = append(out, RegionAggregate{
-			Region:    continent,
-			Continent: continent,
-			Mean:      stats.Mean(xs),
-			Min:       stats.Min(xs),
-			Max:       stats.Max(xs),
-			Countries: len(xs),
-		})
+	for i := range out {
+		xs := groups[out[i].Region]
+		out[i].Mean, out[i].Min, out[i].Max = stats.Mean(xs), stats.Min(xs), stats.Max(xs)
+		out[i].Countries = len(xs)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Mean > out[j].Mean })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Mean != out[j].Mean {
+			return out[i].Mean > out[j].Mean
+		}
+		return out[i].Region < out[j].Region
+	})
 	return out
 }
 
@@ -159,29 +150,22 @@ type LayerSummary struct {
 // the floating-point reductions come out identical on every run.
 func SummarizeLayer(src dataset.Scored, layer countries.Layer) LayerSummary {
 	ss := src.ScoreSet()
-	scores := ss.Scores(layer)
-	ccs := ss.Countries()
-	xs := make([]float64, 0, len(ccs))
+	var xs, ins []float64
 	sum := LayerSummary{Layer: layer, MostValue: -1, LeastValue: 2}
-	for _, cc := range ccs {
-		v := scores[cc]
+	ss.EachScore(layer, func(cc string, v, insular float64) {
 		xs = append(xs, v)
+		ins = append(ins, insular)
 		if v > sum.MostValue {
 			sum.MostCode, sum.MostValue = cc, v
 		}
 		if v < sum.LeastValue {
 			sum.LeastCode, sum.LeastValue = cc, v
 		}
-	}
+	})
 	sum.Mean = stats.Mean(xs)
 	sum.Variance = stats.Variance(xs)
 	sum.Median = stats.Median(xs)
 	sum.GlobalTop = ss.GlobalDistribution(layer).Score()
-	insularities := ss.Insularities(layer)
-	ins := make([]float64, 0, len(ccs))
-	for _, cc := range ccs {
-		ins = append(ins, insularities[cc])
-	}
 	sum.MeanInsular = stats.Mean(ins)
 	return sum
 }
@@ -209,11 +193,8 @@ func SummarizeLayers(src dataset.Scored) []LayerSummary {
 // InsularityCDF returns the empirical CDF of a layer's insularity across
 // countries (Figure 11).
 func InsularityCDF(src dataset.Scored, layer countries.Layer) *stats.ECDF {
-	vals := src.ScoreSet().Insularities(layer)
-	xs := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		xs = append(xs, v)
-	}
+	var xs []float64
+	src.ScoreSet().EachScore(layer, func(_ string, _, ins float64) { xs = append(xs, ins) })
 	return stats.NewECDF(xs)
 }
 
@@ -222,9 +203,7 @@ func InsularityCDF(src dataset.Scored, layer countries.Layer) *stats.ECDF {
 func ScoreHistogram(src dataset.Scored, layer countries.Layer, bins int) (*stats.Histogram, float64) {
 	ss := src.ScoreSet()
 	h := stats.NewHistogram(0, 0.65, bins)
-	for _, v := range ss.Scores(layer) {
-		h.Add(v)
-	}
+	ss.EachScore(layer, func(_ string, v, _ float64) { h.Add(v) })
 	return h, ss.GlobalDistribution(layer).Score()
 }
 
@@ -318,34 +297,20 @@ type Correlation struct {
 // share vs 𝒮 (0.19), L-RP share vs 𝒮 (−0.72), and insularity vs 𝒮 (−0.61).
 func ClassCorrelations(src dataset.Scored, cls *classify.Result) ([]Correlation, error) {
 	ss := src.ScoreSet()
-	scores := ss.Scores(countries.Hosting)
-	ccs := ss.Countries()
-	scoreVec := make([]float64, len(ccs))
-	for i, cc := range ccs {
-		scoreVec[i] = scores[cc]
-	}
-	vec := func(m map[string]float64) []float64 {
-		out := make([]float64, len(ccs))
-		for i, cc := range ccs {
-			out[i] = m[cc]
-		}
-		return out
-	}
-
-	xl := classify.ClassShares(ss, countries.Hosting, cls, classify.XLGlobal)
-	lg := classify.ClassShares(ss, countries.Hosting, cls, classify.LGlobal, classify.LGlobalRegion)
-	lr := classify.ClassShares(ss, countries.Hosting, cls, classify.LRegional)
-	ins := ss.Insularities(countries.Hosting)
-
+	var scoreVec, ins []float64
+	ss.EachScore(countries.Hosting, func(_ string, score, insular float64) {
+		scoreVec = append(scoreVec, score)
+		ins = append(ins, insular)
+	})
 	specs := []struct {
 		label    string
 		xs       []float64
 		paperRho float64
 	}{
-		{"XL-GP share vs centralization", vec(xl), 0.90},
-		{"L-GP share vs centralization", vec(lg), 0.19},
-		{"L-RP share vs centralization", vec(lr), -0.72},
-		{"hosting insularity vs centralization", vec(ins), -0.61},
+		{"XL-GP share vs centralization", classify.ClassShares(ss, countries.Hosting, cls, classify.XLGlobal), 0.90},
+		{"L-GP share vs centralization", classify.ClassShares(ss, countries.Hosting, cls, classify.LGlobal, classify.LGlobalRegion), 0.19},
+		{"L-RP share vs centralization", classify.ClassShares(ss, countries.Hosting, cls, classify.LRegional), -0.72},
+		{"hosting insularity vs centralization", ins, -0.61},
 	}
 	out := make([]Correlation, 0, len(specs))
 	for _, spec := range specs {
@@ -356,7 +321,7 @@ func ClassCorrelations(src dataset.Scored, cls *classify.Result) ([]Correlation,
 		out = append(out, Correlation{
 			Label:    spec.label,
 			Rho:      rho,
-			PValue:   stats.PearsonPValue(rho, len(ccs)),
+			PValue:   stats.PearsonPValue(rho, len(scoreVec)),
 			Strength: stats.CorrelationStrength(rho),
 			PaperRho: spec.paperRho,
 		})

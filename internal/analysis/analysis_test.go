@@ -63,7 +63,7 @@ func TestSortedScoresOrdering(t *testing.T) {
 
 func TestBySubregion(t *testing.T) {
 	_, mc := measuredCorpus(t)
-	aggs := BySubregion(mc.ScoreSet().Scores(countries.Hosting))
+	aggs := BySubregion(SortedScores(mc, countries.Hosting))
 	if len(aggs) < 5 {
 		t.Fatalf("only %d subregions", len(aggs))
 	}
@@ -128,7 +128,11 @@ func TestScoreSetRankMatchesSortedScores(t *testing.T) {
 	}
 	ss := c.ScoreSet()
 	for _, layer := range countries.Layers {
-		want := sortCountryValues(ss.Scores(layer))
+		var want []CountryScore
+		for cc, v := range ss.Scores(layer) {
+			want = append(want, countryScore(cc, v))
+		}
+		sortCountryValues(want)
 		got := SortedScores(ss, layer)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: SortedScores %v, want %v", layer, got, want)
@@ -367,7 +371,7 @@ func TestSortedInsularityOrdering(t *testing.T) {
 
 func TestByContinent(t *testing.T) {
 	_, mc := measuredCorpus(t)
-	aggs := ByContinent(mc.ScoreSet().Scores(countries.Hosting))
+	aggs := ByContinent(SortedScores(mc, countries.Hosting))
 	if len(aggs) < 4 {
 		t.Fatalf("continents = %d", len(aggs))
 	}

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"github.com/webdep/webdep/internal/countries"
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/stats"
@@ -74,8 +72,7 @@ type LongitudinalResult struct {
 // Longitudinal compares two corpora over the same country set.
 func Longitudinal(a, b *dataset.Corpus) (*LongitudinalResult, error) {
 	ccs := a.Countries()
-	scoresA := a.ScoreSet().Scores(countries.Hosting)
-	scoresB := b.ScoreSet().Scores(countries.Hosting)
+	ssA, ssB := a.ScoreSet(), b.ScoreSet()
 	xs := make([]float64, 0, len(ccs))
 	ys := make([]float64, 0, len(ccs))
 	var jaccards, deltas []float64
@@ -89,23 +86,25 @@ func Longitudinal(a, b *dataset.Corpus) (*LongitudinalResult, error) {
 		if listB == nil {
 			continue
 		}
-		xs = append(xs, scoresA[cc])
-		ys = append(ys, scoresB[cc])
+		stA, _ := ssA.Standing(cc, countries.Hosting)
+		stB, _ := ssB.Standing(cc, countries.Hosting)
+		xs = append(xs, stA.Score)
+		ys = append(ys, stB.Score)
 		jaccards = append(jaccards, stats.Jaccard(a.Get(cc).Domains(), listB.Domains()))
-		cfA := a.ScoreSet().DistributionOf(cc, countries.Hosting).Share("Cloudflare")
-		cfB := b.ScoreSet().DistributionOf(cc, countries.Hosting).Share("Cloudflare")
+		cfA := ssA.DistributionOf(cc, countries.Hosting).Share("Cloudflare")
+		cfB := ssB.DistributionOf(cc, countries.Hosting).Share("Cloudflare")
 		delta := (cfB - cfA) * 100
 		res.CloudflareDelta[cc] = delta
 		deltas = append(deltas, delta)
 
-		change := scoresB[cc] - scoresA[cc]
+		change := stB.Score - stA.Score
 		if change > bestUp {
 			bestUp = change
-			res.LargestIncrease = countryScoreFor(cc, change)
+			res.LargestIncrease = countryScore(cc, change)
 		}
 		if change < bestDown {
 			bestDown = change
-			res.LargestDecrease = countryScoreFor(cc, change)
+			res.LargestDecrease = countryScore(cc, change)
 		}
 	}
 	rho, err := stats.Pearson(xs, ys)
@@ -119,11 +118,6 @@ func Longitudinal(a, b *dataset.Corpus) (*LongitudinalResult, error) {
 	return res, nil
 }
 
-func countryScoreFor(cc string, v float64) CountryScore {
-	c, _ := countries.ByCode(cc)
-	return CountryScore{Code: cc, Name: c.Name, Region: c.Region, Continent: c.Continent, Value: v}
-}
-
 // TLDBreakdown is one country's TLD-kind shares (Figure 16).
 type TLDBreakdown struct {
 	Country string
@@ -131,12 +125,14 @@ type TLDBreakdown struct {
 	Shares  map[tldinfo.Kind]float64
 }
 
-// TLDBreakdowns computes every country's TLD-kind shares, sorted most
-// centralized first.
+// TLDBreakdowns computes every country's TLD-kind shares, most centralized
+// first (the TLD layer's Ranking order).
 func TLDBreakdowns(corpus *dataset.Corpus) []TLDBreakdown {
-	scores := corpus.ScoreSet().Scores(countries.TLD)
-	out := make([]TLDBreakdown, 0, len(corpus.Lists))
-	for cc, list := range corpus.Lists {
+	ss := corpus.ScoreSet()
+	ranked := ss.Ranking(countries.TLD)
+	out := make([]TLDBreakdown, 0, len(ranked))
+	for _, cc := range ranked {
+		list := corpus.Get(cc)
 		shares := map[tldinfo.Kind]float64{}
 		total := 0
 		for i := range list.Sites {
@@ -150,14 +146,9 @@ func TLDBreakdowns(corpus *dataset.Corpus) []TLDBreakdown {
 		for k := range shares {
 			shares[k] /= float64(total)
 		}
-		out = append(out, TLDBreakdown{Country: cc, Score: scores[cc], Shares: shares})
+		st, _ := ss.Standing(cc, countries.TLD)
+		out = append(out, TLDBreakdown{Country: cc, Score: st.Score, Shares: shares})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Country < out[j].Country
-	})
 	return out
 }
 
@@ -171,21 +162,14 @@ type TLDStudy struct {
 }
 
 // StudyTLD computes Appendix B's aggregates.
-func StudyTLD(corpus *dataset.Corpus) (*TLDStudy, error) {
-	var scores []float64
-	for _, v := range corpus.ScoreSet().Scores(countries.TLD) {
-		scores = append(scores, v)
-	}
-	ss := corpus.ScoreSet()
-	hostIns := ss.Insularities(countries.Hosting)
-	tldIns := ss.Insularities(countries.TLD)
-	ccs := corpus.Countries()
-	xs := make([]float64, len(ccs))
-	ys := make([]float64, len(ccs))
-	for i, cc := range ccs {
-		xs[i] = hostIns[cc]
-		ys[i] = tldIns[cc]
-	}
+func StudyTLD(src dataset.Scored) (*TLDStudy, error) {
+	ss := src.ScoreSet()
+	var scores, xs, ys []float64
+	ss.EachScore(countries.Hosting, func(_ string, _, ins float64) { xs = append(xs, ins) })
+	ss.EachScore(countries.TLD, func(_ string, score, ins float64) {
+		scores = append(scores, score)
+		ys = append(ys, ins)
+	})
 	rho, err := stats.Pearson(xs, ys)
 	if err != nil {
 		return nil, err
@@ -193,6 +177,6 @@ func StudyTLD(corpus *dataset.Corpus) (*TLDStudy, error) {
 	return &TLDStudy{
 		MeanScore:               stats.Mean(scores),
 		HostingTLDInsularityRho: rho,
-		PValue:                  stats.PearsonPValue(rho, len(ccs)),
+		PValue:                  stats.PearsonPValue(rho, len(xs)),
 	}, nil
 }

@@ -14,5 +14,10 @@ func SortedTransitiveScores(g *depgraph.Graph, layer countries.Layer) []CountryS
 	if vals == nil {
 		return nil
 	}
-	return sortCountryValues(vals)
+	out := make([]CountryScore, 0, len(vals))
+	for cc, v := range vals {
+		out = append(out, countryScore(cc, v))
+	}
+	sortCountryValues(out)
+	return out
 }

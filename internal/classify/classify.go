@@ -285,20 +285,19 @@ func breakdownOf(dist *core.Distribution, res *Result) map[Class]float64 {
 
 // ClassShares computes each country's total share on a set of providers
 // (used for the correlation experiments: XL-GP share vs 𝒮, etc.), reading
-// the scoring surface.
-func ClassShares(src dataset.Scored, layer countries.Layer, res *Result, classes ...Class) map[string]float64 {
+// the scoring surface. The slice is aligned with the set's Countries.
+func ClassShares(src dataset.Scored, layer countries.Layer, res *Result, classes ...Class) []float64 {
 	ss := src.ScoreSet()
 	want := make(map[Class]bool, len(classes))
 	for _, c := range classes {
 		want[c] = true
 	}
 	ccs := ss.Countries()
-	out := make(map[string]float64, len(ccs))
-	for _, cc := range ccs {
+	out := make([]float64, len(ccs))
+	for i, cc := range ccs {
 		dist := ss.DistributionOf(cc, layer)
 		total := dist.Total()
 		if total == 0 {
-			out[cc] = 0
 			continue
 		}
 		var share float64
@@ -307,7 +306,7 @@ func ClassShares(src dataset.Scored, layer countries.Layer, res *Result, classes
 				share += ps.Count / total
 			}
 		}
-		out[cc] = share
+		out[i] = share
 	}
 	return out
 }

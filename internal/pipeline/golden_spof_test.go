@@ -179,9 +179,10 @@ func TestGoldenSPOFThroughStore(t *testing.T) {
 }
 
 // TestGoldenSPOFSimulateAudit is the acceptance gate for the what-if
-// engine: on the golden world, Simulate's closure-based impact must be
-// byte-identical (through JSON) to AuditSimulate's brute-force
-// removal-and-rescore for EVERY provider in the graph.
+// engine: on the golden world, Simulate's impact, read from the blast table
+// built with the SPOF order, must be byte-identical (through JSON) to
+// AuditSimulate's brute-force removal-and-rescore for EVERY provider in the
+// graph.
 func TestGoldenSPOFSimulateAudit(t *testing.T) {
 	corpus := goldenCorpus(t, 0)
 	g := depgraph.Build(corpus, &depgraph.Options{Obs: obs.NewRegistry()})

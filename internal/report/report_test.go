@@ -56,7 +56,7 @@ func TestInsularityAndSubregionTables(t *testing.T) {
 		t.Error("insularity table missing US")
 	}
 	buf.Reset()
-	SubregionTable(&buf, "Fig 9", analysis.BySubregion(corpus.ScoreSet().Scores(countries.Hosting)))
+	SubregionTable(&buf, "Fig 9", analysis.BySubregion(analysis.SortedScores(corpus, countries.Hosting)))
 	if !strings.Contains(buf.String(), "South-eastern Asia") {
 		t.Error("subregion table missing SE Asia")
 	}

@@ -56,10 +56,8 @@ func (o Options) withDefaults() Options {
 
 // Result compares the probe measurement against the primary one.
 type Result struct {
-	// PrimaryScores and ProbeScores are hosting centralization per country.
-	PrimaryScores map[string]float64
-	ProbeScores   map[string]float64
-	// Rho is Pearson's correlation between the two score vectors.
+	// Rho is Pearson's correlation between the primary and probe hosting
+	// scores, one pair per country.
 	Rho float64
 	// PValue is the approximate two-sided p-value for Rho.
 	PValue float64
@@ -117,20 +115,19 @@ func Validate(w *worldgen.World, primary *dataset.Corpus, opts Options) (*Result
 		probe.Add(p.EnrichCountry(cc, probe.Epoch, perturbed))
 	}
 
-	primaryScores := primary.ScoreSet().Scores(countries.Hosting)
-	probeScores := probe.ScoreSet().Scores(countries.Hosting)
+	primarySet, probeSet := primary.ScoreSet(), probe.ScoreSet()
 	var xs, ys []float64
 	for _, cc := range w.Config.Countries {
-		xs = append(xs, primaryScores[cc])
-		ys = append(ys, probeScores[cc])
+		a, _ := primarySet.Standing(cc, countries.Hosting)
+		b, _ := probeSet.Standing(cc, countries.Hosting)
+		xs = append(xs, a.Score)
+		ys = append(ys, b.Score)
 	}
 	rho, pv, err := Correlate(xs, ys)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		PrimaryScores:          primaryScores,
-		ProbeScores:            probeScores,
 		Rho:                    rho,
 		PValue:                 pv,
 		CountriesWithoutProbes: withoutProbes,
