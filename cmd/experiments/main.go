@@ -789,12 +789,11 @@ func (h *harness) transitive() error {
 		st.Nodes, st.ProviderEdges, st.SiteEdges, st.ClosureSCCs)
 	fmt.Printf("%-8s %10s %12s %10s\n", "Layer", "direct S̄", "transitive S̄", "mean Δ")
 	for _, layer := range []countries.Layer{countries.Hosting, countries.DNS, countries.CA} {
-		trans := g.TransitiveScores(layer)
+		// Both walks run in sorted country order over the corpus's
+		// countries, so the two columns line up.
 		var dxs, txs []float64
-		corpus.ScoreSet().EachScore(layer, func(cc string, direct, _ float64) {
-			dxs = append(dxs, direct)
-			txs = append(txs, trans[cc])
-		})
+		corpus.ScoreSet().EachScore(layer, func(_ string, direct, _ float64) { dxs = append(dxs, direct) })
+		g.EachTransitiveScore(layer, func(_ string, s float64) { txs = append(txs, s) })
 		dm, tm := stats.Mean(dxs), stats.Mean(txs)
 		fmt.Printf("%-8s %10.4f %12.4f %+10.4f\n", layer, dm, tm, tm-dm)
 	}

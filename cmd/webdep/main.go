@@ -242,11 +242,15 @@ func bindExport(fs *flag.FlagSet, c *common) (body, func() error) {
 			return err
 		}
 		p := fastPipeline(world, c.Workers)
-		corpus, err := p.MeasureWorld(world)
-		if err != nil {
-			return err
+		if *store != "" {
+			err = measureToStore(o, p, world, *store, r, c.Workers)
+		} else {
+			var corpus *dataset.Corpus
+			if corpus, err = p.MeasureWorld(world); err == nil {
+				err = emit(o, corpus, r, "", c.Workers, "")
+			}
 		}
-		if err := emit(o, corpus, r, *store, c.Workers, ""); err != nil {
+		if err != nil {
 			return err
 		}
 		if *zones {
@@ -262,11 +266,38 @@ func bindExport(fs *flag.FlagSet, c *common) (body, func() error) {
 		if err != nil {
 			return err
 		}
-		if corpus, err = p.MeasureWorld(next); err != nil {
+		corpus, err := p.MeasureWorld(next)
+		if err != nil {
 			return err
 		}
 		return emit(o, corpus, &reporting{Out: r.Out}, "", c.Workers, "")
 	}, nil
+}
+
+// measureToStore is export's path with -store: the world is measured
+// straight into the store, one country per worker resident, and the CSVs
+// and surfaces are then read from the committed store as score reads them.
+// What it writes and prints equals the in-memory path's.
+func measureToStore(o out, p *pipeline.Pipeline, w *worldgen.World, store string, r *reporting, workers int) error {
+	sw, err := corpusstore.Create(store, w.Config.Epoch, &corpusstore.Options{Workers: workers})
+	if err != nil {
+		return err
+	}
+	if err := p.MeasureWorldToStore(w, sw); err != nil {
+		return err
+	}
+	if err := sw.Close(); err != nil {
+		return err
+	}
+	st, err := corpusstore.Open(store, &corpusstore.Options{Workers: workers})
+	if err != nil {
+		return err
+	}
+	o.logf("stored corpus (%d sites, %d countries) to %s\n", st.TotalSites(), len(st.Countries()), store)
+	if err := writeCSVs(o, r.Out, st.Epoch(), st.Countries(), st.ReadList); err != nil {
+		return err
+	}
+	return summarize(o, st, st.Coverage(), r, workers)
 }
 
 // crawl holds the flags only a live crawl understands.

@@ -10,14 +10,10 @@ import (
 // counterpart of SortedScores, on the same core.Distribution scoring
 // surface. Layers the graph does not model (TLD) return nil.
 func SortedTransitiveScores(g *depgraph.Graph, layer countries.Layer) []CountryScore {
-	vals := g.TransitiveScores(layer)
-	if vals == nil {
-		return nil
-	}
-	out := make([]CountryScore, 0, len(vals))
-	for cc, v := range vals {
+	var out []CountryScore
+	g.EachTransitiveScore(layer, func(cc string, v float64) {
 		out = append(out, countryScore(cc, v))
-	}
+	})
 	sortCountryValues(out)
 	return out
 }

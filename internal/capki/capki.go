@@ -17,6 +17,7 @@ import (
 	"crypto/x509/pkix"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,13 +121,22 @@ type Owner struct {
 }
 
 // OwnerDB maps issuer organizations to CA owners — the CCADB substitute.
-// The zero value is empty and usable. Lookups read an immutable map
+// The zero value is empty and usable. Lookups read an immutable index
 // through one atomic load, so concurrent enrichment workers share no
 // written cache line; Register, which only world building calls, publishes
 // a copy with the new entry.
 type OwnerDB struct {
-	mu     sync.Mutex // serializes Register's copy-on-write
-	owners atomic.Pointer[map[string]Owner]
+	mu    sync.Mutex // serializes Register's copy-on-write
+	index atomic.Pointer[OwnerIndex]
+}
+
+// OwnerIndex is the database as of one moment, with owners by dense ID, so
+// a caller joining many sites can keep its own per-owner table indexed by
+// ID. Every registered issuer organization has its own ID. An OwnerIndex is
+// immutable.
+type OwnerIndex struct {
+	byIssuer map[string]int32
+	owners   []Owner // by ID, in registration order
 }
 
 // NewOwnerDB returns an empty database.
@@ -134,12 +144,12 @@ func NewOwnerDB() *OwnerDB {
 	return &OwnerDB{}
 }
 
-// snapshot returns the published map, nil before the first Register.
-func (db *OwnerDB) snapshot() map[string]Owner {
-	if m := db.owners.Load(); m != nil {
-		return *m
+// Index returns the database's current index.
+func (db *OwnerDB) Index() *OwnerIndex {
+	if x := db.index.Load(); x != nil {
+		return x
 	}
-	return nil
+	return &OwnerIndex{}
 }
 
 // Register records that certificates issued under the given organization
@@ -147,13 +157,18 @@ func (db *OwnerDB) snapshot() map[string]Owner {
 func (db *OwnerDB) Register(issuerOrg string, owner Owner) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	old := db.snapshot()
-	next := make(map[string]Owner, len(old)+1)
-	for org, o := range old {
-		next[org] = o
+	old := db.Index()
+	next := &OwnerIndex{byIssuer: make(map[string]int32, len(old.byIssuer)+1), owners: slices.Clone(old.owners)}
+	for org, id := range old.byIssuer {
+		next.byIssuer[org] = id
 	}
-	next[issuerOrg] = owner
-	db.owners.Store(&next)
+	if id, ok := next.byIssuer[issuerOrg]; ok {
+		next.owners[id] = owner
+	} else {
+		next.byIssuer[issuerOrg] = int32(len(next.owners))
+		next.owners = append(next.owners, owner)
+	}
+	db.index.Store(next)
 }
 
 // RegisterAuthority is a convenience that maps an Authority's issuing
@@ -169,19 +184,35 @@ func (db *OwnerDB) OwnerOf(leaf *x509.Certificate) (Owner, bool) {
 	if leaf == nil {
 		return Owner{}, false
 	}
-	owners := db.snapshot()
+	x := db.Index()
 	for _, org := range leaf.Issuer.Organization {
-		if o, ok := owners[org]; ok {
-			return o, true
+		if id, ok := x.byIssuer[org]; ok {
+			return x.owners[id], true
 		}
 	}
-	if o, ok := owners[leaf.Issuer.CommonName]; ok {
-		return o, true
+	if id, ok := x.byIssuer[leaf.Issuer.CommonName]; ok {
+		return x.owners[id], true
 	}
 	return Owner{}, false
 }
 
+// Owners returns the owners by ID. The caller must not modify it.
+func (x *OwnerIndex) Owners() []Owner { return x.owners }
+
+// Lookup returns the ID of the owner OwnerOf gives a leaf whose issuer
+// names only the organization issuerOrg (and no common name), or -1 when
+// it has none.
+func (x *OwnerIndex) Lookup(issuerOrg string) int32 {
+	if id, ok := x.byIssuer[issuerOrg]; ok {
+		return id
+	}
+	if id, ok := x.byIssuer[""]; ok {
+		return id
+	}
+	return -1
+}
+
 // Len reports the number of registered issuer organizations.
 func (db *OwnerDB) Len() int {
-	return len(db.snapshot())
+	return len(db.Index().byIssuer)
 }

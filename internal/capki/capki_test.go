@@ -157,3 +157,30 @@ func TestOwnerDBConcurrentRegister(t *testing.T) {
 		t.Errorf("Len = %d, want %d", got, want)
 	}
 }
+
+// TestOwnerIndexMatchesOwnerOf: an issuer's owner ID names the owner
+// OwnerOf gives a leaf naming only that organization, including the
+// fall-back to an owner registered under the empty common name.
+func TestOwnerIndexMatchesOwnerOf(t *testing.T) {
+	db := NewOwnerDB()
+	db.Register("R3", Owner{Name: "Let's Encrypt", Country: "US"})
+	db.Register("GTS CA 1C3", Owner{Name: "Google Trust Services", Country: "US"})
+	db.Register("R3", Owner{Name: "ISRG", Country: "US"}) // re-registered: same ID, new owner
+	check := func() {
+		t.Helper()
+		x := db.Index()
+		for _, org := range []string{"R3", "GTS CA 1C3", "Unknown CA"} {
+			want, ok := db.OwnerOf(&x509.Certificate{Issuer: pkix.Name{Organization: []string{org}}})
+			id := x.Lookup(org)
+			if ok != (id >= 0) || ok && x.Owners()[id] != want {
+				t.Errorf("%q: OwnerOf = %+v %v, Lookup = %d", org, want, ok, id)
+			}
+		}
+	}
+	check()
+	if n := len(db.Index().Owners()); n != 2 {
+		t.Errorf("%d owner IDs for two issuers", n)
+	}
+	db.Register("", Owner{Name: "Anonymous", Country: "ZZ"})
+	check()
+}

@@ -33,14 +33,16 @@
 // (extending the uint32 interning of internal/dataset's scoring index to
 // disk), ranks and symbols are uvarints, anycast flags are bitsets, and
 // domains/IPs are raw length-prefixed strings. Each block carries the
-// symbols first seen in it, so both writing and reading stream: the writer
-// holds at most one block of rows, the reader at most one decoded block.
+// symbols first seen in it, so both writing and reading stream: the
+// writer encodes one block at a time from the caller's Rows, the reader
+// holds at most one decoded block.
 //
 // # Streaming
 //
 // Ingestion (Writer) and scoring (Store.Score) never materialize a corpus:
-// worldgen can emit shards country by country (AppendList encodes a list's
-// blocks in place), and scoring streams each shard into the tallies the
+// worldgen can emit shards country by country (AppendRows encodes a
+// country's Rows in place, symbols as dictionary IDs), and scoring streams
+// each shard into the tallies the
 // in-memory scoring index merges, producing bit-identical scores
 // (dataset.CountryTally / dataset.BuildScoreSet).
 //

@@ -369,7 +369,11 @@ func TestCorruptBlockContents(t *testing.T) {
 		var shard bytes.Buffer
 		var enc shardEncoder
 		hdr := shardHeader{Version: Version, Epoch: "2023-05", Country: "US", BlockRows: 8}
-		if err := enc.encode(&shard, hdr, rows); err != nil {
+		r, err := enc.listRows("US", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.encode(&shard, hdr, r); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "US.shard"), shard.Bytes(), 0o644); err != nil {

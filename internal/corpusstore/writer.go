@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,11 +18,11 @@ import (
 	"github.com/webdep/webdep/internal/parallel"
 )
 
-// Writer streams one corpus into a store directory: each AppendList writes
-// one country's shard (concurrently if the caller wants — shards are
-// independent), encoding one block of rows at a time, and Close commits
-// them all and writes the manifest last. The shards are one
-// checkpoint.Batch: AppendList returns once its shard's bytes are written,
+// Writer streams one corpus into a store directory: each AppendRows or
+// AppendList writes one country's shard (concurrently if the caller wants
+// — shards are independent), encoding one block of rows at a time, and
+// Close commits them all and writes the manifest last. The shards are one
+// checkpoint.Batch: an append returns once its shard's bytes are written,
 // and the fsyncs and renames run in the background until Close waits for
 // them and fsyncs the directory once. Only then is the manifest written
 // with checkpoint.WriteFileAtomic, so a store is readable only once Close
@@ -35,10 +36,10 @@ type Writer struct {
 	shards    *checkpoint.Batch
 
 	mu       sync.Mutex
-	writing  map[string]bool // shards reserved by an AppendList in flight
+	writing  map[string]bool // shards reserved by an append in flight
 	done     map[string]manifestShard
 	coverage map[string]*dataset.Coverage
-	free     []*shardEncoder // encoders idle between AppendList calls
+	free     []*shardEncoder // encoders idle between appends
 	closed   bool
 }
 
@@ -79,25 +80,34 @@ func Create(dir, epoch string, opts *Options) (*Writer, error) {
 // Epoch returns the epoch the store is being written for.
 func (w *Writer) Epoch() string { return w.epoch }
 
-// AppendList writes one country's list as a complete shard, encoding the
-// blocks straight from list.Sites: no row is copied on the way to disk.
-// It returns once the shard's bytes are written, so the caller may reuse
-// list; the shard is durable only after Close. Each country may be
-// appended once; a refused row refuses the whole list before anything is
-// written.
+// AppendList writes one country's list as a complete shard. Its rows are
+// interned into the encoder's Rows (see Rows) and encoded from there, so
+// the bytes are what AppendRows writes for the same rows. It returns once
+// the shard's bytes are written, so the caller may reuse list; the shard
+// is durable only after Close. Each country may be appended once; a
+// refused row refuses the whole list before anything is written.
 func (w *Writer) AppendList(list *dataset.CountryList) error {
-	cc := list.Country
+	return w.append(list.Country, func(enc *shardEncoder) (*Rows, error) {
+		return enc.listRows(list.Country, list.Sites)
+	})
+}
+
+// AppendRows writes country cc's rows as a complete shard, encoding the
+// blocks straight from rows: no row is copied on the way to disk. It
+// returns once the shard's bytes are written, so the caller may reuse rows
+// (and grow its dictionary); the shard is durable only after Close. Each
+// country may be appended once; rows the decoder would refuse refuse the
+// whole shard before anything is written.
+func (w *Writer) AppendRows(cc string, rows *Rows) error {
+	return w.append(cc, func(*shardEncoder) (*Rows, error) { return rows, nil })
+}
+
+// append writes cc's shard from the rows rowsOf returns, given the
+// encoder reserved for it.
+func (w *Writer) append(cc string, rowsOf func(*shardEncoder) (*Rows, error)) error {
 	name, err := shardFileName(cc)
 	if err != nil {
 		return err
-	}
-	for i := range list.Sites {
-		switch site := &list.Sites[i]; {
-		case site.Country != cc:
-			return fmt.Errorf("corpusstore: row for %q appended to shard %s", site.Country, cc)
-		case site.Domain == "":
-			return fmt.Errorf("corpusstore: shard %s: row with empty domain", cc)
-		}
 	}
 
 	var enc *shardEncoder
@@ -121,25 +131,36 @@ func (w *Writer) AppendList(list *dataset.CountryList) error {
 		return err
 	}
 
-	sp := obs.StartSpan(w.m.shardWriteMS)
-	hdr := shardHeader{Version: Version, Epoch: w.epoch, Country: cc, BlockRows: w.blockRows}
-	err = w.shards.WriteFile(name, func(out io.Writer) error {
-		return enc.encode(out, hdr, list.Sites)
-	})
-	rows, size := enc.rows, enc.bytes
+	rows, err := rowsOf(enc)
+	if err == nil {
+		err = rows.check(cc)
+	}
+	wrote := err == nil
+	if wrote {
+		sp := obs.StartSpan(w.m.shardWriteMS)
+		hdr := shardHeader{Version: Version, Epoch: w.epoch, Country: cc, BlockRows: w.blockRows}
+		err = w.shards.WriteFile(name, func(out io.Writer) error {
+			return enc.encode(out, hdr, rows)
+		})
+		if err != nil {
+			err = fmt.Errorf("corpusstore: shard %s: %w", cc, err)
+		} else {
+			sp.End()
+		}
+	}
+	rowCount, size := enc.rows, enc.bytes
 	w.mu.Lock()
 	delete(w.writing, cc)
 	w.free = append(w.free, enc)
 	if err == nil {
-		w.done[cc] = manifestShard{Country: cc, File: name, Rows: rows, Bytes: size}
+		w.done[cc] = manifestShard{Country: cc, File: name, Rows: rowCount, Bytes: size}
 	}
 	w.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("corpusstore: shard %s: %w", cc, err)
+		return err
 	}
-	sp.End()
 	w.m.shardsWritten.Inc()
-	w.m.rowsWritten.Add(rows)
+	w.m.rowsWritten.Add(rowCount)
 	w.m.bytesWritten.Add(size)
 	return nil
 }
@@ -154,7 +175,7 @@ func (w *Writer) SetCoverage(cov *dataset.Coverage) {
 // Close commits the store: it waits until every appended shard is fsynced
 // and renamed, fsyncs the directory once, and only then writes the
 // manifest atomically, listing every appended shard. It refuses while an
-// AppendList is still writing, and writes no manifest if any shard failed.
+// append is still writing, and writes no manifest if any shard failed.
 // Only after Close returns nil is the directory a store.
 func (w *Writer) Close() error {
 	w.mu.Lock()
@@ -211,30 +232,34 @@ func sortedKeys(m map[string]manifestShard) []string {
 	return out
 }
 
-// shardEncoder encodes one shard file, one block (BlockRows sites) at a
-// time straight from the caller's rows, so its own memory is bounded by
+// shardEncoder encodes one shard file, one block (BlockRows rows) at a
+// time straight from the caller's Rows, so its own memory is bounded by
 // the block size, not the country's toplist length. A Writer reuses it
 // across shards: encode resets its symbols and totals and keeps its
 // buffers.
 type shardEncoder struct {
-	syms    map[string]uint32
-	newSyms []string // symbols first seen in the block being encoded
+	// local maps a dictionary ID to its shard symbol ID plus one; 0 is a
+	// name the shard has not used yet. encode resets it per shard.
+	local   []uint32
+	nsyms   uint32   // symbols the shard has used so far
+	newSyms []string // symbols first used in the block being encoded
 	head    []byte   // reused: a block's new-symbol list
 	cols    []byte   // reused: a block's encoded columns
 
 	rows  int64
 	bytes int64 // written to out, magic included
+
+	// AppendList's rows and their dictionary (see listRows).
+	list Rows
+	dict map[string]uint32
 }
 
 // encode writes a whole shard to out: magic, header, rows in blocks of
 // hdr.BlockRows, end marker. It does not look at what the rows hold.
-func (e *shardEncoder) encode(out io.Writer, hdr shardHeader, rows []dataset.Website) error {
-	if e.syms == nil {
-		e.syms = map[string]uint32{}
-	} else {
-		clear(e.syms)
-	}
-	e.rows, e.bytes = 0, 0
+func (e *shardEncoder) encode(out io.Writer, hdr shardHeader, rows *Rows) error {
+	resize(&e.local, len(rows.Names))
+	clear(e.local)
+	e.nsyms, e.rows, e.bytes = 0, 0, 0
 	n, err := out.Write(shardMagic)
 	e.bytes += int64(n)
 	if err != nil {
@@ -247,14 +272,12 @@ func (e *shardEncoder) encode(out io.Writer, hdr shardHeader, rows []dataset.Web
 	if err := e.section(out, secHeader, h, nil); err != nil {
 		return err
 	}
-	for rest := rows; len(rest) > 0; {
-		n := min(len(rest), hdr.BlockRows)
-		if err := e.block(out, rest[:n]); err != nil {
+	for lo := 0; lo < rows.Len(); lo += hdr.BlockRows {
+		if err := e.block(out, rows, lo, min(lo+hdr.BlockRows, rows.Len())); err != nil {
 			return err
 		}
-		rest = rest[n:]
 	}
-	end, err := json.Marshal(shardEnd{Rows: e.rows, Symbols: int64(len(e.syms))})
+	end, err := json.Marshal(shardEnd{Rows: e.rows, Symbols: int64(e.nsyms)})
 	if err != nil {
 		return err
 	}
@@ -268,16 +291,17 @@ func (e *shardEncoder) section(out io.Writer, typ byte, head, body []byte) error
 	return err
 }
 
-// intern returns the symbol for s, scheduling it for emission in the
-// current block's new-symbol list on first use.
-func (e *shardEncoder) intern(s string) uint32 {
-	if id, ok := e.syms[s]; ok {
-		return id
+// symbol returns the shard symbol for dictionary ID id, scheduling its
+// name for the current block's new-symbol list on first use.
+func (e *shardEncoder) symbol(id uint32, names []string) uint32 {
+	if s := e.local[id]; s != 0 {
+		return s - 1
 	}
-	id := uint32(len(e.syms))
-	e.syms[s] = id
-	e.newSyms = append(e.newSyms, s)
-	return id
+	s := e.nsyms
+	e.nsyms++
+	e.local[id] = s + 1
+	e.newSyms = append(e.newSyms, names[id])
+	return s
 }
 
 // encodedRowHint sizes a shard's column buffer before its first block: a
@@ -285,40 +309,44 @@ func (e *shardEncoder) intern(s string) uint32 {
 // append growth the hint is there to avoid.
 const encodedRowHint = 80
 
-// block encodes rows as one columnar 'B' section: the symbols first seen
-// in the block, the row count, then the columns of shardColumns in order.
-// Symbols are interned in that same scan order, so equal inputs always
-// produce equal bytes. The rows are only read.
-func (e *shardEncoder) block(out io.Writer, rows []dataset.Website) error {
+// block encodes rows [lo, hi) as one columnar 'B' section: the symbols
+// first used in the block, the row count, then the columns of shardColumns
+// in order. Symbols are numbered in that same scan order, so equal rows
+// always produce equal bytes, whatever their dictionary IDs. The rows are
+// only read.
+func (e *shardEncoder) block(out io.Writer, rows *Rows, lo, hi int) error {
 	// Symbols are assigned while the columns are encoded but are written
 	// before them, so the two halves are built apart and framed together.
 	e.newSyms = e.newSyms[:0]
 	if e.cols == nil {
-		e.cols = make([]byte, 0, len(rows)*encodedRowHint)
+		e.cols = make([]byte, 0, (hi-lo)*encodedRowHint)
 	}
-	cols := binary.AppendUvarint(e.cols[:0], uint64(len(rows)))
+	cols := binary.AppendUvarint(e.cols[:0], uint64(hi-lo))
 	for c := range shardColumns {
 		col := &shardColumns[c]
-		switch col.kind {
-		case kindRank:
-			for i := range rows {
-				cols = binary.AppendUvarint(cols, uint64(rows[i].Rank))
+		switch {
+		case col.kind == kindRank:
+			for _, rank := range rows.Rank[lo:hi] {
+				cols = binary.AppendUvarint(cols, uint64(rank))
 			}
-		case kindStr:
-			for i := range rows {
-				s := *col.str(&rows[i])
+		case col.text != nil:
+			for _, s := range col.text(rows)[lo:hi] {
 				cols = binary.AppendUvarint(cols, uint64(len(s)))
 				cols = append(cols, s...)
 			}
-		case kindSym:
-			for i := range rows {
-				cols = binary.AppendUvarint(cols, uint64(e.intern(*col.str(&rows[i]))))
+		case col.addr != nil:
+			for _, a := range col.addr(rows)[lo:hi] {
+				cols = appendAddr(cols, a)
 			}
-		case kindBool:
+		case col.ids != nil:
+			for _, id := range col.ids(rows)[lo:hi] {
+				cols = binary.AppendUvarint(cols, uint64(e.symbol(id, rows.Names)))
+			}
+		case col.bits != nil:
 			start := len(cols)
-			cols = append(cols, make([]byte, (len(rows)+7)/8)...)
-			for i := range rows {
-				if *col.flag(&rows[i]) {
+			cols = append(cols, make([]byte, (hi-lo+7)/8)...)
+			for i, set := range col.bits(rows)[lo:hi] {
+				if set {
 					cols[start+i/8] |= 1 << (i % 8)
 				}
 			}
@@ -336,8 +364,27 @@ func (e *shardEncoder) block(out io.Writer, rows []dataset.Website) error {
 	if err := e.section(out, secBlock, head, cols); err != nil {
 		return err
 	}
-	e.rows += int64(len(rows))
+	e.rows += int64(hi - lo)
 	return nil
+}
+
+// appendAddr appends a's text framed as a kindStr value: its length as a
+// uvarint, then netip.Addr.AppendTo's bytes. The zero Addr is the empty
+// string.
+func appendAddr(b []byte, a netip.Addr) []byte {
+	at := len(b)
+	b = a.AppendTo(append(b, 0))
+	n := len(b) - at - 1
+	if n < 0x80 {
+		b[at] = byte(n) // a one-byte uvarint: every address without a long zone
+		return b
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(prefix[:], uint64(n))
+	b = append(b, prefix[1:k]...)
+	copy(b[at+k:], b[at+1:at+1+n])
+	copy(b[at:], prefix[:k])
+	return b
 }
 
 // Save writes an in-memory corpus as a store at dir: one shard per country

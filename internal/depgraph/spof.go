@@ -309,16 +309,28 @@ func (g *Graph) TransitiveDistribution(cc string, layer countries.Layer) *core.D
 }
 
 // TransitiveScores returns every country's transitive dependence score
-// at a layer. Layers the graph does not model return nil. Each country's
-// masses accumulate in one dense per-symbol vector; the score reads only
-// the nonzero masses sorted nonincreasing, and the sums are exact integer
-// sums, so every score is bit-identical to TransitiveDistribution's.
+// at a layer, keyed by country: EachTransitiveScore's entries as a map.
+// Layers the graph does not model return nil.
 func (g *Graph) TransitiveScores(layer countries.Layer) map[string]float64 {
-	l := graphLayerIndex(layer)
-	if l < 0 {
+	if graphLayerIndex(layer) < 0 {
 		return nil
 	}
 	out := make(map[string]float64, len(g.countries))
+	g.EachTransitiveScore(layer, func(cc string, score float64) { out[cc] = score })
+	return out
+}
+
+// EachTransitiveScore calls fn with every country's transitive dependence
+// score at a layer, in sorted country order; for a layer the graph does
+// not model it calls fn for no country. Each country's masses accumulate
+// in one dense per-symbol vector; the score reads only the nonzero masses
+// sorted nonincreasing, and the sums are exact integer sums, so every
+// score is bit-identical to TransitiveDistribution's.
+func (g *Graph) EachTransitiveScore(layer countries.Layer, fn func(country string, score float64)) {
+	l := graphLayerIndex(layer)
+	if l < 0 {
+		return
+	}
 	mass := make([]float64, len(g.names))
 	var held []uint32 // symbols with nonzero mass
 	var sorted []float64
@@ -343,7 +355,6 @@ func (g *Graph) TransitiveScores(layer countries.Layer) map[string]float64 {
 			mass[q] = 0
 		}
 		slices.SortFunc(sorted, func(a, b float64) int { return cmp.Compare(b, a) })
-		out[cc] = emd.Centralization(sorted)
+		fn(cc, emd.Centralization(sorted))
 	}
-	return out
 }

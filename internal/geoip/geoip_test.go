@@ -104,3 +104,34 @@ func TestMislabelStillCovered(t *testing.T) {
 		t.Error("uncovered address should stay uncovered under error model")
 	}
 }
+
+// TestIndexMatchesLookup: with the error model on, an Index ID names the
+// location Lookup returns — decoys included — and SetErrorModel after a
+// lookup rebuilds the index.
+func TestIndexMatchesLookup(t *testing.T) {
+	db := New()
+	if err := db.InsertString("10.0.0.0/8", Location{Country: "US", Continent: "NA"}); err != nil {
+		t.Fatal(err)
+	}
+	db.Lookup(netip.MustParseAddr("10.0.0.1"))
+	decoys := []Location{{Country: "TH", Continent: "AS"}, {Country: "BR", Continent: "SA"}}
+	db.SetErrorModel(0.5, decoys)
+	x, mislabeled := db.Index(), 0
+	for i := 0; i < 200; i++ {
+		addr := netip.MustParseAddr(fmt.Sprintf("10.0.%d.%d", i/10, i))
+		want, _ := db.Lookup(addr)
+		id := x.Lookup(addr)
+		if id < 0 || x.Locations()[id] != want {
+			t.Fatalf("%s: Lookup = %+v, Index ID %d", addr, want, id)
+		}
+		if want.Country != "US" {
+			mislabeled++
+		}
+	}
+	if mislabeled == 0 {
+		t.Error("no lookup was mislabeled, so decoy IDs went untested")
+	}
+	if id := x.Lookup(netip.MustParseAddr("11.0.0.1")); id != -1 {
+		t.Errorf("uncovered address: ID %d", id)
+	}
+}

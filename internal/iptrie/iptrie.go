@@ -85,26 +85,49 @@ func (t *Trie[V]) InsertString(cidr string, value V) error {
 // Lookup returns the value of the longest matching prefix for the address.
 // The boolean is false when no prefix covers the address.
 func (t *Trie[V]) Lookup(addr netip.Addr) (V, bool) {
-	var zero V
-	if !addr.IsValid() {
-		return zero, false
+	f := t.Freeze().f
+	if i := f.index(addr); i >= 0 {
+		return f.values[i], true
 	}
+	var zero V
+	return zero, false
+}
+
+// Frozen is a trie's lookup form as of one moment, for callers that join
+// many addresses against one table: Index yields the position of an
+// address's value in Values, so a caller can keep its own dense table
+// beside Values and never copy a value out per lookup. A Frozen stays valid
+// (and unchanged) after the trie is changed; it just no longer reflects it.
+type Frozen[V any] struct{ f *flatTables[V] }
+
+// Freeze returns the trie's current lookup form, building it if a change
+// came after the last one.
+func (t *Trie[V]) Freeze() Frozen[V] {
 	f := t.flat.Load()
 	if f == nil {
 		f = t.flatten()
 	}
-	var i int32
+	return Frozen[V]{f}
+}
+
+// Values returns the values Index positions refer to, one per inserted
+// prefix. The caller must not modify it.
+func (z Frozen[V]) Values() []V { return z.f.values }
+
+// Index returns the position in Values of the longest matching prefix's
+// value for the address, or -1 when no prefix covers it.
+func (z Frozen[V]) Index(addr netip.Addr) int32 { return z.f.index(addr) }
+
+func (f *flatTables[V]) index(addr netip.Addr) int32 {
+	if !addr.IsValid() {
+		return -1
+	}
 	a := addr.As16()
 	// 4-in-6 addresses are unmapped so ::ffff:a.b.c.d hits the v4 table.
 	if addr.Is4() || addr.Is4In6() {
-		i = f.v4.idx[search4(f.v4.starts, f.v4By16, binary.BigEndian.Uint32(a[12:]))]
-	} else {
-		i = f.v6.idx[search6(f.v6.starts, [2]uint64{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])})]
+		return f.v4.idx[search4(f.v4.starts, f.v4By16, binary.BigEndian.Uint32(a[12:]))]
 	}
-	if i < 0 {
-		return zero, false
-	}
-	return f.values[i], true
+	return f.v6.idx[search6(f.v6.starts, [2]uint64{binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])})]
 }
 
 // LookupString parses an IP address and looks it up.

@@ -265,3 +265,38 @@ func TestConcurrentFirstLookups(t *testing.T) {
 		mustInsert(t, tr, "10.1.0.0/16", "mid")
 	}
 }
+
+// TestFrozenIndexMatchesLookup: a Frozen's Index positions name the value
+// Lookup returns, -1 where Lookup finds none, and a Frozen taken before an
+// Insert keeps answering as the table was.
+func TestFrozenIndexMatchesLookup(t *testing.T) {
+	tr := New[string]()
+	for cidr, v := range map[string]string{"10.0.0.0/8": "a", "10.1.0.0/16": "b", "2001:db8::/32": "c"} {
+		if err := tr.InsertString(cidr, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	z := tr.Freeze()
+	for _, ip := range []string{"10.2.3.4", "10.1.2.3", "11.0.0.1", "2001:db8::1", "::ffff:10.1.0.1", "2001:db9::1"} {
+		addr := netip.MustParseAddr(ip)
+		want, ok := tr.Lookup(addr)
+		switch i := z.Index(addr); {
+		case !ok && i != -1:
+			t.Errorf("%s: Lookup finds nothing, Index = %d", ip, i)
+		case ok && (i < 0 || z.Values()[i] != want):
+			t.Errorf("%s: Lookup = %q, Index = %d", ip, want, i)
+		}
+	}
+	if i := z.Index(netip.Addr{}); i != -1 {
+		t.Errorf("Index of the zero Addr = %d", i)
+	}
+	if err := tr.InsertString("11.0.0.0/8", "d"); err != nil {
+		t.Fatal(err)
+	}
+	if i := z.Index(netip.MustParseAddr("11.0.0.1")); i != -1 {
+		t.Errorf("a Frozen taken before an Insert finds its prefix at %d", i)
+	}
+	if v, ok := tr.Lookup(netip.MustParseAddr("11.0.0.1")); !ok || v != "d" {
+		t.Errorf("Lookup after Insert = %q %v", v, ok)
+	}
+}

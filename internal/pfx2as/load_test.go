@@ -57,9 +57,9 @@ func TestLoadOrgs(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("loaded %d orgs", n)
 	}
-	org, ok := tbl.Org(16509)
-	if !ok || org.Name != "Amazon" || org.Country != "US" {
-		t.Errorf("org = %+v %v", org, ok)
+	// Organizations are numbered in ASN order: 13335, then 16509.
+	if orgs := tbl.Index().Orgs(); len(orgs) != 2 || orgs[1] != (Org{Name: "Amazon", Country: "US"}) {
+		t.Errorf("orgs = %+v", orgs)
 	}
 }
 

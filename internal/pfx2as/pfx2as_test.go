@@ -72,10 +72,8 @@ func TestMultipleASNsOneOrg(t *testing.T) {
 	if a.Name != "Amazon" || b.Name != "Amazon" {
 		t.Errorf("orgs: %+v %+v", a, b)
 	}
-	for _, asn := range []int{14618, 16509} {
-		if _, ok := tbl.Org(asn); !ok {
-			t.Errorf("AS%d not registered", asn)
-		}
+	if orgs := tbl.Index().Orgs(); len(orgs) != 2 {
+		t.Errorf("%d organizations registered, want one per ASN: %+v", len(orgs), orgs)
 	}
 }
 
@@ -104,4 +102,34 @@ func TestValidation(t *testing.T) {
 func mustAddr(t *testing.T, s string) netip.Addr {
 	t.Helper()
 	return netip.MustParseAddr(s)
+}
+
+// TestIndexFollowsChanges: the Index LookupOrg answers from is rebuilt
+// after every change, an address whose ASN has no organization gets -1, and
+// an ID names the organization LookupOrg returns.
+func TestIndexFollowsChanges(t *testing.T) {
+	tbl := New()
+	if err := tbl.AddRouteString("52.0.0.0/8", 16509); err != nil {
+		t.Fatal(err)
+	}
+	addr := netip.MustParseAddr("52.1.1.1")
+	if id := tbl.Index().Lookup(addr); id != -1 {
+		t.Errorf("unregistered ASN: Lookup = %d", id)
+	}
+	if err := tbl.RegisterOrg(16509, Org{Name: "Amazon", Country: "US"}); err != nil {
+		t.Fatal(err)
+	}
+	x := tbl.Index()
+	if id := x.Lookup(addr); id < 0 || x.Orgs()[id].Name != "Amazon" {
+		t.Errorf("after RegisterOrg: Lookup = %d over %+v", id, x.Orgs())
+	}
+	if err := tbl.AddRouteString("52.9.0.0/16", 13335); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.RegisterOrg(13335, Org{Name: "Cloudflare", Country: "US"}); err != nil {
+		t.Fatal(err)
+	}
+	if org, ok := tbl.LookupOrg(netip.MustParseAddr("52.9.1.1")); !ok || org.Name != "Cloudflare" {
+		t.Errorf("after AddRoute: LookupOrg = %+v %v", org, ok)
+	}
 }

@@ -411,6 +411,7 @@ func (l *Live) crawlSite(ctx context.Context, cc, domain string, rank int) (data
 		TLD:     tldinfo.Extract(domain),
 	}
 	var o dataset.SiteOutcome
+	j := l.joins()
 
 	// Hosting: A lookup, then geo/AS/anycast joins on the first address.
 	addrs, err := l.DNS.LookupAContext(ctx, domain)
@@ -420,7 +421,7 @@ func (l *Live) crawlSite(ctx context.Context, cc, domain string, rank int) (data
 	case len(addrs) == 0:
 		o.Host = dataset.StatusEmpty
 	default:
-		l.annotateHost(&w, addrs[0])
+		j.annotateHost(&w, addrs[0])
 		o.Host = dataset.StatusOK
 	}
 
@@ -434,7 +435,7 @@ func (l *Live) crawlSite(ctx context.Context, cc, domain string, rank int) (data
 		o.NS = dataset.StatusEmpty
 	default:
 		if addrs := glue[nss[0]]; len(addrs) > 0 {
-			l.annotateNS(&w, addrs[0])
+			j.annotateNS(&w, addrs[0])
 			o.NS = dataset.StatusOK
 			break
 		}
@@ -445,7 +446,7 @@ func (l *Live) crawlSite(ctx context.Context, cc, domain string, rank int) (data
 		case len(nsAddrs) == 0:
 			o.NS = dataset.StatusEmpty
 		default:
-			l.annotateNS(&w, nsAddrs[0])
+			j.annotateNS(&w, nsAddrs[0])
 			o.NS = dataset.StatusOK
 		}
 	}

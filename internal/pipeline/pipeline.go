@@ -14,8 +14,6 @@ package pipeline
 
 import (
 	"context"
-	"crypto/x509"
-	"crypto/x509/pkix"
 	"fmt"
 	"net/netip"
 
@@ -86,6 +84,7 @@ func (p *Pipeline) enrichInto(list *dataset.CountryList, cc, epoch string, raw [
 		list.Sites = make([]dataset.Website, len(raw))
 	}
 	list.Sites = list.Sites[:len(raw)]
+	j := p.joins()
 	for i := range raw {
 		site, w := &raw[i], &list.Sites[i]
 		*w = dataset.Website{
@@ -95,58 +94,95 @@ func (p *Pipeline) enrichInto(list *dataset.CountryList, cc, epoch string, raw [
 			TLD:      tldinfo.Extract(site.Domain),
 			Language: site.Language,
 		}
-		p.annotateHost(w, site.HostIP)
-		p.annotateNS(w, site.NSIP)
-		p.annotateCA(w, site.IssuerOrg)
+		j.annotateHost(w, site.HostIP)
+		j.annotateNS(w, site.NSIP)
+		j.annotateCA(w, site.IssuerOrg)
 	}
 }
 
-func (p *Pipeline) annotateHost(w *dataset.Website, ip netip.Addr) {
+// joins is the pipeline's databases as dense indexes: each lookup yields
+// an ID into a table of organizations, locations or CA owners, -1 where it
+// finds nothing. Website rows (EnrichCountry, Live) and the store ingest's
+// corpusstore.Rows are both filled from these lookups, so the rules of the
+// joins live here alone.
+type joins struct {
+	orgs    *pfx2as.Index
+	geo     *geoip.Index
+	owners  *capki.OwnerIndex
+	anycast *anycast.Set
+}
+
+func (p *Pipeline) joins() joins {
+	return joins{orgs: p.ASTable.Index(), geo: p.GeoDB.Index(), owners: p.Owners.Index(), anycast: p.Anycast}
+}
+
+// addrJoin is one address joined against the databases: its organization
+// (prefix-to-AS, then AS-to-organization), its location and whether it is
+// anycast. An invalid address joins nothing.
+type addrJoin struct {
+	org, loc int32
+	anycast  bool
+}
+
+func (j *joins) addr(ip netip.Addr) addrJoin {
+	return addrJoin{org: j.orgs.Lookup(ip), loc: j.geo.Lookup(ip), anycast: j.anycast.Contains(ip)}
+}
+
+// caOwner is the CCADB join: the ID of the owner of the CA whose issuing
+// organization is issuerOrg, or -1 for no issuer or an unknown one. It is
+// the owner OwnerOf gives a leaf naming only that organization, as live
+// mode hands it the real parsed leaf.
+func (j *joins) caOwner(issuerOrg string) int32 {
+	if issuerOrg == "" {
+		return -1
+	}
+	return j.owners.Lookup(issuerOrg)
+}
+
+func (j *joins) annotateHost(w *dataset.Website, ip netip.Addr) {
 	if !ip.IsValid() {
 		return
 	}
 	w.HostIP = ip.String()
-	if org, ok := p.ASTable.LookupOrg(ip); ok {
-		w.HostProvider = org.Name
-		w.HostProviderCountry = org.Country
-	}
-	if loc, ok := p.GeoDB.Lookup(ip); ok {
-		w.HostIPContinent = loc.Continent
-	}
-	w.HostAnycast = p.Anycast.Contains(ip)
+	a := j.addr(ip)
+	w.HostProvider, w.HostProviderCountry = j.org(a.org)
+	w.HostIPContinent = j.continent(a.loc)
+	w.HostAnycast = a.anycast
 }
 
-func (p *Pipeline) annotateNS(w *dataset.Website, ip netip.Addr) {
+func (j *joins) annotateNS(w *dataset.Website, ip netip.Addr) {
 	if !ip.IsValid() {
 		return
 	}
 	w.NSIP = ip.String()
-	if org, ok := p.ASTable.LookupOrg(ip); ok {
-		w.DNSProvider = org.Name
-		w.DNSProviderCountry = org.Country
-	}
-	if loc, ok := p.GeoDB.Lookup(ip); ok {
-		w.NSIPContinent = loc.Continent
-	}
-	w.NSAnycast = p.Anycast.Contains(ip)
+	a := j.addr(ip)
+	w.DNSProvider, w.DNSProviderCountry = j.org(a.org)
+	w.NSIPContinent = j.continent(a.loc)
+	w.NSAnycast = a.anycast
 }
 
-func (p *Pipeline) annotateCA(w *dataset.Website, issuerOrg string) {
-	if issuerOrg == "" {
-		return
-	}
-	// The CCADB join: issuing organization → CA owner.
-	if owner, ok := p.Owners.OwnerOf(leafStub(issuerOrg)); ok {
-		w.CAOwner = owner.Name
-		w.CAOwnerCountry = owner.Country
+func (j *joins) annotateCA(w *dataset.Website, issuerOrg string) {
+	if id := j.caOwner(issuerOrg); id >= 0 {
+		o := &j.owners.Owners()[id]
+		w.CAOwner, w.CAOwnerCountry = o.Name, o.Country
 	}
 }
 
-// leafStub wraps an issuer organization in a minimal certificate so the
-// owner database's issuer-matching logic applies uniformly in fast mode
-// (live mode hands it the real parsed leaf).
-func leafStub(issuerOrg string) *x509.Certificate {
-	return &x509.Certificate{Issuer: pkix.Name{Organization: []string{issuerOrg}}}
+// org returns organization id's name and country, empty for -1.
+func (j *joins) org(id int32) (name, country string) {
+	if id < 0 {
+		return "", ""
+	}
+	o := &j.orgs.Orgs()[id]
+	return o.Name, o.Country
+}
+
+// continent returns location id's continent, empty for -1.
+func (j *joins) continent(id int32) string {
+	if id < 0 {
+		return ""
+	}
+	return j.geo.Locations()[id].Continent
 }
 
 // MeasureWorld enriches every country of a world, producing the measured

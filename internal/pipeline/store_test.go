@@ -3,12 +3,15 @@ package pipeline
 import (
 	"crypto/sha256"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/webdep/webdep/internal/corpusstore"
+	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/obs"
 	"github.com/webdep/webdep/internal/worldgen"
 )
@@ -128,5 +131,120 @@ func seed11Config(geoErr float64) worldgen.Config {
 		DomesticPerCountry: 20,
 		Countries:          []string{"DE", "JP", "US"},
 		GeoErrorRate:       geoErr,
+	}
+}
+
+// rowsAsWebsites reads Rows back into Website rows of country cc through
+// their dictionary, as the shard decoder would.
+func rowsAsWebsites(r *corpusstore.Rows, cc string) []dataset.Website {
+	out := make([]dataset.Website, r.Len())
+	name := func(ids []uint32, i int) string { return r.Names[ids[i]] }
+	text := func(a netip.Addr) string {
+		if !a.IsValid() {
+			return ""
+		}
+		return a.String()
+	}
+	for i := range out {
+		out[i] = dataset.Website{
+			Domain: r.Domain[i], Country: cc, Rank: r.Rank[i],
+			HostProvider: name(r.HostProvider, i), HostProviderCountry: name(r.HostProviderCountry, i),
+			HostIP: text(r.HostIP[i]), HostIPContinent: name(r.HostIPContinent, i), HostAnycast: r.HostAnycast[i],
+			DNSProvider: name(r.DNSProvider, i), DNSProviderCountry: name(r.DNSProviderCountry, i),
+			NSIP: text(r.NSIP[i]), NSIPContinent: name(r.NSIPContinent, i), NSAnycast: r.NSAnycast[i],
+			CAOwner: name(r.CAOwner, i), CAOwnerCountry: name(r.CAOwnerCountry, i),
+			TLD: name(r.TLD, i), Language: name(r.Language, i),
+		}
+	}
+	return out
+}
+
+// TestEnrichRowsReusedBufferMatchesFresh is TestEnrichIntoReusedListMatchesFresh
+// for the store ingest's row buffer: one country is enriched into a buffer,
+// then a shorter second country into the same buffer, whose rows with no
+// host IP, no nameserver IP or no issuer sit where the first country's rows
+// had all three. Read back through the dictionary, the rows must equal
+// EnrichCountry's, so no field carries over and the two paths agree. The
+// world has the geolocation error model on, so rows carry decoy
+// continents, and every location a lookup can return must have a name in
+// the dictionary.
+func TestEnrichRowsReusedBufferMatchesFresh(t *testing.T) {
+	w, err := worldgen.Build(worldgen.Config{
+		Seed: 7, SitesPerCountry: 1200, DomesticPerCountry: 30,
+		Countries: []string{"TH", "US"}, GeoErrorRate: 0.106,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := FromWorld(w)
+	j := p.joins()
+	dict := newDictionary(&j)
+	for _, l := range j.geo.Locations() {
+		if _, ok := dict.ids[l.Continent]; !ok {
+			t.Fatalf("continent %q of location %+v is not in the dictionary", l.Continent, l)
+		}
+	}
+
+	buf := &rowBuffer{seen: map[string]uint32{}}
+	j.enrichRows(buf, dict, w.Raw["TH"])
+	th := rowsAsWebsites(&buf.rows, "TH")
+	if want := p.EnrichCountry("TH", w.Config.Epoch, w.Raw["TH"]).Sites; !reflect.DeepEqual(th, want) {
+		t.Fatal("TH rows read back through the dictionary differ from EnrichCountry's")
+	}
+	for i := 0; i < 4; i++ {
+		if s := th[i]; s.HostIP == "" || s.HostProvider == "" || s.NSIP == "" || s.DNSProvider == "" || s.CAOwner == "" {
+			t.Fatalf("TH row %d is not fully attributed, so it cannot show a stale field: %+v", i, s)
+		}
+	}
+	first := &buf.rows.Rank[0]
+
+	b := slices.Clone(w.Raw["US"][:50])
+	b[0].HostIP = netip.Addr{}
+	b[1].NSIP = netip.Addr{}
+	b[2].IssuerOrg = ""
+	b[3].HostIP, b[3].NSIP, b[3].IssuerOrg = netip.Addr{}, netip.Addr{}, ""
+	j.enrichRows(buf, dict, b)
+	if &buf.rows.Rank[0] != first {
+		t.Fatal("the second enrichment did not reuse the buffer's rows")
+	}
+	got, want := rowsAsWebsites(&buf.rows, "US"), p.EnrichCountry("US", w.Config.Epoch, b).Sites
+	if len(got) != len(want) {
+		t.Fatalf("reused buffer holds %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d: reused %+v, fresh %+v", i, got[i], want[i])
+		}
+	}
+	decoy := 0
+	truth := w.Truth.Get("US").Sites
+	for i := 4; i < len(got); i++ {
+		if got[i].HostIPContinent != truth[i].HostIPContinent {
+			decoy++
+		}
+	}
+	if decoy == 0 {
+		t.Error("no row carries a decoy continent, so the error model went untested")
+	}
+}
+
+// TestMeasureWorldToStoreAllocsPerSite is the allocation gate on the store
+// ingest: enrichment writes IDs and addresses into reused rows and the
+// encoder formats addresses straight into the block, so what is left is
+// per shard and per dictionary name, a few hundredths of an object per
+// site. A return to a string per row — the two IP strings a Website holds
+// are 2.0 a site — fails here, not in a later benchmark read.
+func TestMeasureWorldToStoreAllocsPerSite(t *testing.T) {
+	w, sites := benchWorld(t)
+	p := FromWorld(w)
+	p.Obs = obs.NewRegistry()
+	allocs := testing.AllocsPerRun(2, func() {
+		if err := measureInto(t.TempDir(), p, w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSite := allocs / float64(sites); perSite > 0.1 {
+		t.Errorf("MeasureWorldToStore allocates %.3f times per site (%.0f for %d sites), want at most 0.1",
+			perSite, allocs, sites)
 	}
 }

@@ -27,6 +27,10 @@ func FuzzExtract(f *testing.F) {
 
 		// Recompute the extractor's normalization to check the contract.
 		norm := strings.TrimSuffix(strings.ToLower(strings.TrimSpace(domain)), ".")
+		// The result is the final label of the whole lowercased name.
+		if want := norm[strings.LastIndexByte(norm, '.')+1:]; tld != want {
+			t.Fatalf("Extract(%q) = %q, the final label of %q is %q", domain, tld, norm, want)
+		}
 		if tld == "" {
 			return // empty/invalid inputs legitimately yield no TLD
 		}

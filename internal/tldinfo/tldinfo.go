@@ -91,8 +91,10 @@ func CountryForCCTLD(tld string) string {
 
 // Extract returns the TLD (final DNS label, lowercased, no dot) of a
 // domain, or "" for an empty/invalid name.
+// Only the final label is lowercased: case mapping never makes or removes
+// a dot, so it is the final label of the lowercased name.
 func Extract(domain string) string {
-	d := strings.TrimSuffix(strings.ToLower(strings.TrimSpace(domain)), ".")
+	d := strings.TrimSuffix(strings.TrimSpace(domain), ".")
 	if d == "" {
 		return ""
 	}
@@ -100,7 +102,7 @@ func Extract(domain string) string {
 	if idx == len(d)-1 {
 		return ""
 	}
-	return d[idx+1:]
+	return strings.ToLower(d[idx+1:])
 }
 
 // Classify determines the kind of TLD from the perspective of the given
