@@ -1,10 +1,6 @@
 package corpusstore
 
-import (
-	"net/netip"
-
-	"github.com/webdep/webdep/internal/dataset"
-)
+import "github.com/webdep/webdep/internal/dataset"
 
 // colKind is how one block column is encoded on disk.
 type colKind uint8
@@ -28,7 +24,7 @@ type shardColumn struct {
 	// The writer's source, one per kind: text or addr (kindStr), ids
 	// (kindSym), bits (kindBool); kindRank reads Rows.Rank.
 	text func(*Rows) []string
-	addr func(*Rows) []netip.Addr
+	addr func(*Rows) *AddrColumn
 	ids  func(*Rows) []uint32
 	bits func(*Rows) []bool
 	// The reader's destination.
@@ -49,7 +45,7 @@ var shardColumns = [...]shardColumn{
 		str: func(w *dataset.Website) *string { return &w.HostProvider }, sym: dataset.SymHostProvider},
 	{kind: kindSym, ids: func(r *Rows) []uint32 { return r.HostProviderCountry },
 		str: func(w *dataset.Website) *string { return &w.HostProviderCountry }, sym: dataset.SymHostProviderCountry},
-	{kind: kindStr, addr: func(r *Rows) []netip.Addr { return r.HostIP },
+	{kind: kindStr, addr: func(r *Rows) *AddrColumn { return &r.HostIP },
 		str: func(w *dataset.Website) *string { return &w.HostIP }},
 	{kind: kindSym, ids: func(r *Rows) []uint32 { return r.HostIPContinent },
 		str: func(w *dataset.Website) *string { return &w.HostIPContinent }, sym: noSym},
@@ -59,7 +55,7 @@ var shardColumns = [...]shardColumn{
 		str: func(w *dataset.Website) *string { return &w.DNSProvider }, sym: dataset.SymDNSProvider},
 	{kind: kindSym, ids: func(r *Rows) []uint32 { return r.DNSProviderCountry },
 		str: func(w *dataset.Website) *string { return &w.DNSProviderCountry }, sym: dataset.SymDNSProviderCountry},
-	{kind: kindStr, addr: func(r *Rows) []netip.Addr { return r.NSIP },
+	{kind: kindStr, addr: func(r *Rows) *AddrColumn { return &r.NSIP },
 		str: func(w *dataset.Website) *string { return &w.NSIP }},
 	{kind: kindSym, ids: func(r *Rows) []uint32 { return r.NSIPContinent },
 		str: func(w *dataset.Website) *string { return &w.NSIPContinent }, sym: noSym},

@@ -55,12 +55,20 @@ func TestAppendRowsMatchesAppendList(t *testing.T) {
 		for i, s := range names {
 			id[s] = uint32(i)
 		}
+		// The addresses go in as netip.Addr, as the ingest appends them.
+		addr := func(s string) netip.Addr {
+			if s == "" {
+				return netip.Addr{}
+			}
+			return netip.MustParseAddr(s)
+		}
 		rows := &Rows{Names: names}
 		rows.Resize(len(list.Sites))
 		for i := range list.Sites {
 			s := &list.Sites[i]
 			rows.Rank[i], rows.Domain[i] = s.Rank, s.Domain
-			rows.HostIP[i], rows.NSIP[i] = listed.HostIP[i], listed.NSIP[i]
+			rows.HostIP.AppendAddr(addr(s.HostIP))
+			rows.NSIP.AppendAddr(addr(s.NSIP))
 			rows.HostAnycast[i], rows.NSAnycast[i] = s.HostAnycast, s.NSAnycast
 		}
 		for c := range shardColumns {
@@ -84,6 +92,10 @@ func TestAppendRowsRefuses(t *testing.T) {
 	good := func() *Rows {
 		r := &Rows{Names: []string{"", "com"}}
 		r.Resize(2)
+		for range 2 {
+			r.HostIP.AppendAddr(netip.Addr{})
+			r.NSIP.AppendAddr(netip.MustParseAddr("192.0.2.1"))
+		}
 		r.Rank[0], r.Rank[1] = 1, 2
 		r.Domain[0], r.Domain[1] = "a.com", "b.com"
 		r.TLD[0], r.TLD[1] = 1, 1
@@ -91,7 +103,7 @@ func TestAppendRowsRefuses(t *testing.T) {
 	}
 	for name, spoil := range map[string]func(*Rows){
 		"symbol outside the dictionary": func(r *Rows) { r.CAOwner[1] = 2 },
-		"short column":                  func(r *Rows) { r.NSIP = r.NSIP[:1] },
+		"short column":                  func(r *Rows) { r.NSIP.reset(1); r.NSIP.AppendAddr(netip.Addr{}) },
 		"empty domain":                  func(r *Rows) { r.Domain[1] = "" },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -118,33 +130,22 @@ func TestAppendRowsRefuses(t *testing.T) {
 	}
 }
 
-// TestAppendListAddresses: AppendList keeps an address field as the
-// address, so it takes exactly the text netip.Addr.String writes — IPv4,
-// IPv6, 4-in-6 and zoned, a zone long enough to need a two-byte length
-// included — and refuses any other spelling rather than store text it
-// could not write back.
-func TestAppendListAddresses(t *testing.T) {
-	long := "fe80::1%" + strings.Repeat("z", 150)
+// TestAppendListAddressText: AppendList copies an address field's text
+// as it is, a zone long enough to need a two-byte length and a spelling
+// netip.Addr.String would not write included.
+func TestAppendListAddressText(t *testing.T) {
 	sites := []dataset.Website{
 		{Domain: "a.com", Country: "US", Rank: 1, HostIP: "192.0.2.1", NSIP: "2001:db8::1"},
-		{Domain: "b.com", Country: "US", Rank: 2, HostIP: "::ffff:192.0.2.1", NSIP: long},
-		{Domain: "c.com", Country: "US", Rank: 3, HostIP: "fe80::1%eth0"},
+		{Domain: "b.com", Country: "US", Rank: 2, HostIP: "::ffff:192.0.2.1", NSIP: "fe80::1%" + strings.Repeat("z", 150)},
+		{Domain: "c.com", Country: "US", Rank: 3, HostIP: "2001:DB8:0::1"},
 	}
 	dir := t.TempDir()
 	w, err := Create(dir, "2023-05", testOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := &dataset.CountryList{Country: "US", Epoch: "2023-05", Sites: sites}
-	if err := w.AppendList(list); err != nil {
+	if err := w.AppendList(&dataset.CountryList{Country: "US", Epoch: "2023-05", Sites: sites}); err != nil {
 		t.Fatal(err)
-	}
-	for _, text := range []string{"2001:DB8::1", "2001:db8:0::1", "192.0.2.01", "not-an-ip", " 192.0.2.1"} {
-		bad := &dataset.CountryList{Country: "DE", Epoch: "2023-05",
-			Sites: []dataset.Website{{Domain: "a.de", Country: "DE", Rank: 1, NSIP: text}}}
-		if err := w.AppendList(bad); err == nil {
-			t.Errorf("nameserver IP %q accepted", text)
-		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -159,8 +160,5 @@ func TestAppendListAddresses(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Sites, sites) {
 		t.Errorf("read back %+v, wrote %+v", got.Sites, sites)
-	}
-	if _, err := netip.ParseAddr(long); err != nil {
-		t.Fatalf("the long-zone case is not an address: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"sort"
@@ -135,8 +134,7 @@ func (w *Writer) append(cc string, rowsOf func(*shardEncoder) (*Rows, error)) er
 	if err == nil {
 		err = rows.check(cc)
 	}
-	wrote := err == nil
-	if wrote {
+	if err == nil {
 		sp := obs.StartSpan(w.m.shardWriteMS)
 		hdr := shardHeader{Version: Version, Epoch: w.epoch, Country: cc, BlockRows: w.blockRows}
 		err = w.shards.WriteFile(name, func(out io.Writer) error {
@@ -335,8 +333,11 @@ func (e *shardEncoder) block(out io.Writer, rows *Rows, lo, hi int) error {
 				cols = append(cols, s...)
 			}
 		case col.addr != nil:
-			for _, a := range col.addr(rows)[lo:hi] {
-				cols = appendAddr(cols, a)
+			addrs := col.addr(rows)
+			for i := lo; i < hi; i++ {
+				text := addrs.at(i)
+				cols = binary.AppendUvarint(cols, uint64(len(text)))
+				cols = append(cols, text...)
 			}
 		case col.ids != nil:
 			for _, id := range col.ids(rows)[lo:hi] {
@@ -366,25 +367,6 @@ func (e *shardEncoder) block(out io.Writer, rows *Rows, lo, hi int) error {
 	}
 	e.rows += int64(hi - lo)
 	return nil
-}
-
-// appendAddr appends a's text framed as a kindStr value: its length as a
-// uvarint, then netip.Addr.AppendTo's bytes. The zero Addr is the empty
-// string.
-func appendAddr(b []byte, a netip.Addr) []byte {
-	at := len(b)
-	b = a.AppendTo(append(b, 0))
-	n := len(b) - at - 1
-	if n < 0x80 {
-		b[at] = byte(n) // a one-byte uvarint: every address without a long zone
-		return b
-	}
-	var prefix [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(prefix[:], uint64(n))
-	b = append(b, prefix[1:k]...)
-	copy(b[at+k:], b[at+1:at+1+n])
-	copy(b[at:], prefix[:k])
-	return b
 }
 
 // Save writes an in-memory corpus as a store at dir: one shard per country

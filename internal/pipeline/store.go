@@ -19,9 +19,10 @@ import (
 // million-site world be measured and scored inside a fixed memory budget.
 //
 // Rows are enriched in IDs, not strings: each worker fills one reused
-// corpusstore.Rows, addresses as netip.Addr and every symbol column as IDs
-// into one dictionary built for this call from the databases' tables, so
-// no row allocates a string and the shard encoder hashes none. AppendRows
+// corpusstore.Rows, each address formatted into the row buffer's text and
+// every symbol column as IDs into one dictionary built for this call from
+// the databases' tables, so no row allocates a string and the shard
+// encoder hashes none. AppendRows
 // returns once the shard's bytes are written, so the rows are free for the
 // next country. The bytes written are identical to Save of MeasureWorld's
 // corpus for the same world. The caller still owns st and must Close it to
@@ -159,7 +160,7 @@ func (b *rowBuffer) name(d *dictionary, s string) uint32 {
 }
 
 // enrichRows is EnrichCountry into b's rows, over dictionary d: the same
-// joins, each row's fields written as netip.Addr, bits and symbol IDs.
+// joins, each row's fields written as address text, bits and symbol IDs.
 // Every field of every row is written, so nothing of b's previous country
 // survives.
 func (j *joins) enrichRows(b *rowBuffer, d *dictionary, raw []worldgen.RawSite) {
@@ -171,7 +172,8 @@ func (j *joins) enrichRows(b *rowBuffer, d *dictionary, raw []worldgen.RawSite) 
 	for i := range raw {
 		site := &raw[i]
 		r.Rank[i], r.Domain[i] = site.Rank, site.Domain
-		r.HostIP[i], r.NSIP[i] = site.HostIP, site.NSIP
+		r.HostIP.AppendAddr(site.HostIP)
+		r.NSIP.AppendAddr(site.NSIP)
 		host, ns := j.addr(site.HostIP), j.addr(site.NSIP)
 		r.HostProvider[i], r.HostProviderCountry[i] = d.pair(d.orgs, host.org)
 		r.DNSProvider[i], r.DNSProviderCountry[i] = d.pair(d.orgs, ns.org)

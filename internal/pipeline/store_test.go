@@ -134,37 +134,39 @@ func seed11Config(geoErr float64) worldgen.Config {
 	}
 }
 
-// rowsAsWebsites reads Rows back into Website rows of country cc through
-// their dictionary, as the shard decoder would.
-func rowsAsWebsites(r *corpusstore.Rows, cc string) []dataset.Website {
-	out := make([]dataset.Website, r.Len())
-	name := func(ids []uint32, i int) string { return r.Names[ids[i]] }
-	text := func(a netip.Addr) string {
-		if !a.IsValid() {
-			return ""
-		}
-		return a.String()
+// rowsAsWebsites writes rows as country cc's shard and reads them back as
+// Website rows, through the store's encoder and decoder.
+func rowsAsWebsites(t *testing.T, r *corpusstore.Rows, cc, epoch string) []dataset.Website {
+	t.Helper()
+	dir := t.TempDir()
+	opts := &corpusstore.Options{Obs: obs.NewRegistry()}
+	sw, err := corpusstore.Create(dir, epoch, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range out {
-		out[i] = dataset.Website{
-			Domain: r.Domain[i], Country: cc, Rank: r.Rank[i],
-			HostProvider: name(r.HostProvider, i), HostProviderCountry: name(r.HostProviderCountry, i),
-			HostIP: text(r.HostIP[i]), HostIPContinent: name(r.HostIPContinent, i), HostAnycast: r.HostAnycast[i],
-			DNSProvider: name(r.DNSProvider, i), DNSProviderCountry: name(r.DNSProviderCountry, i),
-			NSIP: text(r.NSIP[i]), NSIPContinent: name(r.NSIPContinent, i), NSAnycast: r.NSAnycast[i],
-			CAOwner: name(r.CAOwner, i), CAOwnerCountry: name(r.CAOwnerCountry, i),
-			TLD: name(r.TLD, i), Language: name(r.Language, i),
-		}
+	if err := sw.AppendRows(cc, r); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := corpusstore.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := st.ReadList(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return list.Sites
 }
 
 // TestEnrichRowsReusedBufferMatchesFresh is TestEnrichIntoReusedListMatchesFresh
 // for the store ingest's row buffer: one country is enriched into a buffer,
 // then a shorter second country into the same buffer, whose rows with no
 // host IP, no nameserver IP or no issuer sit where the first country's rows
-// had all three. Read back through the dictionary, the rows must equal
-// EnrichCountry's, so no field carries over and the two paths agree. The
+// had all three. Written and read back through the store, the rows must
+// equal EnrichCountry's, so no field carries over and the two paths agree. The
 // world has the geolocation error model on, so rows carry decoy
 // continents, and every location a lookup can return must have a name in
 // the dictionary.
@@ -187,7 +189,7 @@ func TestEnrichRowsReusedBufferMatchesFresh(t *testing.T) {
 
 	buf := &rowBuffer{seen: map[string]uint32{}}
 	j.enrichRows(buf, dict, w.Raw["TH"])
-	th := rowsAsWebsites(&buf.rows, "TH")
+	th := rowsAsWebsites(t, &buf.rows, "TH", w.Config.Epoch)
 	if want := p.EnrichCountry("TH", w.Config.Epoch, w.Raw["TH"]).Sites; !reflect.DeepEqual(th, want) {
 		t.Fatal("TH rows read back through the dictionary differ from EnrichCountry's")
 	}
@@ -207,7 +209,7 @@ func TestEnrichRowsReusedBufferMatchesFresh(t *testing.T) {
 	if &buf.rows.Rank[0] != first {
 		t.Fatal("the second enrichment did not reuse the buffer's rows")
 	}
-	got, want := rowsAsWebsites(&buf.rows, "US"), p.EnrichCountry("US", w.Config.Epoch, b).Sites
+	got, want := rowsAsWebsites(t, &buf.rows, "US", w.Config.Epoch), p.EnrichCountry("US", w.Config.Epoch, b).Sites
 	if len(got) != len(want) {
 		t.Fatalf("reused buffer holds %d rows, want %d", len(got), len(want))
 	}
