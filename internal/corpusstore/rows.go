@@ -100,7 +100,9 @@ func (c *AddrColumn) reset(n int) {
 	c.text, c.ends = c.text[:0], c.ends[:0]
 }
 
-// addrTextHint is the longest IPv4 text, "255.255.255.255", plus one.
+// addrTextHint is a row's share of an address column's buffer: the
+// longest IPv4 text, "255.255.255.255", is 15 bytes, and a longer address
+// only grows the buffer.
 const addrTextHint = 16
 
 // at returns row i's text.

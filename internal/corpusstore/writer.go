@@ -122,7 +122,7 @@ func (w *Writer) append(cc string, rowsOf func(*shardEncoder) (*Rows, error)) er
 		if n := len(w.free); n > 0 {
 			enc, w.free = w.free[n-1], w.free[:n-1]
 		} else {
-			enc = new(shardEncoder)
+			enc = encoders.Get().(*shardEncoder)
 		}
 	}
 	w.mu.Unlock()
@@ -185,6 +185,10 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("corpusstore: %d shards are still being written", len(w.writing))
 	}
 	w.closed = true
+	for _, enc := range w.free {
+		enc.release()
+		encoders.Put(enc)
+	}
 	w.free = nil
 	if err := w.shards.Commit(); err != nil {
 		return fmt.Errorf("corpusstore: committing shards: %w", err)
@@ -250,6 +254,20 @@ type shardEncoder struct {
 	// AppendList's rows and their dictionary (see listRows).
 	list Rows
 	dict map[string]uint32
+}
+
+// encoders keeps idle shard encoders, buffers and all, between writers: a
+// process that writes store after store (an epoch loop, a crawl's Save per
+// campaign) reuses them instead of growing new ones for every store.
+var encoders = sync.Pool{New: func() any { return new(shardEncoder) }}
+
+// release drops what the encoder still holds of the rows it last encoded,
+// so a pooled encoder keeps buffers, not a caller's strings.
+func (e *shardEncoder) release() {
+	clear(e.list.Domain[:cap(e.list.Domain)])
+	clear(e.list.Names[:cap(e.list.Names)])
+	clear(e.newSyms[:cap(e.newSyms)])
+	clear(e.dict)
 }
 
 // encode writes a whole shard to out: magic, header, rows in blocks of
