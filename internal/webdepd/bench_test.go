@@ -1,11 +1,18 @@
 package webdepd
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/webdep/webdep/internal/dataset"
 	"github.com/webdep/webdep/internal/obs"
@@ -50,6 +57,137 @@ func BenchmarkCachedHitParallel(b *testing.B) {
 			d.handleAPI(w, req)
 		}
 	})
+}
+
+// BenchmarkWireHit prices one cached hit over one keep-alive loopback
+// connection, from the pre-built request's write to the last byte of the
+// response. "daemon" is the daemon's own listener; "nethttp" is an
+// http.Server over the same Handler, kept as the reference the daemon's
+// socket path is held against. reads/op and writes/op count the server's
+// calls on its side of the socket.
+func BenchmarkWireHit(b *testing.B) {
+	corpus := worldCorpus(b, 42, 400, []string{"US", "DE", "JP", "IN", "BR", "FR"})
+	serve := map[string]func(b *testing.B, d *Daemon, ln net.Listener){
+		"daemon": func(b *testing.B, d *Daemon, ln net.Listener) {
+			d.start(ln)
+			b.Cleanup(func() { d.Close() })
+		},
+		"nethttp": func(b *testing.B, d *Daemon, ln net.Listener) {
+			srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: 5 * time.Second}
+			go srv.Serve(ln)
+			b.Cleanup(func() { srv.Close() })
+		},
+	}
+	for _, name := range []string{"daemon", "nethttp"} {
+		b.Run(name, func(b *testing.B) {
+			d, err := newDaemon(Config{Corpus: corpus})
+			if err != nil {
+				b.Fatal(err)
+			}
+			inner, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ln := &countingListener{Listener: inner}
+			serve[name](b, d, ln)
+			benchWire(b, ln)
+		})
+	}
+}
+
+// benchWire drives b.N round trips of one cached query over one
+// connection to ln and reports the server's socket calls per request.
+func benchWire(b *testing.B, ln *countingListener) {
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	req := []byte("GET /api/scores?layer=hosting&country=DE HTTP/1.1\r\nHost: bench\r\n\r\n")
+	br := bufio.NewReader(c)
+	roundTrip := func() {
+		if _, err := c.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		if status, err := discardResponse(br); err != nil || status != http.StatusOK {
+			b.Fatalf("status %d, %v", status, err)
+		}
+	}
+	roundTrip() // renders the key
+	ln.reads.Store(0)
+	ln.writes.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ln.reads.Load())/float64(b.N), "reads/op")
+	b.ReportMetric(float64(ln.writes.Load())/float64(b.N), "writes/op")
+}
+
+// discardResponse reads one response framed by Content-Length and returns
+// its status; it allocates nothing, so allocs/op is the server's.
+func discardResponse(br *bufio.Reader) (int, error) {
+	line, err := br.ReadSlice('\n')
+	if err != nil {
+		return 0, err
+	}
+	if len(line) < 12 {
+		return 0, fmt.Errorf("short status line %q", line)
+	}
+	status := int(line[9]-'0')*100 + int(line[10]-'0')*10 + int(line[11]-'0')
+	n := -1
+	for {
+		line, err = br.ReadSlice('\n')
+		if err != nil {
+			return 0, err
+		}
+		line = bytes.TrimRight(line, "\r\n")
+		if len(line) == 0 {
+			break
+		}
+		if name, v, _ := bytes.Cut(line, []byte(":")); bytes.EqualFold(name, []byte("Content-Length")) {
+			if n, err = strconv.Atoi(string(bytes.TrimSpace(v))); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("response without Content-Length")
+	}
+	_, err = br.Discard(n)
+	return status, err
+}
+
+// countingListener counts the Read and Write calls on the connections it
+// accepts.
+type countingListener struct {
+	net.Listener
+	reads, writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, l: l}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	l *countingListener
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.l.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 // BenchmarkColdRender prices what a cache miss pays, one sub-benchmark per

@@ -267,6 +267,21 @@ func (d *Daemon) Handler() http.Handler { return d.mux }
 // Start loads the configured corpus source, binds addr, and serves. The
 // returned daemon is already answering queries.
 func Start(addr string, cfg Config) (*Daemon, error) {
+	d, err := newDaemon(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("webdepd: listen: %w", err)
+	}
+	d.start(ln)
+	return d, nil
+}
+
+// newDaemon loads the configured corpus source and routes the handlers. It
+// listens on nothing until start.
+func newDaemon(cfg Config) (*Daemon, error) {
 	if (cfg.Corpus == nil) == (cfg.StoreRoot == "") {
 		return nil, fmt.Errorf("webdepd: exactly one of Corpus or StoreRoot must be set")
 	}
@@ -290,15 +305,15 @@ func Start(addr string, cfg Config) (*Daemon, error) {
 	d.mux.HandleFunc("/api/", d.handleAPI)
 	d.mux.HandleFunc("/healthz", handleHealthz)
 	d.mux.HandleFunc("/reload", d.handleReload)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("webdepd: listen: %w", err)
-	}
+	return d, nil
+}
+
+// start serves ln until Close.
+func (d *Daemon) start(ln net.Listener) {
 	d.ln = ln
 	d.Addr = ln.Addr().String()
 	d.srv = &http.Server{Handler: d.mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = d.srv.Serve(ln) }()
-	return d, nil
 }
 
 // closeGrace bounds how long Close waits for in-flight responses.
