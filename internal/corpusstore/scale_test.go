@@ -79,6 +79,16 @@ func (hw *heapWatermark) peakMB() float64 {
 	return float64(hw.peak.Load()) / (1 << 20)
 }
 
+// liveHeapMB forces a collection and reads HeapAlloc: the heap a phase
+// leaves live. Unlike the sampled watermark, which is a draw of GC timing,
+// it repeats from run to run, so two builds can be compared by it.
+func liveHeapMB() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
 // scaleBudgetMB applies the scale gates' shared switches: skip unless
 // WEBDEP_SCALE_SMOKE is set, and read the heap budget.
 func scaleBudgetMB(t *testing.T) float64 {
@@ -149,6 +159,7 @@ func TestScaleMillionSiteStore(t *testing.T) {
 	start := time.Now()
 	dir, ccs, wantSites := ingestScaleWorld(t, opts)
 	ingestDone := time.Now()
+	ingestLive := liveHeapMB()
 
 	st, err := corpusstore.Open(dir, opts)
 	if err != nil {
@@ -162,6 +173,7 @@ func TestScaleMillionSiteStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	scoreDone := time.Now()
+	scoreLive := liveHeapMB()
 
 	// Build the provider dependency graph by streaming the same shards:
 	// graph construction must fit the streaming budget too — the graph is
@@ -186,6 +198,7 @@ func TestScaleMillionSiteStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphDone := time.Now()
+	graphLive := liveHeapMB()
 
 	// Row-scan cross-check on a sampled subset: re-score each sampled
 	// country from its materialized rows and demand exact equality with the
@@ -212,11 +225,14 @@ func TestScaleMillionSiteStore(t *testing.T) {
 		// Release the materialized rows before sampling the next country.
 		list.Sites = nil
 	}
+	checkLive := liveHeapMB()
 
 	peakMB := hw.peakMB()
 	t.Logf("scale gate: %d sites, %d countries; ingest %.1fs, score %.1fs, graph %.1fs (%d nodes, %d edges, worst SPOF %q); heap watermark %.1f MB (budget %.0f MB)",
 		wantSites, len(ccs), ingestDone.Sub(start).Seconds(), scoreDone.Sub(ingestDone).Seconds(),
 		graphDone.Sub(scoreDone).Seconds(), gst.Nodes, gst.ProviderEdges, spofs[0].Provider, peakMB, budgetMB)
+	t.Logf("scale gate: live heap after GC: ingest %.1f MB, score %.1f MB, graph %.1f MB, cross-check %.1f MB",
+		ingestLive, scoreLive, graphLive, checkLive)
 	if peakMB > budgetMB {
 		t.Fatalf("heap watermark %.1f MB exceeds the %.0f MB scale budget: the streaming path is materializing state it must not hold",
 			peakMB, budgetMB)
@@ -254,6 +270,7 @@ func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
 	}
 	defer d.Close()
 	started := time.Now()
+	startLive := liveHeapMB()
 
 	fetch := func(path string) []byte {
 		resp, err := http.Get("http://" + d.Addr + path)
@@ -281,6 +298,7 @@ func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
 		check(path) // cold
 	}
 	served := time.Now()
+	servedLive := liveHeapMB()
 
 	// One reload with the old generation still answering: queries loop until
 	// the swap has happened and every path has been fetched again after it.
@@ -324,6 +342,7 @@ func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
 	for path := range want {
 		check(path) // the new generation, cold or warm
 	}
+	reloadLive := liveHeapMB()
 	if _, swap := d.Generation(); swap != 1 {
 		t.Errorf("serving swap %d after one reload", swap)
 	}
@@ -335,6 +354,8 @@ func TestScaleDaemonServesMillionSiteStore(t *testing.T) {
 	t.Logf("daemon scale gate: %d sites; start %.1fs, %d cold queries %.1fs, reload under load %.1fs; heap watermark %.1f MB (budget %.0f MB)",
 		wantSites, started.Sub(start).Seconds(), len(want), served.Sub(started).Seconds(),
 		reloaded.Sub(served).Seconds(), peakMB, budgetMB)
+	t.Logf("daemon scale gate: live heap after GC: start %.1f MB, cold queries %.1f MB, reload %.1f MB",
+		startLive, servedLive, reloadLive)
 	if peakMB > budgetMB {
 		t.Fatalf("heap watermark %.1f MB exceeds the %.0f MB scale budget: the serving path is holding state that grows with the site count",
 			peakMB, budgetMB)

@@ -37,10 +37,13 @@
 // new generation shares its predecessor's read model, provider classes
 // included, and gets a swap id and an empty cache of its own. Nothing is
 // shared between generations read from different stores.
+//
+// The socket is answered by the package's own HTTP/1.1 connection loop
+// (conn.go, request.go), not by net/http's server: one read and one write
+// per request, dispatched through the same handler Handler returns.
 package webdepd
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -51,7 +54,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/webdep/webdep/internal/classify"
 	"github.com/webdep/webdep/internal/corpusstore"
@@ -256,8 +258,12 @@ type Daemon struct {
 	reloadMu  sync.Mutex // serializes Reload; requests never take it
 	m         *metrics
 	mux       *http.ServeMux
-	srv       *http.Server
-	ln        net.Listener
+
+	ln      net.Listener
+	connMu  sync.Mutex         // guards conns; closing is stored under it
+	conns   map[*conn]struct{} // open connections
+	closing atomic.Bool
+	connWG  sync.WaitGroup // the accept goroutine and one per connection
 }
 
 // Handler exposes the daemon's full HTTP handler for in-process drivers
@@ -306,28 +312,6 @@ func newDaemon(cfg Config) (*Daemon, error) {
 	d.mux.HandleFunc("/healthz", handleHealthz)
 	d.mux.HandleFunc("/reload", d.handleReload)
 	return d, nil
-}
-
-// start serves ln until Close.
-func (d *Daemon) start(ln net.Listener) {
-	d.ln = ln
-	d.Addr = ln.Addr().String()
-	d.srv = &http.Server{Handler: d.mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = d.srv.Serve(ln) }()
-}
-
-// closeGrace bounds how long Close waits for in-flight responses.
-const closeGrace = 2 * time.Second
-
-// Close stops the daemon gracefully: the listener closes immediately,
-// in-flight requests get a short grace to finish, stragglers are severed.
-func (d *Daemon) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
-	defer cancel()
-	if err := d.srv.Shutdown(ctx); err != nil {
-		return d.srv.Close()
-	}
-	return nil
 }
 
 // Generation reports the serving generation's label and swap id.
