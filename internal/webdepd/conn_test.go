@@ -3,13 +3,17 @@ package webdepd
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
 	"strconv"
@@ -19,11 +23,11 @@ import (
 	"time"
 )
 
-// rawResponse reads one response off the wire as the bytes the daemon
-// sent, framed by the Content-Length every response must carry, and parses
-// those bytes with net/http's own reader. method is the request's: a HEAD
-// response carries no body.
-func rawResponse(t *testing.T, br *bufio.Reader, method string) (*http.Response, []byte) {
+// readRaw reads one response off the wire as the bytes the daemon sent,
+// framed by the Content-Length every response must carry, and checks that
+// its header names are sorted and include Date. method is the request's: a
+// HEAD response carries no body.
+func readRaw(t *testing.T, br *bufio.Reader, method string) []byte {
 	t.Helper()
 	var raw []byte
 	var names []string
@@ -63,6 +67,14 @@ func rawResponse(t *testing.T, br *bufio.Reader, method string) (*http.Response,
 		}
 		raw = append(raw, body...)
 	}
+	return raw
+}
+
+// rawResponse reads one response with readRaw and parses its bytes with
+// net/http's own reader.
+func rawResponse(t *testing.T, br *bufio.Reader, method string) (*http.Response, []byte) {
+	t.Helper()
+	raw := readRaw(t, br, method)
 	resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(raw)), &http.Request{Method: method})
 	if err != nil {
 		t.Fatalf("net/http refuses the response: %v\n%s", err, raw)
@@ -286,6 +298,83 @@ func TestConnProtocol(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWireResponsesPinned freezes every byte the daemon's socket sends,
+// status line and headers included, for one world: a digest per row, the
+// Date value masked. Each row is one connection, in order: every endpoint
+// shape twice (cold, then a hit), each refusal status, HEAD, HTTP/1.0 with
+// and without keep-alive, a pipelined pair, an escaped path and paths
+// outside the daemon's routes. The 409 row is a daemon over an in-memory
+// corpus, which refuses reloads; the successful reload comes last.
+func TestWireResponsesPinned(t *testing.T) {
+	root := t.TempDir()
+	corpus := worldCorpus(t, 3, 40, []string{"US", "DE"})
+	saveGeneration(t, root, "gen-0001", corpus)
+	d := startDaemon(t, Config{StoreRoot: root})
+	mem := startDaemon(t, Config{Corpus: corpus})
+	top := url.QueryEscape(d.gen.Load().graph.TopSPOFs(1)[0].Provider)
+	get := func(target string) string { return "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n" }
+	twice := func(target string) string { return get(target) + get(target) }
+	long := strings.Repeat("a", maxRequestLine)
+	date := regexp.MustCompile(`(?m)^Date: [^\r]*\r$`)
+
+	for _, row := range []struct {
+		name    string
+		d       *Daemon
+		send    string
+		methods []string // one per response, in order
+		want    string   // the first 16 hex digits of the rows' SHA-256
+	}{
+		{"scores", d, twice("/api/scores"), []string{"GET", "GET"}, "108a37c2793c0629"},
+		{"layer scores", d, twice("/api/scores?layer=hosting"), []string{"GET", "GET"}, "2fe3c3da1e8eda02"},
+		{"country score", d, twice("/api/scores?layer=dns&country=US"), []string{"GET", "GET"}, "bf72dc1632c996c0"},
+		{"rankcurve", d, twice("/api/rankcurve?layer=ca&country=DE"), []string{"GET", "GET"}, "b0bf6c6be944a56c"},
+		{"coverage", d, twice("/api/coverage"), []string{"GET", "GET"}, "20b2f04c684e50a4"},
+		{"classes", d, twice("/api/classes?layer=hosting"), []string{"GET", "GET"}, "95961b0907c4e6a8"},
+		{"spof", d, twice("/api/spof"), []string{"GET", "GET"}, "e9ddf8fd90ec5bb6"},
+		{"spof n", d, twice("/api/spof?n=3"), []string{"GET", "GET"}, "1cee66f61f4d73e1"},
+		{"what-if", d, twice("/api/what-if?provider=" + top), []string{"GET", "GET"}, "ba3cc66fbee23925"},
+		{"epoch", d, twice("/api/epoch"), []string{"GET", "GET"}, "724a402e47901cab"},
+		{"healthz", d, twice("/healthz"), []string{"GET", "GET"}, "4217c986708b7778"},
+		{"escaped path", d, get("/api/scor%65s?layer=hosting"), []string{"GET"}, "67cba2479b8a310a"},
+		{"HEAD healthz", d, "HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n", []string{"HEAD"}, "179e2ec0bdb85245"},
+		{"HEAD api is 405", d, "HEAD /api/coverage HTTP/1.1\r\nHost: t\r\n\r\n", []string{"HEAD"}, "7b436955e32dc91c"},
+		{"HTTP/1.0 closes", d, "GET /api/epoch HTTP/1.0\r\n\r\n", []string{"GET"}, "a7a70bbbe74b6e45"},
+		{"HTTP/1.0 keep-alive", d, "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n" + get("/healthz"), []string{"GET", "GET"}, "21f9967d88b11174"},
+		{"pipelined pair", d, get("/api/coverage") + get("/api/epoch"), []string{"GET", "GET"}, "6997326681c60c5f"},
+		{"400", d, "GET /healthz HTTP/1.1\r\n\r\n", []string{"GET"}, "b5d9efb16a5b7455"},
+		{"404", d, get("/api/nope"), []string{"GET"}, "8fc74d79bf8b2852"},
+		{"405", d, get("/reload"), []string{"GET"}, "d36e9ad54eb14394"},
+		{"409", mem, "POST /reload HTTP/1.1\r\nHost: t\r\n\r\n", []string{"POST"}, "dff84c283f3090a9"},
+		{"413", d, "POST /reload HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello", []string{"POST"}, "a66785aa1c3190b9"},
+		{"414", d, get("/" + long), []string{"GET"}, "a04f23d14954817c"},
+		{"417", d, "POST /reload HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n\r\n", []string{"POST"}, "905ee1a94bb96356"},
+		{"431", d, "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: " + long + long + "\r\n\r\n", []string{"GET"}, "21c61373f4117be1"},
+		{"501", d, "POST /reload HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", []string{"POST"}, "adebf1728dda5984"},
+		{"505", d, "GET /healthz HTTP/2.0\r\nHost: t\r\n\r\n", []string{"GET"}, "b26d24e2d7dc5477"},
+		{"root", d, get("/"), []string{"GET"}, "441f6c80a8058d2d"},
+		{"api without slash", d, get("/api"), []string{"GET"}, "a7265681259ad609"},
+		{"double slash", d, get("//api/coverage"), []string{"GET"}, "d6a68f2f03543865"},
+		{"reload", d, "POST /reload HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n", []string{"POST"}, "e4307a9944adac11"},
+	} {
+		c, err := net.Dial("tcp", row.d.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(c, row.send); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(c)
+		h := sha256.New()
+		for _, method := range row.methods {
+			h.Write(date.ReplaceAll(readRaw(t, br, method), []byte("Date: -\r")))
+		}
+		c.Close()
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != row.want {
+			t.Errorf("%s: digest %s, want %s", row.name, got, row.want)
+		}
+	}
 }
 
 // FuzzReadRequest holds the request reader to net/http's: on any bytes it
