@@ -95,6 +95,37 @@ func BenchmarkWireHit(b *testing.B) {
 	}
 }
 
+// TestWireHitAllocs is the allocation gate on a cached hit over the socket:
+// a client that allocates nothing sends warm hits over one keep-alive
+// loopback connection, and every malloc in the process — the daemon's
+// connection goroutine's included — is counted against the requests.
+func TestWireHitAllocs(t *testing.T) {
+	d := startDaemon(t, Config{Corpus: worldCorpus(t, 13, 60, []string{"US", "DE"})})
+	c, err := net.Dial("tcp", d.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := []byte("GET /api/scores?layer=hosting&country=US HTTP/1.1\r\nHost: t\r\n\r\n")
+	br := bufio.NewReader(c)
+	var failed error
+	roundTrip := func() {
+		if _, err := c.Write(req); err != nil {
+			failed = err
+		} else if status, err := discardResponse(br); err != nil || status != http.StatusOK {
+			failed = fmt.Errorf("status %d, %v", status, err)
+		}
+	}
+	roundTrip() // renders the key
+	avg := testing.AllocsPerRun(2000, roundTrip)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if avg > 7 {
+		t.Errorf("a cached hit over the socket allocates %.1f objects, want <= 7", avg)
+	}
+}
+
 // benchWire drives b.N round trips of one cached query over one
 // connection to ln and reports the server's socket calls per request.
 func benchWire(b *testing.B, ln *countingListener) {
