@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -605,6 +606,35 @@ func TestServeVantageFailureRemovesScratchDir(t *testing.T) {
 	}
 	if files, _ := os.ReadDir(tmp); len(files) != 0 {
 		t.Errorf("failed ServeVantage left %v in TMPDIR", files)
+	}
+}
+
+// TestVantageHeaderTimeout: a connection that sends half a request head
+// is closed once readHeaderTimeout has passed, not held open.
+func TestVantageHeaderTimeout(t *testing.T) {
+	t.Parallel()
+	v, err := ServeVantage("127.0.0.1:0", VantageConfig{Key: []byte("k"), NewLive: func() *pipeline.Live { return nil }, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	c, err := net.Dial("tcp", v.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	if _, err := io.WriteString(c, "POST /crawl HTTP/1.1\r\nHost: v\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	n, err := io.Copy(io.Discard, c)
+	took := time.Since(start)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the connection is still open after %v", took)
+	}
+	if n != 0 || took < readHeaderTimeout-100*time.Millisecond {
+		t.Errorf("the connection closed after %v with %d bytes, want %v and none", took, n, readHeaderTimeout)
 	}
 }
 

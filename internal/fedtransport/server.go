@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"time"
 
 	"github.com/webdep/webdep/internal/checkpoint"
 	"github.com/webdep/webdep/internal/fedcrawl"
@@ -28,6 +29,11 @@ const sigHeader = "X-Webdep-Signature"
 
 // maxAssignmentBytes bounds a shard-assignment request body.
 const maxAssignmentBytes = 1 << 26
+
+// readHeaderTimeout bounds a request head from its first byte, as on the
+// debug server. A vantage sets no ReadTimeout: net/http's background read
+// would then fail at that deadline and cancel a /crawl still running.
+const readHeaderTimeout = 5 * time.Second
 
 // signBody is the shared assignment-signing primitive: hex HMAC-SHA256
 // over the exact request body bytes.
@@ -125,7 +131,7 @@ func serveVantage(addr string, cfg VantageConfig, opts func(fedcrawl.Assignment)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /crawl", v.handleCrawl)
-	v.srv = &http.Server{Handler: mux}
+	v.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		defer close(v.done)
 		_ = v.srv.Serve(ln)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"strconv"
@@ -26,18 +25,16 @@ func benchDaemon(b *testing.B) *Daemon {
 }
 
 // BenchmarkCachedHit is the alloc-regression pin for the cache-hit path:
-// the full handler — parse, key, lookup, write — against a warmed cache,
-// with the network and ResponseWriter stripped out. Throughput here is
-// the daemon's per-core ceiling; ReportAllocs is the regression gate.
+// the full route — parse, key, lookup, reply — against a warmed cache,
+// with the network and the framing stripped out. Throughput here is the
+// daemon's per-core ceiling; ReportAllocs is the regression gate.
 func BenchmarkCachedHit(b *testing.B) {
 	d := benchDaemon(b)
-	req := httptest.NewRequest(http.MethodGet, "http://x/api/scores?layer=hosting&country=DE", nil)
-	w := &nullWriter{h: make(http.Header)}
-	d.handleAPI(w, req) // warm
+	d.route(http.MethodGet, "/api/scores", "layer=hosting&country=DE") // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.handleAPI(w, req)
+		d.route(http.MethodGet, "/api/scores", "layer=hosting&country=DE")
 	}
 }
 
@@ -46,15 +43,12 @@ func BenchmarkCachedHit(b *testing.B) {
 // request, no locks.
 func BenchmarkCachedHitParallel(b *testing.B) {
 	d := benchDaemon(b)
-	warm := httptest.NewRequest(http.MethodGet, "http://x/api/scores?layer=hosting", nil)
-	d.handleAPI(&nullWriter{h: make(http.Header)}, warm)
+	d.route(http.MethodGet, "/api/scores", "layer=hosting")
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		req := httptest.NewRequest(http.MethodGet, "http://x/api/scores?layer=hosting", nil)
-		w := &nullWriter{h: make(http.Header)}
 		for pb.Next() {
-			d.handleAPI(w, req)
+			d.route(http.MethodGet, "/api/scores", "layer=hosting")
 		}
 	})
 }
@@ -299,16 +293,15 @@ func reloadCorpus(b *testing.B, sites int) *dataset.Corpus {
 func benchReload(b *testing.B, root string, land func(i int)) {
 	reg := obs.NewRegistry()
 	d := startDaemon(b, Config{StoreRoot: root, Obs: reg})
-	req := httptest.NewRequest(http.MethodGet, "http://x/api/classes?layer=hosting", nil)
-	w := &nullWriter{h: make(http.Header)}
-	d.handleAPI(w, req) // generation 0 pays for its clustering outside the loop
+	classes := func() { d.route(http.MethodGet, "/api/classes", "layer=hosting") }
+	classes() // generation 0 pays for its clustering outside the loop
 	before, _, _ := classesCounters(reg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		land(i)
 		mustReload(b, d)
-		d.handleAPI(w, req)
+		classes()
 	}
 	b.StopTimer()
 	clustered, carried, _ := classesCounters(reg)

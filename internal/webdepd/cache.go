@@ -33,8 +33,9 @@ type cacheEntry struct {
 	ready chan struct{} // closed once body/err are set
 	body  []byte
 	// contentLength is body's Content-Length header value, built once at
-	// render time so the hit path assigns it without allocating. Without
-	// the header net/http sends any body over 2 KB chunked.
+	// render time so that Handler sets it without allocating: without it,
+	// net/http's server sends any body over 2 KB chunked. The connection
+	// loop writes the body's length itself.
 	contentLength []string
 	err           *QueryError
 }

@@ -8,9 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,10 +25,6 @@ const (
 	lingerTimeout = 500 * time.Millisecond
 	// closeGrace bounds how long Close waits for in-flight responses.
 	closeGrace = 2 * time.Second
-	// headroom is the room a response buffer keeps in front of the body for
-	// the status line and headers, so that a response goes out in one write
-	// with its body copied once.
-	headroom = 512
 	// maxPooledBody is the largest response buffer a closed connection
 	// hands to the next one.
 	maxPooledBody = 1 << 20
@@ -51,17 +45,14 @@ type conn struct {
 	state atomic.Int32
 	br    *bufio.Reader
 	rr    requestReader
-	w     response
-	head  []byte   // status line and headers, built before the copy into w.buf's headroom
-	keys  []string // header names of one response, sorted
-	date  []byte   // the Date value, formatted once a second
-	dated int64    // the Unix second date was formatted for
+	out   []byte // one response, head and body, as it is written
+	date  []byte // the Date value, formatted once a second
+	dated int64  // the Unix second date was formatted for
 }
 
 var connPool = sync.Pool{New: func() any {
 	c := &conn{br: bufio.NewReaderSize(nil, maxRequestLine+maxHeaderBytes)}
-	c.rr = requestReader{br: c.br, header: make(http.Header)}
-	c.w.header = make(http.Header)
+	c.rr.br = c.br
 	return c
 }}
 
@@ -71,51 +62,17 @@ func newConn(rwc net.Conn) *conn {
 	c.state.Store(connIdle)
 	c.br.Reset(rwc)
 	c.rr.conn = rwc
-	c.rr.remoteAddr = rwc.RemoteAddr().String()
-	if cap(c.w.buf) < headroom {
-		c.w.buf = make([]byte, headroom, headroom+4<<10)
-	}
 	return c
 }
 
 func (c *conn) release() {
 	c.rwc, c.rr.conn = nil, nil
 	c.br.Reset(nil)
-	c.rr.req = http.Request{}
-	clear(c.rr.header)
-	c.w.reset()
-	if cap(c.w.buf) > maxPooledBody {
-		c.w.buf = nil
+	c.rr.req = request{}
+	if cap(c.out) > maxPooledBody {
+		c.out = nil
 	}
 	connPool.Put(c)
-}
-
-// response is the loop's http.ResponseWriter: it buffers the status, the
-// headers and the body, and the loop frames them once the handler returns.
-type response struct {
-	header http.Header
-	status int
-	buf    []byte // headroom, then the body
-}
-
-func (w *response) Header() http.Header { return w.header }
-
-func (w *response) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-}
-
-func (w *response) Write(p []byte) (int, error) {
-	w.WriteHeader(http.StatusOK)
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *response) reset() {
-	clear(w.header)
-	w.status = 0
-	w.buf = w.buf[:min(headroom, cap(w.buf))]
 }
 
 // start serves ln until Close: one goroutine accepts, and one per
@@ -180,15 +137,16 @@ func (d *Daemon) serveConn(c *conn) {
 		if err != nil {
 			return
 		}
-		c.w.reset()
+		var rep reply
 		keep := false
 		if refusal != nil {
-			writeError(&c.w, refusal)
+			rep = errorReply(refusal)
 		} else {
-			keep = c.dispatch(d.mux, r) && !r.Close
+			rep, keep = d.dispatch(r)
+			keep = keep && !r.close
 		}
 		keep = keep && !d.closing.Load()
-		if err := c.respond(r, keep); err != nil {
+		if err := c.respond(r, rep, keep); err != nil {
 			// The response is lost either way (a client that stopped reading
 			// past writeTimeout, or one that went away): reset the connection
 			// so that the kernel does not keep queuing it, and the close
@@ -205,121 +163,55 @@ func (d *Daemon) serveConn(c *conn) {
 	}
 }
 
-// dispatch runs the handler and reports whether it returned. A panic is
-// logged and answered 500, dropping whatever the handler had buffered:
-// nothing of a response reaches the socket before its handler returns.
-func (c *conn) dispatch(h http.Handler, r *http.Request) (returned bool) {
+// dispatch routes r and reports whether its handler returned. A panic is
+// logged and answered 500: nothing of a response reaches the socket before
+// its handler returns.
+func (d *Daemon) dispatch(r *request) (rep reply, returned bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			log.Printf("webdepd: panic serving %s %s: %v\n%s", r.Method, r.RequestURI, p, debug.Stack())
-			c.w.reset()
-			writeError(&c.w, &QueryError{Status: http.StatusInternalServerError, Msg: "internal error"})
+			log.Printf("webdepd: panic serving %s %s: %v\n%s", r.method, r.path, p, debug.Stack())
+			rep = errorReply(&QueryError{Status: http.StatusInternalServerError, Msg: "internal error"})
 		}
 	}()
-	h.ServeHTTP(&c.w, r)
-	return true
+	return d.route(r.method, r.path, r.rawQuery), true
 }
 
-// respond writes the buffered response in one call: the status line, the
-// handler's headers with Content-Length, Date and, when the connection
-// closes or is HTTP/1.0, Connection, in sorted order, then the body. r is
-// nil for a refusal. A HEAD response keeps its Content-Length and drops
-// the body.
-func (c *conn) respond(r *http.Request, keep bool) error {
-	w := &c.w
-	status := w.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	body := w.buf[headroom:]
-	minor, bodyless := 1, false
-	if r != nil {
-		minor, bodyless = r.ProtoMinor, r.Method == http.MethodHead
-	}
-	h := w.header
-	if _, ok := h["Content-Type"]; !ok && len(body) > 0 {
-		h.Set("Content-Type", http.DetectContentType(body))
-	}
+// respond writes one response in one call: the status line; Connection,
+// when the connection closes after the response or is HTTP/1.0; then
+// Content-Length, Content-Type and Date; then the body. A HEAD response
+// keeps its Content-Length and drops the body.
+func (c *conn) respond(r *request, rep reply, keep bool) error {
 	now := time.Now()
 	if sec := now.Unix(); sec != c.dated || c.date == nil {
 		c.dated, c.date = sec, now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
 	}
-
-	c.keys = c.keys[:0]
-	for k := range h {
-		switch k {
-		case "Connection", "Content-Length", "Date":
-		default:
-			c.keys = append(c.keys, k)
-		}
-	}
-	if !keep || minor == 0 {
-		c.keys = append(c.keys, "Connection")
-	}
-	c.keys = append(c.keys, "Content-Length", "Date")
-	slices.Sort(c.keys)
-
-	b := append(c.head[:0], "HTTP/1."...)
-	b = append(b, byte('0'+minor), ' ')
-	b = strconv.AppendInt(b, int64(status), 10)
+	b := append(c.out[:0], "HTTP/1."...)
+	b = append(b, byte('0'+r.minor), ' ')
+	b = strconv.AppendInt(b, int64(rep.status), 10)
 	b = append(b, ' ')
-	b = append(b, http.StatusText(status)...)
-	b = append(b, "\r\n"...)
-	for _, k := range c.keys {
-		switch k {
-		case "Connection":
-			v := "close"
-			if keep {
-				v = "keep-alive"
-			}
-			b = appendField(b, k, v)
-		case "Content-Length":
-			b = append(b, "Content-Length: "...)
-			b = strconv.AppendInt(b, int64(len(body)), 10)
-			b = append(b, "\r\n"...)
-		case "Date":
-			b = append(b, "Date: "...)
-			b = append(b, c.date...)
-			b = append(b, "\r\n"...)
-		default:
-			if isToken(k) {
-				for _, v := range h[k] {
-					b = appendField(b, k, v)
-				}
-			}
-		}
+	b = append(b, http.StatusText(rep.status)...)
+	switch {
+	case !keep:
+		b = append(b, "\r\nConnection: close"...)
+	case r.minor == 0:
+		b = append(b, "\r\nConnection: keep-alive"...)
 	}
-	b = append(b, "\r\n"...)
-	c.head = b
-
-	var out []byte
-	if n := len(b); n <= headroom {
-		out = w.buf[headroom-n:]
-		copy(out, b)
-	} else {
-		out = append(b[:n:n], body...)
+	b = append(b, "\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(len(rep.body)), 10)
+	b = append(b, "\r\nContent-Type: "...)
+	b = append(b, rep.contentType[0]...)
+	b = append(b, "\r\nDate: "...)
+	b = append(b, c.date...)
+	b = append(b, "\r\n\r\n"...)
+	if r.method != http.MethodHead {
+		b = append(b, rep.body...)
 	}
-	if bodyless {
-		out = out[:len(out)-len(body)]
-	}
+	c.out = b
 	if err := c.rwc.SetWriteDeadline(now.Add(writeTimeout)); err != nil {
 		return err
 	}
-	_, err := c.rwc.Write(out)
+	_, err := c.rwc.Write(b)
 	return err
-}
-
-// appendField appends one header line, a value's line breaks turned into
-// spaces as net/http writes them.
-func appendField(b []byte, k, v string) []byte {
-	b = append(b, k...)
-	b = append(b, ": "...)
-	v = strings.Trim(v, " \t\r\n")
-	if strings.ContainsAny(v, "\r\n") {
-		v = strings.NewReplacer("\r", " ", "\n", " ").Replace(v)
-	}
-	b = append(b, v...)
-	return append(b, "\r\n"...)
 }
 
 // linger half-closes the connection and drains what the client still

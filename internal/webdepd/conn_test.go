@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
-	"reflect"
 	"regexp"
 	"runtime"
 	"slices"
@@ -106,6 +105,54 @@ func expectClosed(t *testing.T, c net.Conn, br *bufio.Reader, within time.Durati
 	}
 }
 
+// exchange sends raw bytes on a new connection to addr and holds the
+// responses to wants, in order: each read by its Content-Length and parsed
+// by net/http, an error status with a JSON body. closed says the daemon
+// closes after the last response; otherwise one more request is answered.
+func exchange(t *testing.T, addr, send string, wants []wantResp, closed bool) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, send); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	for i, want := range wants {
+		method := want.method
+		if method == "" {
+			method = http.MethodGet
+		}
+		resp, body := rawResponse(t, br, method)
+		if resp.StatusCode != want.status || want.body != "" && string(body) != want.body {
+			t.Fatalf("response %d: %d %q, want %d %q", i, resp.StatusCode, body, want.status, want.body)
+		}
+		for k, v := range want.header {
+			if got := resp.Header.Get(k); got != v {
+				t.Errorf("response %d: %s %q, want %q", i, k, got, v)
+			}
+		}
+		if resp.StatusCode >= 400 && !strings.HasPrefix(string(body), `{"status":`) {
+			t.Errorf("response %d: %d with body %q, want a JSON error", i, resp.StatusCode, body)
+		}
+		// net/http's reader drops a Connection: close it has read into
+		// Close.
+		if last := i == len(wants)-1; resp.Close != (last && closed) {
+			t.Errorf("response %d: Close %v", i, resp.Close)
+		}
+	}
+	if closed {
+		expectClosed(t, c, br, time.Second)
+		return
+	}
+	io.WriteString(c, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+	if resp, _ := rawResponse(t, br, http.MethodGet); resp.StatusCode != 200 {
+		t.Fatalf("after the row: %d", resp.StatusCode)
+	}
+}
+
 // TestConnProtocol holds the connection loop to its HTTP/1.1 subset over
 // raw sockets, one row per rule: versions, size limits, malformed input,
 // refused bodies, connection handling, response headers, timeouts and
@@ -117,13 +164,6 @@ func TestConnProtocol(t *testing.T) {
 	corpus := worldCorpus(t, 3, 40, []string{"US", "DE"})
 	saveGeneration(t, root, "gen-0001", corpus)
 	d := startDaemon(t, Config{StoreRoot: root})
-	d.mux.HandleFunc("/panic", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte("half a body"))
-		panic("injected handler bug")
-	})
-	d.mux.HandleFunc("/big", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write(make([]byte, 16<<20))
-	})
 	inproc := func(path string) string {
 		rec := httptest.NewRecorder()
 		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
@@ -174,54 +214,25 @@ func TestConnProtocol(t *testing.T) {
 		{"Transfer-Encoding is 501", "POST /reload HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", []wantResp{{status: 501}}, true},
 		{"a body is 413", "POST /reload HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello", []wantResp{{status: 413}}, true},
 		{"Expect is 417", "POST /reload HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\nExpect: 100-continue\r\n\r\n", []wantResp{{status: 417}}, true},
-		{"handler panic is 500", get("/panic") + get("/healthz"),
-			[]wantResp{{status: 500, header: map[string]string{"Content-Type": "application/json"}}}, true},
+		{"control byte in the target", "GET /heal\x7fthz HTTP/1.1\r\nHost: t\r\n\r\n", []wantResp{{status: 400}}, true},
+		{"bad escape in the path", get("/api/scores%zz?layer=hosting"), []wantResp{{status: 400}}, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			c, err := net.Dial("tcp", d.Addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if _, err := io.WriteString(c, row.send); err != nil {
-				t.Fatal(err)
-			}
-			br := bufio.NewReader(c)
-			for i, want := range row.want {
-				method := want.method
-				if method == "" {
-					method = http.MethodGet
-				}
-				resp, body := rawResponse(t, br, method)
-				if resp.StatusCode != want.status || want.body != "" && string(body) != want.body {
-					t.Fatalf("response %d: %d %q, want %d %q", i, resp.StatusCode, body, want.status, want.body)
-				}
-				for k, v := range want.header {
-					if got := resp.Header.Get(k); got != v {
-						t.Errorf("response %d: %s %q, want %q", i, k, got, v)
-					}
-				}
-				if resp.StatusCode >= 400 && !strings.HasPrefix(string(body), `{"status":`) {
-					t.Errorf("response %d: %d with body %q, want a JSON error", i, resp.StatusCode, body)
-				}
-				// net/http's reader drops a Connection: close it has read
-				// into Close.
-				if last := i == len(row.want)-1; resp.Close != (last && row.closed) {
-					t.Errorf("response %d: Close %v", i, resp.Close)
-				}
-			}
-			if row.closed {
-				expectClosed(t, c, br, time.Second)
-				return
-			}
-			// Still open: one more request is answered.
-			io.WriteString(c, get("/healthz"))
-			if resp, _ := rawResponse(t, br, http.MethodGet); resp.StatusCode != 200 {
-				t.Fatalf("after the row: %d", resp.StatusCode)
-			}
+			exchange(t, d.Addr, row.send, row.want, row.closed)
 		})
 	}
+
+	t.Run("handler panic is 500", func(t *testing.T) {
+		t.Parallel()
+		// A generation with no cache makes route panic on any /api request.
+		broken := startDaemon(t, Config{Corpus: corpus})
+		g := *broken.gen.Load()
+		g.cache = nil
+		broken.gen.Store(&g)
+		exchange(t, broken.Addr, get("/api/coverage")+get("/healthz"),
+			[]wantResp{{status: 500, header: map[string]string{"Content-Type": "application/json"}}}, true)
+	})
 
 	t.Run("header timeout", func(t *testing.T) {
 		t.Parallel()
@@ -241,20 +252,25 @@ func TestConnProtocol(t *testing.T) {
 		t.Parallel()
 		// One response far larger than both socket buffers, to a client
 		// that never reads it: the daemon's write stalls, gives up after
-		// writeTimeout, and the connection is dropped and reset.
-		c, err := net.Dial("tcp", d.Addr)
+		// writeTimeout, and the connection is dropped and reset. The body
+		// is a 16 MB cache entry stored under a real key.
+		big := startDaemon(t, Config{Corpus: corpus})
+		e := &cacheEntry{ready: make(chan struct{}), body: make([]byte, 16<<20)}
+		close(e.ready)
+		big.gen.Load().cache.entries.Store(parsePath(t, "/api/spof?n=7").Key(), e)
+		c, err := net.Dial("tcp", big.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		c.(*net.TCPConn).SetReadBuffer(4 << 10)
 		start := time.Now()
-		io.WriteString(c, get("/big"))
+		io.WriteString(c, get("/api/spof?n=7"))
 		served := func() bool {
-			d.connMu.Lock()
-			defer d.connMu.Unlock()
-			for sc := range d.conns {
-				if sc.rr.remoteAddr == c.LocalAddr().String() {
+			big.connMu.Lock()
+			defer big.connMu.Unlock()
+			for sc := range big.conns {
+				if sc.rwc.RemoteAddr().String() == c.LocalAddr().String() {
 					return true
 				}
 			}
@@ -353,9 +369,9 @@ func TestWireResponsesPinned(t *testing.T) {
 		{"431", d, "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: " + long + long + "\r\n\r\n", []string{"GET"}, "21c61373f4117be1"},
 		{"501", d, "POST /reload HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", []string{"POST"}, "adebf1728dda5984"},
 		{"505", d, "GET /healthz HTTP/2.0\r\nHost: t\r\n\r\n", []string{"GET"}, "b26d24e2d7dc5477"},
-		{"root", d, get("/"), []string{"GET"}, "441f6c80a8058d2d"},
-		{"api without slash", d, get("/api"), []string{"GET"}, "a7265681259ad609"},
-		{"double slash", d, get("//api/coverage"), []string{"GET"}, "d6a68f2f03543865"},
+		{"root", d, get("/"), []string{"GET"}, "088669e02c9779c5"},
+		{"api without slash", d, get("/api"), []string{"GET"}, "a8aada3c07a56c45"},
+		{"double slash", d, get("//api/coverage"), []string{"GET"}, "4cd7a25a7dc4834d"},
 		{"reload", d, "POST /reload HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n", []string{"POST"}, "e4307a9944adac11"},
 	} {
 		c, err := net.Dial("tcp", row.d.Addr)
@@ -380,7 +396,7 @@ func TestWireResponsesPinned(t *testing.T) {
 // FuzzReadRequest holds the request reader to net/http's: on any bytes it
 // never panics and never reads more than its limits allow, and a request
 // it accepts is one http.ReadRequest accepts too, with the same method,
-// target, URL, Host and close decision.
+// path (URL.Path), raw query, Host, close decision and minor version.
 func FuzzReadRequest(f *testing.F) {
 	for _, s := range []string{
 		"GET /api/scores?layer=hosting HTTP/1.1\r\nHost: 127.0.0.1:8080\r\n\r\n",
@@ -390,6 +406,9 @@ func FuzzReadRequest(f *testing.F) {
 		"POST /reload HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n",
 		"POST /reload HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n",
 		"GET /a%20b?x=%ZZ HTTP/1.1\nHost: [::1]:80\nConnection: close\n\n",
+		"GET /a%zzb HTTP/1.1\r\nHost: x\r\n\r\n",
+		"GET /a\x01b?c HTTP/1.1\r\nHost: x\r\n\r\n",
+		"GET //x/y? HTTP/1.1\r\nHost: x\r\n\r\n",
 		"GET /x HTTP/1.1\r\nHost: x\r\nX-A: 1\r\n 2\r\n\r\n",
 		"GET /x HTTP/2.0\r\n\r\n",
 		"GET * HTTP/1.1\r\nHost: x\r\n\r\n",
@@ -399,7 +418,7 @@ func FuzzReadRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &countingReader{r: bytes.NewReader(data)}
-		rr := &requestReader{br: bufio.NewReaderSize(src, maxRequestLine+maxHeaderBytes), conn: noDeadline{}, remoteAddr: "fuzz", header: make(http.Header)}
+		rr := &requestReader{br: bufio.NewReaderSize(src, maxRequestLine+maxHeaderBytes), conn: noDeadline{}}
 		r, refusal, err := rr.read()
 		if src.n > maxRequestLine+maxHeaderBytes {
 			t.Fatalf("read %d bytes for one head", src.n)
@@ -423,10 +442,10 @@ func FuzzReadRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q, which http.ReadRequest refuses: %v", data[:consumed], err)
 		}
-		if r.Method != want.Method || r.RequestURI != want.RequestURI || r.Host != want.Host ||
-			!reflect.DeepEqual(r.URL, want.URL) || r.Close != want.Close || r.ProtoMinor != want.ProtoMinor {
-			t.Fatalf("%q: read %s %s host %q close %v, http.ReadRequest %s %s host %q close %v",
-				data[:consumed], r.Method, r.URL, r.Host, r.Close, want.Method, want.URL, want.Host, want.Close)
+		if r.method != want.Method || r.path != want.URL.Path || r.rawQuery != want.URL.RawQuery || r.host != want.Host ||
+			r.close != want.Close || r.minor != want.ProtoMinor {
+			t.Fatalf("%q: read %+v, http.ReadRequest %s %q %q host %q close %v minor %d", data[:consumed],
+				*r, want.Method, want.URL.Path, want.URL.RawQuery, want.Host, want.Close, want.ProtoMinor)
 		}
 	})
 }

@@ -212,7 +212,7 @@ func (w *worker) drive(addr string, req []byte, d time.Duration) {
 	}
 }
 
-// nullWriter is the in-process mode's ResponseWriter: body bytes are
+// nullWriter is the in-process mode's response writer: body bytes are
 // counted as delivered and dropped, the status is kept for the error
 // tally. Each worker owns one, so there is no sharing to serialize on.
 type nullWriter struct {
@@ -225,8 +225,9 @@ func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 
 // driveInproc issues back-to-back requests straight into the handler.
-// The request is built per worker: http.ServeMux records its route match
-// in the request itself, so sharing one across goroutines is a data race.
+// The request is built per worker: a handler may write to its request
+// (net/http's pattern mux records its match there), so sharing one across
+// goroutines could race.
 func (w *worker) driveInproc(h http.Handler, u *url.URL, d time.Duration) {
 	wu := *u
 	req := &http.Request{Method: http.MethodGet, URL: &wu}

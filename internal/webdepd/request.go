@@ -25,32 +25,41 @@ const (
 	headerTimeout = 5 * time.Second
 )
 
-// requestReader reads the request heads of one connection into one reused
-// request. Every string of a request is a substring of one copy of its head.
-type requestReader struct {
-	br         *bufio.Reader
-	conn       interface{ SetReadDeadline(time.Time) error }
-	remoteAddr string
-	req        http.Request
-	header     http.Header
-	vals       []string // backing for header values, one string per field
+// request is one request head as the connection loop reads it: what the
+// route and the response's framing need. Its strings are substrings of one
+// copy of the head.
+type request struct {
+	method   string
+	path     string // the target's path, unescaped
+	rawQuery string // the target after its first '?', as sent
+	host     string // the Host value, checked but not routed on
+	minor    int    // HTTP/1.minor
+	close    bool   // the connection closes after the response
 }
 
-// read reads and parses the next request head. It returns the request,
-// whose Close says whether the connection closes after its response; or a
-// refusal, after which the connection closes; or the read error that ends
-// the connection. The request is valid until the next read.
-func (rr *requestReader) read() (r *http.Request, refusal *QueryError, err error) {
+// requestReader reads the request heads of one connection into one reused
+// request.
+type requestReader struct {
+	br   *bufio.Reader
+	conn interface{ SetReadDeadline(time.Time) error }
+	req  request
+}
+
+// read reads and parses the next request head. It returns the request;
+// or a refusal, with the request set to frame it (HTTP/1.1, closing); or
+// the read error that ends the connection. The request is valid until the
+// next read.
+func (rr *requestReader) read() (r *request, refusal *QueryError, err error) {
 	head, refusal, err := rr.readHead()
-	if refusal != nil || err != nil {
-		return nil, refusal, err
+	if err == nil && refusal == nil {
+		s := string(head)
+		rr.br.Discard(len(head)) // buffered: cannot fail
+		refusal = rr.parse(s)
 	}
-	s := string(head)
-	rr.br.Discard(len(head)) // buffered: cannot fail
-	if refusal := rr.parse(s); refusal != nil {
-		return nil, refusal, nil
+	if refusal != nil {
+		rr.req = request{minor: 1, close: true}
 	}
-	return &rr.req, nil, nil
+	return &rr.req, refusal, err
 }
 
 // readHead returns the next request head, request line through the blank
@@ -131,14 +140,17 @@ func (rr *requestReader) parse(head string) *QueryError {
 	if !strings.HasPrefix(target, "/") {
 		return refuse(http.StatusBadRequest, "request target must be an absolute path")
 	}
-	u, err := url.ParseRequestURI(target)
-	if err != nil {
+	rawPath, rawQuery, _ := strings.Cut(target, "?")
+	path, err := url.PathUnescape(rawPath)
+	if err != nil || strings.ContainsFunc(target, func(r rune) bool { return r < ' ' || r == 0x7f }) {
 		return refuse(http.StatusBadRequest, "malformed request target")
 	}
 
-	h := rr.header
-	clear(h)
-	rr.vals = rr.vals[:0]
+	// The fields the loop reads, compared case-insensitively by name; the
+	// rest are checked and dropped.
+	var host, contentLength string
+	var hosts, lengths int
+	var conflicting, transferEncoding, expect, connClose, connKeepAlive bool
 	for {
 		line, rest, _ = strings.Cut(rest, "\n")
 		line = strings.TrimSuffix(line, "\r")
@@ -158,59 +170,48 @@ func (rr *requestReader) parse(head string) *QueryError {
 				return refuse(http.StatusBadRequest, "control byte in a header value")
 			}
 		}
-		key := http.CanonicalHeaderKey(name)
-		if vv := h[key]; vv != nil {
-			h[key] = append(vv, value)
-		} else {
-			rr.vals = append(rr.vals, value)
-			h[key] = rr.vals[len(rr.vals)-1 : len(rr.vals) : len(rr.vals)]
+		switch {
+		case strings.EqualFold(name, "Host"):
+			host, hosts = value, hosts+1
+		case strings.EqualFold(name, "Content-Length"):
+			conflicting = conflicting || lengths > 0 && value != contentLength
+			contentLength, lengths = value, lengths+1
+		case strings.EqualFold(name, "Transfer-Encoding"):
+			transferEncoding = true
+		case strings.EqualFold(name, "Expect"):
+			expect = true
+		case strings.EqualFold(name, "Connection"):
+			connClose = connClose || hasToken(value, "close")
+			connKeepAlive = connKeepAlive || hasToken(value, "keep-alive")
 		}
 	}
 
-	hosts := h["Host"]
 	switch {
-	case len(hosts) > 1:
+	case hosts > 1:
 		return refuse(http.StatusBadRequest, "more than one Host header")
-	case len(hosts) == 0 && minor == 1:
+	case hosts == 0 && minor == 1:
 		return refuse(http.StatusBadRequest, "missing Host header")
-	case len(hosts) == 1 && !validHost(hosts[0]):
+	case hosts == 1 && !validHost(host):
 		return refuse(http.StatusBadRequest, "malformed Host header")
-	}
-	cls := h["Content-Length"]
-	for _, cl := range cls {
-		if cl != cls[0] {
-			return refuse(http.StatusBadRequest, "conflicting Content-Length headers")
-		}
-	}
-	if len(cls) > 0 && (cls[0] == "" || strings.Trim(cls[0], "0123456789") != "") {
+	case conflicting:
+		return refuse(http.StatusBadRequest, "conflicting Content-Length headers")
+	case lengths > 0 && (contentLength == "" || strings.Trim(contentLength, "0123456789") != ""):
 		return refuse(http.StatusBadRequest, "malformed Content-Length")
-	}
-	switch {
-	case h["Transfer-Encoding"] != nil:
+	case transferEncoding:
 		return refuse(http.StatusNotImplemented, "request bodies are not read; Transfer-Encoding is not served")
-	case len(cls) > 0 && strings.Trim(cls[0], "0") != "":
+	case lengths > 0 && strings.Trim(contentLength, "0") != "":
 		return refuse(http.StatusRequestEntityTooLarge, "request bodies are not read; Content-Length must be 0")
-	case h["Expect"] != nil:
+	case expect:
 		return refuse(http.StatusExpectationFailed, "request bodies are not read; Expect is not served")
 	}
 
-	var host string
-	if len(hosts) == 1 {
-		host = hosts[0]
-	}
-	closeAfter := hasToken(h["Connection"], "close") || minor == 0 && !hasToken(h["Connection"], "keep-alive")
-	rr.req = http.Request{
-		Method:     method,
-		URL:        u,
-		Proto:      proto,
-		ProtoMajor: 1,
-		ProtoMinor: minor,
-		Header:     h,
-		Body:       http.NoBody,
-		Close:      closeAfter,
-		Host:       host,
-		RemoteAddr: rr.remoteAddr,
-		RequestURI: target,
+	rr.req = request{
+		method:   method,
+		path:     path,
+		rawQuery: rawQuery,
+		host:     host,
+		minor:    minor,
+		close:    connClose || minor == 0 && !connKeepAlive,
 	}
 	return nil
 }
@@ -222,14 +223,12 @@ func refuse(status int, format string, args ...any) *QueryError {
 
 // hasToken reports whether a comma-separated header value lists token,
 // compared case-insensitively.
-func hasToken(vals []string, token string) bool {
-	for _, v := range vals {
-		for v != "" {
-			var t string
-			t, v, _ = strings.Cut(v, ",")
-			if strings.EqualFold(strings.Trim(t, " \t"), token) {
-				return true
-			}
+func hasToken(v, token string) bool {
+	for v != "" {
+		var t string
+		t, v, _ = strings.Cut(v, ",")
+		if strings.EqualFold(strings.Trim(t, " \t"), token) {
+			return true
 		}
 	}
 	return false

@@ -40,7 +40,7 @@
 //
 // The socket is answered by the package's own HTTP/1.1 connection loop
 // (conn.go, request.go), not by net/http's server: one read and one write
-// per request, dispatched through the same handler Handler returns.
+// per request, dispatched through the same route Handler answers through.
 package webdepd
 
 import (
@@ -257,7 +257,6 @@ type Daemon struct {
 	gen       atomic.Pointer[generation]
 	reloadMu  sync.Mutex // serializes Reload; requests never take it
 	m         *metrics
-	mux       *http.ServeMux
 
 	ln      net.Listener
 	connMu  sync.Mutex         // guards conns; closing is stored under it
@@ -266,9 +265,23 @@ type Daemon struct {
 	connWG  sync.WaitGroup // the accept goroutine and one per connection
 }
 
-// Handler exposes the daemon's full HTTP handler for in-process drivers
-// — the loadtest harness's socketless mode and embedding tests.
-func (d *Daemon) Handler() http.Handler { return d.mux }
+// Handler exposes the daemon's routes as an http.Handler for in-process
+// drivers — the loadtest harness's socketless mode, the benchmark and
+// embedding tests. It answers through route, as the socket does, and sets
+// the reply's Content-Type and, for a body from the cache, its
+// Content-Length.
+func (d *Daemon) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rep := d.route(r.Method, r.URL.Path, r.URL.RawQuery)
+		h := w.Header()
+		h["Content-Type"] = rep.contentType
+		if rep.contentLength != nil {
+			h["Content-Length"] = rep.contentLength
+		}
+		w.WriteHeader(rep.status)
+		w.Write(rep.body)
+	})
+}
 
 // Start loads the configured corpus source, binds addr, and serves. The
 // returned daemon is already answering queries.
@@ -285,8 +298,8 @@ func Start(addr string, cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// newDaemon loads the configured corpus source and routes the handlers. It
-// listens on nothing until start.
+// newDaemon loads the configured corpus source. It listens on nothing until
+// start.
 func newDaemon(cfg Config) (*Daemon, error) {
 	if (cfg.Corpus == nil) == (cfg.StoreRoot == "") {
 		return nil, fmt.Errorf("webdepd: exactly one of Corpus or StoreRoot must be set")
@@ -306,11 +319,6 @@ func newDaemon(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d.gen.Store(d.serve(m, 0))
-
-	d.mux = http.NewServeMux()
-	d.mux.HandleFunc("/api/", d.handleAPI)
-	d.mux.HandleFunc("/healthz", handleHealthz)
-	d.mux.HandleFunc("/reload", d.handleReload)
 	return d, nil
 }
 
@@ -404,27 +412,58 @@ func sameFile(a, b os.FileInfo) bool {
 	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
 }
 
+// reply is one response as route returns it, for the connection loop or
+// Handler to frame.
+type reply struct {
+	status      int
+	contentType []string // jsonType or textType
+	body        []byte
+	// contentLength is the cache entry's Content-Length value, for a body
+	// from the cache; nil otherwise.
+	contentLength []string
+}
+
+// The Content-Type values of a reply, shared as header values so that
+// Handler sets them without allocating.
+var (
+	jsonType = []string{"application/json"}
+	textType = []string{"text/plain; charset=utf-8"}
+)
+
+var healthz = reply{status: http.StatusOK, contentType: textType, body: []byte("ok\n")}
+
+// route answers one request: the one dispatch the socket and Handler share.
+// A path outside the three routes is a JSON 404.
+func (d *Daemon) route(method, path, rawQuery string) reply {
+	switch {
+	case strings.HasPrefix(path, "/api/"):
+		return d.handleAPI(method, path, rawQuery)
+	case path == "/healthz":
+		return healthz
+	case path == "/reload":
+		return d.handleReload(method)
+	}
+	return errorReply(notFound("unknown path %q", clip(path)))
+}
+
 // handleAPI is the query hot path. On a cache hit it does: one counter
 // increment, a gauge add/sub, query parse (allocation-free for clean
-// input), one key build, one sync.Map load, two header assignments (the
-// Content-Length value is the entry's, built at render time) and a verbatim
-// byte write — no scoring, no JSON encoding, no locks. BenchmarkCachedHit
-// pins the allocation count.
-func (d *Daemon) handleAPI(w http.ResponseWriter, r *http.Request) {
+// input), one key build and one sync.Map load, and replies with the
+// entry's bytes and Content-Length value as they are — no scoring, no JSON
+// encoding, no locks. TestHitPathAllocs pins the allocation count.
+func (d *Daemon) handleAPI(method, path, rawQuery string) reply {
 	d.m.requests.Inc()
-	if r.Method != http.MethodGet {
+	if method != http.MethodGet {
 		d.m.errors4xx.Inc()
-		writeError(w, &QueryError{Status: http.StatusMethodNotAllowed, Msg: "score queries are GET-only"})
-		return
+		return errorReply(&QueryError{Status: http.StatusMethodNotAllowed, Msg: "score queries are GET-only"})
 	}
 	d.m.inflight.Add(1)
 	defer d.m.inflight.Add(-1)
 
-	q, qerr := ParseQuery(r.URL.Path, r.URL.RawQuery)
+	q, qerr := ParseQuery(path, rawQuery)
 	if qerr != nil {
 		d.m.errors4xx.Inc()
-		writeError(w, qerr)
-		return
+		return errorReply(qerr)
 	}
 	sp := obs.StartSpan(d.m.endpoint[q.Endpoint])
 	e, outcome := d.gen.Load().cache.get(q)
@@ -446,44 +485,36 @@ func (d *Daemon) handleAPI(w http.ResponseWriter, r *http.Request) {
 		} else {
 			d.m.errors4xx.Inc()
 		}
-		writeError(w, e.err)
-		return
+		return errorReply(e.err)
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h["Content-Length"] = e.contentLength
-	w.Write(e.body)
-}
-
-func handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte("ok\n"))
+	return reply{status: http.StatusOK, contentType: jsonType, body: e.body, contentLength: e.contentLength}
 }
 
 // handleReload answers POST /reload by swapping to the newest store
 // generation. GET is refused (reload is a mutation); a failed reload
 // keeps serving the old generation and reports the failure.
-func (d *Daemon) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &QueryError{Status: http.StatusMethodNotAllowed, Msg: "reload is POST-only"})
-		return
+func (d *Daemon) handleReload(method string) reply {
+	if method != http.MethodPost {
+		return errorReply(&QueryError{Status: http.StatusMethodNotAllowed, Msg: "reload is POST-only"})
 	}
 	g, err := d.reload()
 	if err != nil {
-		writeError(w, &QueryError{Status: http.StatusConflict, Msg: err.Error()})
-		return
+		return errorReply(&QueryError{Status: http.StatusConflict, Msg: err.Error()})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	return jsonReply(http.StatusOK, map[string]any{
 		"generation": g.label,
 		"epoch":      g.epoch,
 		"swap":       g.id,
 	})
 }
 
-// writeError emits the uniform JSON error body for a typed rejection.
-func writeError(w http.ResponseWriter, qerr *QueryError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(qerr.Status)
-	json.NewEncoder(w).Encode(ErrorResponse{Status: qerr.Status, Error: qerr.Msg})
+// errorReply is the uniform JSON error body for a typed rejection.
+func errorReply(qerr *QueryError) reply {
+	return jsonReply(qerr.Status, ErrorResponse{Status: qerr.Status, Error: qerr.Msg})
+}
+
+// jsonReply encodes v as json.Encoder does, a newline after the value.
+func jsonReply(status int, v any) reply {
+	body, _ := json.Marshal(v) // strings and integers: cannot fail
+	return reply{status: status, contentType: jsonType, body: append(body, '\n')}
 }

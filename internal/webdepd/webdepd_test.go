@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -668,26 +667,17 @@ func TestServedSnapshotIgnoresMutation(t *testing.T) {
 	}
 }
 
-// nullWriter is an http.ResponseWriter that discards everything —
-// allocation accounting must measure the daemon, not a recorder.
-type nullWriter struct{ h http.Header }
-
-func (w *nullWriter) Header() http.Header         { return w.h }
-func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (w *nullWriter) WriteHeader(int)             {}
-
 // TestHitPathAllocs is the alloc-regression gate on the cache-hit path:
-// parse, key, lookup, and write must stay within a handful of allocations
+// parse, key, lookup, and reply must stay within a handful of allocations
 // per request, or the throughput claim quietly rots.
 func TestHitPathAllocs(t *testing.T) {
 	corpus := worldCorpus(t, 13, 60, []string{"US", "DE"})
 	d := startDaemon(t, Config{Corpus: corpus})
 
-	req := httptest.NewRequest(http.MethodGet, "http://x/api/scores?layer=hosting&country=US", nil)
-	w := &nullWriter{h: make(http.Header)}
-	d.handleAPI(w, req) // warm the key
+	hit := func() { d.route(http.MethodGet, "/api/scores", "layer=hosting&country=US") }
+	hit() // warm the key
 
-	avg := testing.AllocsPerRun(2000, func() { d.handleAPI(w, req) })
+	avg := testing.AllocsPerRun(2000, hit)
 	if avg > 8 {
 		t.Errorf("cache-hit path allocates %.1f objects/request, want <= 8", avg)
 	}
